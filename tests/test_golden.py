@@ -1,0 +1,67 @@
+"""Golden pins: the sha256 of every deterministic artifact of two small
+training runs, one per agent kind, and the exact `lnnrl eval` line of the
+hand-wired rule networks on hard maps.
+
+A refactor that moves a single bit of the learning dynamics (summation
+order, an extra random draw, a changed clamp) fails here even when every
+convergence criterion still holds. Change a pin only for an intended change
+of behaviour, and say why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from lnnrl.agent import scripted_rule_networks
+from lnnrl.cli import main
+from lnnrl.harness import ExperimentConfig, run_experiment
+from lnnrl.lnn import save_network
+
+RUN = dict(difficulty="medium", epochs=30, eval_interval=10, n_seeds=2,
+           n_train_games=8, n_test_per_level=2, base_seed=31)
+
+PATTERNS = ("metrics.csv", "rules_seed*.txt", "trace_seed*.txt", "seed*/*.lnn", "seed*/mlp.txt")
+
+GOLDEN = {
+    "lnn": {
+        "metrics.csv": "ce02e342bfa19e41e6b5e2e86423e3efc4860aa9986c9ba1bfa678605329997a",
+        "rules_seed0.txt": "7ae256ccf54c5f6805292278cac20417b15bde70d29543692c3a6156e2f2c1bd",
+        "rules_seed1.txt": "7ae256ccf54c5f6805292278cac20417b15bde70d29543692c3a6156e2f2c1bd",
+        "trace_seed0.txt": "1a809adec370e372e8e4a4a4096ea8782d4cd06d771836426773068d08c8ed18",
+        "trace_seed1.txt": "64476b3615d337b3c839ca998651c04c8e0db31f6583be0c35984277a6cc5c24",
+        "seed0/direction.lnn": "0e8098660266170cfdc0938a9c31c5d52dca10b4b1f6f79c12cfb716bb82fbf2",
+        "seed0/money.lnn": "0f798d5c7629815069868d2d69d21e1c3851ba38bd412c96cd828c4dab7e8882",
+        "seed1/direction.lnn": "d716ecd3257c86ed034fb7d8c35018cfc5e1f7834632b17392b7f2e3e216ba3b",
+        "seed1/money.lnn": "3df08a1fa8b608f0e5c4943d91b14e6bea36e54516cdd4ca75295945209f3561",
+    },
+    "nn": {
+        "metrics.csv": "c78afa6b25a648cc8fb570168e0347b6a08db984d7c8da1f758cc766f49dd4bc",
+        "trace_seed0.txt": "cddef8d6e9814098e0b8f1c2022aadecc22cdce0318c46c1a56fae2a8bbb2646",
+        "trace_seed1.txt": "4c52203c7b70a33b41fe8ad3b569e3ae765f7b95bdfeac356853f5ef52c56192",
+        "seed0/mlp.txt": "aa54e7499c238f7997a4027dc79e2b7f813002399c7dbb56b92dd0eff618ff8d",
+        "seed1/mlp.txt": "36eb993ab3b01bcd349c02e06d9ad9b0c7c27722c9c9b180e715ce615e4710c1",
+    },
+}
+
+ORACLE_HARD_EVAL = "test games: 20  mean_reward=0.900000  mean_steps=44.250000\n"
+
+
+@pytest.mark.parametrize("agent", sorted(GOLDEN))
+def test_training_artifacts_match_pins(agent, tmp_path):
+    run_experiment(ExperimentConfig(agent=agent, **RUN), tmp_path, trace=True)
+    digests = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for pattern in PATTERNS
+        for path in sorted(tmp_path.glob(pattern))
+    }
+    assert digests == GOLDEN[agent]
+
+
+def test_oracle_eval_line_on_hard_maps_matches_pin(tmp_path, capsys):
+    config = ExperimentConfig(difficulty="hard", n_test_per_level=4, n_seeds=1, base_seed=7)
+    (tmp_path / "config.txt").write_text(config.to_text(), encoding="utf-8")
+    (tmp_path / "seed0").mkdir()
+    for category, net in scripted_rule_networks().items():
+        save_network(net, tmp_path / "seed0" / f"{category}.lnn")
+    assert main(["eval", "--run-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == ORACLE_HARD_EVAL
