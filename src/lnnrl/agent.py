@@ -4,10 +4,13 @@ Each step the agent grounds one candidate action per (category, noun) pair
 the lexicon supports — four `go` directions plus `take coin` — scores every
 candidate with its category's network, and acts epsilon-greedily. Rewards
 are shaped with an episodic discovery bonus and, on medium/hard maps, a
-bonus for backing out of a fully explored room the way it came in. Learning
-is Q-regression against a periodically refreshed target snapshot, with a
+bonus for backing out of a fully explored room the way it came in.
+
+`DqnAgent` is the one trainer: Q-regression against a periodically
+refreshed target snapshot, one Adam over every named parameter, and a
 two-pool replay buffer that keeps reward-bearing transitions sampled at a
-fixed fraction of every batch.
+fixed fraction of every batch. It drives any scorer; `LnnScorer` holds the
+logic networks and the MLP baseline's scorer lives in `baseline.py`.
 
 Gate induction: whenever a sampled transition carried reward >= 1 and no AND
 gate of the chosen category's network fires at the truth threshold on its
@@ -16,6 +19,7 @@ facts, a new gate seeded from those facts is spliced in.
 
 from __future__ import annotations
 
+import copy
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -33,7 +37,7 @@ from .factextract import (
     parse_observation,
 )
 from .lexicon import LexiconTable
-from .lnn import AND, GateCapReached, LnnNetwork, LogicNode, TruthConfig
+from .lnn import GateCapReached, LnnNetwork, TruthConfig
 from .optim import AdamOptimizer
 from .rng import substream
 from .worldsim import (
@@ -179,16 +183,13 @@ def shape_reward(
 
 @dataclass
 class Transition:
-    props: PropositionSet
     action: Action
     category: str | None                     # grounding category of the chosen candidate
     facts: np.ndarray | None
     reward: float                            # shaped
-    quest_reward: float
-    next_props: PropositionSet
     next_candidates: tuple[tuple[str, np.ndarray], ...]  # (category, facts) at t+1
     terminal: bool
-    # caches for the 26-input baseline scorer
+    # inputs of the 26-input baseline scorer
     props_vec: np.ndarray | None = field(repr=False, default=None)
     next_props_vec: np.ndarray | None = field(repr=False, default=None)
     action_index: int = -1
@@ -231,15 +232,11 @@ class ReplayBuffer:
 # ---------------------------------------------------------------------------
 
 
-def td_target(transition: Transition, nets: dict[str, LnnNetwork], gamma: float) -> float:
-    """clamp01(r) at terminals, else clamp01(r + gamma * best next q)."""
-    if transition.terminal or not transition.next_candidates:
+def td_target(transition: Transition, target, gamma: float) -> float:
+    """clamp01(r) at terminals, else clamp01(r + gamma * the target scorer's best next q)."""
+    if transition.terminal:
         return float(np.clip(transition.reward, 0.0, 1.0))
-    best = max(
-        nets[category].forward(facts)[0]
-        for category, facts in transition.next_candidates
-    )
-    return float(np.clip(transition.reward + gamma * best, 0.0, 1.0))
+    return float(np.clip(transition.reward + gamma * target.best_next(transition), 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +258,6 @@ def fresh_networks(config: TrainerConfig) -> dict[str, LnnNetwork]:
     }
 
 
-def _install_gate(net: LnnNetwork, literals: tuple[str, ...]) -> None:
-    weights = np.array([1.0 if name in literals else 0.0 for name in net.literals])
-    net.and_gates.append(LogicNode.create(AND, weights, 1.0))
-    net.or_root.weights = np.append(net.or_root.weights, 1.0)
-
-
 def scripted_rule_networks(alpha: float = 0.75) -> dict[str, LnnNetwork]:
     """Networks wired by hand to the known-good policy, for oracle play.
 
@@ -276,63 +267,52 @@ def scripted_rule_networks(alpha: float = 0.75) -> dict[str, LnnNetwork]:
     the take score when both fire in the coin room.
     """
     truth = TruthConfig(alpha=alpha)
-    money = LnnNetwork("money", CATEGORY_LITERALS["money"], "take", truth, or_bias=1.0)
-    money.and_gates = []
-    money.or_root.weights = np.array([], dtype=np.float64)
-    _install_gate(money, ("find_x",))
 
-    direction = LnnNetwork("direction", CATEGORY_LITERALS["direction"], "go", truth, or_bias=1.25)
-    direction.and_gates = []
-    direction.or_root.weights = np.array([], dtype=np.float64)
-    _install_gate(direction, ("find_x", "not_visited_x", "not_initial_x"))
-    _install_gate(direction, ("find_x", "all_visited", "initial_x"))
-    return {"money": money, "direction": direction}
+    def wired(category: str, or_bias: float, *gates: tuple[str, ...]) -> LnnNetwork:
+        net = LnnNetwork(category, CATEGORY_LITERALS[category], CATEGORY_VERBS[category],
+                         truth, or_bias=or_bias)
+        net.and_gates = []
+        net.or_root.weights = np.array([], dtype=np.float64)
+        for literals in gates:
+            net.add_and_gate([1.0 if name in literals else 0.0 for name in net.literals])
+        return net
+
+    return {
+        "money": wired("money", 1.0, ("find_x",)),
+        "direction": wired("direction", 1.25, ("find_x", "not_visited_x", "not_initial_x"),
+                           ("find_x", "all_visited", "initial_x")),
+    }
 
 
 # ---------------------------------------------------------------------------
-# agents
+# the trainer and the logic-network scorer
 # ---------------------------------------------------------------------------
 
 
-class GreedyPolicy:
-    """Read-only wrapper for evaluating a fixed set of networks."""
+class DqnAgent:
+    """Replay, TD regression, one Adam and target snapshots over a scorer.
 
-    def __init__(self, nets: dict[str, LnnNetwork], config: TrainerConfig | None = None):
-        self.nets = nets
-        self.config = config or TrainerConfig()
+    The scorer supplies `choose(props, candidates, epsilon, rng)`;
+    `q(transition)`, which is None for a transition it does not learn from;
+    `best_next(transition)`; `transition_gradients(transition, upstream)`;
+    `parameters()` and `snapshot()`, keyed and copied so one optimizer and
+    one target cover all of it; and the hooks `before_batch(batch)` and
+    `after_step()`.
+    """
 
-    def choose(self, props: PropositionSet, candidates: list[Candidate],
-               epsilon: float, rng: random.Random):
-        return select_action(candidates, self.nets, epsilon, rng)
-
-    def observe(self, transition: Transition) -> None:
-        raise RuntimeError("GreedyPolicy does not learn")
-
-
-class LnnAgent:
-    """Per-category logic networks plus everything needed to train them."""
-
-    def __init__(self, config: TrainerConfig, lexicon: LexiconTable, run_seed: int = 0,
-                 nets: dict[str, LnnNetwork] | None = None):
+    def __init__(self, config: TrainerConfig, scorer, replay_rng: random.Random):
         self.config = config
-        self.lexicon = lexicon
-        self.nets = nets if nets is not None else fresh_networks(config)
-        self.target_nets = {c: n.clone() for c, n in self.nets.items()}
-        self.optimizers = {
-            c: AdamOptimizer(learning_rate=config.learning_rate) for c in self.nets
-        }
+        self.scorer = scorer
+        self.target = scorer.snapshot()
+        self.optimizer = AdamOptimizer(learning_rate=config.learning_rate)
         self.buffer = ReplayBuffer(config.replay_capacity, config.priority_fraction)
-        self.replay_rng = substream("replay-sampling", run_seed)
+        self.replay_rng = replay_rng
         self.env_steps = 0
         self.optimizer_steps = 0
 
-    # ----------------------------------------------------------------- policy
-
     def choose(self, props: PropositionSet, candidates: list[Candidate],
-               epsilon: float, rng: random.Random):
-        return select_action(candidates, self.nets, epsilon, rng)
-
-    # --------------------------------------------------------------- learning
+               epsilon: float, rng: random.Random) -> tuple[Action, list[float]]:
+        return self.scorer.choose(props, candidates, epsilon, rng)
 
     def observe(self, transition: Transition) -> None:
         self.buffer.push(transition)
@@ -341,76 +321,100 @@ class LnnAgent:
             self.train_step()
 
     def train_step(self, rng: random.Random | None = None) -> float:
-        """One sampled batch: gate induction, Q-regression, projection, target refresh."""
+        """One sampled batch: Q-regression, one optimizer step, target refresh."""
         if len(self.buffer) == 0:
             raise ValueError("train_step requires a non-empty replay buffer")
-        rng = rng or self.replay_rng
-        batch = self.buffer.sample(self.config.batch_size, rng)
+        batch = self.buffer.sample(self.config.batch_size, rng or self.replay_rng)
+        self.scorer.before_batch(batch)
 
-        # induction first so the fresh gate participates in this update
-        for transition in batch:
-            self._maybe_induce_gate(transition)
-
-        grads_by_category: dict[str, dict[str, np.ndarray]] = {}
+        grads: dict[str, np.ndarray] = {}
         total_loss = 0.0
         for transition in batch:
-            if transition.category is None:
+            q = self.scorer.q(transition)
+            if q is None:
                 continue
-            target = td_target(transition, self.target_nets, self.config.gamma)
-            net = self.nets[transition.category]
-            q, _ = net.forward(transition.facts)
-            error = q - target
+            error = q - td_target(transition, self.target, self.config.gamma)
             total_loss += error * error
             upstream = 2.0 * error / len(batch)
-            grads = net.gradients(transition.facts, upstream)
-            acc = grads_by_category.setdefault(transition.category, {})
-            for name, g in grads.items():
-                acc[name] = acc[name] + g if name in acc else g.copy()
+            for name, g in self.scorer.transition_gradients(transition, upstream).items():
+                grads[name] = grads[name] + g if name in grads else g
 
-        for category, grads in grads_by_category.items():
-            net = self.nets[category]
-            self.optimizers[category].step(net.parameters(), grads)
-            self._project(net)
-
+        self.optimizer.step(self.scorer.parameters(), grads)
+        self.scorer.after_step()
         self.optimizer_steps += 1
         if self.optimizer_steps % self.config.target_update_period == 0:
-            for category, net in self.nets.items():
-                self.target_nets[category].load_parameters_from(net)
+            self.target = self.scorer.snapshot()
         return total_loss / len(batch)
 
-    def _maybe_induce_gate(self, transition: Transition) -> None:
-        if transition.reward < 1.0 or transition.category is None:
-            return
-        net = self.nets[transition.category]
-        _, trace = net.forward(transition.facts)
-        if trace.and_out.size and np.max(trace.and_out) >= net.config.alpha:
-            return
-        try:
-            net.add_and_gate(transition.facts)
-        except GateCapReached:
-            return
+    def parameter_checksum(self) -> float:
+        return sum(float(np.sum(a)) + float(np.sum(np.abs(a)))
+                   for a in self.scorer.parameters().values())
 
-    @staticmethod
-    def _project(net: LnnNetwork) -> None:
+
+class LnnScorer:
+    """Per-category logic networks; parameters are keyed `<category>.<name>`."""
+
+    def __init__(self, nets: dict[str, LnnNetwork]):
+        self.nets = nets
+
+    def choose(self, props: PropositionSet, candidates: list[Candidate],
+               epsilon: float, rng: random.Random) -> tuple[Action, list[float]]:
+        return select_action(candidates, self.nets, epsilon, rng)
+
+    def q(self, transition: Transition) -> float | None:
+        if transition.category is None:
+            return None
+        return self.nets[transition.category].forward(transition.facts)[0]
+
+    def best_next(self, transition: Transition) -> float:
+        # no next candidate leaves nothing to bootstrap from
+        return max((self.nets[category].forward(facts)[0]
+                    for category, facts in transition.next_candidates), default=0.0)
+
+    def transition_gradients(self, transition: Transition, upstream: float) -> dict[str, np.ndarray]:
+        grads = self.nets[transition.category].gradients(transition.facts, upstream)
+        return {f"{transition.category}.{name}": g for name, g in grads.items()}
+
+    def parameters(self) -> dict[str, np.ndarray]:
+        return {f"{category}.{name}": p
+                for category, net in self.nets.items()
+                for name, p in net.parameters().items()}
+
+    def snapshot(self) -> "LnnScorer":
+        return copy.deepcopy(self)
+
+    def before_batch(self, batch: list[Transition]) -> None:
+        # induction first so the fresh gate participates in this update
+        for transition in batch:
+            if transition.reward < 1.0 or transition.category is None:
+                continue
+            net = self.nets[transition.category]
+            _, trace = net.forward(transition.facts)
+            if trace.and_out.size and np.max(trace.and_out) >= net.config.alpha:
+                continue
+            try:
+                net.add_and_gate(transition.facts)
+            except GateCapReached:
+                pass
+
+    def after_step(self) -> None:
         # weights and biases stay nonnegative; OR weights additionally stay <= 1
         # so a lone matching gate cannot pin its score to the upper clamp
-        for gate in net.and_gates:
-            np.clip(gate.weights, 0.0, None, out=gate.weights)
-            gate.bias[...] = max(float(gate.bias), 0.0)
-        np.clip(net.or_root.weights, 0.0, 1.0, out=net.or_root.weights)
-        net.or_root.bias[...] = max(float(net.or_root.bias), 0.0)
-
-    # ------------------------------------------------------------- accounting
-
-    def parameter_checksum(self) -> float:
-        total = 0.0
         for net in self.nets.values():
-            for arr in net.parameters().values():
-                total += float(np.sum(arr)) + float(np.sum(np.abs(arr)))
-        return total
+            for gate in net.and_gates:
+                np.clip(gate.weights, 0.0, None, out=gate.weights)
+                gate.bias[...] = max(float(gate.bias), 0.0)
+            np.clip(net.or_root.weights, 0.0, 1.0, out=net.or_root.weights)
+            net.or_root.bias[...] = max(float(net.or_root.bias), 0.0)
 
-    def gate_counts(self) -> dict[str, int]:
-        return {c: len(n.and_gates) for c, n in self.nets.items()}
+
+class LnnAgent(DqnAgent):
+    """The trainer over logic networks, fresh unless `nets` are given."""
+
+    def __init__(self, config: TrainerConfig, run_seed: int = 0,
+                 nets: dict[str, LnnNetwork] | None = None):
+        self.nets = nets if nets is not None else fresh_networks(config)
+        super().__init__(config, LnnScorer(self.nets), substream("replay-sampling", run_seed))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +425,6 @@ class LnnAgent:
 @dataclass
 class EpisodeReport:
     quest_reward: float
-    shaped_reward: float
     steps: int
     trace: list[str] = field(default_factory=list)
 
@@ -455,7 +458,6 @@ def run_episode(
 
     bonus = agent.config.bonus_coefficient
     quest_total = 0.0
-    shaped_total = 0.0
     trace: list[str] = []
 
     while not state.done:
@@ -470,7 +472,6 @@ def run_episode(
             action, graph.difficulty, bonus,
         )
         quest_total += outcome.quest_reward
-        shaped_total += reward
 
         if outcome.action_valid and action.verb == "go":
             agent_map.record_move(action.noun, outcome.room_id)
@@ -489,13 +490,10 @@ def run_episode(
         if mode == "train":
             chosen = next((c for c in candidates if c.action == action), None)
             transition = Transition(
-                props=props_before,
                 action=action,
                 category=chosen.category if chosen else None,
                 facts=chosen.facts.values if chosen else None,
                 reward=reward,
-                quest_reward=outcome.quest_reward,
-                next_props=next_props,
                 next_candidates=tuple((c.category, c.facts.values) for c in next_candidates),
                 terminal=outcome.done,
                 props_vec=props_before.as_vector(),
@@ -507,9 +505,4 @@ def run_episode(
         props = next_props
         candidates = next_candidates
 
-    return EpisodeReport(
-        quest_reward=quest_total,
-        shaped_reward=shaped_total,
-        steps=state.steps,
-        trace=trace,
-    )
+    return EpisodeReport(quest_reward=quest_total, steps=state.steps, trace=trace)

@@ -1,21 +1,20 @@
 """Plain MLP action scorer trained with the identical DQN loop.
 
 Scores all ten verb-noun commands from the raw 26 truth values through one
-rectified hidden layer. Exists as the convergence-comparison baseline: same
-replay, targets, optimizer, and schedules as the logic-network agent, just a
+rectified hidden layer. Exists as the convergence-comparison baseline:
+`MlpAgent` is the same `DqnAgent` as the logic-network agent, with this
 black-box scorer in the middle.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 
 import numpy as np
 
-from .agent import Candidate, ReplayBuffer, TrainerConfig, Transition
+from .agent import Candidate, DqnAgent, TrainerConfig, Transition
 from .factextract import PROPOSITION_NAMES, PropositionSet
-from .lexicon import LexiconTable
-from .optim import AdamOptimizer
 from .rng import substream
 from .worldsim import ALL_ACTIONS, Action
 
@@ -27,11 +26,11 @@ N_HIDDEN = 64
 class MlpScorer:
     """26 -> 64 (ReLU) -> 10, with hand-rolled backprop."""
 
-    def __init__(self, seed: int = 0, n_hidden: int = N_HIDDEN):
+    def __init__(self, seed: int = 0):
         rng = np.random.default_rng(seed)
-        self.w1 = rng.normal(0.0, np.sqrt(2.0 / N_INPUTS), size=(N_INPUTS, n_hidden))
-        self.b1 = np.zeros(n_hidden)
-        self.w2 = rng.normal(0.0, np.sqrt(1.0 / n_hidden), size=(n_hidden, N_ACTIONS))
+        self.w1 = rng.normal(0.0, np.sqrt(2.0 / N_INPUTS), size=(N_INPUTS, N_HIDDEN))
+        self.b1 = np.zeros(N_HIDDEN)
+        self.w2 = rng.normal(0.0, np.sqrt(1.0 / N_HIDDEN), size=(N_HIDDEN, N_ACTIONS))
         self.b2 = np.zeros(N_ACTIONS)
 
     def parameters(self) -> dict[str, np.ndarray]:
@@ -57,19 +56,32 @@ class MlpScorer:
         grads["w2"][:, action_index] = upstream * hidden
         return grads
 
-    def clone(self) -> "MlpScorer":
-        twin = MlpScorer.__new__(MlpScorer)
-        twin.w1 = self.w1.copy()
-        twin.b1 = self.b1.copy()
-        twin.w2 = self.w2.copy()
-        twin.b2 = self.b2.copy()
-        return twin
+    # ------------------------------------------------------ scorer contract
 
-    def load_parameters_from(self, other: "MlpScorer") -> None:
-        self.w1[...] = other.w1
-        self.b1[...] = other.b1
-        self.w2[...] = other.w2
-        self.b2[...] = other.b2
+    def choose(self, props: PropositionSet, candidates: list[Candidate],
+               epsilon: float, rng: random.Random) -> tuple[Action, list[float]]:
+        q = self.forward(props.as_vector())
+        if epsilon > 0.0 and rng.random() < epsilon:
+            return ALL_ACTIONS[rng.randrange(N_ACTIONS)], list(q)
+        return ALL_ACTIONS[int(np.argmax(q))], list(q)
+
+    def q(self, transition: Transition) -> float:
+        return float(self.forward(transition.props_vec)[transition.action_index])
+
+    def best_next(self, transition: Transition) -> float:
+        return float(np.max(self.forward(transition.next_props_vec)))
+
+    def transition_gradients(self, transition: Transition, upstream: float) -> dict[str, np.ndarray]:
+        return self.gradients(transition.props_vec, transition.action_index, upstream)
+
+    def snapshot(self) -> "MlpScorer":
+        return copy.deepcopy(self)
+
+    def before_batch(self, batch: list[Transition]) -> None:
+        pass
+
+    def after_step(self) -> None:
+        pass
 
     # ------------------------------------------------------------ checkpoints
 
@@ -83,80 +95,44 @@ class MlpScorer:
 
     @classmethod
     def load(cls, path) -> "MlpScorer":
+        """Read a checkpoint written by `save`; every row `w1`, `b1`, `w2`, `b2`
+        must appear once, finite and with the header's shape."""
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         if not lines or lines[0] != "mlp-checkpoint v1":
             raise ValueError(f"{path}: not an MLP checkpoint")
-        _, n_in, n_hidden, n_out = lines[1].split()
-        scorer = cls(seed=0, n_hidden=int(n_hidden))
+        head = lines[1].split() if len(lines) > 1 else []
+        if (len(head) != 4 or head[0] != "shape" or head[1] != str(N_INPUTS)
+                or head[3] != str(N_ACTIONS) or not head[2].isdigit() or int(head[2]) == 0):
+            raise ValueError(f"{path}: expected 'shape {N_INPUTS} <hidden> {N_ACTIONS}' on line 2")
+        n_hidden = int(head[2])
         shapes = {
-            "w1": (int(n_in), int(n_hidden)),
-            "b1": (int(n_hidden),),
-            "w2": (int(n_hidden), int(n_out)),
-            "b2": (int(n_out),),
+            "w1": (N_INPUTS, n_hidden),
+            "b1": (n_hidden,),
+            "w2": (n_hidden, N_ACTIONS),
+            "b2": (N_ACTIONS,),
         }
+        rows: dict[str, np.ndarray] = {}
         for line in lines[2:]:
             name, _, rest = line.partition(" ")
+            if name not in shapes or name in rows:
+                raise ValueError(f"{path}: unexpected or repeated row {name!r}")
             values = np.array([float(t) for t in rest.split()])
-            setattr(scorer, name, values.reshape(shapes[name]))
+            size = int(np.prod(shapes[name]))
+            if values.size != size or not np.all(np.isfinite(values)):
+                raise ValueError(f"{path}: row {name} needs {size} finite values")
+            rows[name] = values.reshape(shapes[name])
+        missing = [name for name in shapes if name not in rows]
+        if missing:
+            raise ValueError(f"{path}: missing rows {', '.join(missing)}")
+        scorer = cls.__new__(cls)
+        scorer.w1, scorer.b1, scorer.w2, scorer.b2 = (rows[name] for name in shapes)
         return scorer
 
 
-class MlpAgent:
-    """Same trainer contract as the logic-network agent, over all 10 actions."""
+class MlpAgent(DqnAgent):
+    """The trainer over an MLP scorer seeded by the run."""
 
-    def __init__(self, config: TrainerConfig, lexicon: LexiconTable, run_seed: int = 0):
-        self.config = config
-        self.lexicon = lexicon
-        self.scorer = MlpScorer(seed=run_seed)
-        self.target = self.scorer.clone()
-        self.optimizer = AdamOptimizer(learning_rate=config.learning_rate)
-        self.buffer = ReplayBuffer(config.replay_capacity, config.priority_fraction)
-        self.replay_rng = substream("replay-sampling", "mlp", run_seed)
-        self.env_steps = 0
-        self.optimizer_steps = 0
-
-    def choose(self, props: PropositionSet, candidates: list[Candidate],
-               epsilon: float, rng: random.Random) -> tuple[Action, list[float]]:
-        q = self.scorer.forward(props.as_vector())
-        if epsilon > 0.0 and rng.random() < epsilon:
-            return ALL_ACTIONS[rng.randrange(N_ACTIONS)], list(q)
-        return ALL_ACTIONS[int(np.argmax(q))], list(q)
-
-    def observe(self, transition: Transition) -> None:
-        self.buffer.push(transition)
-        self.env_steps += 1
-        if self.env_steps % self.config.update_period == 0:
-            self.train_step()
-
-    def train_step(self, rng: random.Random | None = None) -> float:
-        if len(self.buffer) == 0:
-            raise ValueError("train_step requires a non-empty replay buffer")
-        rng = rng or self.replay_rng
-        batch = self.buffer.sample(self.config.batch_size, rng)
-
-        acc: dict[str, np.ndarray] = {}
-        total_loss = 0.0
-        for transition in batch:
-            if transition.terminal:
-                target = float(np.clip(transition.reward, 0.0, 1.0))
-            else:
-                best = float(np.max(self.target.forward(transition.next_props_vec)))
-                target = float(np.clip(transition.reward + self.config.gamma * best, 0.0, 1.0))
-            q = float(self.scorer.forward(transition.props_vec)[transition.action_index])
-            error = q - target
-            total_loss += error * error
-            grads = self.scorer.gradients(
-                transition.props_vec, transition.action_index, 2.0 * error / len(batch)
-            )
-            for name, g in grads.items():
-                acc[name] = acc[name] + g if name in acc else g
-
-        self.optimizer.step(self.scorer.parameters(), acc)
-        self.optimizer_steps += 1
-        if self.optimizer_steps % self.config.target_update_period == 0:
-            self.target.load_parameters_from(self.scorer)
-        return total_loss / len(batch)
-
-    def parameter_checksum(self) -> float:
-        return float(sum(np.sum(np.abs(a)) for a in self.scorer.parameters().values()))
+    def __init__(self, config: TrainerConfig, run_seed: int = 0):
+        super().__init__(config, MlpScorer(seed=run_seed),
+                         substream("replay-sampling", "mlp", run_seed))

@@ -14,7 +14,7 @@ import argparse
 import random
 import sys
 
-from .agent import GreedyPolicy, enumerate_candidates, scripted_rule_networks
+from .agent import LnnAgent, LnnScorer, enumerate_candidates, scripted_rule_networks
 from .factextract import AgentMap, extract_propositions, parse_observation
 from .harness import (
     ConfigError,
@@ -86,7 +86,7 @@ def _cmd_eval(args) -> int:
     run_seed_value = derive_seed("run", config.base_seed, args.seed_index)
     _, test_specs = build_game_sets(config, run_seed_value)
     test_graphs = [generate_game(s) for s in test_specs]
-    reward, steps = evaluate(GreedyPolicy(nets, config.trainer), test_graphs, lexicon)
+    reward, steps = evaluate(LnnAgent(config.trainer, nets=nets), test_graphs, lexicon)
     print(f"test games: {len(test_graphs)}  mean_reward={reward:.6f}  mean_steps={steps:.6f}")
     return 0
 
@@ -112,7 +112,7 @@ def _cmd_play(args) -> int:
         nets = load_networks(f"{args.run_dir}/seed{args.seed_index}")
     else:
         nets = scripted_rule_networks()
-    policy = GreedyPolicy(nets)
+    scorer = LnnScorer(nets)
     rng = random.Random(0)
 
     state, observation = reset(graph)
@@ -138,7 +138,7 @@ def _cmd_play(args) -> int:
             continue
         action = Action(tokens[0], tokens[1])
         candidates = enumerate_candidates(props, lexicon)
-        _, q_values = policy.choose(props, candidates, 0.0, rng)
+        _, q_values = scorer.choose(props, candidates, 0.0, rng)
         scored = "  ".join(f"{c.action}:{q:.2f}" for c, q in zip(candidates, q_values))
         print(f"[q] {scored}")
         outcome = step(state, action)

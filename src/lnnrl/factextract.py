@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .worldsim import DIRECTIONS, NOUNS, OPPOSITE, Action, RoomId
+from .worldsim import DIRECTIONS, NOUNS, OPPOSITE, RoomId
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -145,16 +145,6 @@ class AgentMap:
             self.entry_direction[new_room] = OPPOSITE[direction]
             self.visited.add(new_room)
         self.current = new_room
-
-
-def update_map(agent_map: AgentMap, prev_room: RoomId, action: Action, new_room: RoomId) -> AgentMap:
-    """Functional wrapper over AgentMap.record_move (mutates and returns the map)."""
-    if action.verb != "go":
-        raise ValueError(f"update_map expects a go action, got {action}")
-    if agent_map.current != prev_room:
-        raise ValueError(f"map is at room {agent_map.current}, not {prev_room}")
-    agent_map.record_move(action.noun, new_room)
-    return agent_map
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,6 @@ class ExperimentConfig:
 
     # ------------------------------------------------------------- key=value IO
 
-    _LIST_FIELDS = ("test_levels",)
-
     def to_text(self) -> str:
         lines = []
         for f in dataclasses.fields(self):
@@ -93,9 +91,9 @@ class ExperimentConfig:
         trainer_kwargs: dict = {}
         for key, raw in pairs.items():
             if key in own_fields:
-                own_kwargs[key] = _coerce(raw, own_fields[key].type, key)
+                own_kwargs[key] = _coerce(raw, own_fields[key].default, key)
             elif key in trainer_fields:
-                trainer_kwargs[key] = _coerce(raw, trainer_fields[key].type, key)
+                trainer_kwargs[key] = _coerce(raw, trainer_fields[key].default, key)
             else:
                 raise ConfigError(f"unknown config key {key!r}")
         config = cls(trainer=TrainerConfig(**trainer_kwargs), **own_kwargs)
@@ -123,20 +121,14 @@ def parse_key_value_text(text: str, source: str = "<config>") -> dict[str, str]:
     return pairs
 
 
-def _coerce(raw: str, annotation, key: str):
-    text = str(annotation)
+def _coerce(raw: str, default, key: str):
+    """Parse `raw` as the type of the field's default; tuples are comma-separated ints."""
     try:
-        if "tuple" in text:
+        if isinstance(default, tuple):
             return tuple(int(tok) for tok in raw.split(",") if tok)
-        if "bool" in text:
-            return raw.lower() in ("1", "true", "yes")
-        if "int" in text:
-            return int(raw)
-        if "float" in text:
-            return float(raw)
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value {raw!r} for {key}") from exc
-    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +214,10 @@ class ExperimentResult:
     rules_paths: list[Path] = field(default_factory=list)
 
 
-def _make_agent(config: ExperimentConfig, run_seed: int, lexicon: LexiconTable):
+def _make_agent(config: ExperimentConfig, run_seed: int):
     if config.agent == "lnn":
-        return LnnAgent(config.trainer, lexicon, run_seed=run_seed)
-    return MlpAgent(config.trainer, lexicon, run_seed=run_seed)
+        return LnnAgent(config.trainer, run_seed=run_seed)
+    return MlpAgent(config.trainer, run_seed=run_seed)
 
 
 def run_seed(
@@ -240,7 +232,7 @@ def run_seed(
     train_graphs = [generate_game(s) for s in train_specs]
     test_graphs = [generate_game(s) for s in test_specs]
 
-    agent = _make_agent(config, run_seed_value, lexicon)
+    agent = _make_agent(config, run_seed_value)
     order_rng = substream("train-order", run_seed_value)
 
     epochs: list[int] = []
@@ -328,10 +320,6 @@ def run_experiment(
         if config.agent == "lnn":
             for category, net in agent.nets.items():
                 save_network(net, seed_dir / f"{category}.lnn")
-            with open(seed_dir / "optimizer.txt", "w", encoding="utf-8") as fh:
-                for category in sorted(agent.optimizers):
-                    fh.write(f"network {category}\n")
-                    fh.write(agent.optimizers[category].dump_state())
             rules_path = out / f"rules_seed{k}.txt"
             rules_path.write_text(
                 render_ruleset(agent.nets, config.rule_weight_threshold), encoding="utf-8"
@@ -339,8 +327,6 @@ def run_experiment(
             rules_paths.append(rules_path)
         else:
             agent.scorer.save(seed_dir / "mlp.txt")
-            with open(seed_dir / "optimizer.txt", "w", encoding="utf-8") as fh:
-                fh.write(agent.optimizer.dump_state())
 
     csv_path = out / "metrics.csv"
     write_metrics_csv(config, seeds, csv_path)

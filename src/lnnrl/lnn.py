@@ -205,26 +205,6 @@ class LnnNetwork:
         self.or_root.weights = np.append(self.or_root.weights, 1.0)
         return len(self.and_gates) - 1
 
-    def clone(self) -> "LnnNetwork":
-        """Deep parameter copy (used for target-network snapshots)."""
-        twin = LnnNetwork.__new__(LnnNetwork)
-        twin.category = self.category
-        twin.literals = self.literals
-        twin.verb = self.verb
-        twin.config = self.config
-        twin.gate_cap = self.gate_cap
-        twin.and_gates = [
-            LogicNode(AND, g.weights.copy(), g.bias.copy()) for g in self.and_gates
-        ]
-        twin.or_root = LogicNode(OR, self.or_root.weights.copy(), self.or_root.bias.copy())
-        return twin
-
-    def load_parameters_from(self, other: "LnnNetwork") -> None:
-        self.and_gates = [
-            LogicNode(AND, g.weights.copy(), g.bias.copy()) for g in other.and_gates
-        ]
-        self.or_root = LogicNode(OR, other.or_root.weights.copy(), other.or_root.bias.copy())
-
 
 # ---------------------------------------------------------------------------
 # rule extraction
@@ -327,16 +307,36 @@ def save_network(net: LnnNetwork, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_HEADER_KEYS = ("category", "verb", "alpha", "gate_cap", "arity", "literals", "gates")
+
+
+def _row(path, line: str, head: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(bias, weights) of a `<head> bias B weights w1 .. w<width>` row."""
+    tokens = line.split()
+    n = len(head)
+    if tokens[:n] != head or tokens[n:n + 1] != ["bias"] or tokens[n + 2:n + 3] != ["weights"]:
+        raise ValueError(f"{path}: expected a {' '.join(head)!r} row, got {line!r}")
+    bias = float(tokens[n + 1])
+    weights = np.array([float(t) for t in tokens[n + 3:]], dtype=np.float64)
+    if weights.size != width:
+        raise ValueError(f"{path}: {' '.join(head)} row has {weights.size} weights, expected {width}")
+    if not all(np.isfinite(v) and v >= 0 for v in (bias, *weights)):
+        raise ValueError(f"{path}: {' '.join(head)} row holds a negative or non-finite value")
+    return np.array(bias, dtype=np.float64), weights
+
+
 def load_network(path) -> LnnNetwork:
+    """Read a checkpoint written by `save_network`; a truncated, malformed or
+    out-of-domain file (short row, non-finite or negative value) raises ValueError."""
     with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+        lines = fh.read().splitlines()
     if not lines or lines[0] != _CHECKPOINT_HEADER:
         raise ValueError(f"{path}: not a network checkpoint")
 
-    fields: dict[str, str] = {}
-    for line in lines[1:8]:
-        key, _, value = line.partition(" ")
-        fields[key] = value
+    header = [line.partition(" ") for line in lines[1:1 + len(_HEADER_KEYS)]]
+    if tuple(key for key, _, _ in header) != _HEADER_KEYS:
+        raise ValueError(f"{path}: header rows must be {', '.join(_HEADER_KEYS)}")
+    fields = {key: value for key, _, value in header}
 
     net = LnnNetwork(
         category=fields["category"],
@@ -349,23 +349,13 @@ def load_network(path) -> LnnNetwork:
         raise ValueError(f"{path}: arity does not match literal list")
 
     n_gates = int(fields["gates"])
+    body = lines[1 + len(_HEADER_KEYS):]
+    if n_gates < 0 or len(body) != n_gates + 1:
+        raise ValueError(f"{path}: expected {n_gates} gate rows and an or row, found {len(body)} rows")
     net.and_gates = []
-    for line in lines[8:8 + n_gates]:
-        tokens = line.split()
-        if tokens[0] != "and" or tokens[2] != "bias" or tokens[4] != "weights":
-            raise ValueError(f"{path}: malformed gate row {line!r}")
-        bias = float(tokens[3])
-        weights = np.array([float(t) for t in tokens[5:]], dtype=np.float64)
-        net.and_gates.append(LogicNode(AND, weights, np.array(bias, dtype=np.float64)))
-
-    tokens = lines[8 + n_gates].split()
-    if tokens[0] != "or" or tokens[1] != "bias" or tokens[3] != "weights":
-        raise ValueError(f"{path}: malformed or row")
-    net.or_root = LogicNode(
-        OR,
-        np.array([float(t) for t in tokens[4:]], dtype=np.float64),
-        np.array(float(tokens[2]), dtype=np.float64),
-    )
-    if len(net.or_root.weights) != len(net.and_gates):
-        raise ValueError(f"{path}: OR arity does not match gate count")
+    for j, line in enumerate(body[:n_gates]):
+        bias, weights = _row(path, line, ["and", str(j)], net.input_arity)
+        net.and_gates.append(LogicNode(AND, weights, bias))
+    bias, weights = _row(path, body[n_gates], ["or"], n_gates)
+    net.or_root = LogicNode(OR, weights, bias)
     return net

@@ -46,21 +46,3 @@ class AdamOptimizer:
             m_hat = m / (1.0 - self.beta1 ** t)
             v_hat = v / (1.0 - self.beta2 ** t)
             param[...] = param - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    # ------------------------------------------------------------------ export
-
-    def dump_state(self) -> str:
-        lines = [f"adam lr {self.learning_rate:.17g} beta1 {self.beta1:.17g} "
-                 f"beta2 {self.beta2:.17g} eps {self.eps:.17g}"]
-        for name in sorted(self._state):
-            m, v, t = self._state[name]
-            m_flat = np.atleast_1d(m).ravel()
-            v_flat = np.atleast_1d(v).ravel()
-            lines.append(f"param {name} t {t}")
-            lines.append("m " + " ".join(format(x, ".17g") for x in m_flat))
-            lines.append("v " + " ".join(format(x, ".17g") for x in v_flat))
-        return "\n".join(lines) + "\n"
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.dump_state())

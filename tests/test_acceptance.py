@@ -12,7 +12,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from lnnrl.agent import GreedyPolicy, TrainerConfig, run_episode, scripted_rule_networks
+from lnnrl.agent import LnnAgent, TrainerConfig, run_episode, scripted_rule_networks
 from lnnrl.factextract import (
     AgentMap,
     extract_propositions,
@@ -271,7 +271,7 @@ def test_criterion_5_fact_count_and_complements():
 def test_criterion_6_oracle_rule_networks():
     t0 = time.perf_counter()
     lexicon = __import__("lnnrl.lexicon", fromlist=["default_lexicon"]).default_lexicon()
-    policy = GreedyPolicy(scripted_rule_networks())
+    policy = LnnAgent(TrainerConfig(), nets=scripted_rule_networks())
 
     for difficulty, step_bound in (("easy", lambda lvl: lvl + 1),
                                    ("medium", lambda lvl: 3 * (lvl + 1))):
@@ -379,8 +379,8 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
     compared = 0
     for name in ["metrics.csv", "config.txt", "rules_seed0.txt", "rules_seed1.txt",
                  "trace_seed0.txt", "trace_seed1.txt",
-                 "seed0/direction.lnn", "seed0/money.lnn", "seed0/optimizer.txt",
-                 "seed1/direction.lnn", "seed1/money.lnn", "seed1/optimizer.txt"]:
+                 "seed0/direction.lnn", "seed0/money.lnn",
+                 "seed1/direction.lnn", "seed1/money.lnn"]:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
         compared += 1
 
@@ -390,4 +390,4 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
         assert dump_graph(generate_game(spec)) == dump_graph(generate_game(spec))
         assert spec.to_line() == GameSpec.from_line(spec.to_line()).to_line()
     report(10, f"two executions produced byte-identical outputs for {compared} "
-               f"artifacts (CSV, rules, traces, checkpoints, optimizer state)")
+               f"artifacts (CSV, rules, traces, checkpoints)")

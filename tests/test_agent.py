@@ -7,8 +7,8 @@ import pytest
 
 from lnnrl.agent import (
     CANDIDATE_NOUNS,
-    GreedyPolicy,
     LnnAgent,
+    LnnScorer,
     ReplayBuffer,
     TrainerConfig,
     Transition,
@@ -48,9 +48,9 @@ def start_props(graph):
 
 def make_transition(category, facts, reward, terminal, next_candidates=()):
     return Transition(
-        props=None, action=Action("take", "coin"), category=category,
-        facts=np.asarray(facts, dtype=float), reward=reward, quest_reward=0.0,
-        next_props=None, next_candidates=tuple(next_candidates), terminal=terminal,
+        action=Action("take", "coin"), category=category,
+        facts=np.asarray(facts, dtype=float), reward=reward,
+        next_candidates=tuple(next_candidates), terminal=terminal,
     )
 
 
@@ -255,7 +255,7 @@ def half_value_money_net():
     net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take")
     net.and_gates = [LogicNode.create(AND, np.zeros(2), 1.0)]
     net.or_root = LogicNode.create(OR, np.array([0.5]), 1.0)   # q = 0.5 everywhere
-    return {"money": net}
+    return LnnScorer({"money": net})
 
 
 def test_terminal_target_is_clamped_reward():
@@ -357,9 +357,9 @@ def test_trainer_config_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_take_coin_micro_convergence(lexicon):
+def test_take_coin_micro_convergence():
     config = TrainerConfig()
-    agent = LnnAgent(config, lexicon, run_seed=4)
+    agent = LnnAgent(config, run_seed=4)
     agent.buffer.push(make_transition("money", [1.0, 0.0], 1.0, True))
     for _ in range(50):
         agent.train_step()
@@ -367,14 +367,14 @@ def test_take_coin_micro_convergence(lexicon):
     assert q >= config.alpha
 
 
-def test_train_step_on_empty_buffer_raises(lexicon):
-    agent = LnnAgent(TrainerConfig(), lexicon)
+def test_train_step_on_empty_buffer_raises():
+    agent = LnnAgent(TrainerConfig())
     with pytest.raises(ValueError):
         agent.train_step()
 
 
-def test_zero_learning_rate_leaves_parameters_bitwise(lexicon):
-    agent = LnnAgent(TrainerConfig(learning_rate=0.0), lexicon, run_seed=1)
+def test_zero_learning_rate_leaves_parameters_bitwise():
+    agent = LnnAgent(TrainerConfig(learning_rate=0.0), run_seed=1)
     agent.buffer.push(make_transition("money", [0.0, 1.0], 0.0, True))
     before = {
         c: {k: v.copy() for k, v in net.parameters().items()}
@@ -397,7 +397,7 @@ def zeroed_networks(config):
 
 def test_zero_rewards_and_zero_q_leave_argmax_unchanged(lexicon):
     config = TrainerConfig()
-    agent = LnnAgent(config, lexicon, run_seed=2, nets=zeroed_networks(config))
+    agent = LnnAgent(config, run_seed=2, nets=zeroed_networks(config))
     graph = generate_game(GameSpec("medium", 3, 5))
     candidates = enumerate_candidates(start_props(graph), lexicon)
 
@@ -420,9 +420,9 @@ def test_zero_rewards_and_zero_q_leave_argmax_unchanged(lexicon):
     assert agent.parameter_checksum() == before_sum
 
 
-def test_induction_respects_gate_cap(lexicon):
+def test_induction_respects_gate_cap():
     config = TrainerConfig(gate_cap=3)
-    agent = LnnAgent(config, lexicon, run_seed=3)
+    agent = LnnAgent(config, run_seed=3)
     rng = np.random.default_rng(0)
     for _ in range(12):
         facts = np.zeros(8)
@@ -433,8 +433,8 @@ def test_induction_respects_gate_cap(lexicon):
     assert len(agent.nets["direction"].and_gates) <= 3
 
 
-def test_induction_does_not_duplicate_matching_patterns(lexicon):
-    agent = LnnAgent(TrainerConfig(), lexicon, run_seed=5)
+def test_induction_does_not_duplicate_matching_patterns():
+    agent = LnnAgent(TrainerConfig(), run_seed=5)
     facts = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
     for _ in range(6):
         agent.buffer.push(make_transition("direction", facts, 1.0, True))
@@ -443,15 +443,15 @@ def test_induction_does_not_duplicate_matching_patterns(lexicon):
     assert len(agent.nets["direction"].and_gates) == 2  # initial gate + one induced
 
 
-def test_target_networks_refresh_on_schedule(lexicon):
+def test_target_networks_refresh_on_schedule():
     config = TrainerConfig(target_update_period=5)
-    agent = LnnAgent(config, lexicon, run_seed=6)
+    agent = LnnAgent(config, run_seed=6)
     agent.buffer.push(make_transition("money", [1.0, 0.0], 1.0, True))
     agent.train_step()  # induces a gate on the online net only
-    assert len(agent.nets["money"].and_gates) != len(agent.target_nets["money"].and_gates)
+    assert len(agent.nets["money"].and_gates) != len(agent.target.nets["money"].and_gates)
     for _ in range(4):
         agent.train_step()
-    assert len(agent.nets["money"].and_gates) == len(agent.target_nets["money"].and_gates)
+    assert len(agent.nets["money"].and_gates) == len(agent.target.nets["money"].and_gates)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +460,7 @@ def test_target_networks_refresh_on_schedule(lexicon):
 
 
 def test_scripted_networks_solve_easy_level5_in_six_steps(lexicon):
-    policy = GreedyPolicy(scripted_rule_networks())
+    policy = LnnAgent(TrainerConfig(), nets=scripted_rule_networks())
     for seed in range(5):
         graph = generate_game(GameSpec("easy", 5, seed))
         report = run_episode(graph, policy, lexicon, mode="eval")
@@ -470,7 +470,7 @@ def test_scripted_networks_solve_easy_level5_in_six_steps(lexicon):
 
 def test_untrained_networks_stall_near_the_step_cap(lexicon):
     config = TrainerConfig()
-    policy = GreedyPolicy(fresh_networks(config), config)
+    policy = LnnAgent(config, nets=fresh_networks(config))
     steps = []
     rewards = []
     for seed in range(10):
@@ -483,7 +483,7 @@ def test_untrained_networks_stall_near_the_step_cap(lexicon):
 
 
 def test_eval_mode_mutates_no_parameters(lexicon):
-    agent = LnnAgent(TrainerConfig(), lexicon, run_seed=7)
+    agent = LnnAgent(TrainerConfig(), run_seed=7)
     graph = generate_game(GameSpec("medium", 3, 1))
     before = agent.parameter_checksum()
     run_episode(graph, agent, lexicon, mode="eval")
@@ -492,7 +492,7 @@ def test_eval_mode_mutates_no_parameters(lexicon):
 
 
 def test_train_mode_stores_transitions_and_learns(lexicon):
-    agent = LnnAgent(TrainerConfig(), lexicon, run_seed=8)
+    agent = LnnAgent(TrainerConfig(), run_seed=8)
     graph = generate_game(GameSpec("easy", 2, 1))
     report = run_episode(graph, agent, lexicon, mode="train", epsilon=1.0,
                          rng=random.Random(0))
@@ -501,7 +501,7 @@ def test_train_mode_stores_transitions_and_learns(lexicon):
 
 
 def test_trace_lines_carry_facts_and_q_values(lexicon):
-    policy = GreedyPolicy(scripted_rule_networks())
+    policy = LnnAgent(TrainerConfig(), nets=scripted_rule_networks())
     graph = generate_game(GameSpec("easy", 2, 0))
     report = run_episode(graph, policy, lexicon, mode="eval", collect_trace=True, epoch=7)
     assert len(report.trace) == report.steps
@@ -511,8 +511,3 @@ def test_trace_lines_carry_facts_and_q_values(lexicon):
     bits = report.trace[0].split("facts=")[1].split()[0]
     assert len(bits) == 26 and set(bits) <= {"0", "1"}
 
-
-def test_greedy_policy_refuses_to_learn():
-    policy = GreedyPolicy(scripted_rule_networks())
-    with pytest.raises(RuntimeError):
-        policy.observe(make_transition("money", [1, 0], 1.0, True))

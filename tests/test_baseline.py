@@ -44,13 +44,12 @@ def test_gradients_match_finite_differences():
     assert checked > 40
 
 
-def test_regression_loss_decreases_on_fixed_transition(lexicon):
-    agent = MlpAgent(TrainerConfig(), lexicon, run_seed=1)
+def test_regression_loss_decreases_on_fixed_transition():
+    agent = MlpAgent(TrainerConfig(), run_seed=1)
     vec = np.zeros(N_INPUTS)
     vec[0] = 1.0
     transition = Transition(
-        props=None, action=ALL_ACTIONS[9], category=None, facts=None,
-        reward=1.0, quest_reward=1.0, next_props=None, next_candidates=(),
+        action=ALL_ACTIONS[9], category=None, facts=None, reward=1.0, next_candidates=(),
         terminal=True, props_vec=vec, next_props_vec=vec, action_index=9,
     )
     agent.buffer.push(transition)
@@ -61,8 +60,8 @@ def test_regression_loss_decreases_on_fixed_transition(lexicon):
     assert agent.scorer.forward(vec)[9] == pytest.approx(1.0, abs=0.05)
 
 
-def test_epsilon_explores_all_ten_actions(lexicon):
-    agent = MlpAgent(TrainerConfig(), lexicon, run_seed=2)
+def test_epsilon_explores_all_ten_actions():
+    agent = MlpAgent(TrainerConfig(), run_seed=2)
     graph = generate_game(GameSpec("easy", 2, 0))
     state, obs = reset(graph)
     props = extract_propositions(parse_observation(obs), AgentMap.start(state.room))
@@ -75,8 +74,8 @@ def test_epsilon_explores_all_ten_actions(lexicon):
     assert seen == set(ALL_ACTIONS)
 
 
-def test_greedy_choice_is_argmax(lexicon):
-    agent = MlpAgent(TrainerConfig(), lexicon, run_seed=3)
+def test_greedy_choice_is_argmax():
+    agent = MlpAgent(TrainerConfig(), run_seed=3)
     graph = generate_game(GameSpec("easy", 2, 0))
     state, obs = reset(graph)
     props = extract_propositions(parse_observation(obs), AgentMap.start(state.room))
@@ -93,13 +92,32 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(arr, loaded.parameters()[name])
 
 
-def test_target_network_refresh(lexicon):
+
+# each leaves a loadable-looking file that must not load
+MLP_DAMAGE = {
+    "cut_after_w1": lambda lines: lines[:3],
+    "unknown_row": lambda lines: lines + ["w3 1.0"],
+    "repeated_row": lambda lines: lines + [lines[3]],
+    "short_row": lambda lines: lines[:5] + [lines[5].rsplit(" ", 1)[0]],
+    "foreign_shape": lambda lines: [lines[0], f"shape {N_INPUTS} 64 {N_ACTIONS + 1}"] + lines[2:],
+}
+
+
+@pytest.mark.parametrize("damage", sorted(MLP_DAMAGE))
+def test_checkpoint_rejects_damaged_files(tmp_path, damage):
+    path = tmp_path / "mlp.txt"
+    MlpScorer(seed=9).save(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(MLP_DAMAGE[damage](lines)) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError):
+        MlpScorer.load(path)
+
+def test_target_network_refresh():
     config = TrainerConfig(target_update_period=3)
-    agent = MlpAgent(config, lexicon, run_seed=4)
+    agent = MlpAgent(config, run_seed=4)
     vec = np.zeros(N_INPUTS)
     transition = Transition(
-        props=None, action=ALL_ACTIONS[0], category=None, facts=None,
-        reward=1.0, quest_reward=1.0, next_props=None, next_candidates=(),
+        action=ALL_ACTIONS[0], category=None, facts=None, reward=1.0, next_candidates=(),
         terminal=True, props_vec=vec, next_props_vec=vec, action_index=0,
     )
     agent.buffer.push(transition)

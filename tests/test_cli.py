@@ -1,5 +1,7 @@
 """CLI subcommands exercised through main()."""
 
+import shutil
+
 import pytest
 
 from lnnrl.cli import main
@@ -56,6 +58,16 @@ def test_eval_reports_test_metrics(tiny_run, capsys):
     out = capsys.readouterr().out
     assert "mean_reward=" in out and "mean_steps=" in out
 
+
+
+def test_eval_on_truncated_checkpoint_is_a_typed_error(tiny_run, tmp_path, capsys):
+    run_dir = tmp_path / "damaged"
+    shutil.copytree(tiny_run, run_dir)
+    checkpoint = run_dir / "seed0" / "direction.lnn"
+    checkpoint.write_text("\n".join(checkpoint.read_text(encoding="utf-8").splitlines()[:9]) + "\n",
+                          encoding="utf-8")
+    assert main(["eval", "--run-dir", str(run_dir)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 def test_rules_prints_quantified_notation(tiny_run, capsys):
     assert main(["rules", "--run-dir", str(tiny_run)]) == 0

@@ -12,7 +12,6 @@ from lnnrl.factextract import (
     extract_propositions,
     ground_facts,
     parse_observation,
-    update_map,
 )
 from lnnrl.worldsim import (
     DIRECTIONS,
@@ -100,16 +99,11 @@ def test_loop_records_both_edges():
     assert agent_map.current == 0
 
 
-def test_update_map_wrapper_checks_contract():
+def test_record_move_rejects_non_directions():
     agent_map = AgentMap.start(0)
     with pytest.raises(ValueError):
-        update_map(agent_map, 0, Action("take", "coin"), 1)
-    with pytest.raises(ValueError):
-        update_map(agent_map, 3, Action("go", "north"), 1)
-    with pytest.raises(ValueError):
         agent_map.record_move("coin", 1)
-    update_map(agent_map, 0, Action("go", "north"), 1)
-    assert agent_map.current == 1
+    assert agent_map.current == 0
 
 
 # ---------------------------------------------------------------------------

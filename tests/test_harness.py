@@ -139,7 +139,6 @@ def test_tiny_experiment_writes_all_artifacts(tmp_path):
     for k in range(2):
         assert (tmp_path / "run" / f"seed{k}" / "direction.lnn").exists()
         assert (tmp_path / "run" / f"seed{k}" / "money.lnn").exists()
-        assert (tmp_path / "run" / f"seed{k}" / "optimizer.txt").exists()
         assert (tmp_path / "run" / f"rules_seed{k}.txt").exists()
     assert (tmp_path / "run" / "config.txt").exists()
 
@@ -152,7 +151,7 @@ def test_experiment_is_byte_identical_across_runs(tmp_path):
     for k in range(config.n_seeds):
         assert (tmp_path / "a" / f"rules_seed{k}.txt").read_bytes() == \
             (tmp_path / "b" / f"rules_seed{k}.txt").read_bytes()
-        for name in ("direction.lnn", "money.lnn", "optimizer.txt"):
+        for name in ("direction.lnn", "money.lnn"):
             assert (tmp_path / "a" / f"seed{k}" / name).read_bytes() == \
                 (tmp_path / "b" / f"seed{k}" / name).read_bytes()
 

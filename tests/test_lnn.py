@@ -285,6 +285,27 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     assert float(loaded.or_root.bias) == float(net.or_root.bias)
 
 
+# each damages the first gate row (line 8) or cuts the file short
+CHECKPOINT_DAMAGE = {
+    "truncated": lambda lines: lines[:9],
+    "short_gate_row": lambda lines: lines[:8] + [lines[8].rsplit(" ", 1)[0]] + lines[9:],
+    "nan_bias": lambda lines: lines[:8] + [lines[8].replace("bias 1 ", "bias nan ")] + lines[9:],
+    "negative_weight": lambda lines: lines[:8] + [lines[8].rsplit(" ", 1)[0] + " -0.25"] + lines[9:],
+}
+
+
+@pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
+def test_checkpoint_rejects_damaged_files(tmp_path, damage):
+    path = tmp_path / "direction.lnn"
+    save_network(make_net(np.full((3, 8), 0.5), np.ones(3)), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    damaged = CHECKPOINT_DAMAGE[damage](lines)
+    assert damaged != lines
+    path.write_text("\n".join(damaged) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError):
+        load_network(path)
+
+
 def test_checkpoint_rejects_foreign_files(tmp_path):
     path = tmp_path / "bad.lnn"
     path.write_text("something else\n", encoding="utf-8")
@@ -322,12 +343,3 @@ def test_adam_pads_state_when_parameter_grows():
     opt.step(params, {"or.w": np.array([0.1, 0.2, 0.3])})
     assert params["or.w"].shape == (3,)
 
-
-def test_adam_state_dump_round_trips_shapes(tmp_path):
-    opt = AdamOptimizer()
-    params = {"w": np.array([1.0]), "b": np.array(0.5)}
-    opt.step(params, {"w": np.array([0.2]), "b": np.array(-0.1)})
-    text = opt.dump_state()
-    assert "param b" in text and "param w" in text
-    opt.save(tmp_path / "optimizer.txt")
-    assert (tmp_path / "optimizer.txt").read_text(encoding="utf-8") == text
