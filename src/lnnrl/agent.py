@@ -20,6 +20,7 @@ facts, a new gate seeded from those facts is spliced in.
 from __future__ import annotations
 
 import copy
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -37,7 +38,7 @@ from .factextract import (
     parse_observation,
 )
 from .lexicon import LexiconTable
-from .lnn import GateCapReached, LnnNetwork, TruthConfig
+from .lnn import ForwardTrace, GateCapReached, LnnNetwork, TruthConfig
 from .optim import AdamOptimizer
 from .rng import substream
 from .worldsim import (
@@ -84,6 +85,14 @@ class TrainerConfig:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.priority_fraction <= 1.0:
             raise ValueError("priority_fraction must lie in [0, 1]")
+        for name in ("epsilon_start", "epsilon_end"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        # zero is legal for both: a frozen learner, an unshaped reward
+        for name in ("learning_rate", "bonus_coefficient"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 def epsilon_at(epoch: int, config: TrainerConfig) -> float:
@@ -128,11 +137,15 @@ def enumerate_candidates(props: PropositionSet, lexicon: LexiconTable) -> list[C
 
 def select_action(
     candidates: list[Candidate],
-    nets: dict[str, LnnNetwork],
+    nets: dict[str, LnnNetwork | QTable],
     epsilon: float,
     rng: random.Random,
 ) -> tuple[Action, list[float]]:
-    """Epsilon-greedy over the candidates; exact ties go to the earliest index."""
+    """Epsilon-greedy over the candidates; exact ties go to the earliest index.
+
+    `nets` maps each category to whatever scores it through
+    `forward(facts) -> (q, trace)`: a network, or the Q table in front of it.
+    """
     if not candidates:
         raise ValueError("select_action needs at least one candidate")
     q_values = [nets[c.category].forward(c.facts.values)[0] for c in candidates]
@@ -351,28 +364,64 @@ class DqnAgent:
                    for a in self.scorer.parameters().values())
 
 
+class QTable:
+    """One network's forward passes, kept per distinct fact vector.
+
+    Facts are crisp, so a category sees only a handful of distinct vectors
+    (at most 2**4 directions, 2 coins) and most scoring is a dict lookup.
+    Entries are exactly what `forward` returned, so a lookup is bit-identical
+    to a fresh pass for as long as the parameters do not change: whoever
+    changes them calls `clear`. Callers must not write into the returned
+    trace arrays, which every later lookup shares.
+    """
+
+    def __init__(self, net: LnnNetwork):
+        self.net = net
+        self.entries: dict[bytes, tuple[float, ForwardTrace]] = {}
+
+    def forward(self, facts) -> tuple[float, ForwardTrace]:
+        x = np.asarray(facts, dtype=np.float64)
+        key = x.tobytes()
+        entry = self.entries.get(key)
+        if entry is None:
+            entry = self.entries[key] = self.net.forward(x)
+        return entry
+
+    def clear(self) -> None:
+        self.entries.clear()
+
+
 class LnnScorer:
-    """Per-category logic networks; parameters are keyed `<category>.<name>`."""
+    """Per-category logic networks; parameters are keyed `<category>.<name>`.
+
+    All scoring goes through `tables`, one `QTable` per category, so the Q
+    table is keyed by (category, fact bytes). It is cleared after every
+    optimizer step and whenever induction adds a gate; a snapshot copies it
+    with the networks, so a target or evaluation scorer keeps its entries.
+    """
 
     def __init__(self, nets: dict[str, LnnNetwork]):
         self.nets = nets
+        self.tables = {category: QTable(net) for category, net in nets.items()}
 
     def choose(self, props: PropositionSet, candidates: list[Candidate],
                epsilon: float, rng: random.Random) -> tuple[Action, list[float]]:
-        return select_action(candidates, self.nets, epsilon, rng)
+        return select_action(candidates, self.tables, epsilon, rng)
 
     def q(self, transition: Transition) -> float | None:
         if transition.category is None:
             return None
-        return self.nets[transition.category].forward(transition.facts)[0]
+        return self.tables[transition.category].forward(transition.facts)[0]
 
     def best_next(self, transition: Transition) -> float:
         # no next candidate leaves nothing to bootstrap from
-        return max((self.nets[category].forward(facts)[0]
+        return max((self.tables[category].forward(facts)[0]
                     for category, facts in transition.next_candidates), default=0.0)
 
     def transition_gradients(self, transition: Transition, upstream: float) -> dict[str, np.ndarray]:
-        grads = self.nets[transition.category].gradients(transition.facts, upstream)
+        table = self.tables[transition.category]
+        _, trace = table.forward(transition.facts)
+        grads = table.net.gradients(trace, upstream)
         return {f"{transition.category}.{name}": g for name, g in grads.items()}
 
     def parameters(self) -> dict[str, np.ndarray]:
@@ -388,14 +437,15 @@ class LnnScorer:
         for transition in batch:
             if transition.reward < 1.0 or transition.category is None:
                 continue
-            net = self.nets[transition.category]
-            _, trace = net.forward(transition.facts)
-            if trace.and_out.size and np.max(trace.and_out) >= net.config.alpha:
+            table = self.tables[transition.category]
+            _, trace = table.forward(transition.facts)
+            if trace.and_out.size and np.max(trace.and_out) >= table.net.config.alpha:
                 continue
             try:
-                net.add_and_gate(transition.facts)
+                table.net.add_and_gate(transition.facts)
             except GateCapReached:
-                pass
+                continue
+            table.clear()
 
     def after_step(self) -> None:
         # weights and biases stay nonnegative; OR weights additionally stay <= 1
@@ -406,6 +456,8 @@ class LnnScorer:
                 gate.bias[...] = max(float(gate.bias), 0.0)
             np.clip(net.or_root.weights, 0.0, 1.0, out=net.or_root.weights)
             net.or_root.bias[...] = max(float(net.or_root.bias), 0.0)
+        for table in self.tables.values():
+            table.clear()
 
 
 class LnnAgent(DqnAgent):

@@ -15,6 +15,7 @@ import numpy as np
 
 from .agent import Candidate, DqnAgent, TrainerConfig, Transition
 from .factextract import PROPOSITION_NAMES, PropositionSet
+from .lnn import CheckpointError, reading_checkpoint
 from .rng import substream
 from .worldsim import ALL_ACTIONS, Action
 
@@ -96,35 +97,37 @@ class MlpScorer:
     @classmethod
     def load(cls, path) -> "MlpScorer":
         """Read a checkpoint written by `save`; every row `w1`, `b1`, `w2`, `b2`
-        must appear once, finite and with the header's shape."""
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        if not lines or lines[0] != "mlp-checkpoint v1":
-            raise ValueError(f"{path}: not an MLP checkpoint")
-        head = lines[1].split() if len(lines) > 1 else []
-        if (len(head) != 4 or head[0] != "shape" or head[1] != str(N_INPUTS)
-                or head[3] != str(N_ACTIONS) or not head[2].isdigit() or int(head[2]) == 0):
-            raise ValueError(f"{path}: expected 'shape {N_INPUTS} <hidden> {N_ACTIONS}' on line 2")
-        n_hidden = int(head[2])
-        shapes = {
-            "w1": (N_INPUTS, n_hidden),
-            "b1": (n_hidden,),
-            "w2": (n_hidden, N_ACTIONS),
-            "b2": (N_ACTIONS,),
-        }
-        rows: dict[str, np.ndarray] = {}
-        for line in lines[2:]:
-            name, _, rest = line.partition(" ")
-            if name not in shapes or name in rows:
-                raise ValueError(f"{path}: unexpected or repeated row {name!r}")
-            values = np.array([float(t) for t in rest.split()])
-            size = int(np.prod(shapes[name]))
-            if values.size != size or not np.all(np.isfinite(values)):
-                raise ValueError(f"{path}: row {name} needs {size} finite values")
-            rows[name] = values.reshape(shapes[name])
-        missing = [name for name in shapes if name not in rows]
-        if missing:
-            raise ValueError(f"{path}: missing rows {', '.join(missing)}")
+        must appear once, finite and with the header's shape, or CheckpointError
+        is raised."""
+        with reading_checkpoint(path):
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+            if not lines or lines[0] != "mlp-checkpoint v1":
+                raise CheckpointError(f"{path}: not an MLP checkpoint")
+            head = lines[1].split() if len(lines) > 1 else []
+            if (len(head) != 4 or head[0] != "shape" or head[1] != str(N_INPUTS)
+                    or head[3] != str(N_ACTIONS) or not head[2].isdigit() or int(head[2]) == 0):
+                raise CheckpointError(f"{path}: expected 'shape {N_INPUTS} <hidden> {N_ACTIONS}' on line 2")
+            n_hidden = int(head[2])
+            shapes = {
+                "w1": (N_INPUTS, n_hidden),
+                "b1": (n_hidden,),
+                "w2": (n_hidden, N_ACTIONS),
+                "b2": (N_ACTIONS,),
+            }
+            rows: dict[str, np.ndarray] = {}
+            for line in lines[2:]:
+                name, _, rest = line.partition(" ")
+                if name not in shapes or name in rows:
+                    raise CheckpointError(f"{path}: unexpected or repeated row {name!r}")
+                values = np.array([float(t) for t in rest.split()])
+                size = int(np.prod(shapes[name]))
+                if values.size != size or not np.all(np.isfinite(values)):
+                    raise CheckpointError(f"{path}: row {name} needs {size} finite values")
+                rows[name] = values.reshape(shapes[name])
+            missing = [name for name in shapes if name not in rows]
+            if missing:
+                raise CheckpointError(f"{path}: missing rows {', '.join(missing)}")
         scorer = cls.__new__(cls)
         scorer.w1, scorer.b1, scorer.w2, scorer.b2 = (rows[name] for name in shapes)
         return scorer

@@ -23,6 +23,7 @@ threshold.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 from dataclasses import dataclass
 
@@ -164,9 +165,12 @@ class LnnNetwork:
         params["or.b"] = self.or_root.bias
         return params
 
-    def gradients(self, facts, upstream: float) -> dict[str, np.ndarray]:
-        """d(upstream * q)/d(param) for every parameter, exact for the clamped forms."""
-        _, trace = self.forward(facts)
+    def gradients(self, trace: ForwardTrace, upstream: float) -> dict[str, np.ndarray]:
+        """d(upstream * q)/d(param) for every parameter, exact for the clamped forms.
+
+        `trace` is what `forward` returned on the current parameters; no
+        second forward pass runs.
+        """
         x = trace.facts
         grads: dict[str, np.ndarray] = {}
 
@@ -310,52 +314,72 @@ def save_network(net: LnnNetwork, path) -> None:
 _HEADER_KEYS = ("category", "verb", "alpha", "gate_cap", "arity", "literals", "gates")
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file that is truncated, malformed or out of domain."""
+
+
+@contextlib.contextmanager
+def reading_checkpoint(path):
+    """Re-raise any other ValueError met while parsing `path` (a number that
+    does not parse, an alpha out of range, bytes that are not UTF-8) as a
+    CheckpointError naming the file."""
+    try:
+        yield
+    except CheckpointError:
+        raise
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+
+
 def _row(path, line: str, head: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
     """(bias, weights) of a `<head> bias B weights w1 .. w<width>` row."""
     tokens = line.split()
     n = len(head)
     if tokens[:n] != head or tokens[n:n + 1] != ["bias"] or tokens[n + 2:n + 3] != ["weights"]:
-        raise ValueError(f"{path}: expected a {' '.join(head)!r} row, got {line!r}")
+        raise CheckpointError(f"{path}: expected a {' '.join(head)!r} row, got {line!r}")
     bias = float(tokens[n + 1])
     weights = np.array([float(t) for t in tokens[n + 3:]], dtype=np.float64)
     if weights.size != width:
-        raise ValueError(f"{path}: {' '.join(head)} row has {weights.size} weights, expected {width}")
+        raise CheckpointError(f"{path}: {' '.join(head)} row has {weights.size} weights, expected {width}")
     if not all(np.isfinite(v) and v >= 0 for v in (bias, *weights)):
-        raise ValueError(f"{path}: {' '.join(head)} row holds a negative or non-finite value")
+        raise CheckpointError(f"{path}: {' '.join(head)} row holds a negative or non-finite value")
     return np.array(bias, dtype=np.float64), weights
 
 
 def load_network(path) -> LnnNetwork:
     """Read a checkpoint written by `save_network`; a truncated, malformed or
-    out-of-domain file (short row, non-finite or negative value) raises ValueError."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _CHECKPOINT_HEADER:
-        raise ValueError(f"{path}: not a network checkpoint")
+    out-of-domain file (short row, non-finite or negative value) raises
+    CheckpointError."""
+    with reading_checkpoint(path):
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        if not lines or lines[0] != _CHECKPOINT_HEADER:
+            raise CheckpointError(f"{path}: not a network checkpoint")
 
-    header = [line.partition(" ") for line in lines[1:1 + len(_HEADER_KEYS)]]
-    if tuple(key for key, _, _ in header) != _HEADER_KEYS:
-        raise ValueError(f"{path}: header rows must be {', '.join(_HEADER_KEYS)}")
-    fields = {key: value for key, _, value in header}
+        header = [line.partition(" ") for line in lines[1:1 + len(_HEADER_KEYS)]]
+        if tuple(key for key, _, _ in header) != _HEADER_KEYS:
+            raise CheckpointError(f"{path}: header rows must be {', '.join(_HEADER_KEYS)}")
+        fields = {key: value for key, _, value in header}
 
-    net = LnnNetwork(
-        category=fields["category"],
-        literals=tuple(fields["literals"].split()),
-        verb=fields["verb"],
-        config=TruthConfig(alpha=float(fields["alpha"])),
-        gate_cap=int(fields["gate_cap"]),
-    )
-    if net.input_arity != int(fields["arity"]):
-        raise ValueError(f"{path}: arity does not match literal list")
+        net = LnnNetwork(
+            category=fields["category"],
+            literals=tuple(fields["literals"].split()),
+            verb=fields["verb"],
+            config=TruthConfig(alpha=float(fields["alpha"])),
+            gate_cap=int(fields["gate_cap"]),
+        )
+        if net.input_arity != int(fields["arity"]):
+            raise CheckpointError(f"{path}: arity does not match literal list")
 
-    n_gates = int(fields["gates"])
-    body = lines[1 + len(_HEADER_KEYS):]
-    if n_gates < 0 or len(body) != n_gates + 1:
-        raise ValueError(f"{path}: expected {n_gates} gate rows and an or row, found {len(body)} rows")
-    net.and_gates = []
-    for j, line in enumerate(body[:n_gates]):
-        bias, weights = _row(path, line, ["and", str(j)], net.input_arity)
-        net.and_gates.append(LogicNode(AND, weights, bias))
-    bias, weights = _row(path, body[n_gates], ["or"], n_gates)
-    net.or_root = LogicNode(OR, weights, bias)
+        n_gates = int(fields["gates"])
+        body = lines[1 + len(_HEADER_KEYS):]
+        if n_gates < 0 or len(body) != n_gates + 1:
+            raise CheckpointError(
+                f"{path}: expected {n_gates} gate rows and an or row, found {len(body)} rows")
+        net.and_gates = []
+        for j, line in enumerate(body[:n_gates]):
+            bias, weights = _row(path, line, ["and", str(j)], net.input_arity)
+            net.and_gates.append(LogicNode(AND, weights, bias))
+        bias, weights = _row(path, body[n_gates], ["or"], n_gates)
+        net.or_root = LogicNode(OR, weights, bias)
     return net

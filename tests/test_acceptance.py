@@ -134,7 +134,7 @@ def test_criterion_2_gradient_correctness():
             continue
         checked_networks += 1
         upstream = float(rng.uniform(0.5, 2.0))
-        grads = net.gradients(x, upstream)
+        grads = net.gradients(trace, upstream)
         params = net.parameters()
         for name, grad in grads.items():
             flat_p = params[name].reshape(-1)

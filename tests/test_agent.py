@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lnnrl.agent import (
     CANDIDATE_NOUNS,
@@ -350,6 +352,13 @@ def test_trainer_config_validation():
         TrainerConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainerConfig(priority_fraction=1.5)
+    for bad in ({"learning_rate": float("nan")}, {"learning_rate": -1e-3},
+                {"learning_rate": float("inf")}, {"epsilon_start": 1.5},
+                {"epsilon_end": -0.1}, {"bonus_coefficient": -1.0},
+                {"bonus_coefficient": float("inf")}):
+        with pytest.raises(ValueError):
+            TrainerConfig(**bad)
+    TrainerConfig(learning_rate=0.0, epsilon_start=0.0, epsilon_end=1.0, bonus_coefficient=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +461,80 @@ def test_target_networks_refresh_on_schedule():
     for _ in range(4):
         agent.train_step()
     assert len(agent.nets["money"].and_gates) == len(agent.target.nets["money"].and_gates)
+
+
+# ---------------------------------------------------------------------------
+# Q table
+# ---------------------------------------------------------------------------
+
+
+def crisp(bits):
+    """A category's literal vector: each fact followed by its complement."""
+    return np.array([v for bit in bits for v in (float(bit), float(not bit))])
+
+
+CRISP_FACTS = {
+    "direction": st.tuples(*[st.booleans()] * 4).map(crisp),
+    "money": st.tuples(st.booleans()).map(crisp),
+}
+CATEGORY_FACTS = st.sampled_from(sorted(CRISP_FACTS)).flatmap(
+    lambda category: st.tuples(st.just(category), CRISP_FACTS[category]))
+
+# score: fill the table; train: push a transition and take a full train_step
+# (induction, Adam, projection, target refresh); induce: induction alone;
+# snapshot: keep a copy that must stay exact as the online scorer moves on
+Q_TABLE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("score"), CATEGORY_FACTS),
+    st.tuples(st.just("train"), CATEGORY_FACTS, st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+              st.lists(CATEGORY_FACTS, max_size=5), st.booleans()),
+    st.tuples(st.just("induce"), CATEGORY_FACTS),
+    st.tuples(st.just("snapshot")),
+), min_size=1, max_size=25)
+
+
+def assert_table_is_exact(scorer, upstream):
+    for category, table in scorer.tables.items():
+        assert table.net is scorer.nets[category]
+        for key, (q, trace) in table.entries.items():
+            assert key == trace.facts.tobytes()
+            fresh_q, fresh = table.net.forward(trace.facts.copy())
+            assert q == fresh_q
+            assert np.array_equal(trace.facts, fresh.facts)
+            assert np.array_equal(trace.and_pre, fresh.and_pre)
+            assert np.array_equal(trace.and_out, fresh.and_out)
+            assert (trace.or_pre, trace.or_out) == (fresh.or_pre, fresh.or_out)
+            cached_grads = table.net.gradients(trace, upstream)
+            fresh_grads = table.net.gradients(fresh, upstream)
+            assert cached_grads.keys() == fresh_grads.keys()
+            for name, grad in cached_grads.items():
+                assert np.array_equal(grad, fresh_grads[name]), (category, name)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(ops=Q_TABLE_OPS, seed=st.integers(0, 2**16),
+       learning_rate=st.sampled_from([1e-3, 0.05, 0.3]),
+       upstream=st.floats(-2.0, 2.0, allow_nan=False))
+def test_q_table_entries_equal_a_fresh_forward(ops, seed, learning_rate, upstream):
+    config = TrainerConfig(learning_rate=learning_rate, gate_cap=3, batch_size=2,
+                           target_update_period=3)
+    agent = LnnAgent(config, run_seed=seed)
+    snapshots = []
+    for op in ops:
+        if op[0] == "score":
+            category, facts = op[1]
+            agent.scorer.tables[category].forward(facts)
+        elif op[0] == "train":
+            (category, facts), reward, next_candidates, terminal = op[1:]
+            agent.buffer.push(make_transition(category, facts, reward, terminal,
+                                              next_candidates))
+            agent.train_step()
+        elif op[0] == "induce":
+            category, facts = op[1]
+            agent.scorer.before_batch([make_transition(category, facts, 1.0, True)])
+        else:
+            snapshots.append(agent.scorer.snapshot())
+        for scorer in (agent.scorer, agent.target, *snapshots):
+            assert_table_is_exact(scorer, upstream)
 
 
 # ---------------------------------------------------------------------------

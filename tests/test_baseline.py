@@ -8,6 +8,7 @@ import pytest
 from lnnrl.agent import TrainerConfig, Transition
 from lnnrl.baseline import MlpAgent, MlpScorer, N_ACTIONS, N_INPUTS
 from lnnrl.factextract import AgentMap, extract_propositions, parse_observation
+from lnnrl.lnn import CheckpointError
 from lnnrl.worldsim import ALL_ACTIONS, Action, GameSpec, generate_game, reset
 
 
@@ -100,6 +101,7 @@ MLP_DAMAGE = {
     "repeated_row": lambda lines: lines + [lines[3]],
     "short_row": lambda lines: lines[:5] + [lines[5].rsplit(" ", 1)[0]],
     "foreign_shape": lambda lines: [lines[0], f"shape {N_INPUTS} 64 {N_ACTIONS + 1}"] + lines[2:],
+    "unparsable_value": lambda lines: lines[:4] + [lines[4].replace(" ", " x", 1)] + lines[5:],
 }
 
 
@@ -109,7 +111,7 @@ def test_checkpoint_rejects_damaged_files(tmp_path, damage):
     MlpScorer(seed=9).save(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join(MLP_DAMAGE[damage](lines)) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckpointError):
         MlpScorer.load(path)
 
 def test_target_network_refresh():

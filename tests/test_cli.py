@@ -53,6 +53,18 @@ def test_train_rejects_unknown_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", [
+    "learning_rate=nan", "learning_rate=-1", "learning_rate=inf",
+    "epsilon_start=-0.5", "epsilon_end=7",
+    "bonus_coefficient=-1", "bonus_coefficient=nan",
+])
+def test_train_rejects_out_of_domain_trainer_values(tmp_path, capsys, setting):
+    out = tmp_path / "x"
+    assert main(["train", "--out", str(out), "--set", setting] + TINY_ARGS) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_reports_test_metrics(tiny_run, capsys):
     assert main(["eval", "--run-dir", str(tiny_run)]) == 0
     out = capsys.readouterr().out

@@ -10,6 +10,7 @@ from lnnrl.factextract import CATEGORY_LITERALS
 from lnnrl.lnn import (
     AND,
     OR,
+    CheckpointError,
     GateCapReached,
     LnnNetwork,
     LogicNode,
@@ -134,7 +135,7 @@ def test_gradients_match_finite_differences_in_open_region():
     for _ in range(100):
         net, x = random_open_region_case(rng)
         upstream = float(rng.uniform(0.5, 2.0))
-        grads = net.gradients(x, upstream)
+        grads = net.gradients(net.forward(x)[1], upstream)
         for name, grad in grads.items():
             flat = np.atleast_1d(grad).reshape(-1)
             for index in range(flat.size):
@@ -148,14 +149,14 @@ def test_clamped_activation_has_zero_gradient():
     x = np.array([0.0, 0.0, 0.0, 0.0])
     _, trace = net.forward(x)
     assert trace.and_pre[0] < 0.0
-    grads = net.gradients(x, 1.0)
+    grads = net.gradients(trace, 1.0)
     assert np.all(grads["and0.w"] == 0.0) and float(grads["and0.b"]) == 0.0
 
 
 def test_zero_upstream_zeroes_all_gradients():
     rng = np.random.default_rng(3)
     net, x = random_open_region_case(rng)
-    grads = net.gradients(x, 0.0)
+    grads = net.gradients(net.forward(x)[1], 0.0)
     for grad in grads.values():
         assert np.all(np.asarray(grad) == 0.0)
 
@@ -285,12 +286,14 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     assert float(loaded.or_root.bias) == float(net.or_root.bias)
 
 
-# each damages the first gate row (line 8) or cuts the file short
+# each damages the alpha row (line 3) or the first gate row (line 8), or cuts the file short
 CHECKPOINT_DAMAGE = {
     "truncated": lambda lines: lines[:9],
     "short_gate_row": lambda lines: lines[:8] + [lines[8].rsplit(" ", 1)[0]] + lines[9:],
     "nan_bias": lambda lines: lines[:8] + [lines[8].replace("bias 1 ", "bias nan ")] + lines[9:],
     "negative_weight": lambda lines: lines[:8] + [lines[8].rsplit(" ", 1)[0] + " -0.25"] + lines[9:],
+    "unparsable_bias": lambda lines: lines[:8] + [lines[8].replace("bias 1 ", "bias one ")] + lines[9:],
+    "alpha_out_of_range": lambda lines: lines[:3] + ["alpha 0.25"] + lines[4:],
 }
 
 
@@ -302,14 +305,17 @@ def test_checkpoint_rejects_damaged_files(tmp_path, damage):
     damaged = CHECKPOINT_DAMAGE[damage](lines)
     assert damaged != lines
     path.write_text("\n".join(damaged) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckpointError):
         load_network(path)
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):
     path = tmp_path / "bad.lnn"
     path.write_text("something else\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckpointError):
+        load_network(path)
+    path.write_bytes(b"\xff\xfe not text\n")
+    with pytest.raises(CheckpointError):
         load_network(path)
 
 
