@@ -29,12 +29,13 @@ import numpy as np
 
 from .factextract import (
     CATEGORY_LITERALS,
+    GROUNDINGS,
     AgentMap,
     GroundedFactVector,
     PropositionSet,
     can_ground,
     extract_propositions,
-    ground_facts,
+    fact_bits,
     parse_observation,
 )
 from .lexicon import LexiconTable
@@ -93,6 +94,8 @@ class TrainerConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        # the networks' own check, run now so a bad alpha fails before any output
+        TruthConfig(alpha=self.alpha)
 
 
 def epsilon_at(epoch: int, config: TrainerConfig) -> float:
@@ -116,22 +119,22 @@ class Candidate:
     facts: GroundedFactVector
 
 
+#: one candidate per grounding, each carrying its action. Built once and
+#: shared, like the groundings: enumeration only picks them out.
+CANDIDATES: dict[tuple[str, str, tuple[bool, ...]], Candidate] = {
+    (category, noun, bits): Candidate(category, noun, Action(CATEGORY_VERBS[category], noun), facts)
+    for (category, noun, bits), facts in GROUNDINGS.items()
+}
+
+
 def enumerate_candidates(props: PropositionSet, lexicon: LexiconTable) -> list[Candidate]:
     """One grounded candidate per (category, noun) pair the lexicon supports."""
     candidates: list[Candidate] = []
     for noun in CANDIDATE_NOUNS:
         for category in sorted(lexicon.lookup(noun)):
-            verb = CATEGORY_VERBS.get(category)
-            if verb is None or not can_ground(category, noun):
+            if category not in CATEGORY_VERBS or not can_ground(category, noun):
                 continue
-            candidates.append(
-                Candidate(
-                    category=category,
-                    noun=noun,
-                    action=Action(verb, noun),
-                    facts=ground_facts(props, category, noun),
-                )
-            )
+            candidates.append(CANDIDATES[category, noun, fact_bits(props, category, noun)])
     return candidates
 
 

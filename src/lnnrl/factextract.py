@@ -19,6 +19,8 @@ reporting the unmatched span.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -175,7 +177,14 @@ class PropositionSet:
     all_visited: bool              # derived, quantified over open exits only
 
     def as_vector(self) -> np.ndarray:
-        """The 26 values (positives interleaved with their negations) as floats."""
+        """The 26 values (positives interleaved with their negations) as floats.
+
+        Built on the first call; every call returns that one read-only array.
+        """
+        return self._vector
+
+    @functools.cached_property
+    def _vector(self) -> np.ndarray:
         bits: list[float] = []
         for noun in NOUNS:
             v = self.find[noun]
@@ -186,7 +195,9 @@ class PropositionSet:
         for d in DIRECTIONS:
             v = self.initial_dir[d]
             bits += [float(v), float(not v)]
-        return np.array(bits, dtype=np.float64)
+        vector = np.array(bits, dtype=np.float64)
+        vector.flags.writeable = False
+        return vector
 
     def bitstring(self) -> str:
         return "".join(str(int(b)) for b in self.as_vector())
@@ -267,25 +278,41 @@ def can_ground(category: str, noun: str) -> bool:
     return False
 
 
-def ground_facts(props: PropositionSet, category: str, noun: str) -> GroundedFactVector:
-    """Bind variable x to `noun` and assemble the category's literal tuple."""
+def fact_bits(props: PropositionSet, category: str, noun: str) -> tuple[bool, ...]:
+    """The positive facts a grounding reads: (find, visited, initial, all_visited)
+    for a direction, (find,) for the coin."""
     if category == "direction":
         if noun not in DIRECTIONS:
             raise ValueError(f"noun {noun!r} cannot ground a direction variable")
-        f = props.find[noun]
-        v = props.visited_dir[noun]
-        i = props.initial_dir[noun]
-        a = props.all_visited
-        values = (f, not f, v, not v, i, not i, a, not a)
-    elif category == "money":
+        return (props.find[noun], props.visited_dir[noun], props.initial_dir[noun],
+                props.all_visited)
+    if category == "money":
         if noun != "coin":
             raise ValueError(f"noun {noun!r} cannot ground a money variable")
-        f = props.find[noun]
-        values = (f, not f)
-    else:
-        raise ValueError(f"no grounding layout for category {category!r}")
-    return GroundedFactVector(
-        category=category,
-        noun=noun,
-        values=np.array([float(b) for b in values], dtype=np.float64),
-    )
+        return (props.find[noun],)
+    raise ValueError(f"no grounding layout for category {category!r}")
+
+
+def _build_groundings() -> dict[tuple[str, str, tuple[bool, ...]], GroundedFactVector]:
+    # every literal arrives with its complement, in the frozen layout order
+    groundings = {}
+    for category, literals in CATEGORY_LITERALS.items():
+        for noun in NOUNS:
+            if not can_ground(category, noun):
+                continue
+            for bits in itertools.product((False, True), repeat=len(literals) // 2):
+                values = np.array([float(v) for b in bits for v in (b, not b)], dtype=np.float64)
+                values.flags.writeable = False
+                groundings[category, noun, bits] = GroundedFactVector(category, noun, values)
+    return groundings
+
+
+#: every grounding there can be: facts are crisp, so a direction has 2**4
+#: truth assignments and the coin 2. Built once; the values are read-only
+#: and shared by every caller, replay included.
+GROUNDINGS: dict[tuple[str, str, tuple[bool, ...]], GroundedFactVector] = _build_groundings()
+
+
+def ground_facts(props: PropositionSet, category: str, noun: str) -> GroundedFactVector:
+    """Bind variable x to `noun` and look up the category's literal tuple."""
+    return GROUNDINGS[category, noun, fact_bits(props, category, noun)]

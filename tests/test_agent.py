@@ -26,13 +26,16 @@ from lnnrl.agent import (
 from lnnrl.factextract import (
     CATEGORY_LITERALS,
     AgentMap,
+    PropositionSet,
     extract_propositions,
+    ground_facts,
     parse_observation,
 )
-from lnnrl.lexicon import parse_lexicon
+from lnnrl.lexicon import default_lexicon, parse_lexicon
 from lnnrl.lnn import AND, OR, LnnNetwork, LogicNode
 from lnnrl.worldsim import (
     DIRECTIONS,
+    NOUNS,
     OPPOSITE,
     Action,
     GameSpec,
@@ -72,16 +75,21 @@ def test_exactly_five_candidates_in_fixed_order(lexicon):
     assert [len(c.facts.values) for c in candidates] == [8, 8, 8, 8, 2]
 
 
+# lexicon texts that drop, add or misassign categories
+DIRECTION_ONLY_LEXICON = "".join(f"{d}\tdirection\n" for d in DIRECTIONS)
+EXTRA_CATEGORY_LEXICON = DIRECTION_ONLY_LEXICON + "coin\tmoney\ncoin\tmetal\n"
+MISASSIGNED_LEXICON = DIRECTION_ONLY_LEXICON + "north\tmoney\ncoin\tmoney\ncoin\tdirection\n"
+
+
 def test_missing_lexicon_category_drops_candidate_without_error():
-    table = parse_lexicon("\n".join(f"{d}\tdirection" for d in DIRECTIONS) + "\n")
+    table = parse_lexicon(DIRECTION_ONLY_LEXICON)
     graph = generate_game(GameSpec("easy", 2, 0))
     candidates = enumerate_candidates(start_props(graph), table)
     assert [c.noun for c in candidates] == list(DIRECTIONS)
 
 
 def test_unknown_categories_are_ignored():
-    rows = [f"{d}\tdirection" for d in DIRECTIONS] + ["coin\tmoney", "coin\tmetal"]
-    table = parse_lexicon("\n".join(rows) + "\n")
+    table = parse_lexicon(EXTRA_CATEGORY_LEXICON)
     graph = generate_game(GameSpec("easy", 2, 0))
     candidates = enumerate_candidates(start_props(graph), table)
     assert len(candidates) == 5  # metal has no verb binding, so no sixth candidate
@@ -90,15 +98,85 @@ def test_unknown_categories_are_ignored():
 def test_ungroundable_category_claims_are_skipped():
     # a lexicon may claim odd categories for game nouns; only groundable
     # (category, noun) pairs become candidates
-    rows = [f"{d}\tdirection" for d in DIRECTIONS]
-    rows += ["north\tmoney", "coin\tmoney", "coin\tdirection"]
-    table = parse_lexicon("\n".join(rows) + "\n")
+    table = parse_lexicon(MISASSIGNED_LEXICON)
     graph = generate_game(GameSpec("easy", 2, 0))
     candidates = enumerate_candidates(start_props(graph), table)
     assert [(c.category, c.noun) for c in candidates] == [
         ("direction", "north"), ("direction", "east"),
         ("direction", "south"), ("direction", "west"), ("money", "coin"),
     ]
+
+
+def reference_facts(props, category, noun):
+    """The per-step grounding that the shared tables replaced."""
+    f = props.find[noun]
+    if category == "money":
+        values = (f, not f)
+    else:
+        v, i, a = props.visited_dir[noun], props.initial_dir[noun], props.all_visited
+        values = (f, not f, v, not v, i, not i, a, not a)
+    return np.array([float(b) for b in values], dtype=np.float64)
+
+
+def reference_candidates(props, lexicon):
+    """The per-step candidate construction that the shared tables replaced."""
+    candidates = []
+    for noun in CANDIDATE_NOUNS:
+        for category in sorted(lexicon.lookup(noun)):
+            verb = {"direction": "go", "money": "take"}.get(category)
+            groundable = noun in DIRECTIONS if category == "direction" else noun == "coin"
+            if verb is None or not groundable:
+                continue
+            candidates.append((category, noun, Action(verb, noun),
+                               reference_facts(props, category, noun)))
+    return candidates
+
+
+def reference_vector(props):
+    bits = [props.find[n] for n in NOUNS]
+    bits += [props.visited_dir[d] for d in DIRECTIONS]
+    bits += [props.initial_dir[d] for d in DIRECTIONS]
+    return np.array([float(v) for b in bits for v in (b, not b)], dtype=np.float64)
+
+
+def assert_read_only(values):
+    with pytest.raises(ValueError):
+        values[0] = 0.5
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(bits=st.lists(st.booleans(), min_size=14, max_size=14))
+def test_shared_groundings_and_candidates_match_the_per_step_construction(bits):
+    props = PropositionSet(
+        find=dict(zip(NOUNS, bits[:5])),
+        visited_dir=dict(zip(DIRECTIONS, bits[5:9])),
+        initial_dir=dict(zip(DIRECTIONS, bits[9:13])),
+        all_visited=bits[13],
+    )
+    for category, nouns in (("direction", DIRECTIONS), ("money", ("coin",))):
+        for noun in nouns:
+            grounded = ground_facts(props, category, noun)
+            assert (grounded.category, grounded.noun) == (category, noun)
+            assert np.array_equal(grounded.values, reference_facts(props, category, noun))
+            assert grounded.values.dtype == np.float64
+            assert_read_only(grounded.values)
+
+    lexicons = [default_lexicon()] + [parse_lexicon(text) for text in (
+        DIRECTION_ONLY_LEXICON, EXTRA_CATEGORY_LEXICON, MISASSIGNED_LEXICON)]
+    for lexicon in lexicons:
+        candidates = enumerate_candidates(props, lexicon)
+        expected = reference_candidates(props, lexicon)
+        assert len(candidates) == len(expected)
+        for c, (category, noun, action, values) in zip(candidates, expected):
+            assert (c.category, c.noun, c.action) == (category, noun, action)
+            assert (c.facts.category, c.facts.noun) == (category, noun)
+            assert np.array_equal(c.facts.values, values)
+            assert_read_only(c.facts.values)
+
+    vector = props.as_vector()
+    assert vector is props.as_vector()
+    assert np.array_equal(vector, reference_vector(props))
+    assert_read_only(vector)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +204,6 @@ def test_equal_q_values_resolve_to_lowest_index():
     money.and_gates = [LogicNode.create(AND, np.zeros(2), 1.0)]
     money.or_root = LogicNode.create(OR, np.array([0.5]), 1.0)
     nets = {"direction": direction, "money": money}
-
-    from lnnrl.lexicon import default_lexicon
 
     graph = generate_game(GameSpec("medium", 2, 0))
     candidates = enumerate_candidates(start_props(graph), default_lexicon())
@@ -355,7 +431,8 @@ def test_trainer_config_validation():
     for bad in ({"learning_rate": float("nan")}, {"learning_rate": -1e-3},
                 {"learning_rate": float("inf")}, {"epsilon_start": 1.5},
                 {"epsilon_end": -0.1}, {"bonus_coefficient": -1.0},
-                {"bonus_coefficient": float("inf")}):
+                {"bonus_coefficient": float("inf")}, {"alpha": 0.3},
+                {"alpha": float("nan")}):
         with pytest.raises(ValueError):
             TrainerConfig(**bad)
     TrainerConfig(learning_rate=0.0, epsilon_start=0.0, epsilon_end=1.0, bonus_coefficient=0.0)

@@ -57,6 +57,7 @@ def test_train_rejects_unknown_key(tmp_path, capsys):
     "learning_rate=nan", "learning_rate=-1", "learning_rate=inf",
     "epsilon_start=-0.5", "epsilon_end=7",
     "bonus_coefficient=-1", "bonus_coefficient=nan",
+    "alpha=0.3", "alpha=nan",
 ])
 def test_train_rejects_out_of_domain_trainer_values(tmp_path, capsys, setting):
     out = tmp_path / "x"

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lnnrl.factextract import (
     PROPOSITION_NAMES,
@@ -14,6 +16,7 @@ from lnnrl.factextract import (
     parse_observation,
 )
 from lnnrl.worldsim import (
+    DIFFICULTIES,
     DIRECTIONS,
     Action,
     GameSpec,
@@ -37,6 +40,34 @@ def test_round_trip_recovers_room_exits_and_coin():
             assert parsed.room_name == graph.names[room]
             assert parsed.open_exits == frozenset(graph.open_exits(room))
             assert ("coin" in parsed.objects_seen) == (room == graph.coin_room)
+
+
+# the characters of the grammar, so that many mutations still parse or fail late
+GRAMMAR_CHARS = st.sampled_from(list("abcdefghijklmnopqrstuvwxyz ,."))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(difficulty=st.sampled_from(DIFFICULTIES), level=st.integers(1, 25),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_parser_inverts_the_renderer_and_rejects_mutations_with_a_typed_error(
+        difficulty, level, seed, data):
+    graph = generate_game(GameSpec(difficulty, level, seed))
+    room = data.draw(st.sampled_from(graph.rooms), label="room")
+    text = render_observation(graph, room)
+    parsed = parse_observation(text)
+    assert parsed.room_name == graph.names[room]
+    assert parsed.open_exits == frozenset(graph.open_exits(room))
+    assert parsed.objects_seen == (frozenset({"coin"}) if room == graph.coin_room else frozenset())
+
+    pos = data.draw(st.integers(0, len(text) - 1), label="position")
+    char = data.draw(st.one_of(GRAMMAR_CHARS, st.characters()), label="character")
+    edit = data.draw(st.sampled_from(["replace", "insert", "delete"]), label="edit")
+    resume = pos if edit == "insert" else pos + 1
+    mutated = text[:pos] + ("" if edit == "delete" else char) + text[resume:]
+    try:
+        parse_observation(mutated)
+    except ObservationParseError:
+        pass
 
 
 def test_all_template_variants_are_parseable():
