@@ -29,13 +29,13 @@ import numpy as np
 
 from .factextract import (
     CATEGORY_LITERALS,
-    GROUNDINGS,
+    CATEGORY_NOUNS,
+    CATEGORY_VERBS,
     AgentMap,
-    GroundedFactVector,
+    Candidate,
     PropositionSet,
-    can_ground,
     extract_propositions,
-    fact_bits,
+    ground_facts,
     parse_observation,
 )
 from .lexicon import LexiconTable
@@ -43,22 +43,13 @@ from .lnn import ForwardTrace, GateCapReached, LnnNetwork, TruthConfig
 from .optim import AdamOptimizer
 from .rng import substream
 from .worldsim import (
-    ALL_ACTIONS,
-    DIRECTIONS,
+    NOUNS,
     Action,
     RoomGraph,
     StepOutcome,
     reset,
     step,
 )
-
-# nouns in candidate order: directions first (NESW), then coin
-CANDIDATE_NOUNS: tuple[str, ...] = DIRECTIONS + ("coin",)
-
-# which verb a category's networks decide about
-CATEGORY_VERBS: dict[str, str] = {"direction": "go", "money": "take"}
-
-ACTION_INDEX: dict[Action, int] = {a: i for i, a in enumerate(ALL_ACTIONS)}
 
 
 @dataclass(frozen=True)
@@ -111,31 +102,13 @@ def epsilon_at(epoch: int, config: TrainerConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Candidate:
-    category: str
-    noun: str
-    action: Action
-    facts: GroundedFactVector
-
-
-#: one candidate per grounding, each carrying its action. Built once and
-#: shared, like the groundings: enumeration only picks them out.
-CANDIDATES: dict[tuple[str, str, tuple[bool, ...]], Candidate] = {
-    (category, noun, bits): Candidate(category, noun, Action(CATEGORY_VERBS[category], noun), facts)
-    for (category, noun, bits), facts in GROUNDINGS.items()
-}
-
-
 def enumerate_candidates(props: PropositionSet, lexicon: LexiconTable) -> list[Candidate]:
-    """One grounded candidate per (category, noun) pair the lexicon supports."""
-    candidates: list[Candidate] = []
-    for noun in CANDIDATE_NOUNS:
-        for category in sorted(lexicon.lookup(noun)):
-            if category not in CATEGORY_VERBS or not can_ground(category, noun):
-                continue
-            candidates.append(CANDIDATES[category, noun, fact_bits(props, category, noun)])
-    return candidates
+    """One grounded candidate per (category, noun) pair the lexicon supports,
+    nouns in `NOUNS` order (directions NESW, then coin)."""
+    return [ground_facts(props, category, noun)
+            for noun in NOUNS
+            for category in sorted(lexicon.lookup(noun))
+            if noun in CATEGORY_NOUNS.get(category, ())]
 
 
 def select_action(
@@ -151,7 +124,7 @@ def select_action(
     """
     if not candidates:
         raise ValueError("select_action needs at least one candidate")
-    q_values = [nets[c.category].forward(c.facts.values)[0] for c in candidates]
+    q_values = [nets[c.category].forward(c.values)[0] for c in candidates]
     if epsilon > 0.0 and rng.random() < epsilon:
         return candidates[rng.randrange(len(candidates))].action, q_values
     best = 0
@@ -200,15 +173,14 @@ def shape_reward(
 @dataclass
 class Transition:
     action: Action
-    category: str | None                     # grounding category of the chosen candidate
-    facts: np.ndarray | None
     reward: float                            # shaped
-    next_candidates: tuple[tuple[str, np.ndarray], ...]  # (category, facts) at t+1
     terminal: bool
+    # inputs of the logic-network scorer: the shared grounded candidates
+    chosen: Candidate | None = None          # None for an action no candidate proposed
+    next_candidates: tuple[Candidate, ...] = ()
     # inputs of the 26-input baseline scorer
     props_vec: np.ndarray | None = field(repr=False, default=None)
     next_props_vec: np.ndarray | None = field(repr=False, default=None)
-    action_index: int = -1
 
 
 class ReplayBuffer:
@@ -412,20 +384,22 @@ class LnnScorer:
         return select_action(candidates, self.tables, epsilon, rng)
 
     def q(self, transition: Transition) -> float | None:
-        if transition.category is None:
+        chosen = transition.chosen
+        if chosen is None:
             return None
-        return self.tables[transition.category].forward(transition.facts)[0]
+        return self.tables[chosen.category].forward(chosen.values)[0]
 
     def best_next(self, transition: Transition) -> float:
         # no next candidate leaves nothing to bootstrap from
-        return max((self.tables[category].forward(facts)[0]
-                    for category, facts in transition.next_candidates), default=0.0)
+        return max((self.tables[c.category].forward(c.values)[0]
+                    for c in transition.next_candidates), default=0.0)
 
     def transition_gradients(self, transition: Transition, upstream: float) -> dict[str, np.ndarray]:
-        table = self.tables[transition.category]
-        _, trace = table.forward(transition.facts)
+        chosen = transition.chosen
+        table = self.tables[chosen.category]
+        _, trace = table.forward(chosen.values)
         grads = table.net.gradients(trace, upstream)
-        return {f"{transition.category}.{name}": g for name, g in grads.items()}
+        return {f"{chosen.category}.{name}": g for name, g in grads.items()}
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {f"{category}.{name}": p
@@ -438,14 +412,15 @@ class LnnScorer:
     def before_batch(self, batch: list[Transition]) -> None:
         # induction first so the fresh gate participates in this update
         for transition in batch:
-            if transition.reward < 1.0 or transition.category is None:
+            chosen = transition.chosen
+            if transition.reward < 1.0 or chosen is None:
                 continue
-            table = self.tables[transition.category]
-            _, trace = table.forward(transition.facts)
+            table = self.tables[chosen.category]
+            _, trace = table.forward(chosen.values)
             if trace.and_out.size and np.max(trace.and_out) >= table.net.config.alpha:
                 continue
             try:
-                table.net.add_and_gate(transition.facts)
+                table.net.add_and_gate(chosen.values)
             except GateCapReached:
                 continue
             table.clear()
@@ -543,17 +518,14 @@ def run_episode(
             )
 
         if mode == "train":
-            chosen = next((c for c in candidates if c.action == action), None)
             transition = Transition(
                 action=action,
-                category=chosen.category if chosen else None,
-                facts=chosen.facts.values if chosen else None,
                 reward=reward,
-                next_candidates=tuple((c.category, c.facts.values) for c in next_candidates),
                 terminal=outcome.done,
+                chosen=next((c for c in candidates if c.action == action), None),
+                next_candidates=tuple(next_candidates),
                 props_vec=props_before.as_vector(),
                 next_props_vec=next_props.as_vector(),
-                action_index=ACTION_INDEX[action],
             )
             agent.observe(transition)
 

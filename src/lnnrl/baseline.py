@@ -13,8 +13,8 @@ import random
 
 import numpy as np
 
-from .agent import Candidate, DqnAgent, TrainerConfig, Transition
-from .factextract import PROPOSITION_NAMES, PropositionSet
+from .agent import DqnAgent, TrainerConfig, Transition
+from .factextract import PROPOSITION_NAMES, Candidate, PropositionSet
 from .lnn import CheckpointError, reading_checkpoint
 from .rng import substream
 from .worldsim import ALL_ACTIONS, Action
@@ -22,6 +22,8 @@ from .worldsim import ALL_ACTIONS, Action
 N_INPUTS = len(PROPOSITION_NAMES)   # 26
 N_ACTIONS = len(ALL_ACTIONS)        # 10
 N_HIDDEN = 64
+
+ACTION_INDEX: dict[Action, int] = {a: i for i, a in enumerate(ALL_ACTIONS)}
 
 
 class MlpScorer:
@@ -67,13 +69,13 @@ class MlpScorer:
         return ALL_ACTIONS[int(np.argmax(q))], list(q)
 
     def q(self, transition: Transition) -> float:
-        return float(self.forward(transition.props_vec)[transition.action_index])
+        return float(self.forward(transition.props_vec)[ACTION_INDEX[transition.action]])
 
     def best_next(self, transition: Transition) -> float:
         return float(np.max(self.forward(transition.next_props_vec)))
 
     def transition_gradients(self, transition: Transition, upstream: float) -> dict[str, np.ndarray]:
-        return self.gradients(transition.props_vec, transition.action_index, upstream)
+        return self.gradients(transition.props_vec, ACTION_INDEX[transition.action], upstream)
 
     def snapshot(self) -> "MlpScorer":
         return copy.deepcopy(self)

@@ -4,7 +4,7 @@ The pipeline per step is:
 
     observation text --parse_observation--> ParsedObservation
     (ParsedObservation, AgentMap) --extract_propositions--> PropositionSet
-    (PropositionSet, category, noun) --ground_facts--> GroundedFactVector
+    (PropositionSet, category, noun) --ground_facts--> Candidate
 
 A PropositionSet holds 26 truth values: find(n) for the five nouns, visited(d)
 and initial(d) for the four directions, plus the complement of every one of
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .worldsim import DIRECTIONS, NOUNS, OPPOSITE, RoomId
+from .worldsim import DIRECTIONS, NOUNS, OPPOSITE, Action, RoomId
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -259,60 +259,56 @@ CATEGORY_LITERALS: dict[str, tuple[str, ...]] = {
 }
 
 
+#: which verb a category's networks decide about
+CATEGORY_VERBS: dict[str, str] = {"direction": "go", "money": "take"}
+
+#: the nouns each category's variable x ranges over, in candidate order
+CATEGORY_NOUNS: dict[str, tuple[str, ...]] = {
+    "direction": DIRECTIONS,
+    "money": ("coin",),
+}
+
+
 @dataclass(frozen=True)
-class GroundedFactVector:
+class Candidate:
+    """Variable x of a category bound to one noun: the action it proposes and
+    the category's literal values under that binding."""
+
     category: str
     noun: str
+    action: Action
     values: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.values)
 
-
-def can_ground(category: str, noun: str) -> bool:
-    """Whether the category's literal layout is defined for this noun."""
-    if category == "direction":
-        return noun in DIRECTIONS
-    if category == "money":
-        return noun == "coin"
-    return False
-
-
-def fact_bits(props: PropositionSet, category: str, noun: str) -> tuple[bool, ...]:
-    """The positive facts a grounding reads: (find, visited, initial, all_visited)
-    for a direction, (find,) for the coin."""
-    if category == "direction":
-        if noun not in DIRECTIONS:
-            raise ValueError(f"noun {noun!r} cannot ground a direction variable")
-        return (props.find[noun], props.visited_dir[noun], props.initial_dir[noun],
-                props.all_visited)
-    if category == "money":
-        if noun != "coin":
-            raise ValueError(f"noun {noun!r} cannot ground a money variable")
-        return (props.find[noun],)
-    raise ValueError(f"no grounding layout for category {category!r}")
-
-
-def _build_groundings() -> dict[tuple[str, str, tuple[bool, ...]], GroundedFactVector]:
+def _build_groundings() -> dict[tuple[str, str, tuple[bool, ...]], Candidate]:
     # every literal arrives with its complement, in the frozen layout order
     groundings = {}
     for category, literals in CATEGORY_LITERALS.items():
-        for noun in NOUNS:
-            if not can_ground(category, noun):
-                continue
+        for noun in CATEGORY_NOUNS[category]:
+            action = Action(CATEGORY_VERBS[category], noun)
             for bits in itertools.product((False, True), repeat=len(literals) // 2):
                 values = np.array([float(v) for b in bits for v in (b, not b)], dtype=np.float64)
                 values.flags.writeable = False
-                groundings[category, noun, bits] = GroundedFactVector(category, noun, values)
+                groundings[category, noun, bits] = Candidate(category, noun, action, values)
     return groundings
 
 
-#: every grounding there can be: facts are crisp, so a direction has 2**4
-#: truth assignments and the coin 2. Built once; the values are read-only
-#: and shared by every caller, replay included.
-GROUNDINGS: dict[tuple[str, str, tuple[bool, ...]], GroundedFactVector] = _build_groundings()
+#: every grounded candidate there can be: facts are crisp, so a direction has
+#: 2**4 truth assignments and the coin 2. Built once; the records and their
+#: read-only values are shared by every caller, replay included.
+GROUNDINGS: dict[tuple[str, str, tuple[bool, ...]], Candidate] = _build_groundings()
 
 
-def ground_facts(props: PropositionSet, category: str, noun: str) -> GroundedFactVector:
-    """Bind variable x to `noun` and look up the category's literal tuple."""
-    return GROUNDINGS[category, noun, fact_bits(props, category, noun)]
+def ground_facts(props: PropositionSet, category: str, noun: str) -> Candidate:
+    """Bind variable x to `noun` and look up the category's literal values:
+    (find, visited, initial, all_visited) for a direction, (find,) for the coin."""
+    if category == "direction" and noun in DIRECTIONS:
+        bits = (props.find[noun], props.visited_dir[noun], props.initial_dir[noun],
+                props.all_visited)
+    elif category == "money" and noun == "coin":
+        bits = (props.find[noun],)
+    elif category in CATEGORY_NOUNS:
+        raise ValueError(f"noun {noun!r} cannot ground a {category} variable")
+    else:
+        raise ValueError(f"no grounding layout for category {category!r}")
+    return GROUNDINGS[category, noun, bits]

@@ -10,6 +10,7 @@ and per-seed columns), per-seed network checkpoints, and a rule dump.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .lnn import (
     save_network,
 )
 from .rng import derive_seed, substream
-from .worldsim import DIFFICULTIES, GameSpec, RoomGraph, generate_game
+from .worldsim import DIFFICULTIES, GameSpec, InvalidSpecError, RoomGraph, generate_game
 
 DEFAULT_EPOCHS = {"easy": 200, "medium": 500, "hard": 500}
 
@@ -60,13 +61,23 @@ class ExperimentConfig:
             raise ConfigError(f"difficulty must be one of {DIFFICULTIES}")
         if self.agent not in AGENT_KINDS:
             raise ConfigError(f"agent must be one of {AGENT_KINDS}")
-        for name in ("n_train_games", "train_level", "n_test_per_level",
-                     "eval_interval", "n_seeds", "max_episode_steps",
+        for name in ("n_train_games", "n_test_per_level", "eval_interval", "n_seeds",
                      "moving_average_window"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if not self.test_levels:
             raise ConfigError("test_levels must not be empty")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be nonnegative (0 means the default), got {self.epochs}")
+        if not math.isfinite(self.rule_weight_threshold):
+            raise ConfigError(f"rule_weight_threshold must be finite, got {self.rule_weight_threshold}")
+        # the games' own check (level >= 1, room for an optimal episode), run
+        # now so a bad level or step cap fails before any output
+        for level in (self.train_level, *self.test_levels):
+            try:
+                GameSpec(self.difficulty, level, 0, self.max_episode_steps).validate()
+            except InvalidSpecError as exc:
+                raise ConfigError(str(exc)) from exc
 
     # ------------------------------------------------------------- key=value IO
 

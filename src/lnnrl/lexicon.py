@@ -2,7 +2,6 @@
 
 Maps vocabulary words to semantic categories (direction, money, ...) from a
 bundled tab-separated file, standing in for a remote word-knowledge service.
-Any provider with the same ``lookup`` contract can be swapped in later.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Protocol
 
 from .worldsim import DIRECTIONS
 
@@ -32,10 +30,6 @@ class LexiconFormatError(LexiconError):
 
 class LexiconValidationError(LexiconError):
     """The lexicon is missing required vocabulary."""
-
-
-class CategoryProvider(Protocol):
-    def lookup(self, word: str) -> frozenset[str]: ...
 
 
 @dataclass

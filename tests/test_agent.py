@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lnnrl.agent import (
-    CANDIDATE_NOUNS,
     LnnAgent,
     LnnScorer,
     ReplayBuffer,
@@ -25,7 +24,9 @@ from lnnrl.agent import (
 )
 from lnnrl.factextract import (
     CATEGORY_LITERALS,
+    CATEGORY_VERBS,
     AgentMap,
+    Candidate,
     PropositionSet,
     extract_propositions,
     ground_facts,
@@ -51,11 +52,17 @@ def start_props(graph):
     return extract_propositions(parse_observation(obs), agent_map)
 
 
+def make_candidate(category, facts):
+    noun = "coin" if category == "money" else "north"
+    return Candidate(category, noun, Action(CATEGORY_VERBS[category], noun),
+                     np.asarray(facts, dtype=float))
+
+
 def make_transition(category, facts, reward, terminal, next_candidates=()):
     return Transition(
-        action=Action("take", "coin"), category=category,
-        facts=np.asarray(facts, dtype=float), reward=reward,
-        next_candidates=tuple(next_candidates), terminal=terminal,
+        action=Action("take", "coin"), reward=reward, terminal=terminal,
+        chosen=make_candidate(category, facts),
+        next_candidates=tuple(make_candidate(c, f) for c, f in next_candidates),
     )
 
 
@@ -67,12 +74,12 @@ def make_transition(category, facts, reward, terminal, next_candidates=()):
 def test_exactly_five_candidates_in_fixed_order(lexicon):
     graph = generate_game(GameSpec("medium", 3, 0))
     candidates = enumerate_candidates(start_props(graph), lexicon)
-    assert [c.noun for c in candidates] == list(CANDIDATE_NOUNS)
+    assert [c.noun for c in candidates] == list(NOUNS)
     assert [c.action for c in candidates] == [
         Action("go", "north"), Action("go", "east"), Action("go", "south"),
         Action("go", "west"), Action("take", "coin"),
     ]
-    assert [len(c.facts.values) for c in candidates] == [8, 8, 8, 8, 2]
+    assert [len(c.values) for c in candidates] == [8, 8, 8, 8, 2]
 
 
 # lexicon texts that drop, add or misassign categories
@@ -121,7 +128,7 @@ def reference_facts(props, category, noun):
 def reference_candidates(props, lexicon):
     """The per-step candidate construction that the shared tables replaced."""
     candidates = []
-    for noun in CANDIDATE_NOUNS:
+    for noun in NOUNS:
         for category in sorted(lexicon.lookup(noun)):
             verb = {"direction": "go", "money": "take"}.get(category)
             groundable = noun in DIRECTIONS if category == "direction" else noun == "coin"
@@ -169,9 +176,8 @@ def test_shared_groundings_and_candidates_match_the_per_step_construction(bits):
         assert len(candidates) == len(expected)
         for c, (category, noun, action, values) in zip(candidates, expected):
             assert (c.category, c.noun, c.action) == (category, noun, action)
-            assert (c.facts.category, c.facts.noun) == (category, noun)
-            assert np.array_equal(c.facts.values, values)
-            assert_read_only(c.facts.values)
+            assert np.array_equal(c.values, values)
+            assert_read_only(c.values)
 
     vector = props.as_vector()
     assert vector is props.as_vector()
@@ -587,6 +593,14 @@ def assert_table_is_exact(scorer, upstream):
                 assert np.array_equal(grad, fresh_grads[name]), (category, name)
 
 
+def assert_parameters_in_domain(scorer):
+    # the projection's invariant: finite and nonnegative, OR weights at most 1
+    for name, p in scorer.parameters().items():
+        assert np.all(np.isfinite(p)) and np.all(p >= 0.0), name
+        if name.endswith(".or.w"):
+            assert np.all(p <= 1.0), name
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(ops=Q_TABLE_OPS, seed=st.integers(0, 2**16),
        learning_rate=st.sampled_from([1e-3, 0.05, 0.3]),
@@ -612,6 +626,7 @@ def test_q_table_entries_equal_a_fresh_forward(ops, seed, learning_rate, upstrea
             snapshots.append(agent.scorer.snapshot())
         for scorer in (agent.scorer, agent.target, *snapshots):
             assert_table_is_exact(scorer, upstream)
+            assert_parameters_in_domain(scorer)
 
 
 # ---------------------------------------------------------------------------

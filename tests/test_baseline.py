@@ -50,8 +50,8 @@ def test_regression_loss_decreases_on_fixed_transition():
     vec = np.zeros(N_INPUTS)
     vec[0] = 1.0
     transition = Transition(
-        action=ALL_ACTIONS[9], category=None, facts=None, reward=1.0, next_candidates=(),
-        terminal=True, props_vec=vec, next_props_vec=vec, action_index=9,
+        action=ALL_ACTIONS[9], reward=1.0, next_candidates=(),
+        terminal=True, props_vec=vec, next_props_vec=vec,
     )
     agent.buffer.push(transition)
     first = agent.train_step()
@@ -119,8 +119,8 @@ def test_target_network_refresh():
     agent = MlpAgent(config, run_seed=4)
     vec = np.zeros(N_INPUTS)
     transition = Transition(
-        action=ALL_ACTIONS[0], category=None, facts=None, reward=1.0, next_candidates=(),
-        terminal=True, props_vec=vec, next_props_vec=vec, action_index=0,
+        action=ALL_ACTIONS[0], reward=1.0, next_candidates=(),
+        terminal=True, props_vec=vec, next_props_vec=vec,
     )
     agent.buffer.push(transition)
     agent.train_step()

@@ -58,10 +58,12 @@ def test_train_rejects_unknown_key(tmp_path, capsys):
     "epsilon_start=-0.5", "epsilon_end=7",
     "bonus_coefficient=-1", "bonus_coefficient=nan",
     "alpha=0.3", "alpha=nan",
+    "test_levels=0", "max_episode_steps=3", "epochs=-3", "rule_weight_threshold=nan",
 ])
 def test_train_rejects_out_of_domain_trainer_values(tmp_path, capsys, setting):
     out = tmp_path / "x"
-    assert main(["train", "--out", str(out), "--set", setting] + TINY_ARGS) == 2
+    # the setting comes last so TINY_ARGS cannot override it
+    assert main(["train", "--out", str(out)] + TINY_ARGS + ["--set", setting]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
 

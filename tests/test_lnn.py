@@ -5,8 +5,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lnnrl.factextract import CATEGORY_LITERALS
+from lnnrl.factextract import CATEGORY_LITERALS, CATEGORY_VERBS
 from lnnrl.lnn import (
     AND,
     OR,
@@ -266,12 +268,33 @@ def test_money_rule_renders_in_take_notation():
 # ---------------------------------------------------------------------------
 
 
-def test_checkpoint_round_trip_is_exact(tmp_path):
-    rng = np.random.default_rng(5)
-    net = make_net(rng.uniform(0, 1.7, size=(3, 8)), rng.uniform(0, 1, size=3),
-                   or_bias=1.0 + 1e-16 + rng.uniform(0, 0.4))
-    net.and_gates[0].weights[0] = 1.0 / 3.0  # needs all 17 digits
-    path = tmp_path / "direction.lnn"
+# finite and nonnegative, subnormals and values needing all 17 digits included
+NONNEGATIVE = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def grown_networks(draw):
+    """A network grown by induction to 1..gate_cap gates, then given random
+    nonnegative weights and biases."""
+    category = draw(st.sampled_from(sorted(CATEGORY_LITERALS)))
+    literals = CATEGORY_LITERALS[category]
+    gate_cap = draw(st.integers(1, 16))
+    net = LnnNetwork(category, literals, CATEGORY_VERBS[category],
+                     TruthConfig(alpha=draw(st.floats(0.5, 1.0))), gate_cap=gate_cap)
+    for _ in range(draw(st.integers(0, gate_cap - 1))):
+        net.add_and_gate(draw(st.lists(st.sampled_from([0.0, 1.0]),
+                                       min_size=len(literals), max_size=len(literals))))
+    for node in (*net.and_gates, net.or_root):
+        n = node.weights.size
+        node.weights[...] = draw(st.lists(NONNEGATIVE, min_size=n, max_size=n))
+        node.bias[...] = draw(NONNEGATIVE)
+    return net
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(net=grown_networks())
+def test_checkpoint_round_trip_is_exact(tmp_path_factory, net):
+    path = tmp_path_factory.mktemp("checkpoint") / f"{net.category}.lnn"
     save_network(net, path)
     loaded = load_network(path)
     assert loaded.category == net.category
@@ -279,11 +302,11 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     assert loaded.literals == net.literals
     assert loaded.config.alpha == net.config.alpha
     assert loaded.gate_cap == net.gate_cap
-    for a, b in zip(loaded.and_gates, net.and_gates):
-        assert a.weights.tolist() == b.weights.tolist()
-        assert float(a.bias) == float(b.bias)
-    assert loaded.or_root.weights.tolist() == net.or_root.weights.tolist()
-    assert float(loaded.or_root.bias) == float(net.or_root.bias)
+    assert len(loaded.and_gates) == len(net.and_gates)
+    for a, b in zip((*loaded.and_gates, loaded.or_root), (*net.and_gates, net.or_root)):
+        assert a.kind == b.kind
+        assert a.weights.dtype == b.weights.dtype and a.weights.tobytes() == b.weights.tobytes()
+        assert a.bias.dtype == b.bias.dtype and a.bias.tobytes() == b.bias.tobytes()
 
 
 # each damages the alpha row (line 3) or the first gate row (line 8), or cuts the file short
