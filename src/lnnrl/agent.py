@@ -29,7 +29,6 @@ import numpy as np
 
 from .factextract import (
     CATEGORY_LITERALS,
-    CATEGORY_NOUNS,
     CATEGORY_VERBS,
     AgentMap,
     Candidate,
@@ -43,7 +42,6 @@ from .lnn import ForwardTrace, GateCapReached, LnnNetwork, TruthConfig
 from .optim import AdamOptimizer
 from .rng import substream
 from .worldsim import (
-    NOUNS,
     Action,
     RoomGraph,
     StepOutcome,
@@ -103,12 +101,9 @@ def epsilon_at(epoch: int, config: TrainerConfig) -> float:
 
 
 def enumerate_candidates(props: PropositionSet, lexicon: LexiconTable) -> list[Candidate]:
-    """One grounded candidate per (category, noun) pair the lexicon supports,
-    nouns in `NOUNS` order (directions NESW, then coin)."""
-    return [ground_facts(props, category, noun)
-            for noun in NOUNS
-            for category in sorted(lexicon.lookup(noun))
-            if noun in CATEGORY_NOUNS.get(category, ())]
+    """One grounded candidate per (category, noun) pair the lexicon supports
+    (`lexicon.pairs`), nouns in `NOUNS` order (directions NESW, then coin)."""
+    return [ground_facts(props, category, noun) for category, noun in lexicon.pairs]
 
 
 def select_action(
@@ -344,6 +339,8 @@ class QTable:
 
     Facts are crisp, so a category sees only a handful of distinct vectors
     (at most 2**4 directions, 2 coins) and most scoring is a dict lookup.
+    `MlpScorer` keeps one as well, keyed by the 26-vector of the state, each
+    entry the ten action values.
     Entries are exactly what `forward` returned, so a lookup is bit-identical
     to a fresh pass for as long as the parameters do not change: whoever
     changes them calls `clear`. Callers must not write into the returned

@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 
-from .agent import DqnAgent, TrainerConfig, Transition
+from .agent import DqnAgent, QTable, TrainerConfig, Transition
 from .factextract import PROPOSITION_NAMES, Candidate, PropositionSet
 from .lnn import CheckpointError, reading_checkpoint
 from .rng import substream
@@ -27,7 +27,13 @@ ACTION_INDEX: dict[Action, int] = {a: i for i, a in enumerate(ALL_ACTIONS)}
 
 
 class MlpScorer:
-    """26 -> 64 (ReLU) -> 10, with hand-rolled backprop."""
+    """26 -> 64 (ReLU) -> 10, with hand-rolled backprop.
+
+    All scoring goes through `table`, a `QTable` keyed by the state's 26-vector
+    and cleared after every optimizer step; a snapshot copies it with the
+    parameters, so a target or evaluation scorer keeps its entries. Gradients
+    run their own forward pass.
+    """
 
     def __init__(self, seed: int = 0):
         rng = np.random.default_rng(seed)
@@ -35,6 +41,7 @@ class MlpScorer:
         self.b1 = np.zeros(N_HIDDEN)
         self.w2 = rng.normal(0.0, np.sqrt(1.0 / N_HIDDEN), size=(N_HIDDEN, N_ACTIONS))
         self.b2 = np.zeros(N_ACTIONS)
+        self.table = QTable(self)
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
@@ -63,16 +70,16 @@ class MlpScorer:
 
     def choose(self, props: PropositionSet, candidates: list[Candidate],
                epsilon: float, rng: random.Random) -> tuple[Action, list[float]]:
-        q = self.forward(props.as_vector())
+        q = self.table.forward(props.as_vector())
         if epsilon > 0.0 and rng.random() < epsilon:
-            return ALL_ACTIONS[rng.randrange(N_ACTIONS)], list(q)
-        return ALL_ACTIONS[int(np.argmax(q))], list(q)
+            return ALL_ACTIONS[rng.randrange(N_ACTIONS)], q.tolist()
+        return ALL_ACTIONS[int(q.argmax())], q.tolist()
 
     def q(self, transition: Transition) -> float:
-        return float(self.forward(transition.props_vec)[ACTION_INDEX[transition.action]])
+        return float(self.table.forward(transition.props_vec)[ACTION_INDEX[transition.action]])
 
     def best_next(self, transition: Transition) -> float:
-        return float(np.max(self.forward(transition.next_props_vec)))
+        return float(np.max(self.table.forward(transition.next_props_vec)))
 
     def transition_gradients(self, transition: Transition, upstream: float) -> dict[str, np.ndarray]:
         return self.gradients(transition.props_vec, ACTION_INDEX[transition.action], upstream)
@@ -84,7 +91,7 @@ class MlpScorer:
         pass
 
     def after_step(self) -> None:
-        pass
+        self.table.clear()
 
     # ------------------------------------------------------------ checkpoints
 
@@ -132,6 +139,7 @@ class MlpScorer:
                 raise CheckpointError(f"{path}: missing rows {', '.join(missing)}")
         scorer = cls.__new__(cls)
         scorer.w1, scorer.b1, scorer.w2, scorer.b2 = (rows[name] for name in shapes)
+        scorer.table = QTable(scorer)
         return scorer
 
 

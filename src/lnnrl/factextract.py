@@ -10,7 +10,8 @@ A PropositionSet holds 26 truth values: find(n) for the five nouns, visited(d)
 and initial(d) for the four directions, plus the complement of every one of
 those 13 literals. ``all_visited`` (every currently open exit leads to an
 already-visited room) is derived from them and only appears inside direction
-groundings.
+groundings. Facts are crisp, so each truth assignment has one shared,
+read-only PropositionSet and each grounding one shared Candidate.
 
 The parser is grammar-driven over the renderer's template family: it consumes
 the text sentence by sentence and rejects anything it cannot account for,
@@ -22,7 +23,9 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -171,10 +174,16 @@ PROPOSITION_NAMES: tuple[str, ...] = tuple(
 
 @dataclass(frozen=True)
 class PropositionSet:
-    find: dict[str, bool]          # one per noun
-    visited_dir: dict[str, bool]   # one per direction
-    initial_dir: dict[str, bool]   # one per direction
-    all_visited: bool              # derived, quantified over open exits only
+    """One truth assignment of the 26 values.
+
+    `extract_propositions` returns a shared record per assignment, whose
+    mappings are read-only; one built directly holds whatever it was given.
+    """
+
+    find: Mapping[str, bool]          # one per noun
+    visited_dir: Mapping[str, bool]   # one per direction
+    initial_dir: Mapping[str, bool]   # one per direction
+    all_visited: bool                 # derived, quantified over open exits only
 
     def as_vector(self) -> np.ndarray:
         """The 26 values (positives interleaved with their negations) as floats.
@@ -211,31 +220,34 @@ class PropositionSet:
         )
 
 
+@functools.cache
+def _shared_propositions(find: tuple[bool, ...], visited: tuple[bool, ...],
+                         entry: str | None) -> PropositionSet:
+    # facts are crisp, so there are at most 2**5 * 2**4 * 5 = 2,560 keys
+    find_map = dict(zip(NOUNS, find))
+    visited_map = dict(zip(DIRECTIONS, visited))
+    props = PropositionSet(
+        find=MappingProxyType(find_map),
+        visited_dir=MappingProxyType(visited_map),
+        initial_dir=MappingProxyType({d: d == entry for d in DIRECTIONS}),
+        all_visited=all(visited_map[d] for d in DIRECTIONS if find_map[d]),
+    )
+    props.as_vector()   # built here, once, for every step that shares the record
+    return props
+
+
 def extract_propositions(parsed: ParsedObservation, agent_map: AgentMap) -> PropositionSet:
-    """Turn the current observation plus history into the 26 truth values."""
-    room = agent_map.current
-    find = {noun: False for noun in NOUNS}
-    for d in parsed.open_exits:
-        find[d] = True
-    for obj in parsed.objects_seen:
-        if obj in find:
-            find[obj] = True
+    """Turn the current observation plus history into the 26 truth values.
 
-    visited_dir = {}
-    for d in DIRECTIONS:
-        target = agent_map.adjacency.get((room, d))
-        visited_dir[d] = target is not None and target in agent_map.visited
-
-    entry = agent_map.entry_direction.get(room)
-    initial_dir = {d: d == entry for d in DIRECTIONS}
-
-    all_visited = all(visited_dir[d] for d in parsed.open_exits)
-
-    return PropositionSet(
-        find=find,
-        visited_dir=visited_dir,
-        initial_dir=initial_dir,
-        all_visited=all_visited,
+    Equal truth assignments return the same read-only record.
+    """
+    room, adjacency, visited = agent_map.current, agent_map.adjacency, agent_map.visited
+    exits, objects = parsed.open_exits, parsed.objects_seen
+    # an exit never traversed has no adjacency entry, and None is never visited
+    return _shared_propositions(
+        tuple([noun in exits or noun in objects for noun in NOUNS]),
+        tuple([adjacency.get((room, d)) in visited for d in DIRECTIONS]),
+        agent_map.entry_direction.get(room),
     )
 
 

@@ -16,9 +16,11 @@ from pathlib import Path
 
 from .agent import LnnAgent, TrainerConfig, epsilon_at, run_episode
 from .baseline import MlpAgent
+from .factextract import CATEGORY_LITERALS, CATEGORY_VERBS
 from .lexicon import LexiconTable, default_lexicon
 from .lnn import (
     DEFAULT_RULE_WEIGHT_THRESHOLD,
+    CheckpointError,
     LnnNetwork,
     load_network,
     render_ruleset,
@@ -345,13 +347,24 @@ def run_experiment(
 
 
 def load_networks(seed_dir: str | Path) -> dict[str, LnnNetwork]:
+    """One network per category of `CATEGORY_LITERALS`, read from
+    `<category>.lnn`; a missing or extra file, or a network whose category,
+    literal layout or verb is not its file's, raises CheckpointError."""
     seed_dir = Path(seed_dir)
+    expected = sorted(f"{category}.lnn" for category in CATEGORY_LITERALS)
+    found = sorted(path.name for path in seed_dir.glob("*.lnn"))
+    if found != expected:
+        raise CheckpointError(f"{seed_dir}: expected checkpoints {', '.join(expected)}, "
+                              f"found {', '.join(found) or 'none'}")
     nets = {}
-    for path in sorted(seed_dir.glob("*.lnn")):
+    for category, literals in CATEGORY_LITERALS.items():
+        path = seed_dir / f"{category}.lnn"
         net = load_network(path)
-        nets[net.category] = net
-    if not nets:
-        raise FileNotFoundError(f"no .lnn checkpoints under {seed_dir}")
+        if (net.category, net.literals, net.verb) != (category, literals, CATEGORY_VERBS[category]):
+            raise CheckpointError(
+                f"{path}: expected category {category}, literals {' '.join(literals)} "
+                f"and verb {CATEGORY_VERBS[category]}")
+        nets[category] = net
     return nets
 
 

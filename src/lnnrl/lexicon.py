@@ -6,11 +6,14 @@ bundled tab-separated file, standing in for a remote word-knowledge service.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
-from .worldsim import DIRECTIONS
+from .factextract import CATEGORY_NOUNS
+from .worldsim import DIRECTIONS, NOUNS
 
 CATEGORY_DIRECTION = "direction"
 CATEGORY_MONEY = "money"
@@ -32,11 +35,24 @@ class LexiconValidationError(LexiconError):
     """The lexicon is missing required vocabulary."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LexiconTable:
     """In-memory word -> categories table. Lookup is pure and total."""
 
-    entries: dict[str, frozenset[str]] = field(default_factory=dict)
+    entries: Mapping[str, frozenset[str]] = field(default_factory=dict)
+    #: the (category, noun) pairs that ground a candidate, in candidate order:
+    #: nouns in `NOUNS` order, each noun's categories sorted
+    pairs: tuple[tuple[str, str], ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # a read-only copy, so `pairs` cannot go stale
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        object.__setattr__(self, "pairs", tuple(
+            (category, noun)
+            for noun in NOUNS
+            for category in sorted(self.lookup(noun))
+            if noun in CATEGORY_NOUNS.get(category, ())
+        ))
 
     def lookup(self, word: str) -> frozenset[str]:
         return self.entries.get(word, frozenset())

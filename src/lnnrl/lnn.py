@@ -348,8 +348,8 @@ def _row(path, line: str, head: list[str], width: int) -> tuple[np.ndarray, np.n
 
 def load_network(path) -> LnnNetwork:
     """Read a checkpoint written by `save_network`; a truncated, malformed or
-    out-of-domain file (short row, non-finite or negative value) raises
-    CheckpointError."""
+    out-of-domain file (short row, non-finite or negative value, more gates
+    than its gate_cap) raises CheckpointError."""
     with reading_checkpoint(path):
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -372,6 +372,8 @@ def load_network(path) -> LnnNetwork:
             raise CheckpointError(f"{path}: arity does not match literal list")
 
         n_gates = int(fields["gates"])
+        if n_gates > net.gate_cap:
+            raise CheckpointError(f"{path}: {n_gates} gates exceed gate_cap {net.gate_cap}")
         body = lines[1 + len(_HEADER_KEYS):]
         if n_gates < 0 or len(body) != n_gates + 1:
             raise CheckpointError(

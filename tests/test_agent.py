@@ -34,6 +34,7 @@ from lnnrl.factextract import (
 )
 from lnnrl.lexicon import default_lexicon, parse_lexicon
 from lnnrl.lnn import AND, OR, LnnNetwork, LogicNode
+from lnnrl.optim import AdamOptimizer
 from lnnrl.worldsim import (
     DIRECTIONS,
     NOUNS,
@@ -627,6 +628,35 @@ def test_q_table_entries_equal_a_fresh_forward(ops, seed, learning_rate, upstrea
         for scorer in (agent.scorer, agent.target, *snapshots):
             assert_table_is_exact(scorer, upstream)
             assert_parameters_in_domain(scorer)
+
+
+# up: every gradient positive, so Adam pushes every parameter down (biases
+# below 0); down: every gradient negative (OR weights above 1); mixed: random signs
+GRADIENT_SIGNS = st.sampled_from(["up", "down", "mixed"])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**16), learning_rate=st.sampled_from([0.3, 3.0, 30.0]),
+       induced=st.lists(CATEGORY_FACTS, max_size=4),
+       signs=st.lists(GRADIENT_SIGNS, min_size=1, max_size=12))
+def test_projection_keeps_every_parameter_in_its_domain(seed, learning_rate, induced, signs):
+    scorer = LnnScorer(fresh_networks(TrainerConfig(gate_cap=5)))
+    for category, facts in induced:
+        scorer.nets[category].add_and_gate(facts)
+    optimizer = AdamOptimizer(learning_rate=learning_rate)
+    rng = np.random.default_rng(seed)
+    for sign in signs:
+        params = scorer.parameters()
+        grads = {}
+        for name, p in params.items():
+            if sign == "mixed":
+                direction = rng.choice([-1.0, 1.0], size=p.shape)
+            else:
+                direction = 1.0 if sign == "up" else -1.0
+            grads[name] = direction * rng.uniform(0.1, 10.0, size=p.shape)
+        optimizer.step(params, grads)
+        scorer.after_step()
+        assert_parameters_in_domain(scorer)
 
 
 # ---------------------------------------------------------------------------

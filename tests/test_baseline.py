@@ -4,12 +4,22 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lnnrl.agent import TrainerConfig, Transition
 from lnnrl.baseline import MlpAgent, MlpScorer, N_ACTIONS, N_INPUTS
-from lnnrl.factextract import AgentMap, extract_propositions, parse_observation
+from lnnrl.factextract import AgentMap, PropositionSet, extract_propositions, parse_observation
 from lnnrl.lnn import CheckpointError
-from lnnrl.worldsim import ALL_ACTIONS, Action, GameSpec, generate_game, reset
+from lnnrl.worldsim import (
+    ALL_ACTIONS,
+    DIRECTIONS,
+    NOUNS,
+    Action,
+    GameSpec,
+    generate_game,
+    reset,
+)
 
 
 def test_forward_shape_26_in_10_out():
@@ -128,3 +138,48 @@ def test_target_network_refresh():
     agent.train_step()
     agent.train_step()
     assert np.array_equal(agent.scorer.b2, agent.target.b2)
+
+
+# a state's 26-vector from 13 truth values: each followed by its complement
+STATE_VECTORS = st.lists(st.booleans(), min_size=13, max_size=13).map(
+    lambda bits: np.array([v for b in bits for v in (float(b), float(not b))]))
+
+# score: fill the online table through `choose`; train: push a transition and
+# take a full train_step (Adam, table clear, target refresh); snapshot: keep
+# a copy that must stay exact as the online scorer moves on
+MLP_TABLE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("score"), STATE_VECTORS),
+    st.tuples(st.just("train"), STATE_VECTORS, st.sampled_from(ALL_ACTIONS),
+              st.sampled_from([0.0, 0.5, 1.0, 2.0]), STATE_VECTORS, st.booleans()),
+    st.tuples(st.just("snapshot")),
+), min_size=1, max_size=25)
+
+
+def as_props(vector):
+    """A directly built PropositionSet whose vector is `vector`."""
+    bits = [bool(v) for v in vector[::2]]
+    return PropositionSet(dict(zip(NOUNS, bits[:5])), dict(zip(DIRECTIONS, bits[5:9])),
+                          dict(zip(DIRECTIONS, bits[9:])), all_visited=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(ops=MLP_TABLE_OPS, seed=st.integers(0, 2**16),
+       learning_rate=st.sampled_from([1e-3, 0.05, 0.3]))
+def test_mlp_q_table_entries_equal_a_fresh_forward(ops, seed, learning_rate):
+    agent = MlpAgent(TrainerConfig(learning_rate=learning_rate, batch_size=2,
+                                   target_update_period=3), run_seed=seed)
+    snapshots = []
+    for op in ops:
+        if op[0] == "score":
+            agent.choose(as_props(op[1]), [], 0.0, random.Random(0))
+        elif op[0] == "train":
+            vec, action, reward, next_vec, terminal = op[1:]
+            agent.buffer.push(Transition(action=action, reward=reward, terminal=terminal,
+                                         props_vec=vec, next_props_vec=next_vec))
+            agent.train_step()
+        else:
+            snapshots.append(agent.scorer.snapshot())
+        for scorer in (agent.scorer, agent.target, *snapshots):
+            assert scorer.table.net is scorer
+            for key, q in scorer.table.entries.items():
+                assert np.array_equal(q, scorer.forward(np.frombuffer(key)))

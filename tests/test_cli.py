@@ -84,6 +84,42 @@ def test_eval_on_truncated_checkpoint_is_a_typed_error(tiny_run, tmp_path, capsy
     assert main(["eval", "--run-dir", str(run_dir)]) == 2
     assert "error:" in capsys.readouterr().err
 
+def rewrite(path, old, new):
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new), encoding="utf-8")
+
+
+def swap_files(seed_dir):
+    direction, money = seed_dir / "direction.lnn", seed_dir / "money.lnn"
+    texts = direction.read_bytes(), money.read_bytes()
+    direction.write_bytes(texts[1])
+    money.write_bytes(texts[0])
+
+
+# each leaves a seed directory of individually well-formed checkpoints that
+# does not match the run-directory contract
+RUN_DIR_FAULTS = {
+    "missing_category": lambda d: (d / "money.lnn").unlink(),
+    "extra_file": lambda d: shutil.copy(d / "money.lnn", d / "metal.lnn"),
+    "misnamed_file": lambda d: (d / "money.lnn").rename(d / "coin.lnn"),
+    "swapped_files": swap_files,
+    "permuted_literals": lambda d: rewrite(d / "money.lnn", "literals find_x not_find_x",
+                                           "literals not_find_x find_x"),
+    "foreign_verb": lambda d: rewrite(d / "money.lnn", "verb take", "verb go"),
+    "gates_over_cap": lambda d: rewrite(d / "money.lnn", "gate_cap 16", "gate_cap 0"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(RUN_DIR_FAULTS))
+def test_eval_rejects_a_run_directory_off_contract(tiny_run, tmp_path, capsys, fault):
+    run_dir = tmp_path / "damaged"
+    shutil.copytree(tiny_run, run_dir)
+    RUN_DIR_FAULTS[fault](run_dir / "seed0")
+    assert main(["eval", "--run-dir", str(run_dir)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_rules_prints_quantified_notation(tiny_run, capsys):
     assert main(["rules", "--run-dir", str(tiny_run)]) == 0
     out = capsys.readouterr().out

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_agent import reference_vector
 
 from lnnrl.factextract import (
     PROPOSITION_NAMES,
     AgentMap,
     ObservationParseError,
+    ParsedObservation,
+    PropositionSet,
     extract_propositions,
     ground_facts,
     parse_observation,
@@ -18,6 +21,7 @@ from lnnrl.factextract import (
 from lnnrl.worldsim import (
     DIFFICULTIES,
     DIRECTIONS,
+    NOUNS,
     Action,
     GameSpec,
     generate_game,
@@ -249,6 +253,69 @@ def test_extract_propositions_is_pure():
     a = extract_propositions(parsed, agent_map)
     b = extract_propositions(parsed, agent_map)
     assert a == b
+
+
+def reference_propositions(parsed, agent_map):
+    """The per-step construction that the shared records replaced."""
+    room = agent_map.current
+    find = {noun: False for noun in NOUNS}
+    for d in parsed.open_exits:
+        find[d] = True
+    for obj in parsed.objects_seen:
+        if obj in find:
+            find[obj] = True
+    visited_dir = {}
+    for d in DIRECTIONS:
+        target = agent_map.adjacency.get((room, d))
+        visited_dir[d] = target is not None and target in agent_map.visited
+    entry = agent_map.entry_direction.get(room)
+    initial_dir = {d: d == entry for d in DIRECTIONS}
+    all_visited = all(visited_dir[d] for d in parsed.open_exits)
+    return PropositionSet(find, visited_dir, initial_dir, all_visited)
+
+
+ROOMS = st.integers(0, 5)
+
+
+@st.composite
+def observed_maps(draw):
+    """A parsed observation and an agent map, not necessarily from one game."""
+    current = draw(ROOMS)
+    agent_map = AgentMap(
+        current=current,
+        visited=draw(st.sets(ROOMS)) | {current},
+        adjacency=draw(st.dictionaries(st.tuples(ROOMS, st.sampled_from(DIRECTIONS)), ROOMS,
+                                       max_size=16)),
+        entry_direction=draw(st.dictionaries(ROOMS, st.sampled_from(DIRECTIONS))),
+    )
+    parsed = ParsedObservation(
+        room_name="kitchen",
+        open_exits=draw(st.frozensets(st.sampled_from(DIRECTIONS))),
+        objects_seen=draw(st.sampled_from([frozenset(), frozenset({"coin"})])),
+    )
+    return parsed, agent_map
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(observations=st.lists(observed_maps(), min_size=1, max_size=8))
+def test_equal_truth_assignments_share_one_read_only_record(observations):
+    results = [extract_propositions(parsed, agent_map) for parsed, agent_map in observations]
+    references = [reference_propositions(parsed, agent_map) for parsed, agent_map in observations]
+    for props, reference in zip(results, references):
+        assert (props.find, props.visited_dir, props.initial_dir, props.all_visited) == (
+            reference.find, reference.visited_dir, reference.initial_dir, reference.all_visited)
+        assert all(type(v) is bool for v in (*props.find.values(), *props.visited_dir.values(),
+                                            *props.initial_dir.values(), props.all_visited))
+        assert np.array_equal(props.as_vector(), reference_vector(reference))
+        for mapping in (props.find, props.visited_dir, props.initial_dir):
+            with pytest.raises(TypeError):
+                mapping["north"] = True
+        with pytest.raises(ValueError):
+            props.as_vector()[0] = 0.5
+    for i, props in enumerate(results):
+        for j, other in enumerate(results):
+            assert (props is other) == (references[i] == references[j]), (i, j)
+        assert extract_propositions(*observations[i]) is props
 
 
 def test_dump_lists_26_named_bits():

@@ -1,7 +1,11 @@
 """Lexicon loading, lookup totality, and validation."""
 
-import pytest
+import dataclasses
 
+import pytest
+from test_agent import DIRECTION_ONLY_LEXICON, EXTRA_CATEGORY_LEXICON, MISASSIGNED_LEXICON
+
+from lnnrl.factextract import CATEGORY_NOUNS
 from lnnrl.lexicon import (
     LexiconFormatError,
     LexiconValidationError,
@@ -74,3 +78,27 @@ def test_load_valid_file(tmp_path):
 
 def test_default_lexicon_is_idempotent():
     assert default_lexicon().entries == default_lexicon().entries
+
+
+@pytest.mark.parametrize("text", [None, DIRECTION_ONLY_LEXICON, EXTRA_CATEGORY_LEXICON,
+                                  MISASSIGNED_LEXICON],
+                         ids=["default", "direction_only", "extra_category", "misassigned"])
+def test_frozen_table_holds_the_candidate_pairs(text):
+    table = default_lexicon() if text is None else parse_lexicon(text)
+    # the per-step filter the precomputed pairs replaced
+    expected = [(category, noun)
+                for noun in NOUNS
+                for category in sorted(table.lookup(noun))
+                if noun in CATEGORY_NOUNS.get(category, ())]
+    assert list(table.pairs) == expected
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.pairs = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.entries = {}
+    with pytest.raises(TypeError):
+        table.entries["coin"] = frozenset({"direction"})
+
+
+def test_default_pairs_are_four_directions_then_the_coin():
+    assert default_lexicon().pairs == tuple(
+        [("direction", d) for d in DIRECTIONS] + [("money", "coin")])
