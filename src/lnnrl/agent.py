@@ -100,19 +100,27 @@ def epsilon_at(epoch: int, config: TrainerConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_candidates(props: PropositionSet, lexicon: LexiconTable) -> list[Candidate]:
+def enumerate_candidates(props: PropositionSet, lexicon: LexiconTable) -> tuple[Candidate, ...]:
     """One grounded candidate per (category, noun) pair the lexicon supports
     (`lexicon.pairs`), nouns in `NOUNS` order (directions NESW, then coin)."""
-    return [ground_facts(props, category, noun) for category, noun in lexicon.pairs]
+    return tuple([ground_facts(props, category, noun) for category, noun in lexicon.pairs])
+
+
+def epsilon_greedy(q_values: list[float], epsilon: float, rng: random.Random) -> int:
+    """With probability epsilon a uniform index, else the index of the highest
+    q; exact ties go to the earliest index."""
+    if epsilon > 0.0 and rng.random() < epsilon:
+        return rng.randrange(len(q_values))
+    return q_values.index(max(q_values))
 
 
 def select_action(
-    candidates: list[Candidate],
+    candidates: tuple[Candidate, ...],
     nets: dict[str, LnnNetwork | QTable],
     epsilon: float,
     rng: random.Random,
 ) -> tuple[Action, list[float]]:
-    """Epsilon-greedy over the candidates; exact ties go to the earliest index.
+    """Epsilon-greedy over the candidates.
 
     `nets` maps each category to whatever scores it through
     `forward(facts) -> (q, trace)`: a network, or the Q table in front of it.
@@ -120,13 +128,7 @@ def select_action(
     if not candidates:
         raise ValueError("select_action needs at least one candidate")
     q_values = [nets[c.category].forward(c.values)[0] for c in candidates]
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return candidates[rng.randrange(len(candidates))].action, q_values
-    best = 0
-    for i in range(1, len(q_values)):
-        if q_values[i] > q_values[best]:
-            best = i
-    return candidates[best].action, q_values
+    return candidates[epsilon_greedy(q_values, epsilon, rng)].action, q_values
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +167,25 @@ def shape_reward(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Transition:
+    """One stored step: the shared, read-only records `choose` saw before and
+    after it. Each scorer reads its own inputs from them."""
+
+    props: PropositionSet
+    candidates: tuple[Candidate, ...]
     action: Action
     reward: float                            # shaped
     terminal: bool
-    # inputs of the logic-network scorer: the shared grounded candidates
-    chosen: Candidate | None = None          # None for an action no candidate proposed
-    next_candidates: tuple[Candidate, ...] = ()
-    # inputs of the 26-input baseline scorer
-    props_vec: np.ndarray | None = field(repr=False, default=None)
-    next_props_vec: np.ndarray | None = field(repr=False, default=None)
+    next_props: PropositionSet
+    next_candidates: tuple[Candidate, ...]
+
+    def chosen(self) -> Candidate | None:
+        """The candidate that proposed `action`; None if no candidate did."""
+        for candidate in self.candidates:
+            if candidate.action == self.action:
+                return candidate
+        return None
 
 
 class ReplayBuffer:
@@ -273,27 +283,28 @@ def scripted_rule_networks(alpha: float = 0.75) -> dict[str, LnnNetwork]:
 
 
 class DqnAgent:
-    """Replay, TD regression, one Adam and target snapshots over a scorer.
+    """Replay, TD regression, one Adam and target copies over a scorer.
 
     The scorer supplies `choose(props, candidates, epsilon, rng)`;
     `q(transition)`, which is None for a transition it does not learn from;
     `best_next(transition)`; `transition_gradients(transition, upstream)`;
-    `parameters()` and `snapshot()`, keyed and copied so one optimizer and
-    one target cover all of it; and the hooks `before_batch(batch)` and
-    `after_step()`.
+    `parameters()`, keyed so one optimizer covers all of it; and the hooks
+    `before_batch(batch)` and `after_step()`. Each reads its own inputs from
+    the shared `Transition`. The target is a deep copy of the scorer, taken
+    at construction and every `target_update_period` optimizer steps.
     """
 
     def __init__(self, config: TrainerConfig, scorer, replay_rng: random.Random):
         self.config = config
         self.scorer = scorer
-        self.target = scorer.snapshot()
+        self.target = copy.deepcopy(scorer)
         self.optimizer = AdamOptimizer(learning_rate=config.learning_rate)
         self.buffer = ReplayBuffer(config.replay_capacity, config.priority_fraction)
         self.replay_rng = replay_rng
         self.env_steps = 0
         self.optimizer_steps = 0
 
-    def choose(self, props: PropositionSet, candidates: list[Candidate],
+    def choose(self, props: PropositionSet, candidates: tuple[Candidate, ...],
                epsilon: float, rng: random.Random) -> tuple[Action, list[float]]:
         return self.scorer.choose(props, candidates, epsilon, rng)
 
@@ -326,7 +337,7 @@ class DqnAgent:
         self.scorer.after_step()
         self.optimizer_steps += 1
         if self.optimizer_steps % self.config.target_update_period == 0:
-            self.target = self.scorer.snapshot()
+            self.target = copy.deepcopy(self.scorer)
         return total_loss / len(batch)
 
     def parameter_checksum(self) -> float:
@@ -368,20 +379,21 @@ class LnnScorer:
 
     All scoring goes through `tables`, one `QTable` per category, so the Q
     table is keyed by (category, fact bytes). It is cleared after every
-    optimizer step and whenever induction adds a gate; a snapshot copies it
-    with the networks, so a target or evaluation scorer keeps its entries.
+    optimizer step and whenever induction adds a gate; a deep copy holds its
+    own, so a target or evaluation scorer keeps its entries. Replay reads the
+    chosen candidate (`Transition.chosen`) and the next candidates.
     """
 
     def __init__(self, nets: dict[str, LnnNetwork]):
         self.nets = nets
         self.tables = {category: QTable(net) for category, net in nets.items()}
 
-    def choose(self, props: PropositionSet, candidates: list[Candidate],
+    def choose(self, props: PropositionSet, candidates: tuple[Candidate, ...],
                epsilon: float, rng: random.Random) -> tuple[Action, list[float]]:
         return select_action(candidates, self.tables, epsilon, rng)
 
     def q(self, transition: Transition) -> float | None:
-        chosen = transition.chosen
+        chosen = transition.chosen()
         if chosen is None:
             return None
         return self.tables[chosen.category].forward(chosen.values)[0]
@@ -392,7 +404,7 @@ class LnnScorer:
                     for c in transition.next_candidates), default=0.0)
 
     def transition_gradients(self, transition: Transition, upstream: float) -> dict[str, np.ndarray]:
-        chosen = transition.chosen
+        chosen = transition.chosen()
         table = self.tables[chosen.category]
         _, trace = table.forward(chosen.values)
         grads = table.net.gradients(trace, upstream)
@@ -403,14 +415,11 @@ class LnnScorer:
                 for category, net in self.nets.items()
                 for name, p in net.parameters().items()}
 
-    def snapshot(self) -> "LnnScorer":
-        return copy.deepcopy(self)
-
     def before_batch(self, batch: list[Transition]) -> None:
         # induction first so the fresh gate participates in this update
         for transition in batch:
-            chosen = transition.chosen
-            if transition.reward < 1.0 or chosen is None:
+            chosen = transition.chosen() if transition.reward >= 1.0 else None
+            if chosen is None:
                 continue
             table = self.tables[chosen.category]
             _, trace = table.forward(chosen.values)
@@ -440,8 +449,8 @@ class LnnAgent(DqnAgent):
 
     def __init__(self, config: TrainerConfig, run_seed: int = 0,
                  nets: dict[str, LnnNetwork] | None = None):
-        self.nets = nets if nets is not None else fresh_networks(config)
-        super().__init__(config, LnnScorer(self.nets), substream("replay-sampling", run_seed))
+        scorer = LnnScorer(nets if nets is not None else fresh_networks(config))
+        super().__init__(config, scorer, substream("replay-sampling", run_seed))
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +500,10 @@ def run_episode(
         action, q_values = agent.choose(props, candidates, eps, rng)
         visited_before = frozenset(agent_map.visited)
         entry_before = agent_map.entry_direction.get(agent_map.current)
-        props_before = props
 
         outcome = step(state, action)
         reward = shape_reward(
-            outcome, props_before, visited_before, entry_before,
+            outcome, props, visited_before, entry_before,
             action, graph.difficulty, bonus,
         )
         quest_total += outcome.quest_reward
@@ -510,21 +518,13 @@ def run_episode(
         if collect_trace:
             qs = " ".join(f"{q:.3f}" for q in q_values)
             trace.append(
-                f"epoch={epoch} step={state.steps} facts={props_before.bitstring()} "
+                f"epoch={epoch} step={state.steps} facts={props.bitstring()} "
                 f"action={action} q=[{qs}] reward={reward:.2f}"
             )
 
         if mode == "train":
-            transition = Transition(
-                action=action,
-                reward=reward,
-                terminal=outcome.done,
-                chosen=next((c for c in candidates if c.action == action), None),
-                next_candidates=tuple(next_candidates),
-                props_vec=props_before.as_vector(),
-                next_props_vec=next_props.as_vector(),
-            )
-            agent.observe(transition)
+            agent.observe(Transition(props, candidates, action, reward, outcome.done,
+                                     next_props, next_candidates))
 
         props = next_props
         candidates = next_candidates

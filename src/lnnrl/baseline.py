@@ -8,12 +8,11 @@ black-box scorer in the middle.
 
 from __future__ import annotations
 
-import copy
 import random
 
 import numpy as np
 
-from .agent import DqnAgent, QTable, TrainerConfig, Transition
+from .agent import DqnAgent, QTable, TrainerConfig, Transition, epsilon_greedy
 from .factextract import PROPOSITION_NAMES, Candidate, PropositionSet
 from .lnn import CheckpointError, reading_checkpoint
 from .rng import substream
@@ -30,9 +29,9 @@ class MlpScorer:
     """26 -> 64 (ReLU) -> 10, with hand-rolled backprop.
 
     All scoring goes through `table`, a `QTable` keyed by the state's 26-vector
-    and cleared after every optimizer step; a snapshot copies it with the
-    parameters, so a target or evaluation scorer keeps its entries. Gradients
-    run their own forward pass.
+    and cleared after every optimizer step; a deep copy holds its own, so a
+    target or evaluation scorer keeps its entries. Replay reads the vectors of
+    the transition's proposition records. Gradients run their own forward pass.
     """
 
     def __init__(self, seed: int = 0):
@@ -68,24 +67,19 @@ class MlpScorer:
 
     # ------------------------------------------------------ scorer contract
 
-    def choose(self, props: PropositionSet, candidates: list[Candidate],
+    def choose(self, props: PropositionSet, candidates: tuple[Candidate, ...],
                epsilon: float, rng: random.Random) -> tuple[Action, list[float]]:
-        q = self.table.forward(props.as_vector())
-        if epsilon > 0.0 and rng.random() < epsilon:
-            return ALL_ACTIONS[rng.randrange(N_ACTIONS)], q.tolist()
-        return ALL_ACTIONS[int(q.argmax())], q.tolist()
+        q_values = self.table.forward(props.as_vector()).tolist()
+        return ALL_ACTIONS[epsilon_greedy(q_values, epsilon, rng)], q_values
 
     def q(self, transition: Transition) -> float:
-        return float(self.table.forward(transition.props_vec)[ACTION_INDEX[transition.action]])
+        return float(self.table.forward(transition.props.as_vector())[ACTION_INDEX[transition.action]])
 
     def best_next(self, transition: Transition) -> float:
-        return float(np.max(self.table.forward(transition.next_props_vec)))
+        return float(np.max(self.table.forward(transition.next_props.as_vector())))
 
     def transition_gradients(self, transition: Transition, upstream: float) -> dict[str, np.ndarray]:
-        return self.gradients(transition.props_vec, ACTION_INDEX[transition.action], upstream)
-
-    def snapshot(self) -> "MlpScorer":
-        return copy.deepcopy(self)
+        return self.gradients(transition.props.as_vector(), ACTION_INDEX[transition.action], upstream)
 
     def before_batch(self, batch: list[Transition]) -> None:
         pass

@@ -93,8 +93,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_rules(args) -> int:
     _, nets = _load_run(args.run_dir, args.seed_index)
-    threshold = args.threshold
-    print(render_ruleset(nets, threshold), end="")
+    print(render_ruleset(nets, args.threshold), end="")
     return 0
 
 
@@ -208,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, WorldError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, WorldError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -276,7 +276,7 @@ def run_seed(
         epochs=epochs,
         rewards=moving_average(rewards, config.moving_average_window),
         steps=moving_average(steps, config.moving_average_window),
-        nets=agent.nets if config.agent == "lnn" else None,
+        nets=agent.scorer.nets if config.agent == "lnn" else None,
         agent=agent,
     )
 
@@ -331,11 +331,11 @@ def run_experiment(
         seed_dir.mkdir(exist_ok=True)
         agent = result.agent
         if config.agent == "lnn":
-            for category, net in agent.nets.items():
+            for category, net in agent.scorer.nets.items():
                 save_network(net, seed_dir / f"{category}.lnn")
             rules_path = out / f"rules_seed{k}.txt"
             rules_path.write_text(
-                render_ruleset(agent.nets, config.rule_weight_threshold), encoding="utf-8"
+                render_ruleset(agent.scorer.nets, config.rule_weight_threshold), encoding="utf-8"
             )
             rules_paths.append(rules_path)
         else:
@@ -398,8 +398,11 @@ def read_metrics_csv(path: str | Path) -> tuple[list[str], list[list[float]]]:
     if not lines:
         raise ValueError(f"{path}: empty metrics file")
     header = lines[0].split(",")
-    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
-    return header, rows
+    rows = [line.split(",") for line in lines[1:]]
+    for lineno, cells in enumerate(rows, start=2):
+        if len(cells) != len(header):
+            raise ValueError(f"{path}:{lineno}: {len(cells)} cells, the header has {len(header)}")
+    return header, [[float(cell) for cell in cells] for cells in rows]
 
 
 def first_crossing(path: str | Path, threshold: float, column: str = "reward_mean") -> int | None:
@@ -414,7 +417,9 @@ def first_crossing(path: str | Path, threshold: float, column: str = "reward_mea
 
 
 def compare_runs(csv_a: str | Path, csv_b: str | Path, threshold: float = 0.9) -> CrossingReport:
-    """First epoch each run's mean reward crosses the threshold."""
+    """First epoch each run's mean reward crosses the (finite) threshold."""
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     header_a, _ = read_metrics_csv(csv_a)
     header_b, _ = read_metrics_csv(csv_b)
     if header_a != header_b:

@@ -250,8 +250,10 @@ def extract_rules(
 
     A gate contributes a rule when its OR-root weight clears the threshold
     and at least one of its literal weights does; rules come back ordered by
-    OR weight descending.
+    OR weight descending. A non-finite threshold raises ValueError.
     """
+    if not np.isfinite(weight_threshold):
+        raise ValueError(f"rule weight threshold must be finite, got {weight_threshold}")
     rules: list[Rule] = []
     for j, gate in enumerate(net.and_gates):
         or_w = float(net.or_root.weights[j])

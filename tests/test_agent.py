@@ -1,11 +1,13 @@
 """Candidate grounding, action selection, shaping, replay, TD targets, training."""
 
+import copy
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_baseline import as_props
 
 from lnnrl.agent import (
     LnnAgent,
@@ -15,6 +17,7 @@ from lnnrl.agent import (
     Transition,
     enumerate_candidates,
     epsilon_at,
+    epsilon_greedy,
     fresh_networks,
     run_episode,
     scripted_rule_networks,
@@ -22,6 +25,7 @@ from lnnrl.agent import (
     shape_reward,
     td_target,
 )
+from lnnrl.baseline import MlpAgent
 from lnnrl.factextract import (
     CATEGORY_LITERALS,
     CATEGORY_VERBS,
@@ -60,9 +64,11 @@ def make_candidate(category, facts):
 
 
 def make_transition(category, facts, reward, terminal, next_candidates=()):
+    chosen = make_candidate(category, facts)
+    props = as_props(np.zeros(26))
     return Transition(
-        action=Action("take", "coin"), reward=reward, terminal=terminal,
-        chosen=make_candidate(category, facts),
+        props=props, candidates=(chosen,), action=chosen.action,
+        reward=reward, terminal=terminal, next_props=props,
         next_candidates=tuple(make_candidate(c, f) for c, f in next_candidates),
     )
 
@@ -233,6 +239,43 @@ def test_epsilon_one_is_uniform_within_three_sigma(lexicon):
     sigma = (n * 0.2 * 0.8) ** 0.5
     for action, count in counts.items():
         assert abs(count - expected) <= 3 * sigma, (action, count)
+
+
+def loop_index(q_values, epsilon, rng):
+    """The selection `select_action` made before `epsilon_greedy`: kept as reference."""
+    if epsilon > 0.0 and rng.random() < epsilon:
+        return rng.randrange(len(q_values))
+    best = 0
+    for i in range(1, len(q_values)):
+        if q_values[i] > q_values[best]:
+            best = i
+    return best
+
+
+def argmax_index(q_values, epsilon, rng):
+    """The selection `MlpScorer.choose` made before `epsilon_greedy` (over its
+    ten action values): kept as reference."""
+    q = np.array(q_values)
+    if epsilon > 0.0 and rng.random() < epsilon:
+        return rng.randrange(len(q))
+    return int(q.argmax())
+
+
+# a few repeated values make exact ties common, signed zeros included
+Q_VALUES = st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0])
+                    | st.floats(-2.0, 2.0, allow_nan=False), min_size=1, max_size=10)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(q_values=Q_VALUES, epsilon=st.sampled_from([0.0, 0.5, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_epsilon_greedy_matches_both_former_selections(q_values, epsilon, seed):
+    rng = random.Random(seed)
+    index = epsilon_greedy(q_values, epsilon, rng)
+    for reference in (loop_index, argmax_index):
+        reference_rng = random.Random(seed)
+        assert reference(q_values, epsilon, reference_rng) == index
+        assert reference_rng.getstate() == rng.getstate()
 
 
 def test_empty_candidate_list_is_a_contract_violation():
@@ -456,7 +499,7 @@ def test_take_coin_micro_convergence():
     agent.buffer.push(make_transition("money", [1.0, 0.0], 1.0, True))
     for _ in range(50):
         agent.train_step()
-    q, _ = agent.nets["money"].forward(np.array([1.0, 0.0]))
+    q, _ = agent.scorer.nets["money"].forward(np.array([1.0, 0.0]))
     assert q >= config.alpha
 
 
@@ -471,10 +514,10 @@ def test_zero_learning_rate_leaves_parameters_bitwise():
     agent.buffer.push(make_transition("money", [0.0, 1.0], 0.0, True))
     before = {
         c: {k: v.copy() for k, v in net.parameters().items()}
-        for c, net in agent.nets.items()
+        for c, net in agent.scorer.nets.items()
     }
     agent.train_step()
-    for c, net in agent.nets.items():
+    for c, net in agent.scorer.nets.items():
         for k, v in net.parameters().items():
             assert np.array_equal(v, before[c][k]), (c, k)
 
@@ -495,7 +538,7 @@ def test_zero_rewards_and_zero_q_leave_argmax_unchanged(lexicon):
     candidates = enumerate_candidates(start_props(graph), lexicon)
 
     def argmax_action():
-        action, _ = select_action(candidates, agent.nets, 0.0, random.Random(0))
+        action, _ = select_action(candidates, agent.scorer.nets, 0.0, random.Random(0))
         return action
 
     before_action = argmax_action()
@@ -523,7 +566,7 @@ def test_induction_respects_gate_cap():
         agent.buffer.push(make_transition("direction", facts, 1.0, True))
     for _ in range(60):
         agent.train_step()
-    assert len(agent.nets["direction"].and_gates) <= 3
+    assert len(agent.scorer.nets["direction"].and_gates) <= 3
 
 
 def test_induction_does_not_duplicate_matching_patterns():
@@ -533,7 +576,7 @@ def test_induction_does_not_duplicate_matching_patterns():
         agent.buffer.push(make_transition("direction", facts, 1.0, True))
     for _ in range(30):
         agent.train_step()
-    assert len(agent.nets["direction"].and_gates) == 2  # initial gate + one induced
+    assert len(agent.scorer.nets["direction"].and_gates) == 2  # initial gate + one induced
 
 
 def test_target_networks_refresh_on_schedule():
@@ -541,10 +584,10 @@ def test_target_networks_refresh_on_schedule():
     agent = LnnAgent(config, run_seed=6)
     agent.buffer.push(make_transition("money", [1.0, 0.0], 1.0, True))
     agent.train_step()  # induces a gate on the online net only
-    assert len(agent.nets["money"].and_gates) != len(agent.target.nets["money"].and_gates)
+    assert len(agent.scorer.nets["money"].and_gates) != len(agent.target.nets["money"].and_gates)
     for _ in range(4):
         agent.train_step()
-    assert len(agent.nets["money"].and_gates) == len(agent.target.nets["money"].and_gates)
+    assert len(agent.scorer.nets["money"].and_gates) == len(agent.target.nets["money"].and_gates)
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +667,7 @@ def test_q_table_entries_equal_a_fresh_forward(ops, seed, learning_rate, upstrea
             category, facts = op[1]
             agent.scorer.before_batch([make_transition(category, facts, 1.0, True)])
         else:
-            snapshots.append(agent.scorer.snapshot())
+            snapshots.append(copy.deepcopy(agent.scorer))
         for scorer in (agent.scorer, agent.target, *snapshots):
             assert_table_is_exact(scorer, upstream)
             assert_parameters_in_domain(scorer)
@@ -703,6 +746,54 @@ def test_train_mode_stores_transitions_and_learns(lexicon):
                          rng=random.Random(0))
     assert len(agent.buffer) == report.steps
     assert agent.env_steps == report.steps
+
+
+@pytest.mark.parametrize("make_agent", [LnnAgent, MlpAgent], ids=["lnn", "mlp"])
+def test_train_mode_stores_the_shared_records_choose_saw(lexicon, make_agent):
+    agent = make_agent(TrainerConfig(), run_seed=9)
+    stored = []
+    observe = agent.observe
+
+    def record(transition):
+        stored.append(transition)
+        observe(transition)
+
+    agent.observe = record
+    graph = generate_game(GameSpec("medium", 3, 2))
+    report = run_episode(graph, agent, lexicon, mode="train", epsilon=1.0,
+                         rng=random.Random(0))
+    assert len(stored) == report.steps
+
+    # step the same game through the stored actions, rebuilding each step's records
+    state, obs = reset(graph)
+    agent_map = AgentMap.start(state.room)
+    props = extract_propositions(parse_observation(obs), agent_map)
+    for t, following in zip(stored, stored[1:] + [None]):
+        assert t.props is props
+        candidates = enumerate_candidates(props, lexicon)
+        assert isinstance(t.candidates, tuple) and len(t.candidates) == len(candidates)
+        assert all(c is expected for c, expected in zip(t.candidates, candidates))
+        outcome = step(state, t.action)
+        if outcome.action_valid and t.action.verb == "go":
+            agent_map.record_move(t.action.noun, outcome.room_id)
+        props = extract_propositions(parse_observation(outcome.observation), agent_map)
+        assert t.next_props is props
+        assert t.terminal == outcome.done
+        if following is not None:
+            assert t.next_candidates is following.candidates
+            assert t.next_props is following.props
+
+        chosen = t.chosen()
+        if make_agent is LnnAgent:
+            assert chosen.action == t.action
+        elif chosen is None:
+            # the MLP explores all ten actions, some of which no candidate proposes
+            assert t.action not in [c.action for c in t.candidates]
+        else:
+            assert chosen.action == t.action and chosen in t.candidates
+    assert stored[-1].terminal
+    if make_agent is MlpAgent:
+        assert any(t.chosen() is None for t in stored)
 
 
 def test_trace_lines_carry_facts_and_q_values(lexicon):

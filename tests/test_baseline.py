@@ -1,5 +1,6 @@
 """MLP baseline scorer: shapes, gradients, and the shared trainer contract."""
 
+import copy
 import random
 
 import numpy as np
@@ -59,16 +60,17 @@ def test_regression_loss_decreases_on_fixed_transition():
     agent = MlpAgent(TrainerConfig(), run_seed=1)
     vec = np.zeros(N_INPUTS)
     vec[0] = 1.0
+    props = as_props(vec)
     transition = Transition(
-        action=ALL_ACTIONS[9], reward=1.0, next_candidates=(),
-        terminal=True, props_vec=vec, next_props_vec=vec,
+        props=props, candidates=(), action=ALL_ACTIONS[9], reward=1.0,
+        terminal=True, next_props=props, next_candidates=(),
     )
     agent.buffer.push(transition)
     first = agent.train_step()
     for _ in range(200):
         last = agent.train_step()
     assert last < first
-    assert agent.scorer.forward(vec)[9] == pytest.approx(1.0, abs=0.05)
+    assert agent.scorer.forward(transition.props.as_vector())[9] == pytest.approx(1.0, abs=0.05)
 
 
 def test_epsilon_explores_all_ten_actions():
@@ -127,10 +129,10 @@ def test_checkpoint_rejects_damaged_files(tmp_path, damage):
 def test_target_network_refresh():
     config = TrainerConfig(target_update_period=3)
     agent = MlpAgent(config, run_seed=4)
-    vec = np.zeros(N_INPUTS)
+    props = as_props(np.zeros(N_INPUTS))
     transition = Transition(
-        action=ALL_ACTIONS[0], reward=1.0, next_candidates=(),
-        terminal=True, props_vec=vec, next_props_vec=vec,
+        props=props, candidates=(), action=ALL_ACTIONS[0], reward=1.0,
+        terminal=True, next_props=props, next_candidates=(),
     )
     agent.buffer.push(transition)
     agent.train_step()
@@ -174,11 +176,12 @@ def test_mlp_q_table_entries_equal_a_fresh_forward(ops, seed, learning_rate):
             agent.choose(as_props(op[1]), [], 0.0, random.Random(0))
         elif op[0] == "train":
             vec, action, reward, next_vec, terminal = op[1:]
-            agent.buffer.push(Transition(action=action, reward=reward, terminal=terminal,
-                                         props_vec=vec, next_props_vec=next_vec))
+            agent.buffer.push(Transition(props=as_props(vec), candidates=(), action=action,
+                                         reward=reward, terminal=terminal,
+                                         next_props=as_props(next_vec), next_candidates=()))
             agent.train_step()
         else:
-            snapshots.append(agent.scorer.snapshot())
+            snapshots.append(copy.deepcopy(agent.scorer))
         for scorer in (agent.scorer, agent.target, *snapshots):
             assert scorer.table.net is scorer
             for key, q in scorer.table.entries.items():

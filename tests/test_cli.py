@@ -48,6 +48,13 @@ def test_train_writes_metrics_and_rules(tiny_run, capsys):
     assert (tiny_run / "seed0" / "direction.lnn").exists()
 
 
+def test_train_onto_an_existing_file_is_a_typed_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("", encoding="utf-8")
+    assert main(["train", "--out", str(out)] + TINY_ARGS) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_train_rejects_unknown_key(tmp_path, capsys):
     assert main(["train", "--out", str(tmp_path / "x"), "--set", "bogus=1"]) == 2
     assert "unknown config key" in capsys.readouterr().err
@@ -134,6 +141,21 @@ def test_compare_reports_crossings(tiny_run, tmp_path, capsys):
                  "--threshold", "0.5"]) == 0
     out = capsys.readouterr().out
     assert "threshold 0.5" in out
+
+
+def test_compare_on_a_directory_is_a_typed_error(tiny_run, capsys):
+    assert main(["compare", str(tiny_run), str(tiny_run / "metrics.csv")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["rules", "compare"])
+def test_non_finite_thresholds_are_rejected(tiny_run, capsys, command, value):
+    metrics = str(tiny_run / "metrics.csv")
+    args = {"rules": ["rules", "--run-dir", str(tiny_run)],
+            "compare": ["compare", metrics, metrics]}[command]
+    assert main(args + ["--threshold", value]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_play_session(monkeypatch, capsys):

@@ -10,6 +10,7 @@ from lnnrl.harness import (
     first_crossing,
     moving_average,
     parse_key_value_text,
+    read_metrics_csv,
     run_experiment,
 )
 from lnnrl.agent import TrainerConfig
@@ -207,3 +208,14 @@ def test_schema_mismatch_is_an_error(tmp_path):
         compare_runs(a, b)
     with pytest.raises(ValueError, match="schema"):
         first_crossing(b, 0.9)
+
+
+@pytest.mark.parametrize("row", ["30,0.95", "30,0.95,20.0,7"])
+def test_rows_must_match_the_header_width(tmp_path, row):
+    path = tmp_path / "m.csv"
+    write_csv(path, [(10, 0.5, 90.0), (20, 0.6, 80.0)])
+    path.write_text(path.read_text(encoding="utf-8") + row + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"m\.csv:4"):
+        read_metrics_csv(path)
+    with pytest.raises(ValueError, match=r"m\.csv:4"):
+        compare_runs(path, path)
