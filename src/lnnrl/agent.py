@@ -38,7 +38,7 @@ from .factextract import (
     parse_observation,
 )
 from .lexicon import LexiconTable
-from .lnn import ForwardTrace, GateCapReached, LnnNetwork, TruthConfig
+from .lnn import GateCapReached, LnnNetwork, TruthConfig
 from .optim import AdamOptimizer
 from .rng import substream
 from .worldsim import (
@@ -286,12 +286,12 @@ class DqnAgent:
     """Replay, TD regression, one Adam and target copies over a scorer.
 
     The scorer supplies `choose(props, candidates, epsilon, rng)`;
-    `q(transition)`, which is None for a transition it does not learn from;
-    `best_next(transition)`; `transition_gradients(transition, upstream)`;
-    `parameters()`, keyed so one optimizer covers all of it; and the hooks
-    `before_batch(batch)` and `after_step()`. Each reads its own inputs from
-    the shared `Transition`. The target is a deep copy of the scorer, taken
-    at construction and every `target_update_period` optimizer steps.
+    `q(transition)`, a float for every transition its `choose` produced;
+    `best_next(transition)`; `transition_gradients(transition, upstream)`,
+    from the pass its Q table cached; `parameters()`, keyed so one optimizer
+    covers it all; and hooks `before_batch(batch)` and `after_step()`. Each
+    reads its own inputs from the shared `Transition`. The target, a deep copy
+    of the scorer, is retaken every `target_update_period` optimizer steps.
     """
 
     def __init__(self, config: TrainerConfig, scorer, replay_rng: random.Random):
@@ -314,20 +314,17 @@ class DqnAgent:
         if self.env_steps % self.config.update_period == 0:
             self.train_step()
 
-    def train_step(self, rng: random.Random | None = None) -> float:
+    def train_step(self) -> float:
         """One sampled batch: Q-regression, one optimizer step, target refresh."""
         if len(self.buffer) == 0:
             raise ValueError("train_step requires a non-empty replay buffer")
-        batch = self.buffer.sample(self.config.batch_size, rng or self.replay_rng)
+        batch = self.buffer.sample(self.config.batch_size, self.replay_rng)
         self.scorer.before_batch(batch)
 
         grads: dict[str, np.ndarray] = {}
         total_loss = 0.0
         for transition in batch:
-            q = self.scorer.q(transition)
-            if q is None:
-                continue
-            error = q - td_target(transition, self.target, self.config.gamma)
+            error = self.scorer.q(transition) - td_target(transition, self.target, self.config.gamma)
             total_loss += error * error
             upstream = 2.0 * error / len(batch)
             for name, g in self.scorer.transition_gradients(transition, upstream).items():
@@ -346,23 +343,23 @@ class DqnAgent:
 
 
 class QTable:
-    """One network's forward passes, kept per distinct fact vector.
+    """One scorer's forward passes, kept per distinct input vector.
 
-    Facts are crisp, so a category sees only a handful of distinct vectors
-    (at most 2**4 directions, 2 coins) and most scoring is a dict lookup.
-    `MlpScorer` keeps one as well, keyed by the 26-vector of the state, each
-    entry the ten action values.
+    `net.forward(x)` returns `(q, trace)`, the trace being what `net.gradients`
+    differentiates: an `LnnNetwork`'s q and `ForwardTrace` per fact vector
+    (facts are crisp: at most 2**4 directions, 2 coins), or an `MlpScorer`'s
+    ten action values and hidden layer per 26-vector of the state.
     Entries are exactly what `forward` returned, so a lookup is bit-identical
     to a fresh pass for as long as the parameters do not change: whoever
     changes them calls `clear`. Callers must not write into the returned
-    trace arrays, which every later lookup shares.
+    arrays, which every later lookup shares.
     """
 
-    def __init__(self, net: LnnNetwork):
+    def __init__(self, net):
         self.net = net
-        self.entries: dict[bytes, tuple[float, ForwardTrace]] = {}
+        self.entries: dict[bytes, tuple] = {}
 
-    def forward(self, facts) -> tuple[float, ForwardTrace]:
+    def forward(self, facts) -> tuple:
         x = np.asarray(facts, dtype=np.float64)
         key = x.tobytes()
         entry = self.entries.get(key)
@@ -381,7 +378,7 @@ class LnnScorer:
     table is keyed by (category, fact bytes). It is cleared after every
     optimizer step and whenever induction adds a gate; a deep copy holds its
     own, so a target or evaluation scorer keeps its entries. Replay reads the
-    chosen candidate (`Transition.chosen`) and the next candidates.
+    next candidates and the chosen one, which `choose` always acted through.
     """
 
     def __init__(self, nets: dict[str, LnnNetwork]):
@@ -392,10 +389,8 @@ class LnnScorer:
                epsilon: float, rng: random.Random) -> tuple[Action, list[float]]:
         return select_action(candidates, self.tables, epsilon, rng)
 
-    def q(self, transition: Transition) -> float | None:
+    def q(self, transition: Transition) -> float:
         chosen = transition.chosen()
-        if chosen is None:
-            return None
         return self.tables[chosen.category].forward(chosen.values)[0]
 
     def best_next(self, transition: Transition) -> float:
@@ -406,8 +401,7 @@ class LnnScorer:
     def transition_gradients(self, transition: Transition, upstream: float) -> dict[str, np.ndarray]:
         chosen = transition.chosen()
         table = self.tables[chosen.category]
-        _, trace = table.forward(chosen.values)
-        grads = table.net.gradients(trace, upstream)
+        grads = table.net.gradients(table.forward(chosen.values)[1], upstream)
         return {f"{chosen.category}.{name}": g for name, g in grads.items()}
 
     def parameters(self) -> dict[str, np.ndarray]:
@@ -418,9 +412,9 @@ class LnnScorer:
     def before_batch(self, batch: list[Transition]) -> None:
         # induction first so the fresh gate participates in this update
         for transition in batch:
-            chosen = transition.chosen() if transition.reward >= 1.0 else None
-            if chosen is None:
+            if transition.reward < 1.0:
                 continue
+            chosen = transition.chosen()
             table = self.tables[chosen.category]
             _, trace = table.forward(chosen.values)
             if trace.and_out.size and np.max(trace.and_out) >= table.net.config.alpha:

@@ -30,8 +30,8 @@ class MlpScorer:
 
     All scoring goes through `table`, a `QTable` keyed by the state's 26-vector
     and cleared after every optimizer step; a deep copy holds its own, so a
-    target or evaluation scorer keeps its entries. Replay reads the vectors of
-    the transition's proposition records. Gradients run their own forward pass.
+    target or evaluation scorer keeps its entries. Replay reads the records'
+    26-vectors; gradients reuse the hidden layer of the state's cached entry.
     """
 
     def __init__(self, seed: int = 0):
@@ -45,16 +45,16 @@ class MlpScorer:
     def parameters(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ten action values and the rectified hidden layer behind them."""
         hidden = np.maximum(self.w1.T @ x + self.b1, 0.0)
-        return self.w2.T @ hidden + self.b2
+        return self.w2.T @ hidden + self.b2, hidden
 
-    def gradients(self, x: np.ndarray, action_index: int, upstream: float) -> dict[str, np.ndarray]:
-        """d(upstream * q[action_index])/d(params)."""
-        pre = self.w1.T @ x + self.b1
-        hidden = np.maximum(pre, 0.0)
+    def gradients(self, x: np.ndarray, hidden: np.ndarray, action_index: int,
+                  upstream: float) -> dict[str, np.ndarray]:
+        """d(upstream * q[action_index])/d(params), given `forward(x)`'s `hidden`."""
         g_hidden = upstream * self.w2[:, action_index]
-        g_pre = g_hidden * (pre > 0.0)
+        g_pre = g_hidden * (hidden > 0.0)
         grads = {
             "b1": g_pre,
             "w1": np.outer(x, g_pre),
@@ -69,17 +69,18 @@ class MlpScorer:
 
     def choose(self, props: PropositionSet, candidates: tuple[Candidate, ...],
                epsilon: float, rng: random.Random) -> tuple[Action, list[float]]:
-        q_values = self.table.forward(props.as_vector()).tolist()
+        q_values = self.table.forward(props.as_vector())[0].tolist()
         return ALL_ACTIONS[epsilon_greedy(q_values, epsilon, rng)], q_values
 
     def q(self, transition: Transition) -> float:
-        return float(self.table.forward(transition.props.as_vector())[ACTION_INDEX[transition.action]])
+        return float(self.table.forward(transition.props.as_vector())[0][ACTION_INDEX[transition.action]])
 
     def best_next(self, transition: Transition) -> float:
-        return float(np.max(self.table.forward(transition.next_props.as_vector())))
+        return float(np.max(self.table.forward(transition.next_props.as_vector())[0]))
 
     def transition_gradients(self, transition: Transition, upstream: float) -> dict[str, np.ndarray]:
-        return self.gradients(transition.props.as_vector(), ACTION_INDEX[transition.action], upstream)
+        x = transition.props.as_vector()
+        return self.gradients(x, self.table.forward(x)[1], ACTION_INDEX[transition.action], upstream)
 
     def before_batch(self, batch: list[Transition]) -> None:
         pass

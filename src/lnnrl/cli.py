@@ -92,8 +92,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_rules(args) -> int:
-    _, nets = _load_run(args.run_dir, args.seed_index)
-    print(render_ruleset(nets, args.threshold), end="")
+    config, nets = _load_run(args.run_dir, args.seed_index)
+    threshold = config.rule_weight_threshold if args.threshold is None else args.threshold
+    print(render_ruleset(nets, threshold), end="")
     return 0
 
 
@@ -181,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rules", help="dump extracted rules from a checkpoint")
     p.add_argument("--run-dir", required=True)
     p.add_argument("--seed-index", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=0.55)
+    p.add_argument("--threshold", type=float, help="default: the run's rule_weight_threshold")
     p.set_defaults(func=_cmd_rules)
 
     p = sub.add_parser("compare", help="first threshold crossings of two metric files")

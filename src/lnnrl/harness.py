@@ -211,12 +211,10 @@ def moving_average(values: list[float], window: int) -> list[float]:
 @dataclass
 class SeedResult:
     seed_index: int
-    run_seed: int
     epochs: list[int]
     rewards: list[float]
     steps: list[float]
-    nets: dict[str, LnnNetwork] | None      # populated for the lnn agent
-    agent: object = None                    # the trained agent, for checkpointing
+    agent: object                           # the trained agent, for checkpointing
 
 
 @dataclass
@@ -225,12 +223,6 @@ class ExperimentResult:
     seeds: list[SeedResult]
     csv_path: Path | None = None
     rules_paths: list[Path] = field(default_factory=list)
-
-
-def _make_agent(config: ExperimentConfig, run_seed: int):
-    if config.agent == "lnn":
-        return LnnAgent(config.trainer, run_seed=run_seed)
-    return MlpAgent(config.trainer, run_seed=run_seed)
 
 
 def run_seed(
@@ -245,7 +237,7 @@ def run_seed(
     train_graphs = [generate_game(s) for s in train_specs]
     test_graphs = [generate_game(s) for s in test_specs]
 
-    agent = _make_agent(config, run_seed_value)
+    agent = (LnnAgent if config.agent == "lnn" else MlpAgent)(config.trainer, run_seed=run_seed_value)
     order_rng = substream("train-order", run_seed_value)
 
     epochs: list[int] = []
@@ -272,16 +264,14 @@ def run_seed(
 
     return SeedResult(
         seed_index=seed_index,
-        run_seed=run_seed_value,
         epochs=epochs,
         rewards=moving_average(rewards, config.moving_average_window),
         steps=moving_average(steps, config.moving_average_window),
-        nets=agent.scorer.nets if config.agent == "lnn" else None,
         agent=agent,
     )
 
 
-def write_metrics_csv(config: ExperimentConfig, seeds: list[SeedResult], path: Path) -> None:
+def write_metrics_csv(seeds: list[SeedResult], path: Path) -> None:
     header = ["epoch", "reward_mean", "steps_mean"]
     for s in seeds:
         header += [f"reward_seed{s.seed_index}", f"steps_seed{s.seed_index}"]
@@ -342,7 +332,7 @@ def run_experiment(
             agent.scorer.save(seed_dir / "mlp.txt")
 
     csv_path = out / "metrics.csv"
-    write_metrics_csv(config, seeds, csv_path)
+    write_metrics_csv(seeds, csv_path)
     return ExperimentResult(config=config, seeds=seeds, csv_path=csv_path, rules_paths=rules_paths)
 
 
@@ -398,15 +388,20 @@ def read_metrics_csv(path: str | Path) -> tuple[list[str], list[list[float]]]:
     if not lines:
         raise ValueError(f"{path}: empty metrics file")
     header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:]]
-    for lineno, cells in enumerate(rows, start=2):
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
         if len(cells) != len(header):
             raise ValueError(f"{path}:{lineno}: {len(cells)} cells, the header has {len(header)}")
-    return header, [[float(cell) for cell in cells] for cells in rows]
+        try:
+            rows.append([float(cell) for cell in cells])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return header, rows
 
 
-def first_crossing(path: str | Path, threshold: float, column: str = "reward_mean") -> int | None:
-    header, rows = read_metrics_csv(path)
+def _crossing(path, metrics: tuple, threshold: float, column: str = "reward_mean") -> int | None:
+    header, rows = metrics
     if "epoch" not in header or column not in header:
         raise ValueError(f"{path}: metrics schema lacks epoch/{column} columns")
     epoch_i, col_i = header.index("epoch"), header.index(column)
@@ -416,16 +411,19 @@ def first_crossing(path: str | Path, threshold: float, column: str = "reward_mea
     return None
 
 
+def first_crossing(path: str | Path, threshold: float, column: str = "reward_mean") -> int | None:
+    return _crossing(path, read_metrics_csv(path), threshold, column)
+
+
 def compare_runs(csv_a: str | Path, csv_b: str | Path, threshold: float = 0.9) -> CrossingReport:
     """First epoch each run's mean reward crosses the (finite) threshold."""
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
-    header_a, _ = read_metrics_csv(csv_a)
-    header_b, _ = read_metrics_csv(csv_b)
-    if header_a != header_b:
+    metrics_a, metrics_b = read_metrics_csv(csv_a), read_metrics_csv(csv_b)
+    if metrics_a[0] != metrics_b[0]:
         raise ValueError("metrics files have different schemas")
     return CrossingReport(
         threshold=threshold,
-        first_epoch_a=first_crossing(csv_a, threshold),
-        first_epoch_b=first_crossing(csv_b, threshold),
+        first_epoch_a=_crossing(csv_a, metrics_a, threshold),
+        first_epoch_b=_crossing(csv_b, metrics_b, threshold),
     )

@@ -150,7 +150,7 @@ class LnnNetwork:
             )
         and_pre = np.array([g.pre_activation(x) for g in self.and_gates])
         and_out = _clamp01(and_pre)
-        or_pre = float(1.0 - self.or_root.bias + self.or_root.weights @ and_out)
+        or_pre = self.or_root.pre_activation(and_out)
         or_out = float(_clamp01(or_pre))
         return or_out, ForwardTrace(x, and_pre, and_out, or_pre, or_out)
 

@@ -351,15 +351,15 @@ def test_criterion_8_convergence_ordering(medium_lnn, medium_nn, run_clock):
 def test_criterion_9_rule_extraction(medium_lnn):
     threshold = medium_lnn.config.rule_weight_threshold
     for seed_result in medium_lnn.seeds:
-        money_rules = extract_rules(seed_result.nets["money"], threshold)
+        money_rules = extract_rules(seed_result.agent.scorer.nets["money"], threshold)
         assert any(set(r.literals) == {"find_x"} for r in money_rules), (
             seed_result.seed_index, [r.literals for r in money_rules])
 
-        direction_rules = extract_rules(seed_result.nets["direction"], threshold)
+        direction_rules = extract_rules(seed_result.agent.scorer.nets["direction"], threshold)
         literal_sets = [set(r.literals) for r in direction_rules]
         assert any({"find_x", "not_visited_x"} <= s for s in literal_sets), literal_sets
         assert any({"all_visited", "initial_x"} <= s for s in literal_sets), literal_sets
-    sample = extract_rules(medium_lnn.seeds[0].nets["money"], threshold)[0].render()
+    sample = extract_rules(medium_lnn.seeds[0].agent.scorer.nets["money"], threshold)[0].render()
     report(9, f"every seed extracts the take rule ({sample}) plus exploration and "
               f"dead-end-return go rules (literal-set containment, order-insensitive)")
 

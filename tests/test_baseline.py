@@ -25,7 +25,7 @@ from lnnrl.worldsim import (
 
 def test_forward_shape_26_in_10_out():
     scorer = MlpScorer(seed=0)
-    q = scorer.forward(np.zeros(N_INPUTS))
+    q, _ = scorer.forward(np.zeros(N_INPUTS))
     assert q.shape == (N_ACTIONS,)
     assert N_INPUTS == 26 and N_ACTIONS == 10
 
@@ -36,7 +36,7 @@ def test_gradients_match_finite_differences():
     x = rng.uniform(0, 1, size=N_INPUTS)
     upstream = 1.7
     action_index = 4
-    grads = scorer.gradients(x, action_index, upstream)
+    grads = scorer.gradients(x, scorer.forward(x)[1], action_index, upstream)
     params = scorer.parameters()
     step = 1e-6
     checked = 0
@@ -46,9 +46,9 @@ def test_gradients_match_finite_differences():
         for index in rng.choice(flat_p.size, size=min(20, flat_p.size), replace=False):
             original = flat_p[index]
             flat_p[index] = original + step
-            q_plus = scorer.forward(x)[action_index]
+            q_plus = scorer.forward(x)[0][action_index]
             flat_p[index] = original - step
-            q_minus = scorer.forward(x)[action_index]
+            q_minus = scorer.forward(x)[0][action_index]
             flat_p[index] = original
             expected = upstream * (q_plus - q_minus) / (2 * step)
             assert flat_g[index] == pytest.approx(expected, rel=1e-5, abs=1e-8), name
@@ -70,7 +70,7 @@ def test_regression_loss_decreases_on_fixed_transition():
     for _ in range(200):
         last = agent.train_step()
     assert last < first
-    assert agent.scorer.forward(transition.props.as_vector())[9] == pytest.approx(1.0, abs=0.05)
+    assert agent.scorer.forward(transition.props.as_vector())[0][9] == pytest.approx(1.0, abs=0.05)
 
 
 def test_epsilon_explores_all_ten_actions():
@@ -157,6 +157,18 @@ MLP_TABLE_OPS = st.lists(st.one_of(
 ), min_size=1, max_size=25)
 
 
+def gradients_from_a_fresh_pass(scorer, x, action_index, upstream):
+    """Reference: the gradients with the first layer run again on `x`."""
+    pre = scorer.w1.T @ x + scorer.b1
+    hidden = np.maximum(pre, 0.0)
+    g_pre = upstream * scorer.w2[:, action_index] * (pre > 0.0)
+    grads = {"b1": g_pre, "w1": np.outer(x, g_pre),
+             "b2": np.zeros(N_ACTIONS), "w2": np.zeros_like(scorer.w2)}
+    grads["b2"][action_index] = upstream
+    grads["w2"][:, action_index] = upstream * hidden
+    return grads
+
+
 def as_props(vector):
     """A directly built PropositionSet whose vector is `vector`."""
     bits = [bool(v) for v in vector[::2]]
@@ -166,8 +178,9 @@ def as_props(vector):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(ops=MLP_TABLE_OPS, seed=st.integers(0, 2**16),
-       learning_rate=st.sampled_from([1e-3, 0.05, 0.3]))
-def test_mlp_q_table_entries_equal_a_fresh_forward(ops, seed, learning_rate):
+       learning_rate=st.sampled_from([1e-3, 0.05, 0.3]),
+       action_index=st.integers(0, N_ACTIONS - 1), upstream=st.sampled_from([-1.3, 0.4]))
+def test_mlp_q_table_entries_equal_a_fresh_forward(ops, seed, learning_rate, action_index, upstream):
     agent = MlpAgent(TrainerConfig(learning_rate=learning_rate, batch_size=2,
                                    target_update_period=3), run_seed=seed)
     snapshots = []
@@ -184,5 +197,13 @@ def test_mlp_q_table_entries_equal_a_fresh_forward(ops, seed, learning_rate):
             snapshots.append(copy.deepcopy(agent.scorer))
         for scorer in (agent.scorer, agent.target, *snapshots):
             assert scorer.table.net is scorer
-            for key, q in scorer.table.entries.items():
-                assert np.array_equal(q, scorer.forward(np.frombuffer(key)))
+            for key, (q, hidden) in scorer.table.entries.items():
+                x = np.frombuffer(key)
+                fresh_q, fresh_hidden = scorer.forward(x)
+                assert np.array_equal(q, fresh_q)
+                assert np.array_equal(hidden, fresh_hidden)
+                cached = scorer.gradients(x, hidden, action_index, upstream)
+                fresh = gradients_from_a_fresh_pass(scorer, x, action_index, upstream)
+                assert cached.keys() == fresh.keys()
+                for name in fresh:
+                    assert np.array_equal(cached[name], fresh[name]), name

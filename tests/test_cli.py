@@ -134,6 +134,19 @@ def test_rules_prints_quantified_notation(tiny_run, capsys):
     assert "⟪" in out and "→" in out
 
 
+def test_rules_default_to_the_run_threshold(tmp_path, capsys):
+    out = tmp_path / "exp"
+    assert main(["train", "--out", str(out)] + TINY_ARGS
+                + ["--set", "rule_weight_threshold=0.0"]) == 0
+    capsys.readouterr()
+    assert main(["rules", "--run-dir", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed == (out / "rules_seed0.txt").read_text(encoding="utf-8")
+    # the run's threshold, not the library default, makes the difference
+    assert main(["rules", "--run-dir", str(out), "--threshold", "0.55"]) == 0
+    assert capsys.readouterr().out != printed
+
+
 def test_compare_reports_crossings(tiny_run, tmp_path, capsys):
     other = tmp_path / "other.csv"
     other.write_bytes((tiny_run / "metrics.csv").read_bytes())

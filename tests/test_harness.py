@@ -210,7 +210,7 @@ def test_schema_mismatch_is_an_error(tmp_path):
         first_crossing(b, 0.9)
 
 
-@pytest.mark.parametrize("row", ["30,0.95", "30,0.95,20.0,7"])
+@pytest.mark.parametrize("row", ["30,0.95", "30,0.95,20.0,7", "30,0.95,x"])
 def test_rows_must_match_the_header_width(tmp_path, row):
     path = tmp_path / "m.csv"
     write_csv(path, [(10, 0.5, 90.0), (20, 0.6, 80.0)])
@@ -219,3 +219,22 @@ def test_rows_must_match_the_header_width(tmp_path, row):
         read_metrics_csv(path)
     with pytest.raises(ValueError, match=r"m\.csv:4"):
         compare_runs(path, path)
+
+
+def test_compare_parses_each_metrics_file_once(tmp_path, monkeypatch):
+    import lnnrl.harness as harness
+
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    write_csv(a, [(10, 0.5, 90.0), (20, 0.95, 20.0)])
+    write_csv(b, [(10, 0.95, 20.0)])
+    reads = []
+
+    def counting_read(path):
+        reads.append(path)
+        return read_metrics_csv(path)
+
+    monkeypatch.setattr(harness, "read_metrics_csv", counting_read)
+    report = harness.compare_runs(a, b, threshold=0.9)
+    assert (report.first_epoch_a, report.first_epoch_b) == (20, 10)
+    assert reads == [a, b]
