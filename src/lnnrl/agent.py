@@ -23,6 +23,7 @@ import copy
 import math
 import random
 from collections import deque
+from collections.abc import Set
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,7 +140,7 @@ def select_action(
 def shape_reward(
     outcome: StepOutcome,
     props_before: PropositionSet,
-    visited_before: frozenset[int],
+    visited_before: Set[int],
     entry_direction_before: str | None,
     action: Action,
     difficulty: str,
@@ -474,6 +475,13 @@ def run_episode(
 
     mode="train" stores transitions with the agent (the agent trains itself
     on its update period); mode="eval" is read-only and always greedy.
+
+    Each observation is read once. A step that records no move (an invalid
+    action, or `take coin`) changes neither the room, its text nor the
+    `AgentMap`, so the current `props` and `candidates` stand as the next
+    ones: the very records a fresh reading would return. A move parses its
+    text through a dict kept for this episode only, then extracts and
+    enumerates afresh, because the map changed.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -482,8 +490,8 @@ def run_episode(
 
     state, observation = reset(graph)
     agent_map = AgentMap.start(state.room)
-    parsed = parse_observation(observation)
-    props = extract_propositions(parsed, agent_map)
+    parsed_by_text = {observation: parse_observation(observation)}
+    props = extract_propositions(parsed_by_text[observation], agent_map)
     candidates = enumerate_candidates(props, lexicon)
 
     bonus = agent.config.bonus_coefficient
@@ -492,22 +500,25 @@ def run_episode(
 
     while not state.done:
         action, q_values = agent.choose(props, candidates, eps, rng)
-        visited_before = frozenset(agent_map.visited)
-        entry_before = agent_map.entry_direction.get(agent_map.current)
 
         outcome = step(state, action)
+        # the map still holds the state before the step: no move is recorded yet
         reward = shape_reward(
-            outcome, props, visited_before, entry_before,
+            outcome, props, agent_map.visited,
+            agent_map.entry_direction.get(agent_map.current),
             action, graph.difficulty, bonus,
         )
         quest_total += outcome.quest_reward
 
+        next_props, next_candidates = props, candidates
         if outcome.action_valid and action.verb == "go":
             agent_map.record_move(action.noun, outcome.room_id)
-
-        next_parsed = parse_observation(outcome.observation)
-        next_props = extract_propositions(next_parsed, agent_map)
-        next_candidates = enumerate_candidates(next_props, lexicon)
+            observation = outcome.observation
+            parsed = parsed_by_text.get(observation)
+            if parsed is None:
+                parsed = parsed_by_text[observation] = parse_observation(observation)
+            next_props = extract_propositions(parsed, agent_map)
+            next_candidates = enumerate_candidates(next_props, lexicon)
 
         if collect_trace:
             qs = " ".join(f"{q:.3f}" for q in q_values)

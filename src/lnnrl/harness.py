@@ -394,9 +394,12 @@ def read_metrics_csv(path: str | Path) -> tuple[list[str], list[list[float]]]:
         if len(cells) != len(header):
             raise ValueError(f"{path}:{lineno}: {len(cells)} cells, the header has {len(header)}")
         try:
-            rows.append([float(cell) for cell in cells])
+            row = [float(cell) for cell in cells]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if not all(math.isfinite(value) for value in row):
+            raise ValueError(f"{path}:{lineno}: non-finite cell in {line!r}")
+        rows.append(row)
     return header, rows
 
 

@@ -12,12 +12,14 @@ how many dead-end distractor rooms hang off each path room:
 Observations are templated English with three surface forms per sentence so a
 parser cannot get away with matching a single fixed string. Rendering and
 stepping are pure functions of the generated graph, which makes full-episode
-replays reproducible.
+replays reproducible. An episode renders each room once, on its first entry,
+and hands out that one string for every later visit; the texts belong to the
+episode's state and go with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .rng import derive_seed, substream
 
@@ -421,10 +423,26 @@ def render_observation(graph: RoomGraph, room: RoomId) -> str:
 
 @dataclass
 class EpisodeState:
+    """One episode in progress: where the agent is, the step count, and the
+    text of every room the episode has entered.
+
+    `texts` is filled by `observation()` on each room's first entry and lives
+    only as long as the episode, so no text outlives it or leaks into
+    another graph's episode.
+    """
+
     graph: RoomGraph
     room: RoomId
     steps: int = 0
     done: bool = False
+    texts: dict[RoomId, str] = field(default_factory=dict)
+
+    def observation(self) -> str:
+        """The current room's text: rendered on first entry, the same string after."""
+        text = self.texts.get(self.room)
+        if text is None:
+            text = self.texts[self.room] = render_observation(self.graph, self.room)
+        return text
 
 
 @dataclass(frozen=True)
@@ -441,11 +459,15 @@ def reset(graph: RoomGraph) -> tuple[EpisodeState, str]:
     if not graph.rooms:
         raise WorldError("graph has no rooms")
     state = EpisodeState(graph=graph, room=graph.start)
-    return state, render_observation(graph, graph.start)
+    return state, state.observation()
 
 
 def step(state: EpisodeState, action: Action) -> StepOutcome:
-    """Apply one action. Invalid actions cost a step but never change the room."""
+    """Apply one action. Invalid actions cost a step but never change the room.
+
+    A room is rendered only on the episode's first entry into it; every later
+    observation of that room is the same string object.
+    """
     if state.done:
         raise EpisodeFinishedError("episode already finished")
     graph = state.graph
@@ -467,7 +489,7 @@ def step(state: EpisodeState, action: Action) -> StepOutcome:
         state.done = True
 
     return StepOutcome(
-        observation=render_observation(graph, state.room),
+        observation=state.observation(),
         quest_reward=reward,
         done=state.done,
         room_id=state.room,

@@ -1,7 +1,9 @@
 """Candidate grounding, action selection, shaping, replay, TD targets, training."""
 
+import contextlib
 import copy
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_baseline import as_props
 
+import lnnrl.agent as agent_module
 from lnnrl.agent import (
     LnnAgent,
     LnnScorer,
@@ -40,12 +43,14 @@ from lnnrl.lexicon import default_lexicon, parse_lexicon
 from lnnrl.lnn import AND, OR, LnnNetwork, LogicNode
 from lnnrl.optim import AdamOptimizer
 from lnnrl.worldsim import (
+    DIFFICULTIES,
     DIRECTIONS,
     NOUNS,
     OPPOSITE,
     Action,
     GameSpec,
     generate_game,
+    render_observation,
     reset,
     step,
 )
@@ -794,6 +799,92 @@ def test_train_mode_stores_the_shared_records_choose_saw(lexicon, make_agent):
     assert stored[-1].terminal
     if make_agent is MlpAgent:
         assert any(t.chosen() is None for t in stored)
+
+
+def same_records(a, b):
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+def oracle_agent(config, run_seed):
+    return LnnAgent(config, run_seed, nets=scripted_rule_networks())
+
+
+def recording(fn, log):
+    """`fn`, appending each call's (args, result) to `log`."""
+    def wrapped(*args):
+        result = fn(*args)
+        log.append((args, result))
+        return result
+    return wrapped
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(difficulty=st.sampled_from(DIFFICULTIES), level=st.integers(1, 8),
+       game_seed=st.integers(0, 2**16), epsilon=st.sampled_from([0.0, 0.3, 1.0]),
+       mode=st.sampled_from(["train", "eval"]),
+       make_agent=st.sampled_from([LnnAgent, MlpAgent, oracle_agent]))
+def test_each_observation_is_read_once_and_equals_a_fresh_reading(
+        lexicon, difficulty, level, game_seed, epsilon, mode, make_agent):
+    graph = generate_game(GameSpec(difficulty, level, game_seed))
+    agent = make_agent(TrainerConfig(), run_seed=game_seed)
+    seen, stored = [], []
+    choose, observe = agent.choose, agent.observe
+
+    def record_choose(props, candidates, eps, rng):
+        action, q_values = choose(props, candidates, eps, rng)
+        seen.append((props, candidates, action))
+        return action, q_values
+
+    agent.choose = record_choose
+    agent.observe = lambda t: (stored.append(t), observe(t))
+    logs = {name: [] for name in ("reset", "step", "parse_observation",
+                                  "extract_propositions", "enumerate_candidates")}
+    with contextlib.ExitStack() as patches:
+        for name, log in logs.items():
+            patches.enter_context(mock.patch.object(
+                agent_module, name, recording(getattr(agent_module, name), log)))
+        report = run_episode(graph, agent, lexicon, mode=mode, epsilon=epsilon,
+                             rng=random.Random(game_seed))
+
+    # every text the loop saw is the room's own rendering
+    [(_, (_, opening))] = logs["reset"]
+    assert opening == render_observation(graph, graph.start)
+    outcomes = [outcome for _, outcome in logs["step"]]
+    assert len(outcomes) == len(seen) == report.steps
+    assert len(stored) == (report.steps if mode == "train" else 0)
+    for outcome in outcomes:
+        assert outcome.observation == render_observation(graph, outcome.room_id)
+
+    # replay the actions through a fresh reading of every step
+    state, _ = reset(graph)
+    agent_map = AgentMap.start(state.room)
+    props = extract_propositions(parse_observation(render_observation(graph, graph.start)), agent_map)
+    moves = 0
+    for k, ((seen_props, seen_candidates, action), outcome) in enumerate(zip(seen, outcomes)):
+        candidates = enumerate_candidates(props, lexicon)
+        assert seen_props is props
+        assert same_records(seen_candidates, candidates)
+        replayed = step(state, action)
+        assert (replayed.room_id, replayed.action_valid, replayed.done) == (
+            outcome.room_id, outcome.action_valid, outcome.done)
+        if replayed.action_valid and action.verb == "go":
+            agent_map.record_move(action.noun, replayed.room_id)
+            moves += 1
+        next_props = extract_propositions(
+            parse_observation(render_observation(graph, replayed.room_id)), agent_map)
+        if mode == "train":
+            t = stored[k]
+            assert t.props is props and same_records(t.candidates, candidates)
+            assert t.action == action and t.terminal == replayed.done
+            assert t.next_props is next_props
+            assert same_records(t.next_candidates, enumerate_candidates(next_props, lexicon))
+        props = next_props
+
+    # at most one parse per distinct text; one extract and enumeration per move, plus one
+    parsed = [args[0] for args, _ in logs["parse_observation"]]
+    assert len(parsed) == len(set(parsed))
+    assert len(logs["extract_propositions"]) == moves + 1
+    assert len(logs["enumerate_candidates"]) == moves + 1
 
 
 def test_trace_lines_carry_facts_and_q_values(lexicon):

@@ -210,7 +210,8 @@ def test_schema_mismatch_is_an_error(tmp_path):
         first_crossing(b, 0.9)
 
 
-@pytest.mark.parametrize("row", ["30,0.95", "30,0.95,20.0,7", "30,0.95,x"])
+@pytest.mark.parametrize("row", ["30,0.95", "30,0.95,20.0,7", "30,0.95,x",
+                                 "30,nan,20.0", "30,inf,20.0", "30,0.95,-inf"])
 def test_rows_must_match_the_header_width(tmp_path, row):
     path = tmp_path / "m.csv"
     write_csv(path, [(10, 0.5, 90.0), (20, 0.6, 80.0)])

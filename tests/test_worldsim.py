@@ -257,6 +257,36 @@ def test_invalid_actions_keep_room_and_distance():
         assert bfs_distance(graph, state.room, graph.coin_room) == base_distance
 
 
+def test_an_episode_renders_each_room_once(monkeypatch):
+    import lnnrl.worldsim as worldsim
+
+    graph = generate_game(GameSpec("medium", 3, 1))
+    rendered = []
+
+    def counting_render(g, room):
+        rendered.append(room)
+        return render_observation(g, room)
+
+    monkeypatch.setattr(worldsim, "render_observation", counting_render)
+    state, opening = reset(graph)
+    texts = {graph.start: opening}
+    out = graph.open_exits(graph.start)[0]
+    wait = Action("take", "coin")   # invalid: the coin is three rooms away
+    # back and forth through one doorway, with invalid actions in both rooms
+    for action in (Action("go", out), wait, Action("go", OPPOSITE[out]), wait) * 3:
+        outcome = step(state, action)
+        assert outcome.action_valid == (action is not wait)
+        text = texts.setdefault(outcome.room_id, outcome.observation)
+        assert outcome.observation is text
+        assert text == render_observation(graph, outcome.room_id)
+    assert len(texts) == 2 and sorted(rendered) == sorted(texts)
+
+    # the texts go with the episode: a new one renders its start room again
+    rendered.clear()
+    _, again = reset(graph)
+    assert rendered == [graph.start] and again == opening
+
+
 def test_episode_caps_at_max_steps_with_zero_reward():
     graph = generate_game(GameSpec("easy", 1, 0, max_episode_steps=4))
     state, _ = reset(graph)
