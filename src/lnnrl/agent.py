@@ -1,10 +1,11 @@
 """DQN-style training of per-category logic-network policies.
 
 Each step the agent grounds one candidate action per (category, noun) pair
-the lexicon supports — four `go` directions plus `take coin` — scores every
-candidate with its category's network, and acts epsilon-greedily. Rewards
-are shaped with an episodic discovery bonus and, on medium/hard maps, a
-bonus for backing out of a fully explored room the way it came in.
+the lexicon supports — four `go` directions plus `take coin` — and acts
+epsilon-greedily: an exploring step draws a uniform candidate and scores
+nothing, a greedy step scores every candidate with its category's network.
+Rewards are shaped with an episodic discovery bonus and, on medium/hard
+maps, a bonus for backing out of a fully explored room the way it came in.
 
 `DqnAgent` is the one trainer: Q-regression against a periodically
 refreshed target snapshot, one Adam over every named parameter, and a
@@ -39,7 +40,7 @@ from .factextract import (
     parse_observation,
 )
 from .lexicon import LexiconTable
-from .lnn import GateCapReached, LnnNetwork, TruthConfig
+from .lnn import GateCapReached, LnnNetwork, TruthConfig, clamp01
 from .optim import AdamOptimizer
 from .rng import substream
 from .worldsim import (
@@ -107,12 +108,24 @@ def enumerate_candidates(props: PropositionSet, lexicon: LexiconTable) -> tuple[
     return tuple([ground_facts(props, category, noun) for category, noun in lexicon.pairs])
 
 
-def epsilon_greedy(q_values: list[float], epsilon: float, rng: random.Random) -> int:
-    """With probability epsilon a uniform index, else the index of the highest
-    q; exact ties go to the earliest index."""
+def explore(n: int, epsilon: float, rng: random.Random) -> int | None:
+    """The draw of epsilon-greedy over n actions, made before anything is
+    scored: with probability epsilon a uniform index, else None, and the
+    caller scores and takes `greedy`. Epsilon 0 draws nothing from `rng`."""
     if epsilon > 0.0 and rng.random() < epsilon:
-        return rng.randrange(len(q_values))
+        return rng.randrange(n)
+    return None
+
+
+def greedy(q_values: list[float]) -> int:
+    """The index of the highest q; exact ties go to the earliest index."""
     return q_values.index(max(q_values))
+
+
+def epsilon_greedy(q_values: list[float], epsilon: float, rng: random.Random) -> int:
+    """`explore`, else `greedy`, over scores already in hand."""
+    index = explore(len(q_values), epsilon, rng)
+    return greedy(q_values) if index is None else index
 
 
 def select_action(
@@ -120,16 +133,19 @@ def select_action(
     nets: dict[str, LnnNetwork | QTable],
     epsilon: float,
     rng: random.Random,
-) -> tuple[Action, list[float]]:
-    """Epsilon-greedy over the candidates.
+) -> tuple[Action, list[float] | None]:
+    """Epsilon-greedy over the candidates; the q values are None when the step explored.
 
     `nets` maps each category to whatever scores it through
     `forward(facts) -> (q, trace)`: a network, or the Q table in front of it.
     """
     if not candidates:
         raise ValueError("select_action needs at least one candidate")
+    index = explore(len(candidates), epsilon, rng)
+    if index is not None:
+        return candidates[index].action, None
     q_values = [nets[c.category].forward(c.values)[0] for c in candidates]
-    return candidates[epsilon_greedy(q_values, epsilon, rng)].action, q_values
+    return candidates[greedy(q_values)].action, q_values
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +244,10 @@ class ReplayBuffer:
 
 def td_target(transition: Transition, target, gamma: float) -> float:
     """clamp01(r) at terminals, else clamp01(r + gamma * the target scorer's best next q)."""
-    if transition.terminal:
-        return float(np.clip(transition.reward, 0.0, 1.0))
-    return float(np.clip(transition.reward + gamma * target.best_next(transition), 0.0, 1.0))
+    y = transition.reward
+    if not transition.terminal:
+        y = y + gamma * target.best_next(transition)
+    return float(clamp01(y))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +303,8 @@ def scripted_rule_networks(alpha: float = 0.75) -> dict[str, LnnNetwork]:
 class DqnAgent:
     """Replay, TD regression, one Adam and target copies over a scorer.
 
-    The scorer supplies `choose(props, candidates, epsilon, rng)`;
+    The scorer supplies `choose(props, candidates, epsilon, rng)`, returning
+    the action and its q values, or None when the step explored;
     `q(transition)`, a float for every transition its `choose` produced;
     `best_next(transition)`; `transition_gradients(transition, upstream)`,
     from the pass its Q table cached; `parameters()`, keyed so one optimizer
@@ -306,7 +324,7 @@ class DqnAgent:
         self.optimizer_steps = 0
 
     def choose(self, props: PropositionSet, candidates: tuple[Candidate, ...],
-               epsilon: float, rng: random.Random) -> tuple[Action, list[float]]:
+               epsilon: float, rng: random.Random) -> tuple[Action, list[float] | None]:
         return self.scorer.choose(props, candidates, epsilon, rng)
 
     def observe(self, transition: Transition) -> None:
@@ -387,7 +405,7 @@ class LnnScorer:
         self.tables = {category: QTable(net) for category, net in nets.items()}
 
     def choose(self, props: PropositionSet, candidates: tuple[Candidate, ...],
-               epsilon: float, rng: random.Random) -> tuple[Action, list[float]]:
+               epsilon: float, rng: random.Random) -> tuple[Action, list[float] | None]:
         return select_action(candidates, self.tables, epsilon, rng)
 
     def q(self, transition: Transition) -> float:
@@ -428,12 +446,14 @@ class LnnScorer:
 
     def after_step(self) -> None:
         # weights and biases stay nonnegative; OR weights additionally stay <= 1
-        # so a lone matching gate cannot pin its score to the upper clamp
+        # so a lone matching gate cannot pin its score to the upper clamp.
+        # `np.maximum` is what `np.clip` runs for a lower bound alone, and the
+        # `clip` method skips `np.clip`'s dispatch: both give its exact results.
         for net in self.nets.values():
             for gate in net.and_gates:
-                np.clip(gate.weights, 0.0, None, out=gate.weights)
+                np.maximum(gate.weights, 0.0, out=gate.weights)
                 gate.bias[...] = max(float(gate.bias), 0.0)
-            np.clip(net.or_root.weights, 0.0, 1.0, out=net.or_root.weights)
+            net.or_root.weights.clip(0.0, 1.0, out=net.or_root.weights)
             net.or_root.bias[...] = max(float(net.or_root.bias), 0.0)
         for table in self.tables.values():
             table.clear()
@@ -521,6 +541,9 @@ def run_episode(
             next_candidates = enumerate_candidates(next_props, lexicon)
 
         if collect_trace:
+            if q_values is None:
+                # an exploring step scored nothing; epsilon 0 scores and draws nothing
+                q_values = agent.choose(props, candidates, 0.0, rng)[1]
             qs = " ".join(f"{q:.3f}" for q in q_values)
             trace.append(
                 f"epoch={epoch} step={state.steps} facts={props.bitstring()} "

@@ -12,7 +12,7 @@ import random
 
 import numpy as np
 
-from .agent import DqnAgent, QTable, TrainerConfig, Transition, epsilon_greedy
+from .agent import DqnAgent, QTable, TrainerConfig, Transition, explore, greedy
 from .factextract import PROPOSITION_NAMES, Candidate, PropositionSet
 from .lnn import CheckpointError, reading_checkpoint
 from .rng import substream
@@ -68,9 +68,12 @@ class MlpScorer:
     # ------------------------------------------------------ scorer contract
 
     def choose(self, props: PropositionSet, candidates: tuple[Candidate, ...],
-               epsilon: float, rng: random.Random) -> tuple[Action, list[float]]:
+               epsilon: float, rng: random.Random) -> tuple[Action, list[float] | None]:
+        index = explore(N_ACTIONS, epsilon, rng)
+        if index is not None:
+            return ALL_ACTIONS[index], None
         q_values = self.table.forward(props.as_vector())[0].tolist()
-        return ALL_ACTIONS[epsilon_greedy(q_values, epsilon, rng)], q_values
+        return ALL_ACTIONS[greedy(q_values)], q_values
 
     def q(self, transition: Transition) -> float:
         return float(self.table.forward(transition.props.as_vector())[0][ACTION_INDEX[transition.action]])

@@ -75,7 +75,12 @@ def _cmd_train(args) -> int:
 
 
 def _load_run(run_dir: str, seed_index: int):
+    """The run's config and logic networks; a run that trained another agent
+    has no networks to read, and says so."""
     config = ExperimentConfig.from_file(f"{run_dir}/config.txt")
+    if config.agent != "lnn":
+        raise ConfigError(f"{run_dir}: the run trained agent={config.agent}; "
+                          "eval, rules and play read logic-network checkpoints (agent=lnn)")
     nets = load_networks(f"{run_dir}/seed{seed_index}")
     return config, nets
 
@@ -109,7 +114,7 @@ def _cmd_play(args) -> int:
     graph = generate_game(spec)
     lexicon = default_lexicon()
     if args.run_dir:
-        nets = load_networks(f"{args.run_dir}/seed{args.seed_index}")
+        _, nets = _load_run(args.run_dir, args.seed_index)
     else:
         nets = scripted_rule_networks()
     scorer = LnnScorer(nets)

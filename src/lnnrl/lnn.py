@@ -69,8 +69,10 @@ def classify_truth(value: float, config: TruthConfig) -> TruthValue:
     return TruthValue.UNKNOWN
 
 
-def _clamp01(z: np.ndarray | float):
-    return np.clip(z, 0.0, 1.0)
+def clamp01(v: float) -> float:
+    """`np.clip(v, 0.0, 1.0)` of one float, bit for bit (NaN stays NaN, -0.0
+    stays -0.0), without the cost of a numpy call."""
+    return min(max(v, 0.0), 1.0)
 
 
 @dataclass
@@ -96,7 +98,7 @@ class LogicNode:
         return float(1.0 - self.bias + self.weights @ x)
 
     def value(self, x: np.ndarray) -> float:
-        return float(_clamp01(self.pre_activation(x)))
+        return clamp01(self.pre_activation(x))
 
 
 @dataclass(frozen=True)
@@ -143,15 +145,27 @@ class LnnNetwork:
     # ------------------------------------------------------------------ forward
 
     def forward(self, facts) -> tuple[float, ForwardTrace]:
+        """q and the trace `gradients` differentiates, for one fact vector.
+
+        The vectors are short (at most 8 facts, at most `gate_cap` gates), so
+        numpy's per-call cost outweighs the arithmetic: `1 - x` is formed
+        once, and biases and clamps work on Python floats, which give the
+        same IEEE results as numpy scalars. The dot products stay numpy
+        `dot` calls (BLAS `ddot`, the same routine `@` calls on 1-D
+        vectors): a Python sum matches them on crisp facts but not on the OR
+        layer's real-valued inputs, where `ddot` fuses multiply and add.
+        """
         x = np.asarray(facts, dtype=np.float64)
         if x.shape != (self.input_arity,):
             raise ValueError(
                 f"{self.category} network expects {self.input_arity} facts, got shape {x.shape}"
             )
-        and_pre = np.array([g.pre_activation(x) for g in self.and_gates])
-        and_out = _clamp01(and_pre)
-        or_pre = self.or_root.pre_activation(and_out)
-        or_out = float(_clamp01(or_pre))
+        y = 1.0 - x
+        pre = [float(g.bias) - float(g.weights.dot(y)) for g in self.and_gates]
+        and_pre = np.array(pre, dtype=np.float64)
+        and_out = np.array([clamp01(v) for v in pre], dtype=np.float64)
+        or_pre = 1.0 - float(self.or_root.bias) + float(self.or_root.weights.dot(and_out))
+        or_out = clamp01(or_pre)
         return or_out, ForwardTrace(x, and_pre, and_out, or_pre, or_out)
 
     # ---------------------------------------------------------------- gradients

@@ -28,7 +28,7 @@ from lnnrl.agent import (
     shape_reward,
     td_target,
 )
-from lnnrl.baseline import MlpAgent
+from lnnrl.baseline import MlpAgent, MlpScorer
 from lnnrl.factextract import (
     CATEGORY_LITERALS,
     CATEGORY_VERBS,
@@ -43,6 +43,7 @@ from lnnrl.lexicon import default_lexicon, parse_lexicon
 from lnnrl.lnn import AND, OR, LnnNetwork, LogicNode
 from lnnrl.optim import AdamOptimizer
 from lnnrl.worldsim import (
+    ALL_ACTIONS,
     DIFFICULTIES,
     DIRECTIONS,
     NOUNS,
@@ -705,6 +706,147 @@ def test_projection_keeps_every_parameter_in_its_domain(seed, learning_rate, ind
         optimizer.step(params, grads)
         scorer.after_step()
         assert_parameters_in_domain(scorer)
+
+
+# out of the domain too: the projection must agree with `np.clip` on every bit
+PROJECTION_VALUES = (st.sampled_from([0.0, -0.0, -1.0, 0.5, 1.0, 2.0, -5e-324, 5e-324,
+                                      float("nan"), float("inf"), -float("inf")])
+                     | st.floats(-10.0, 10.0, allow_nan=False))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(induced=st.lists(CATEGORY_FACTS, max_size=4), data=st.data())
+def test_projection_equals_np_clip_bit_for_bit(induced, data):
+    scorer = LnnScorer(fresh_networks(TrainerConfig(gate_cap=5)))
+    for category, facts in induced:
+        scorer.nets[category].add_and_gate(facts)
+    for p in scorer.parameters().values():
+        p[...] = np.reshape(data.draw(st.lists(PROJECTION_VALUES, min_size=p.size,
+                                               max_size=p.size)), p.shape)
+    reference = copy.deepcopy(scorer)
+    scorer.after_step()
+    # the projection as it was written with `np.clip`: kept as reference
+    for net in reference.nets.values():
+        for gate in net.and_gates:
+            np.clip(gate.weights, 0.0, None, out=gate.weights)
+            gate.bias[...] = max(float(gate.bias), 0.0)
+        np.clip(net.or_root.weights, 0.0, 1.0, out=net.or_root.weights)
+        net.or_root.bias[...] = max(float(net.or_root.bias), 0.0)
+    want = reference.parameters()
+    for name, p in scorer.parameters().items():
+        assert p.shape == want[name].shape and p.tobytes() == want[name].tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# exploration scores nothing
+# ---------------------------------------------------------------------------
+
+
+def walk_states(graph, lexicon, n_steps, seed):
+    """(props, candidates) of a random walk through `graph`, as `run_episode` reads them."""
+    state, obs = reset(graph)
+    agent_map = AgentMap.start(state.room)
+    rng = random.Random(seed)
+    states = []
+    for _ in range(n_steps):
+        props = extract_propositions(parse_observation(obs), agent_map)
+        candidates = enumerate_candidates(props, lexicon)
+        states.append((props, candidates))
+        action = rng.choice(candidates).action
+        outcome = step(state, action)
+        if outcome.action_valid and action.verb == "go":
+            agent_map.record_move(action.noun, outcome.room_id)
+        obs = outcome.observation
+        if outcome.done:
+            break
+    return states
+
+
+@contextlib.contextmanager
+def counting_forward(make_agent):
+    """Count the forward passes of the scorer `make_agent` builds."""
+    owner = LnnNetwork if make_agent is LnnAgent else MlpScorer
+    calls = []
+    original = owner.forward
+
+    def counted(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    with mock.patch.object(owner, "forward", counted):
+        yield calls
+
+
+@pytest.mark.parametrize("make_agent", [LnnAgent, MlpAgent], ids=["lnn", "mlp"])
+def test_an_exploring_choice_runs_no_forward_pass(lexicon, make_agent):
+    agent = make_agent(TrainerConfig(), run_seed=4)
+    states = walk_states(generate_game(GameSpec("medium", 4, 3)), lexicon, 40, seed=1)
+    rng = random.Random(5)
+    with counting_forward(make_agent) as calls:
+        for props, candidates in states * 5:
+            _, q_values = agent.choose(props, candidates, 1.0, rng)
+            assert q_values is None
+        assert calls == []
+        # a greedy choice does score
+        _, q_values = agent.choose(*states[0], 0.0, rng)
+        assert q_values is not None and calls
+
+
+def reference_choose(agent, props, candidates, epsilon, rng):
+    """Score every action with fresh forward passes, then `epsilon_greedy`."""
+    scorer = agent.scorer
+    if isinstance(scorer, LnnScorer):
+        q_values = [scorer.nets[c.category].forward(c.values)[0] for c in candidates]
+        return candidates[epsilon_greedy(q_values, epsilon, rng)].action, q_values
+    q_values = scorer.forward(props.as_vector())[0].tolist()
+    return ALL_ACTIONS[epsilon_greedy(q_values, epsilon, rng)], q_values
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(make_agent=st.sampled_from([LnnAgent, MlpAgent]),
+       epsilon=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       game_seed=st.integers(0, 2**16), rng_seed=st.integers(0, 2**32 - 1))
+def test_choices_and_rng_state_equal_scoring_everything_first(
+        lexicon, make_agent, epsilon, game_seed, rng_seed):
+    agent = make_agent(TrainerConfig(), run_seed=game_seed)
+    states = walk_states(generate_game(GameSpec("medium", 5, game_seed)), lexicon, 30, game_seed)
+    rng, reference_rng = random.Random(rng_seed), random.Random(rng_seed)
+    for props, candidates in states:
+        action, q_values = agent.choose(props, candidates, epsilon, rng)
+        want_action, want_q = reference_choose(agent, props, candidates, epsilon, reference_rng)
+        assert action == want_action
+        assert rng.getstate() == reference_rng.getstate()
+        assert q_values is None or q_values == want_q
+
+
+@pytest.mark.parametrize("make_agent", [LnnAgent, MlpAgent], ids=["lnn", "mlp"])
+def test_a_traced_exploring_episode_writes_fresh_greedy_scores(lexicon, make_agent):
+    graph = generate_game(GameSpec("medium", 5, 7))
+    agent = make_agent(TrainerConfig(update_period=1), run_seed=6)
+    fresh, observe = [], agent.observe
+
+    def record(transition):
+        # the trace line of this step is written; training has not run yet
+        fresh.append(reference_choose(agent, transition.props, transition.candidates,
+                                      0.0, random.Random(0))[1])
+        observe(transition)
+
+    agent.observe = record
+    report = run_episode(graph, agent, lexicon, mode="train", epsilon=1.0,
+                         rng=random.Random(3), collect_trace=True)
+    assert len(report.trace) == len(fresh) == report.steps
+    for line, q_values in zip(report.trace, fresh):
+        assert f"q=[{' '.join(f'{q:.3f}' for q in q_values)}]" in line
+
+    # tracing draws nothing: the untraced episode takes the same actions
+    untraced = make_agent(TrainerConfig(update_period=1), run_seed=6)
+    report_untraced = run_episode(graph, untraced, lexicon, mode="train", epsilon=1.0,
+                                  rng=random.Random(3))
+    def actions(a):
+        return [t.action for pool in (a.buffer.prioritized, a.buffer.ordinary) for t in pool]
+
+    assert report_untraced.steps == report.steps and actions(untraced) == actions(agent)
+    assert agent.parameter_checksum() == untraced.parameter_checksum()
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,22 @@ def test_non_finite_thresholds_are_rejected(tiny_run, capsys, command, value):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def tiny_mlp_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("run") / "mlp"
+    assert main(["train", "--out", str(out)] + TINY_ARGS + ["--set", "agent=nn"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("command", ["eval", "rules", "play"])
+def test_commands_reading_networks_name_an_mlp_run(tiny_mlp_run, monkeypatch, capsys, command):
+    monkeypatch.setattr("builtins.input", lambda prompt="": "quit")
+    assert main([command, "--run-dir", str(tiny_mlp_run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "agent=nn" in err
+    assert "logic-network checkpoints" in err
+
+
 def test_play_session(monkeypatch, capsys):
     commands = iter(["facts", "help", "go coin", "fly", "quit"])
     monkeypatch.setattr("builtins.input", lambda prompt="": next(commands))

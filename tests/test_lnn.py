@@ -18,6 +18,7 @@ from lnnrl.lnn import (
     LogicNode,
     TruthConfig,
     TruthValue,
+    clamp01,
     classify_truth,
     extract_rules,
     load_network,
@@ -372,3 +373,159 @@ def test_adam_pads_state_when_parameter_grows():
     opt.step(params, {"or.w": np.array([0.1, 0.2, 0.3])})
     assert params["or.w"].shape == (3,)
 
+
+
+def test_adam_rejects_hyperparameters_that_zero_a_denominator():
+    for kwargs in ({"beta1": 1.0}, {"beta2": 1.0}, {"beta1": -0.1}, {"eps": 0.0},
+                   {"eps": float("nan")}):
+        with pytest.raises(ValueError):
+            AdamOptimizer(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit against the numpy-call forms
+# ---------------------------------------------------------------------------
+
+
+def reference_clamp01(v):
+    """The scalar clamp as `np.clip`: kept as reference."""
+    return float(np.clip(v, 0.0, 1.0))
+
+
+def reference_forward(net, facts):
+    """`LnnNetwork.forward` as it was written over numpy calls: kept as reference."""
+    x = np.asarray(facts, dtype=np.float64)
+    and_pre = np.array([float(g.bias - g.weights @ (1.0 - x)) for g in net.and_gates])
+    and_out = np.clip(and_pre, 0.0, 1.0)
+    or_pre = float(1.0 - net.or_root.bias + net.or_root.weights @ and_out)
+    or_out = float(np.clip(or_pre, 0.0, 1.0))
+    return or_out, (x, and_pre, and_out, or_pre, or_out)
+
+
+class ReferenceAdam:
+    """`AdamOptimizer` as it was written over numpy arrays: kept as reference."""
+
+    def __init__(self, learning_rate):
+        self.learning_rate, self.beta1, self.beta2, self.eps = learning_rate, 0.9, 0.999, 1e-8
+        self.state = {}
+
+    def step(self, params, grads):
+        for name, grad in grads.items():
+            param = params[name]
+            state = self.state.get(name)
+            if state is None:
+                state = [np.zeros(param.shape), np.zeros(param.shape), 0]
+            elif state[0].shape != param.shape:
+                for i in (0, 1):
+                    grown = np.zeros(param.shape)
+                    grown[: state[i].shape[0]] = state[i]
+                    state[i] = grown
+            m, v, t = state
+            t += 1
+            m = self.beta1 * m + (1.0 - self.beta1) * grad
+            v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
+            self.state[name] = [m, v, t]
+            m_hat = m / (1.0 - self.beta1 ** t)
+            v_hat = v / (1.0 - self.beta2 ** t)
+            param[...] = param - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape and bytes, so the sign bit of every zero and NaN counts."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# signed zeros and exact values often; magnitudes that push pre-activations far outside [0, 1]
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1.25, 5e-324])
+WEIGHTS = EDGE_FLOATS | st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def gate_banks(draw):
+    """A network of 0..16 gates with arbitrary nonnegative weights and biases."""
+    category = draw(st.sampled_from(sorted(CATEGORY_LITERALS)))
+    net = LnnNetwork(category, CATEGORY_LITERALS[category], CATEGORY_VERBS[category])
+    arity = net.input_arity
+    n_gates = draw(st.integers(0, 16))
+    net.and_gates = [
+        LogicNode.create(AND, draw(st.lists(WEIGHTS, min_size=arity, max_size=arity)),
+                         draw(WEIGHTS))
+        for _ in range(n_gates)
+    ]
+    net.or_root = LogicNode.create(OR, draw(st.lists(WEIGHTS, min_size=n_gates, max_size=n_gates)),
+                                   draw(WEIGHTS))
+    return net
+
+
+@st.composite
+def fact_vectors(draw, arity):
+    crisp = st.sampled_from([0.0, 1.0])
+    real = crisp | st.floats(0.0, 1.0, allow_nan=False)
+    return np.array(draw(st.lists(draw(st.sampled_from([crisp, real])),
+                                  min_size=arity, max_size=arity)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(net=gate_banks(), data=st.data())
+def test_forward_equals_the_numpy_call_form_bit_for_bit(net, data):
+    for _ in range(3):
+        facts = data.draw(fact_vectors(net.input_arity))
+        q, trace = net.forward(facts)
+        ref_q, ref_trace = reference_forward(net, facts)
+        assert type(q) is float and same_bits(q, ref_q)
+        fields = (trace.facts, trace.and_pre, trace.and_out, trace.or_pre, trace.or_out)
+        for name, got, want in zip(("facts", "and_pre", "and_out", "or_pre", "or_out"),
+                                   fields, ref_trace):
+            assert same_bits(got, want), (name, got, want)
+        assert trace.and_pre.dtype == trace.and_out.dtype == np.float64
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(v=EDGE_FLOATS | st.sampled_from([-1.0, 2.0, float("nan"), float("inf"), -float("inf")])
+       | st.floats(-1e300, 1e300, allow_nan=False))
+def test_clamp01_equals_np_clip_bit_for_bit(v):
+    assert same_bits(clamp01(v), reference_clamp01(v))
+
+
+EXTREME_GRADS = st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, 5e-324, 1e155]) \
+    | st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@st.composite
+def adam_runs(draw):
+    """Up to 12 operations, each an optimizer step or a grown OR root."""
+    ops = []
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.integers(0, 3)) == 0:
+            ops.append(("grow", None))
+        else:
+            ops.append(("step", draw(st.lists(EXTREME_GRADS, min_size=16, max_size=16))))
+    return ops
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ops=adam_runs(), learning_rate=st.sampled_from([0.0, 1e-3, 0.5, 10.0]),
+       bias=EDGE_FLOATS, weights=st.lists(WEIGHTS, min_size=3, max_size=3))
+def test_adam_equals_the_numpy_array_form_bit_for_bit(ops, learning_rate, bias, weights):
+    def fresh():
+        return {"and0.b": np.array(bias), "or.b": np.array(1.25),
+                "and0.w": np.array(weights), "or.w": np.array([1.0])}
+
+    params, ref_params = fresh(), fresh()
+    opt, ref = AdamOptimizer(learning_rate=learning_rate), ReferenceAdam(learning_rate)
+    for kind, values in ops:
+        if kind == "grow":
+            params["or.w"] = np.append(params["or.w"], 1.0)
+            ref_params["or.w"] = np.append(ref_params["or.w"], 1.0)
+            continue
+        grads = {name: np.array(values[: p.size]).reshape(p.shape) for name, p in params.items()}
+        with np.errstate(all="ignore"):   # extreme gradients overflow on purpose
+            opt.step(params, grads)
+            ref.step(ref_params, grads)
+        for name in params:
+            assert params[name].shape == ref_params[name].shape
+            assert same_bits(params[name], ref_params[name]), (name, params[name], ref_params[name])
+            m, v, t = opt._state[name]
+            ref_m, ref_v, ref_t = ref.state[name]
+            assert t == ref_t and same_bits(m, ref_m) and same_bits(v, ref_v), name
