@@ -13,9 +13,10 @@ two-pool replay buffer that keeps reward-bearing transitions sampled at a
 fixed fraction of every batch. It drives any scorer; `LnnScorer` holds the
 logic networks and the MLP baseline's scorer lives in `baseline.py`.
 
-Gate induction: whenever a sampled transition carried reward >= 1 and no AND
-gate of the chosen category's network fires at the truth threshold on its
-facts, a new gate seeded from those facts is spliced in.
+Gate induction: every sampled transition that carried reward >= 1 hands the
+chosen candidate's forward pass to its category network's `induce`, which
+splices in a gate seeded from those facts unless a gate already fires on them
+or the bank is full.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import math
 import random
 from collections import deque
 from collections.abc import Set
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .factextract import (
     parse_observation,
 )
 from .lexicon import LexiconTable
-from .lnn import GateCapReached, LnnNetwork, TruthConfig, clamp01
+from .lnn import DEFAULT_ALPHA, DEFAULT_GATE_CAP, LnnNetwork, TruthConfig, clamp01
 from .optim import AdamOptimizer
 from .rng import substream
 from .worldsim import (
@@ -65,8 +67,8 @@ class TrainerConfig:
     replay_capacity: int = 500_000
     priority_fraction: float = 0.25
     target_update_period: int = 100     # optimizer steps between target refreshes
-    alpha: float = 0.75
-    gate_cap: int = 16
+    alpha: float = DEFAULT_ALPHA
+    gate_cap: int = DEFAULT_GATE_CAP
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma < 1.0:
@@ -269,7 +271,7 @@ def fresh_networks(config: TrainerConfig) -> dict[str, LnnNetwork]:
     }
 
 
-def scripted_rule_networks(alpha: float = 0.75) -> dict[str, LnnNetwork]:
+def scripted_rule_networks(alpha: float = DEFAULT_ALPHA) -> dict[str, LnnNetwork]:
     """Networks wired by hand to the known-good policy, for oracle play.
 
     Take when the coin is in sight; go toward a not-yet-visited exit; and
@@ -391,7 +393,7 @@ class QTable:
 
 
 class LnnScorer:
-    """Per-category logic networks; parameters are keyed `<category>.<name>`.
+    """Per-category logic networks, whose parameter names carry their category.
 
     All scoring goes through `tables`, one `QTable` per category, so the Q
     table is keyed by (category, fact bytes). It is cleared after every
@@ -420,13 +422,10 @@ class LnnScorer:
     def transition_gradients(self, transition: Transition, upstream: float) -> dict[str, np.ndarray]:
         chosen = transition.chosen()
         table = self.tables[chosen.category]
-        grads = table.net.gradients(table.forward(chosen.values)[1], upstream)
-        return {f"{chosen.category}.{name}": g for name, g in grads.items()}
+        return table.net.gradients(table.forward(chosen.values)[1], upstream)
 
     def parameters(self) -> dict[str, np.ndarray]:
-        return {f"{category}.{name}": p
-                for category, net in self.nets.items()
-                for name, p in net.parameters().items()}
+        return {name: p for net in self.nets.values() for name, p in net.parameters().items()}
 
     def before_batch(self, batch: list[Transition]) -> None:
         # induction first so the fresh gate participates in this update
@@ -435,27 +434,12 @@ class LnnScorer:
                 continue
             chosen = transition.chosen()
             table = self.tables[chosen.category]
-            _, trace = table.forward(chosen.values)
-            if trace.and_out.size and np.max(trace.and_out) >= table.net.config.alpha:
-                continue
-            try:
-                table.net.add_and_gate(chosen.values)
-            except GateCapReached:
-                continue
-            table.clear()
+            if table.net.induce(table.forward(chosen.values)[1]) is not None:
+                table.clear()
 
     def after_step(self) -> None:
-        # weights and biases stay nonnegative; OR weights additionally stay <= 1
-        # so a lone matching gate cannot pin its score to the upper clamp.
-        # `np.maximum` is what `np.clip` runs for a lower bound alone, and the
-        # `clip` method skips `np.clip`'s dispatch: both give its exact results.
-        for net in self.nets.values():
-            for gate in net.and_gates:
-                np.maximum(gate.weights, 0.0, out=gate.weights)
-                gate.bias[...] = max(float(gate.bias), 0.0)
-            net.or_root.weights.clip(0.0, 1.0, out=net.or_root.weights)
-            net.or_root.bias[...] = max(float(net.or_root.bias), 0.0)
         for table in self.tables.values():
+            table.net.project()
             table.clear()
 
 
@@ -477,7 +461,6 @@ class LnnAgent(DqnAgent):
 class EpisodeReport:
     quest_reward: float
     steps: int
-    trace: list[str] = field(default_factory=list)
 
 
 def run_episode(
@@ -488,13 +471,16 @@ def run_episode(
     mode: str = "eval",
     epsilon: float = 0.0,
     rng: random.Random | None = None,
-    collect_trace: bool = False,
+    trace: TextIO | None = None,
     epoch: int = 0,
 ) -> EpisodeReport:
     """Full observe/parse/ground/select/step loop for one episode.
 
     mode="train" stores transitions with the agent (the agent trains itself
     on its update period); mode="eval" is read-only and always greedy.
+    Given a text sink as `trace`, each step writes one line to it (epoch,
+    step, facts, action, q values, shaped reward) before the agent observes
+    the step.
 
     Each observation is read once. A step that records no move (an invalid
     action, or `take coin`) changes neither the room, its text nor the
@@ -516,7 +502,6 @@ def run_episode(
 
     bonus = agent.config.bonus_coefficient
     quest_total = 0.0
-    trace: list[str] = []
 
     while not state.done:
         action, q_values = agent.choose(props, candidates, eps, rng)
@@ -540,14 +525,14 @@ def run_episode(
             next_props = extract_propositions(parsed, agent_map)
             next_candidates = enumerate_candidates(next_props, lexicon)
 
-        if collect_trace:
+        if trace is not None:
             if q_values is None:
                 # an exploring step scored nothing; epsilon 0 scores and draws nothing
                 q_values = agent.choose(props, candidates, 0.0, rng)[1]
             qs = " ".join(f"{q:.3f}" for q in q_values)
-            trace.append(
+            trace.write(
                 f"epoch={epoch} step={state.steps} facts={props.bitstring()} "
-                f"action={action} q=[{qs}] reward={reward:.2f}"
+                f"action={action} q=[{qs}] reward={reward:.2f}\n"
             )
 
         if mode == "train":
@@ -557,4 +542,4 @@ def run_episode(
         props = next_props
         candidates = next_candidates
 
-    return EpisodeReport(quest_reward=quest_total, steps=state.steps, trace=trace)
+    return EpisodeReport(quest_reward=quest_total, steps=state.steps)

@@ -231,7 +231,8 @@ def run_seed(
     lexicon: LexiconTable,
     trace_sink=None,
 ) -> SeedResult:
-    """Train one replicate and evaluate on its test set at the configured cadence."""
+    """Train one replicate and evaluate on its test set at the configured cadence;
+    the training episodes write their trace lines to `trace_sink`, if given."""
     run_seed_value = derive_seed("run", config.base_seed, seed_index)
     train_specs, test_specs = build_game_sets(config, run_seed_value)
     train_graphs = [generate_game(s) for s in train_specs]
@@ -248,14 +249,8 @@ def run_seed(
         graph = train_graphs[order_rng.randrange(len(train_graphs))]
         eps = epsilon_at(epoch - 1, config.trainer)
         explore_rng = substream("epsilon-exploration", run_seed_value, epoch)
-        report = run_episode(
-            graph, agent, lexicon,
-            mode="train", epsilon=eps, rng=explore_rng,
-            collect_trace=trace_sink is not None, epoch=epoch,
-        )
-        if trace_sink is not None:
-            for line in report.trace:
-                trace_sink.write(line + "\n")
+        run_episode(graph, agent, lexicon, mode="train", epsilon=eps, rng=explore_rng,
+                    trace=trace_sink, epoch=epoch)
         if epoch % config.eval_interval == 0:
             mean_reward, mean_steps = evaluate(agent, test_graphs, lexicon)
             epochs.append(epoch)

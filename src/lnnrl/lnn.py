@@ -7,16 +7,17 @@ forms
     AND:  clamp01( b - sum_i w_i * (1 - x_i) )
     OR:   clamp01( 1 - b + sum_i w_i * x_i )
 
-with all weights and biases nonnegative. Negation is materialized in the
-input layer (each fact arrives with its complement), so there are no
+with all weights and biases nonnegative and OR weights at most 1, a domain
+`project` restores after each optimizer step. Negation is materialized in
+the input layer (each fact arrives with its complement), so there are no
 trainable NOT nodes. With unit weights and biases these reduce exactly to
 classical conjunction/disjunction on boolean inputs.
 
 Gradients use a pass-through derivative of 1 strictly inside (0, 1) and 0 at
 or beyond the clamp, chained through OR -> AND.
 
-New AND gates can be spliced in during training, seeded from a fact vector
-(weight 1 on every literal that is true at threshold alpha). Conjunctive
+Gate induction splices in a new AND gate seeded from a fact vector (weight 1
+on every literal true at threshold alpha) when no gate fires on it. Conjunctive
 rules are read back out by keeping gates and literals whose weights clear a
 threshold.
 """
@@ -112,10 +113,6 @@ class ForwardTrace:
     or_out: float
 
 
-class GateCapReached(Exception):
-    """Signal that the AND bank is full; the caller skips the addition."""
-
-
 class LnnNetwork:
     """Fact inputs -> AND bank -> OR root, for one word category."""
 
@@ -171,50 +168,60 @@ class LnnNetwork:
     # ---------------------------------------------------------------- gradients
 
     def parameters(self) -> dict[str, np.ndarray]:
+        """Every parameter, named `<category>.and<j>.w|b` and `<category>.or.w|b`
+        so one optimizer can cover several networks."""
         params: dict[str, np.ndarray] = {}
         for j, gate in enumerate(self.and_gates):
-            params[f"and{j}.w"] = gate.weights
-            params[f"and{j}.b"] = gate.bias
-        params["or.w"] = self.or_root.weights
-        params["or.b"] = self.or_root.bias
+            params[f"{self.category}.and{j}.w"] = gate.weights
+            params[f"{self.category}.and{j}.b"] = gate.bias
+        params[f"{self.category}.or.w"] = self.or_root.weights
+        params[f"{self.category}.or.b"] = self.or_root.bias
         return params
 
     def gradients(self, trace: ForwardTrace, upstream: float) -> dict[str, np.ndarray]:
-        """d(upstream * q)/d(param) for every parameter, exact for the clamped forms.
+        """d(upstream * q)/d(param) for every parameter, exact for the clamped
+        forms, named as in `parameters`.
 
         `trace` is what `forward` returned on the current parameters; no
         second forward pass runs.
         """
         x = trace.facts
+        prefix = self.category
         grads: dict[str, np.ndarray] = {}
 
         or_open = 0.0 < trace.or_pre < 1.0
         g_or = upstream if or_open else 0.0
-        grads["or.w"] = g_or * trace.and_out
-        grads["or.b"] = np.array(-g_or, dtype=np.float64)
+        grads[f"{prefix}.or.w"] = g_or * trace.and_out
+        grads[f"{prefix}.or.b"] = np.array(-g_or, dtype=np.float64)
 
         for j, gate in enumerate(self.and_gates):
             g_out = g_or * float(self.or_root.weights[j])
             if g_out != 0.0 and 0.0 < trace.and_pre[j] < 1.0:
-                grads[f"and{j}.w"] = -g_out * (1.0 - x)
-                grads[f"and{j}.b"] = np.array(g_out, dtype=np.float64)
+                grads[f"{prefix}.and{j}.w"] = -g_out * (1.0 - x)
+                grads[f"{prefix}.and{j}.b"] = np.array(g_out, dtype=np.float64)
             else:
-                grads[f"and{j}.w"] = np.zeros_like(gate.weights)
-                grads[f"and{j}.b"] = np.array(0.0, dtype=np.float64)
+                grads[f"{prefix}.and{j}.w"] = np.zeros_like(gate.weights)
+                grads[f"{prefix}.and{j}.b"] = np.array(0.0, dtype=np.float64)
         return grads
 
-    # ---------------------------------------------------------------- structure
+    # ------------------------------------------------------ structure and domain
 
-    def add_and_gate(self, facts) -> int:
+    def induce(self, trace: ForwardTrace) -> int | None:
+        """Gate induction on a rewarded step's forward pass: `add_and_gate`
+        on `trace.facts` unless a gate already fires on them at alpha.
+        Returns the new gate's index, or None when nothing was added."""
+        if trace.and_out.size and np.max(trace.and_out) >= self.config.alpha:
+            return None
+        return self.add_and_gate(trace.facts)
+
+    def add_and_gate(self, facts) -> int | None:
         """Splice in a gate seeded from `facts`: unit weight on every true literal.
 
-        The OR root gains one unit-weight input. Raises GateCapReached when
-        the bank is full.
+        The OR root gains one unit-weight input. Returns the new gate's
+        index, or None, adding nothing, when the bank is full.
         """
         if len(self.and_gates) >= self.gate_cap:
-            raise GateCapReached(
-                f"{self.category} network already holds {self.gate_cap} AND gates"
-            )
+            return None
         x = np.asarray(facts, dtype=np.float64)
         if x.shape != (self.input_arity,):
             raise ValueError(f"seed facts must have arity {self.input_arity}")
@@ -222,6 +229,18 @@ class LnnNetwork:
         self.and_gates.append(LogicNode.create(AND, weights, 1.0))
         self.or_root.weights = np.append(self.or_root.weights, 1.0)
         return len(self.and_gates) - 1
+
+    def project(self) -> None:
+        """Put every parameter back into its domain, in place."""
+        # weights and biases stay nonnegative; OR weights additionally stay <= 1
+        # so a lone matching gate cannot pin its score to the upper clamp.
+        # `np.maximum` is what `np.clip` runs for a lower bound alone, and the
+        # `clip` method skips `np.clip`'s dispatch: both give its exact results.
+        for gate in self.and_gates:
+            np.maximum(gate.weights, 0.0, out=gate.weights)
+            gate.bias[...] = max(float(gate.bias), 0.0)
+        self.or_root.weights.clip(0.0, 1.0, out=self.or_root.weights)
+        self.or_root.bias[...] = max(float(self.or_root.bias), 0.0)
 
 
 # ---------------------------------------------------------------------------

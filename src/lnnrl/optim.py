@@ -18,18 +18,16 @@ import math
 import numpy as np
 
 
+# the usual decay rates and denominator guard; beta in [0, 1) and eps > 0 keep
+# every bias correction and denominator nonzero
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class AdamOptimizer:
-    def __init__(self, learning_rate: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        # these keep every bias correction and denominator nonzero
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError(f"beta1 and beta2 must lie in [0, 1), got {beta1}, {beta2}")
-        if not eps > 0.0:
-            raise ValueError(f"eps must be positive, got {eps}")
+    def __init__(self, learning_rate: float = 1e-3):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         # name -> [m, v, t]; m and v are floats for a 0-d parameter
         self._state: dict[str, list] = {}
 
@@ -48,7 +46,7 @@ class AdamOptimizer:
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         """One update, in place, for every parameter that received a gradient."""
-        beta1, beta2, lr, eps = self.beta1, self.beta2, self.learning_rate, self.eps
+        beta1, beta2, lr, eps = BETA1, BETA2, self.learning_rate, EPS
         for name, grad in grads.items():
             param = params[name]
             state = self._moments(name, param.shape)

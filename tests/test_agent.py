@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import io
 import random
 from unittest import mock
 
@@ -823,19 +824,21 @@ def test_choices_and_rng_state_equal_scoring_everything_first(
 def test_a_traced_exploring_episode_writes_fresh_greedy_scores(lexicon, make_agent):
     graph = generate_game(GameSpec("medium", 5, 7))
     agent = make_agent(TrainerConfig(update_period=1), run_seed=6)
-    fresh, observe = [], agent.observe
+    fresh, observe, sink = [], agent.observe, io.StringIO()
 
     def record(transition):
         # the trace line of this step is written; training has not run yet
         fresh.append(reference_choose(agent, transition.props, transition.candidates,
                                       0.0, random.Random(0))[1])
+        assert sink.getvalue().count("\n") == len(fresh)
         observe(transition)
 
     agent.observe = record
     report = run_episode(graph, agent, lexicon, mode="train", epsilon=1.0,
-                         rng=random.Random(3), collect_trace=True)
-    assert len(report.trace) == len(fresh) == report.steps
-    for line, q_values in zip(report.trace, fresh):
+                         rng=random.Random(3), trace=sink)
+    trace = sink.getvalue().splitlines()
+    assert len(trace) == len(fresh) == report.steps
+    for line, q_values in zip(trace, fresh):
         assert f"q=[{' '.join(f'{q:.3f}' for q in q_values)}]" in line
 
     # tracing draws nothing: the untraced episode takes the same actions
@@ -1032,11 +1035,13 @@ def test_each_observation_is_read_once_and_equals_a_fresh_reading(
 def test_trace_lines_carry_facts_and_q_values(lexicon):
     policy = LnnAgent(TrainerConfig(), nets=scripted_rule_networks())
     graph = generate_game(GameSpec("easy", 2, 0))
-    report = run_episode(graph, policy, lexicon, mode="eval", collect_trace=True, epoch=7)
-    assert len(report.trace) == report.steps
-    for line in report.trace:
+    sink = io.StringIO()
+    report = run_episode(graph, policy, lexicon, mode="eval", trace=sink, epoch=7)
+    trace = sink.getvalue().splitlines()
+    assert len(trace) == report.steps
+    for line in trace:
         assert line.startswith("epoch=7 step=")
         assert "facts=" in line and "action=" in line and "q=[" in line
-    bits = report.trace[0].split("facts=")[1].split()[0]
+    bits = trace[0].split("facts=")[1].split()[0]
     assert len(bits) == 26 and set(bits) <= {"0", "1"}
 
