@@ -3,7 +3,9 @@
 Each step the agent grounds one candidate action per (category, noun) pair
 the lexicon supports — four `go` directions plus `take coin` — and acts
 epsilon-greedily: an exploring step draws a uniform candidate and scores
-nothing, a greedy step scores every candidate with its category's network.
+nothing; a greedy step in a state not yet scored since the parameters last
+changed scores every candidate with its category's network, and one in a
+state already scored reads that choice back from the scorer's `GreedyMemo`.
 Rewards are shaped with an episodic discovery bonus and, on medium/hard
 maps, a bonus for backing out of a fully explored room the way it came in.
 
@@ -25,7 +27,7 @@ import copy
 import math
 import random
 from collections import deque
-from collections.abc import Set
+from collections.abc import Callable, Set
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -106,8 +108,17 @@ def epsilon_at(epoch: int, config: TrainerConfig) -> float:
 
 def enumerate_candidates(props: PropositionSet, lexicon: LexiconTable) -> tuple[Candidate, ...]:
     """One grounded candidate per (category, noun) pair the lexicon supports
-    (`lexicon.pairs`), nouns in `NOUNS` order (directions NESW, then coin)."""
-    return tuple([ground_facts(props, category, noun) for category, noun in lexicon.pairs])
+    (`lexicon.pairs`), nouns in `NOUNS` order (directions NESW, then coin).
+
+    The tuple is built once per (props, pairs) and kept on the props record,
+    so a state that recurs hands back the very tuple the logic scorer's
+    greedy memo is keyed on."""
+    memo = props.candidates_memo
+    candidates = memo.get(lexicon.pairs)
+    if candidates is None:
+        candidates = memo[lexicon.pairs] = tuple(
+            [ground_facts(props, category, noun) for category, noun in lexicon.pairs])
+    return candidates
 
 
 def explore(n: int, epsilon: float, rng: random.Random) -> int | None:
@@ -392,23 +403,55 @@ class QTable:
         self.entries.clear()
 
 
+class GreedyMemo(dict):
+    """A scorer's greedy choices since its parameters last changed,
+    `id(record) -> (record, action, q_values)`, per shared state record that
+    fixes the choice: the logic scorer's candidate tuple, the MLP's props.
+
+    Records are keyed by identity, never hashed by value (their arrays cannot
+    be), and each entry holds its record, so the id cannot be reused while
+    the entry stands. Whoever clears the scorer's Q tables clears this too,
+    so an entry equals a fresh scoring bit for bit. A deep copy starts empty.
+    """
+
+    def choose(self, record, score: Callable[[], tuple[Action, list[float]]]
+               ) -> tuple[Action, list[float]]:
+        """The kept choice for `record`, else `score()`'s, kept; the q values
+        are a fresh list each call, so no caller shares the kept one."""
+        entry = self.get(id(record))
+        if entry is None or entry[0] is not record:
+            entry = self[id(record)] = (record, *score())
+        return entry[1], list(entry[2])
+
+    def __deepcopy__(self, memo) -> "GreedyMemo":
+        return GreedyMemo()
+
+
 class LnnScorer:
     """Per-category logic networks, whose parameter names carry their category.
 
     All scoring goes through `tables`, one `QTable` per category, so the Q
-    table is keyed by (category, fact bytes). It is cleared after every
-    optimizer step and whenever induction adds a gate; a deep copy holds its
-    own, so a target or evaluation scorer keeps its entries. Replay reads the
-    next candidates and the chosen one, which `choose` always acted through.
+    table is keyed by (category, fact bytes); a greedy choice is kept in
+    `greedy` per candidate tuple. Both are cleared after every optimizer
+    step and whenever induction adds a gate; a deep copy holds its own
+    tables, so a target or evaluation scorer keeps its entries. Replay reads
+    the next candidates and the chosen one, which `choose` always acted
+    through.
     """
 
     def __init__(self, nets: dict[str, LnnNetwork]):
         self.nets = nets
         self.tables = {category: QTable(net) for category, net in nets.items()}
+        self.greedy = GreedyMemo()
 
     def choose(self, props: PropositionSet, candidates: tuple[Candidate, ...],
                epsilon: float, rng: random.Random) -> tuple[Action, list[float] | None]:
-        return select_action(candidates, self.tables, epsilon, rng)
+        index = explore(len(candidates), epsilon, rng)
+        if index is not None:
+            return candidates[index].action, None
+        # epsilon 0: `select_action` draws nothing more
+        return self.greedy.choose(candidates,
+                                  lambda: select_action(candidates, self.tables, 0.0, rng))
 
     def q(self, transition: Transition) -> float:
         chosen = transition.chosen()
@@ -436,11 +479,13 @@ class LnnScorer:
             table = self.tables[chosen.category]
             if table.net.induce(table.forward(chosen.values)[1]) is not None:
                 table.clear()
+                self.greedy.clear()
 
     def after_step(self) -> None:
         for table in self.tables.values():
             table.net.project()
             table.clear()
+        self.greedy.clear()
 
 
 class LnnAgent(DqnAgent):
@@ -486,8 +531,9 @@ def run_episode(
     action, or `take coin`) changes neither the room, its text nor the
     `AgentMap`, so the current `props` and `candidates` stand as the next
     ones: the very records a fresh reading would return. A move parses its
-    text through a dict kept for this episode only, then extracts and
-    enumerates afresh, because the map changed.
+    text through a dict kept for this episode only, then extracts afresh,
+    because the map changed, and enumerates: a lookup once the state has
+    been seen.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")

@@ -12,7 +12,7 @@ import random
 
 import numpy as np
 
-from .agent import DqnAgent, QTable, TrainerConfig, Transition, explore, greedy
+from .agent import DqnAgent, GreedyMemo, QTable, TrainerConfig, Transition, explore, greedy
 from .factextract import PROPOSITION_NAMES, Candidate, PropositionSet
 from .lnn import CheckpointError, reading_checkpoint
 from .rng import substream
@@ -28,9 +28,10 @@ ACTION_INDEX: dict[Action, int] = {a: i for i, a in enumerate(ALL_ACTIONS)}
 class MlpScorer:
     """26 -> 64 (ReLU) -> 10, with hand-rolled backprop.
 
-    All scoring goes through `table`, a `QTable` keyed by the state's 26-vector
-    and cleared after every optimizer step; a deep copy holds its own, so a
-    target or evaluation scorer keeps its entries. Replay reads the records'
+    All scoring goes through `table`, a `QTable` keyed by the state's 26-vector;
+    a greedy choice is kept in `greedy` per props record. Both are cleared
+    after every optimizer step; a deep copy holds its own table, so a target
+    or evaluation scorer keeps its entries. Replay reads the records'
     26-vectors; gradients reuse the hidden layer of the state's cached entry.
     """
 
@@ -41,6 +42,7 @@ class MlpScorer:
         self.w2 = rng.normal(0.0, np.sqrt(1.0 / N_HIDDEN), size=(N_HIDDEN, N_ACTIONS))
         self.b2 = np.zeros(N_ACTIONS)
         self.table = QTable(self)
+        self.greedy = GreedyMemo()
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
@@ -72,8 +74,12 @@ class MlpScorer:
         index = explore(N_ACTIONS, epsilon, rng)
         if index is not None:
             return ALL_ACTIONS[index], None
-        q_values = self.table.forward(props.as_vector())[0].tolist()
-        return ALL_ACTIONS[greedy(q_values)], q_values
+
+        def score() -> tuple[Action, list[float]]:
+            q_values = self.table.forward(props.as_vector())[0].tolist()
+            return ALL_ACTIONS[greedy(q_values)], q_values
+
+        return self.greedy.choose(props, score)
 
     def q(self, transition: Transition) -> float:
         return float(self.table.forward(transition.props.as_vector())[0][ACTION_INDEX[transition.action]])
@@ -90,6 +96,7 @@ class MlpScorer:
 
     def after_step(self) -> None:
         self.table.clear()
+        self.greedy.clear()
 
     # ------------------------------------------------------------ checkpoints
 
@@ -138,6 +145,7 @@ class MlpScorer:
         scorer = cls.__new__(cls)
         scorer.w1, scorer.b1, scorer.w2, scorer.b2 = (rows[name] for name in shapes)
         scorer.table = QTable(scorer)
+        scorer.greedy = GreedyMemo()
         return scorer
 
 

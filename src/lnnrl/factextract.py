@@ -208,6 +208,13 @@ class PropositionSet:
         vector.flags.writeable = False
         return vector
 
+    @functools.cached_property
+    def candidates_memo(self) -> dict:
+        """`agent.enumerate_candidates`' tuple for this record per
+        `LexiconTable.pairs`, filled on first use. A shared record never
+        changes, so neither does a tuple grounded from it."""
+        return {}
+
     def bitstring(self) -> str:
         return "".join(str(int(b)) for b in self.as_vector())
 

@@ -378,13 +378,16 @@ def _row(path, line: str, head: list[str], width: int) -> tuple[np.ndarray, np.n
         raise CheckpointError(f"{path}: {' '.join(head)} row has {weights.size} weights, expected {width}")
     if not all(np.isfinite(v) and v >= 0 for v in (bias, *weights)):
         raise CheckpointError(f"{path}: {' '.join(head)} row holds a negative or non-finite value")
+    # the domain `LnnNetwork.project` keeps: an OR weight above 1 scores off it
+    if head == ["or"] and any(w > 1.0 for w in weights):
+        raise CheckpointError(f"{path}: or row holds a weight above 1")
     return np.array(bias, dtype=np.float64), weights
 
 
 def load_network(path) -> LnnNetwork:
     """Read a checkpoint written by `save_network`; a truncated, malformed or
-    out-of-domain file (short row, non-finite or negative value, more gates
-    than its gate_cap) raises CheckpointError."""
+    out-of-domain file (short row, non-finite or negative value, an OR weight
+    above 1, more gates than its gate_cap) raises CheckpointError."""
     with reading_checkpoint(path):
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_baseline import as_props
+from test_baseline import SHARED_STATES, as_props, float_bits
 
 import lnnrl.agent as agent_module
 from lnnrl.agent import (
     LnnAgent,
     LnnScorer,
+    QTable,
     ReplayBuffer,
     TrainerConfig,
     Transition,
@@ -40,6 +41,7 @@ from lnnrl.factextract import (
     ground_facts,
     parse_observation,
 )
+from lnnrl.harness import evaluate
 from lnnrl.lexicon import default_lexicon, parse_lexicon
 from lnnrl.lnn import AND, OR, LnnNetwork, LogicNode
 from lnnrl.optim import AdamOptimizer
@@ -186,12 +188,16 @@ def test_shared_groundings_and_candidates_match_the_per_step_construction(bits):
         DIRECTION_ONLY_LEXICON, EXTRA_CATEGORY_LEXICON, MISASSIGNED_LEXICON)]
     for lexicon in lexicons:
         candidates = enumerate_candidates(props, lexicon)
+        # one shared tuple per (props, pairs): the greedy memo's key
+        assert enumerate_candidates(props, lexicon) is candidates
         expected = reference_candidates(props, lexicon)
         assert len(candidates) == len(expected)
         for c, (category, noun, action, values) in zip(candidates, expected):
             assert (c.category, c.noun, c.action) == (category, noun, action)
             assert np.array_equal(c.values, values)
             assert_read_only(c.values)
+
+    assert enumerate_candidates(props, default_lexicon()) is enumerate_candidates(props, lexicons[0])
 
     vector = props.as_vector()
     assert vector is props.as_vector()
@@ -614,11 +620,13 @@ CRISP_FACTS = {
 CATEGORY_FACTS = st.sampled_from(sorted(CRISP_FACTS)).flatmap(
     lambda category: st.tuples(st.just(category), CRISP_FACTS[category]))
 
-# score: fill the table; train: push a transition and take a full train_step
-# (induction, Adam, projection, target refresh); induce: induction alone;
-# snapshot: keep a copy that must stay exact as the online scorer moves on
+# score: fill the table; choose: a greedy choice in a shared state, which may
+# have been scored before; train: push a transition and take a full
+# train_step (induction, Adam, projection, target refresh); induce: induction
+# alone; snapshot: keep a copy that must stay exact as the online scorer moves on
 Q_TABLE_OPS = st.lists(st.one_of(
     st.tuples(st.just("score"), CATEGORY_FACTS),
+    st.tuples(st.just("choose"), st.sampled_from(SHARED_STATES)),
     st.tuples(st.just("train"), CATEGORY_FACTS, st.sampled_from([0.0, 0.5, 1.0, 2.0]),
               st.lists(CATEGORY_FACTS, max_size=5), st.booleans()),
     st.tuples(st.just("induce"), CATEGORY_FACTS),
@@ -644,6 +652,15 @@ def assert_table_is_exact(scorer, upstream):
                 assert np.array_equal(grad, fresh_grads[name]), (category, name)
 
 
+def assert_memo_is_exact(scorer):
+    # every kept greedy choice equals fresh forward passes on today's parameters
+    for key, (candidates, action, q_values) in scorer.greedy.items():
+        assert key == id(candidates)
+        want_action, want_q = select_action(candidates, scorer.nets, 0.0, random.Random(0))
+        assert action == want_action
+        assert float_bits(q_values) == float_bits(want_q)
+
+
 def assert_parameters_in_domain(scorer):
     # the projection's invariant: finite and nonnegative, OR weights at most 1
     for name, p in scorer.parameters().items():
@@ -656,7 +673,7 @@ def assert_parameters_in_domain(scorer):
 @given(ops=Q_TABLE_OPS, seed=st.integers(0, 2**16),
        learning_rate=st.sampled_from([1e-3, 0.05, 0.3]),
        upstream=st.floats(-2.0, 2.0, allow_nan=False))
-def test_q_table_entries_equal_a_fresh_forward(ops, seed, learning_rate, upstream):
+def test_q_table_entries_equal_a_fresh_forward(lexicon, ops, seed, learning_rate, upstream):
     config = TrainerConfig(learning_rate=learning_rate, gate_cap=3, batch_size=2,
                            target_update_period=3)
     agent = LnnAgent(config, run_seed=seed)
@@ -665,6 +682,11 @@ def test_q_table_entries_equal_a_fresh_forward(ops, seed, learning_rate, upstrea
         if op[0] == "score":
             category, facts = op[1]
             agent.scorer.tables[category].forward(facts)
+        elif op[0] == "choose":
+            candidates = enumerate_candidates(op[1], lexicon)
+            action, q_values = agent.choose(op[1], candidates, 0.0, random.Random(0))
+            kept = agent.scorer.greedy[id(candidates)]
+            assert (action, q_values) == kept[1:] and q_values is not kept[2]
         elif op[0] == "train":
             (category, facts), reward, next_candidates, terminal = op[1:]
             agent.buffer.push(make_transition(category, facts, reward, terminal,
@@ -677,6 +699,7 @@ def test_q_table_entries_equal_a_fresh_forward(ops, seed, learning_rate, upstrea
             snapshots.append(copy.deepcopy(agent.scorer))
         for scorer in (agent.scorer, agent.target, *snapshots):
             assert_table_is_exact(scorer, upstream)
+            assert_memo_is_exact(scorer)
             assert_parameters_in_domain(scorer)
 
 
@@ -878,6 +901,32 @@ def test_untrained_networks_stall_near_the_step_cap(lexicon):
         rewards.append(report.quest_reward)
     assert sum(steps) / len(steps) >= 90
     assert sum(rewards) / len(rewards) <= 0.1
+
+
+def test_an_eval_scores_each_candidate_tuple_once(lexicon):
+    # the scripted networks never change, so each state's greedy choice is
+    # scored once: at most one Q table lookup per candidate of a distinct tuple
+    agent = LnnAgent(TrainerConfig(), nets=scripted_rule_networks())
+    seen, choose, lookups = {}, agent.choose, []
+    forward = QTable.forward
+
+    def record_choose(props, candidates, epsilon, rng):
+        seen[id(candidates)] = candidates
+        return choose(props, candidates, epsilon, rng)
+
+    def counted(table, facts):
+        lookups.append(facts)
+        return forward(table, facts)
+
+    agent.choose = record_choose
+    graphs = [generate_game(GameSpec("hard", level, seed))
+              for level in (5, 15, 25) for seed in range(4)]
+    with mock.patch.object(QTable, "forward", counted):
+        _, mean_steps = evaluate(agent, graphs, lexicon)
+    assert all(len(candidates) == 5 for candidates in seen.values())
+    assert len(lookups) <= 5 * len(seen)
+    # states recur, so scoring every step would have cost more
+    assert len(seen) < mean_steps * len(graphs)
 
 
 def test_eval_mode_mutates_no_parameters(lexicon):

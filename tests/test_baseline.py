@@ -1,6 +1,7 @@
 """MLP baseline scorer: shapes, gradients, and the shared trainer contract."""
 
 import copy
+import itertools
 import random
 
 import numpy as np
@@ -8,9 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lnnrl.agent import TrainerConfig, Transition
+from lnnrl.agent import TrainerConfig, Transition, greedy
 from lnnrl.baseline import MlpAgent, MlpScorer, N_ACTIONS, N_INPUTS
-from lnnrl.factextract import AgentMap, PropositionSet, extract_propositions, parse_observation
+from lnnrl.factextract import (
+    AgentMap,
+    ParsedObservation,
+    PropositionSet,
+    extract_propositions,
+    parse_observation,
+)
 from lnnrl.lnn import CheckpointError
 from lnnrl.worldsim import (
     ALL_ACTIONS,
@@ -146,11 +153,48 @@ def test_target_network_refresh():
 STATE_VECTORS = st.lists(st.booleans(), min_size=13, max_size=13).map(
     lambda bits: np.array([v for b in bits for v in (float(b), float(not b))]))
 
-# score: fill the online table through `choose`; train: push a transition and
-# take a full train_step (Adam, table clear, target refresh); snapshot: keep
-# a copy that must stay exact as the online scorer moves on
+
+def shared_props(find, visited, entry):
+    """The shared record `extract_propositions` returns for find per noun,
+    visited per direction and the direction the room was entered from."""
+    exits = frozenset(d for d, bit in zip(DIRECTIONS, find) if bit)
+    parsed = ParsedObservation("test room", exits, frozenset({"coin"} if find[4] else ()))
+    agent_map = AgentMap(current=0,
+                         visited={0} | {k + 1 for k, bit in enumerate(visited) if bit},
+                         adjacency={(0, d): k + 1 for k, d in enumerate(DIRECTIONS)},
+                         entry_direction={} if entry is None else {0: entry})
+    return extract_propositions(parsed, agent_map)
+
+
+#: eight shared records: few enough that a list of ops revisits a state
+SHARED_STATES = [shared_props(find, visited, entry) for find, visited, entry in itertools.product(
+    ((True, False, False, True, False), (True, True, True, True, True)),
+    ((False,) * 4, (True, False, True, False)),
+    (None, "north"))]
+
+
+def float_bits(values):
+    """Each float's exact bits, the sign of a zero included."""
+    return [float(v).hex() for v in values]
+
+
+def assert_mlp_memo_is_exact(scorer):
+    # every kept greedy choice equals a fresh forward on today's parameters
+    for key, (props, action, q_values) in scorer.greedy.items():
+        assert key == id(props)
+        fresh = scorer.forward(props.as_vector())[0].tolist()
+        assert float_bits(q_values) == float_bits(fresh)
+        assert action == ALL_ACTIONS[greedy(fresh)]
+
+
+# score: fill the online table through `choose` on a fresh record; choose: the
+# same on a shared record, which may have been scored before; train: push a
+# transition and take a full train_step (Adam, table and memo clear, target
+# refresh); snapshot: keep a copy that must stay exact as the online scorer
+# moves on
 MLP_TABLE_OPS = st.lists(st.one_of(
     st.tuples(st.just("score"), STATE_VECTORS),
+    st.tuples(st.just("choose"), st.sampled_from(SHARED_STATES)),
     st.tuples(st.just("train"), STATE_VECTORS, st.sampled_from(ALL_ACTIONS),
               st.sampled_from([0.0, 0.5, 1.0, 2.0]), STATE_VECTORS, st.booleans()),
     st.tuples(st.just("snapshot")),
@@ -187,6 +231,10 @@ def test_mlp_q_table_entries_equal_a_fresh_forward(ops, seed, learning_rate, act
     for op in ops:
         if op[0] == "score":
             agent.choose(as_props(op[1]), [], 0.0, random.Random(0))
+        elif op[0] == "choose":
+            action, q_values = agent.choose(op[1], (), 0.0, random.Random(0))
+            kept = agent.scorer.greedy[id(op[1])]
+            assert (action, q_values) == kept[1:] and q_values is not kept[2]
         elif op[0] == "train":
             vec, action, reward, next_vec, terminal = op[1:]
             agent.buffer.push(Transition(props=as_props(vec), candidates=(), action=action,
@@ -196,6 +244,7 @@ def test_mlp_q_table_entries_equal_a_fresh_forward(ops, seed, learning_rate, act
         else:
             snapshots.append(copy.deepcopy(agent.scorer))
         for scorer in (agent.scorer, agent.target, *snapshots):
+            assert_mlp_memo_is_exact(scorer)
             assert scorer.table.net is scorer
             for key, (q, hidden) in scorer.table.entries.items():
                 x = np.frombuffer(key)

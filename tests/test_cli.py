@@ -91,6 +91,20 @@ def test_eval_on_truncated_checkpoint_is_a_typed_error(tiny_run, tmp_path, capsy
     assert main(["eval", "--run-dir", str(run_dir)]) == 2
     assert "error:" in capsys.readouterr().err
 
+
+def test_eval_on_an_or_weight_above_one_is_a_typed_error(tiny_run, tmp_path, capsys):
+    run_dir = tmp_path / "out_of_domain"
+    shutil.copytree(tiny_run, run_dir)
+    checkpoint = run_dir / "seed0" / "money.lnn"
+    lines = checkpoint.read_text(encoding="utf-8").splitlines()
+    assert lines[-1].startswith("or bias ") and len(lines[-1].split()) > 4
+    lines[-1] = lines[-1].rsplit(" ", 1)[0] + " 2.5"
+    checkpoint.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["eval", "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "money.lnn" in err and "above 1" in err
+
+
 def rewrite(path, old, new):
     text = path.read_text(encoding="utf-8")
     assert old in text

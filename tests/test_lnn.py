@@ -319,12 +319,14 @@ def test_money_rule_renders_in_take_notation():
 
 # finite and nonnegative, subnormals and values needing all 17 digits included
 NONNEGATIVE = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+# the OR weights' domain, which the loader enforces
+UNIT = st.floats(0.0, 1.0, allow_nan=False)
 
 
 @st.composite
 def grown_networks(draw):
     """A network grown by induction to 1..gate_cap gates, then given random
-    nonnegative weights and biases."""
+    nonnegative weights and biases, OR weights at most 1."""
     category = draw(st.sampled_from(sorted(CATEGORY_LITERALS)))
     literals = CATEGORY_LITERALS[category]
     gate_cap = draw(st.integers(1, 16))
@@ -335,7 +337,8 @@ def grown_networks(draw):
                                        min_size=len(literals), max_size=len(literals))))
     for node in (*net.and_gates, net.or_root):
         n = node.weights.size
-        node.weights[...] = draw(st.lists(NONNEGATIVE, min_size=n, max_size=n))
+        weights = UNIT if node is net.or_root else NONNEGATIVE
+        node.weights[...] = draw(st.lists(weights, min_size=n, max_size=n))
         node.bias[...] = draw(NONNEGATIVE)
     return net
 
@@ -358,7 +361,8 @@ def test_checkpoint_round_trip_is_exact(tmp_path_factory, net):
         assert a.bias.dtype == b.bias.dtype and a.bias.tobytes() == b.bias.tobytes()
 
 
-# each damages the alpha row (line 3) or the first gate row (line 8), or cuts the file short
+# each damages the alpha row (line 3), the first gate row (line 8) or the OR
+# row (the last), or cuts the file short
 CHECKPOINT_DAMAGE = {
     "truncated": lambda lines: lines[:9],
     "short_gate_row": lambda lines: lines[:8] + [lines[8].rsplit(" ", 1)[0]] + lines[9:],
@@ -366,6 +370,7 @@ CHECKPOINT_DAMAGE = {
     "negative_weight": lambda lines: lines[:8] + [lines[8].rsplit(" ", 1)[0] + " -0.25"] + lines[9:],
     "unparsable_bias": lambda lines: lines[:8] + [lines[8].replace("bias 1 ", "bias one ")] + lines[9:],
     "alpha_out_of_range": lambda lines: lines[:3] + ["alpha 0.25"] + lines[4:],
+    "or_weight_above_one": lambda lines: lines[:-1] + [lines[-1].rsplit(" ", 1)[0] + " 2.5"],
 }
 
 
@@ -377,7 +382,7 @@ def test_checkpoint_rejects_damaged_files(tmp_path, damage):
     damaged = CHECKPOINT_DAMAGE[damage](lines)
     assert damaged != lines
     path.write_text("\n".join(damaged) + "\n", encoding="utf-8")
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="direction.lnn"):
         load_network(path)
 
 
