@@ -5,7 +5,7 @@ the lexicon supports — four `go` directions plus `take coin` — and acts
 epsilon-greedily: an exploring step draws a uniform candidate and scores
 nothing; a greedy step in a state not yet scored since the parameters last
 changed scores every candidate with its category's network, and one in a
-state already scored reads that choice back from the scorer's `GreedyMemo`.
+state already scored reads that choice back from the scorer's `Memo`.
 Rewards are shaped with an episodic discovery bonus and, on medium/hard
 maps, a bonus for backing out of a fully explored room the way it came in.
 
@@ -135,22 +135,16 @@ def greedy(q_values: list[float]) -> int:
     return q_values.index(max(q_values))
 
 
-def epsilon_greedy(q_values: list[float], epsilon: float, rng: random.Random) -> int:
-    """`explore`, else `greedy`, over scores already in hand."""
-    index = explore(len(q_values), epsilon, rng)
-    return greedy(q_values) if index is None else index
-
-
 def select_action(
     candidates: tuple[Candidate, ...],
-    nets: dict[str, LnnNetwork | QTable],
+    nets: dict[str, LnnNetwork],
     epsilon: float,
     rng: random.Random,
 ) -> tuple[Action, list[float] | None]:
     """Epsilon-greedy over the candidates; the q values are None when the step explored.
 
-    `nets` maps each category to whatever scores it through
-    `forward(facts) -> (q, trace)`: a network, or the Q table in front of it.
+    `nets` maps each category to its network; every greedy call runs a fresh
+    forward pass per candidate. The scorers keep their own memo instead.
     """
     if not candidates:
         raise ValueError("select_action needs at least one candidate")
@@ -320,7 +314,7 @@ class DqnAgent:
     the action and its q values, or None when the step explored;
     `q(transition)`, a float for every transition its `choose` produced;
     `best_next(transition)`; `transition_gradients(transition, upstream)`,
-    from the pass its Q table cached; `parameters()`, keyed so one optimizer
+    from the pass its memo kept; `parameters()`, keyed so one optimizer
     covers it all; and hooks `before_batch(batch)` and `after_step()`. Each
     reads its own inputs from the shared `Transition`. The target, a deep copy
     of the scorer, is retaken every `target_update_period` optimizer steps.
@@ -369,103 +363,73 @@ class DqnAgent:
             self.target = copy.deepcopy(self.scorer)
         return total_loss / len(batch)
 
-    def parameter_checksum(self) -> float:
-        return sum(float(np.sum(a)) + float(np.sum(np.abs(a)))
-                   for a in self.scorer.parameters().values())
 
+class Memo(dict):
+    """A scorer's values per shared, read-only record, `id(record) ->
+    (record, value)`, each computed once while the parameters stand.
 
-class QTable:
-    """One scorer's forward passes, kept per distinct input vector.
+    The records are the ones every step shares: a candidate's `values` or a
+    state's 26-vector (value: `forward`'s `(q, trace)`), and a candidate tuple
+    or props record (value: the greedy `(action, q_values)`). Records are keyed
+    by identity, never hashed by value (arrays cannot be), and each entry holds
+    its record, so an id cannot be reused while its entry stands. Whoever
+    changes the parameters calls `clear`, so an entry equals a fresh pass bit
+    for bit. Callers must not write into a value, which later lookups share.
 
-    `net.forward(x)` returns `(q, trace)`, the trace being what `net.gradients`
-    differentiates: an `LnnNetwork`'s q and `ForwardTrace` per fact vector
-    (facts are crisp: at most 2**4 directions, 2 coins), or an `MlpScorer`'s
-    ten action values and hidden layer per 26-vector of the state.
-    Entries are exactly what `forward` returned, so a lookup is bit-identical
-    to a fresh pass for as long as the parameters do not change: whoever
-    changes them calls `clear`. Callers must not write into the returned
-    arrays, which every later lookup shares.
+    A deep copy shares the entries: they are exact for the copied parameters,
+    and a record is never deep-copied.
     """
 
-    def __init__(self, net):
-        self.net = net
-        self.entries: dict[bytes, tuple] = {}
-
-    def forward(self, facts) -> tuple:
-        x = np.asarray(facts, dtype=np.float64)
-        key = x.tobytes()
-        entry = self.entries.get(key)
-        if entry is None:
-            entry = self.entries[key] = self.net.forward(x)
-        return entry
-
-    def clear(self) -> None:
-        self.entries.clear()
-
-
-class GreedyMemo(dict):
-    """A scorer's greedy choices since its parameters last changed,
-    `id(record) -> (record, action, q_values)`, per shared state record that
-    fixes the choice: the logic scorer's candidate tuple, the MLP's props.
-
-    Records are keyed by identity, never hashed by value (their arrays cannot
-    be), and each entry holds its record, so the id cannot be reused while
-    the entry stands. Whoever clears the scorer's Q tables clears this too,
-    so an entry equals a fresh scoring bit for bit. A deep copy starts empty.
-    """
-
-    def choose(self, record, score: Callable[[], tuple[Action, list[float]]]
-               ) -> tuple[Action, list[float]]:
-        """The kept choice for `record`, else `score()`'s, kept; the q values
-        are a fresh list each call, so no caller shares the kept one."""
+    def of(self, record, compute: Callable):
+        """The kept value for `record`, else `compute(record)`, kept."""
         entry = self.get(id(record))
         if entry is None or entry[0] is not record:
-            entry = self[id(record)] = (record, *score())
-        return entry[1], list(entry[2])
+            entry = self[id(record)] = (record, compute(record))
+        return entry[1]
 
-    def __deepcopy__(self, memo) -> "GreedyMemo":
-        return GreedyMemo()
+    def __deepcopy__(self, memo) -> "Memo":
+        return Memo(self)
 
 
 class LnnScorer:
     """Per-category logic networks, whose parameter names carry their category.
 
-    All scoring goes through `tables`, one `QTable` per category, so the Q
-    table is keyed by (category, fact bytes); a greedy choice is kept in
-    `greedy` per candidate tuple. Both are cleared after every optimizer
-    step and whenever induction adds a gate; a deep copy holds its own
-    tables, so a target or evaluation scorer keeps its entries. Replay reads
-    the next candidates and the chosen one, which `choose` always acted
-    through.
+    All scoring goes through `memo`: a forward pass per candidate `values`
+    array (facts are crisp, so one shared array per category and truth
+    assignment), a greedy choice per candidate tuple. It is emptied after
+    every optimizer step and whenever induction adds a gate. Replay reads the
+    next candidates and the chosen one, which `choose` always acted through.
     """
 
     def __init__(self, nets: dict[str, LnnNetwork]):
         self.nets = nets
-        self.tables = {category: QTable(net) for category, net in nets.items()}
-        self.greedy = GreedyMemo()
+        self.memo = Memo()
+
+    def _forward(self, candidate: Candidate) -> tuple:
+        return self.memo.of(candidate.values, self.nets[candidate.category].forward)
+
+    def _greedy(self, candidates: tuple[Candidate, ...]) -> tuple[Action, list[float]]:
+        q_values = [self._forward(c)[0] for c in candidates]
+        return candidates[greedy(q_values)].action, q_values
 
     def choose(self, props: PropositionSet, candidates: tuple[Candidate, ...],
                epsilon: float, rng: random.Random) -> tuple[Action, list[float] | None]:
         index = explore(len(candidates), epsilon, rng)
         if index is not None:
             return candidates[index].action, None
-        # epsilon 0: `select_action` draws nothing more
-        return self.greedy.choose(candidates,
-                                  lambda: select_action(candidates, self.tables, 0.0, rng))
+        action, q_values = self.memo.of(candidates, self._greedy)
+        return action, list(q_values)
 
     def q(self, transition: Transition) -> float:
-        chosen = transition.chosen()
-        return self.tables[chosen.category].forward(chosen.values)[0]
+        return self._forward(transition.chosen())[0]
 
     def best_next(self, transition: Transition) -> float:
         # no next candidate leaves nothing to bootstrap from
-        return max((self.tables[c.category].forward(c.values)[0]
-                    for c in transition.next_candidates), default=0.0)
+        return max((self._forward(c)[0] for c in transition.next_candidates), default=0.0)
 
     def transition_gradients(self, transition: Transition, upstream: float) -> dict[str, np.ndarray]:
         chosen = transition.chosen()
-        table = self.tables[chosen.category]
-        return table.net.gradients(table.forward(chosen.values)[1], upstream)
+        return self.nets[chosen.category].gradients(self._forward(chosen)[1], upstream)
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {name: p for net in self.nets.values() for name, p in net.parameters().items()}
@@ -476,16 +440,13 @@ class LnnScorer:
             if transition.reward < 1.0:
                 continue
             chosen = transition.chosen()
-            table = self.tables[chosen.category]
-            if table.net.induce(table.forward(chosen.values)[1]) is not None:
-                table.clear()
-                self.greedy.clear()
+            if self.nets[chosen.category].induce(self._forward(chosen)[1]) is not None:
+                self.memo.clear()
 
     def after_step(self) -> None:
-        for table in self.tables.values():
-            table.net.project()
-            table.clear()
-        self.greedy.clear()
+        for net in self.nets.values():
+            net.project()
+        self.memo.clear()
 
 
 class LnnAgent(DqnAgent):

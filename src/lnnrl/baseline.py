@@ -12,7 +12,7 @@ import random
 
 import numpy as np
 
-from .agent import DqnAgent, GreedyMemo, QTable, TrainerConfig, Transition, explore, greedy
+from .agent import DqnAgent, Memo, TrainerConfig, Transition, explore, greedy
 from .factextract import PROPOSITION_NAMES, Candidate, PropositionSet
 from .lnn import CheckpointError, reading_checkpoint
 from .rng import substream
@@ -28,11 +28,10 @@ ACTION_INDEX: dict[Action, int] = {a: i for i, a in enumerate(ALL_ACTIONS)}
 class MlpScorer:
     """26 -> 64 (ReLU) -> 10, with hand-rolled backprop.
 
-    All scoring goes through `table`, a `QTable` keyed by the state's 26-vector;
-    a greedy choice is kept in `greedy` per props record. Both are cleared
-    after every optimizer step; a deep copy holds its own table, so a target
-    or evaluation scorer keeps its entries. Replay reads the records'
-    26-vectors; gradients reuse the hidden layer of the state's cached entry.
+    All scoring goes through `memo`: a forward pass per state's shared
+    26-vector, a greedy choice per props record. It is emptied after every
+    optimizer step. Replay reads the records' 26-vectors; gradients reuse the
+    hidden layer of the state's kept pass.
     """
 
     def __init__(self, seed: int = 0):
@@ -41,8 +40,7 @@ class MlpScorer:
         self.b1 = np.zeros(N_HIDDEN)
         self.w2 = rng.normal(0.0, np.sqrt(1.0 / N_HIDDEN), size=(N_HIDDEN, N_ACTIONS))
         self.b2 = np.zeros(N_ACTIONS)
-        self.table = QTable(self)
-        self.greedy = GreedyMemo()
+        self.memo = Memo()
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
@@ -69,34 +67,37 @@ class MlpScorer:
 
     # ------------------------------------------------------ scorer contract
 
+    def _forward(self, props: PropositionSet) -> tuple[np.ndarray, np.ndarray]:
+        return self.memo.of(props.as_vector(), self.forward)
+
+    def _greedy(self, props: PropositionSet) -> tuple[Action, list[float]]:
+        q_values = self._forward(props)[0].tolist()
+        return ALL_ACTIONS[greedy(q_values)], q_values
+
     def choose(self, props: PropositionSet, candidates: tuple[Candidate, ...],
                epsilon: float, rng: random.Random) -> tuple[Action, list[float] | None]:
         index = explore(N_ACTIONS, epsilon, rng)
         if index is not None:
             return ALL_ACTIONS[index], None
-
-        def score() -> tuple[Action, list[float]]:
-            q_values = self.table.forward(props.as_vector())[0].tolist()
-            return ALL_ACTIONS[greedy(q_values)], q_values
-
-        return self.greedy.choose(props, score)
+        action, q_values = self.memo.of(props, self._greedy)
+        return action, list(q_values)
 
     def q(self, transition: Transition) -> float:
-        return float(self.table.forward(transition.props.as_vector())[0][ACTION_INDEX[transition.action]])
+        return float(self._forward(transition.props)[0][ACTION_INDEX[transition.action]])
 
     def best_next(self, transition: Transition) -> float:
-        return float(np.max(self.table.forward(transition.next_props.as_vector())[0]))
+        return float(np.max(self._forward(transition.next_props)[0]))
 
     def transition_gradients(self, transition: Transition, upstream: float) -> dict[str, np.ndarray]:
         x = transition.props.as_vector()
-        return self.gradients(x, self.table.forward(x)[1], ACTION_INDEX[transition.action], upstream)
+        return self.gradients(x, self._forward(transition.props)[1],
+                              ACTION_INDEX[transition.action], upstream)
 
     def before_batch(self, batch: list[Transition]) -> None:
         pass
 
     def after_step(self) -> None:
-        self.table.clear()
-        self.greedy.clear()
+        self.memo.clear()
 
     # ------------------------------------------------------------ checkpoints
 
@@ -144,8 +145,7 @@ class MlpScorer:
                 raise CheckpointError(f"{path}: missing rows {', '.join(missing)}")
         scorer = cls.__new__(cls)
         scorer.w1, scorer.b1, scorer.w2, scorer.b2 = (rows[name] for name in shapes)
-        scorer.table = QTable(scorer)
-        scorer.greedy = GreedyMemo()
+        scorer.memo = Memo()
         return scorer
 
 

@@ -15,7 +15,8 @@ read-only PropositionSet and each grounding one shared Candidate.
 
 The parser is grammar-driven over the renderer's template family: it consumes
 the text sentence by sentence and rejects anything it cannot account for,
-reporting the unmatched span.
+reporting the unmatched span. An exit list must be one the renderer writes:
+distinct directions in NESW order, and a singular sentence for one exit.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .worldsim import DIRECTIONS, NOUNS, OPPOSITE, Action, RoomId
+from .worldsim import DIRECTIONS, NOUNS, OPPOSITE, Action, RoomId, _join_directions
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -52,13 +53,21 @@ _ROOM_RES = [
     re.compile(r"You have entered the (?P<name>[^.]+)\."),
     re.compile(r"This is the (?P<name>[^.]+)\."),
 ]
-_EXIT_RES = [
-    re.compile(r"There is an exit to the (?P<dirs>[a-z, ]+)\."),
-    re.compile(r"There are exits to the (?P<dirs>[a-z, ]+)\."),
-    re.compile(r"You can head (?P<dirs>[a-z, ]+) from here\."),
-    re.compile(r"A doorway leads (?P<dirs>[a-z, ]+)\."),
-    re.compile(r"Doorways lead (?P<dirs>[a-z, ]+)\."),
-]
+#: exit sentence -> whether it names several exits; None where the singular
+#: and plural forms are one text
+_EXIT_RES = {
+    re.compile(r"There is an exit to the (?P<dirs>[a-z, ]+)\."): False,
+    re.compile(r"There are exits to the (?P<dirs>[a-z, ]+)\."): True,
+    re.compile(r"You can head (?P<dirs>[a-z, ]+) from here\."): None,
+    re.compile(r"A doorway leads (?P<dirs>[a-z, ]+)\."): False,
+    re.compile(r"Doorways lead (?P<dirs>[a-z, ]+)\."): True,
+}
+#: the 15 exit lists the renderer writes (each nonempty set, in DIRECTIONS order)
+_DIRECTION_LISTS: dict[str, frozenset[str]] = {
+    _join_directions(dirs): frozenset(dirs)
+    for n in range(1, len(DIRECTIONS) + 1)
+    for dirs in itertools.combinations(DIRECTIONS, n)
+}
 _COIN_RES = [
     re.compile(r"There is a coin on the floor\."),
     re.compile(r"A coin glitters in the corner\."),
@@ -74,16 +83,21 @@ def _match_any(patterns, text: str, pos: int):
     return None
 
 
-def _split_direction_list(dirs: str, text: str, pos: int) -> frozenset[str]:
-    words: list[str] = []
+def _read_direction_list(m: re.Match, text: str, pos: int) -> frozenset[str]:
+    """The exits an exit sentence names, if the renderer could have written it:
+    a list from `_DIRECTION_LISTS` whose count agrees with the sentence's form."""
+    dirs = m.group("dirs")
+    exits = _DIRECTION_LISTS.get(dirs)
+    plural = _EXIT_RES[m.re]
+    if exits is not None and (plural is None or plural == (len(exits) > 1)):
+        return exits
     for chunk in dirs.split(", "):
-        words.extend(chunk.split(" and "))
-    for word in words:
-        if word not in DIRECTIONS:
-            raise ObservationParseError(
-                f"unknown direction word {word!r} in exit list at: {text[pos:pos + 60]!r}"
-            )
-    return frozenset(words)
+        for word in chunk.split(" and "):
+            if word not in DIRECTIONS:
+                raise ObservationParseError(
+                    f"unknown direction word {word!r} in exit list at: {text[pos:pos + 60]!r}"
+                )
+    raise ObservationParseError(f"exit list not in rendered order and form at: {text[pos:pos + 60]!r}")
 
 
 def parse_observation(text: str) -> ParsedObservation:
@@ -101,7 +115,7 @@ def parse_observation(text: str) -> ParsedObservation:
     m = _match_any(_EXIT_RES, text, pos)
     if m is None:
         raise ObservationParseError(f"no exit sentence at: {text[pos:pos + 60]!r}")
-    open_exits = _split_direction_list(m.group("dirs"), text, pos)
+    open_exits = _read_direction_list(m, text, pos)
     pos = m.end()
 
     objects: frozenset[str] = frozenset()
@@ -300,21 +314,23 @@ class Candidate:
 
 
 def _build_groundings() -> dict[tuple[str, str, tuple[bool, ...]], Candidate]:
-    # every literal arrives with its complement, in the frozen layout order
+    # every literal arrives with its complement, in the frozen layout order;
+    # one values array per (category, truth assignment), shared across nouns
     groundings = {}
     for category, literals in CATEGORY_LITERALS.items():
-        for noun in CATEGORY_NOUNS[category]:
-            action = Action(CATEGORY_VERBS[category], noun)
-            for bits in itertools.product((False, True), repeat=len(literals) // 2):
-                values = np.array([float(v) for b in bits for v in (b, not b)], dtype=np.float64)
-                values.flags.writeable = False
+        for bits in itertools.product((False, True), repeat=len(literals) // 2):
+            values = np.array([float(v) for b in bits for v in (b, not b)], dtype=np.float64)
+            values.flags.writeable = False
+            for noun in CATEGORY_NOUNS[category]:
+                action = Action(CATEGORY_VERBS[category], noun)
                 groundings[category, noun, bits] = Candidate(category, noun, action, values)
     return groundings
 
 
 #: every grounded candidate there can be: facts are crisp, so a direction has
 #: 2**4 truth assignments and the coin 2. Built once; the records and their
-#: read-only values are shared by every caller, replay included.
+#: read-only values are shared by every caller, replay included, and equal
+#: values are one array, so a scorer keyed on identity scores each once.
 GROUNDINGS: dict[tuple[str, str, tuple[bool, ...]], Candidate] = _build_groundings()
 
 

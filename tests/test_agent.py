@@ -16,14 +16,15 @@ import lnnrl.agent as agent_module
 from lnnrl.agent import (
     LnnAgent,
     LnnScorer,
-    QTable,
+    Memo,
     ReplayBuffer,
     TrainerConfig,
     Transition,
     enumerate_candidates,
     epsilon_at,
-    epsilon_greedy,
+    explore,
     fresh_networks,
+    greedy,
     run_episode,
     scripted_rule_networks,
     select_action,
@@ -34,6 +35,7 @@ from lnnrl.baseline import MlpAgent, MlpScorer
 from lnnrl.factextract import (
     CATEGORY_LITERALS,
     CATEGORY_VERBS,
+    GROUNDINGS,
     AgentMap,
     Candidate,
     PropositionSet,
@@ -72,14 +74,26 @@ def make_candidate(category, facts):
                      np.asarray(facts, dtype=float))
 
 
-def make_transition(category, facts, reward, terminal, next_candidates=()):
-    chosen = make_candidate(category, facts)
+def shared_candidate(category, facts):
+    """The shared grounding `ground_facts` returns for crisp `facts`."""
+    noun = "coin" if category == "money" else "north"
+    return GROUNDINGS[category, noun, tuple(bool(v) for v in facts[::2])]
+
+
+def make_transition(category, facts, reward, terminal, next_candidates=(),
+                    candidate=make_candidate):
+    chosen = candidate(category, facts)
     props = as_props(np.zeros(26))
     return Transition(
         props=props, candidates=(chosen,), action=chosen.action,
         reward=reward, terminal=terminal, next_props=props,
-        next_candidates=tuple(make_candidate(c, f) for c, f in next_candidates),
+        next_candidates=tuple(candidate(c, f) for c, f in next_candidates),
     )
+
+
+def parameter_bytes(agent):
+    """Every parameter's exact bits, by name."""
+    return {name: p.tobytes() for name, p in agent.scorer.parameters().items()}
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +269,8 @@ def test_epsilon_one_is_uniform_within_three_sigma(lexicon):
 
 
 def loop_index(q_values, epsilon, rng):
-    """The selection `select_action` made before `epsilon_greedy`: kept as reference."""
+    """Epsilon-greedy as a first-best loop, the form `select_action` once had:
+    kept as reference."""
     if epsilon > 0.0 and rng.random() < epsilon:
         return rng.randrange(len(q_values))
     best = 0
@@ -266,8 +281,8 @@ def loop_index(q_values, epsilon, rng):
 
 
 def argmax_index(q_values, epsilon, rng):
-    """The selection `MlpScorer.choose` made before `epsilon_greedy` (over its
-    ten action values): kept as reference."""
+    """Epsilon-greedy as an argmax, the form `MlpScorer.choose` once had (over
+    its ten action values): kept as reference."""
     q = np.array(q_values)
     if epsilon > 0.0 and rng.random() < epsilon:
         return rng.randrange(len(q))
@@ -284,7 +299,9 @@ Q_VALUES = st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0])
        seed=st.integers(0, 2**32 - 1))
 def test_epsilon_greedy_matches_both_former_selections(q_values, epsilon, seed):
     rng = random.Random(seed)
-    index = epsilon_greedy(q_values, epsilon, rng)
+    index = explore(len(q_values), epsilon, rng)
+    if index is None:
+        index = greedy(q_values)
     for reference in (loop_index, argmax_index):
         reference_rng = random.Random(seed)
         assert reference(q_values, epsilon, reference_rng) == index
@@ -555,7 +572,7 @@ def test_zero_rewards_and_zero_q_leave_argmax_unchanged(lexicon):
         return action
 
     before_action = argmax_action()
-    before_sum = agent.parameter_checksum()
+    before = parameter_bytes(agent)
     for noun in ("north", "east", "coin"):
         category = "money" if noun == "coin" else "direction"
         facts = [1.0, 0.0] if category == "money" else [1, 0, 0, 1, 0, 1, 0, 1]
@@ -566,7 +583,7 @@ def test_zero_rewards_and_zero_q_leave_argmax_unchanged(lexicon):
     for _ in range(100):
         agent.train_step()
     assert argmax_action() == before_action
-    assert agent.parameter_checksum() == before_sum
+    assert parameter_bytes(agent) == before
 
 
 def test_induction_respects_gate_cap():
@@ -604,8 +621,30 @@ def test_target_networks_refresh_on_schedule():
 
 
 # ---------------------------------------------------------------------------
-# Q table
+# memo
 # ---------------------------------------------------------------------------
+
+
+def test_memo_keys_records_by_identity_and_a_deep_copy_shares_its_entries():
+    memo, computed = Memo(), []
+
+    def compute(record):
+        computed.append(record)
+        return record.sum()
+
+    a, b = np.ones(3), np.ones(3)
+    assert memo.of(a, compute) == memo.of(a, compute) == memo.of(b, compute) == 3.0
+    # equal but distinct records are computed once each
+    assert computed == [a, b] and computed[0] is a and computed[1] is b
+    # an entry holds its record, so the id cannot be reused while it stands
+    assert memo[id(a)][0] is a and memo[id(b)][0] is b
+
+    copied = copy.deepcopy(memo)
+    assert type(copied) is Memo and copied is not memo
+    assert all(copied[key] is entry for key, entry in memo.items()) and len(copied) == 2
+    assert copied.of(a, compute) == 3.0 and len(computed) == 2
+    copied.clear()
+    assert len(memo) == 2 and memo[id(a)][0] is a
 
 
 def crisp(bits):
@@ -620,11 +659,12 @@ CRISP_FACTS = {
 CATEGORY_FACTS = st.sampled_from(sorted(CRISP_FACTS)).flatmap(
     lambda category: st.tuples(st.just(category), CRISP_FACTS[category]))
 
-# score: fill the table; choose: a greedy choice in a shared state, which may
-# have been scored before; train: push a transition and take a full
-# train_step (induction, Adam, projection, target refresh); induce: induction
-# alone; snapshot: keep a copy that must stay exact as the online scorer moves on
-Q_TABLE_OPS = st.lists(st.one_of(
+# score: fill the memo through `q` on a shared grounding; choose: a greedy
+# choice in a shared state, which may have been scored before; train: push a
+# transition and take a full train_step (induction, Adam, projection, target
+# refresh); induce: induction alone; snapshot: keep a copy that must stay
+# exact as the online scorer moves on
+MEMO_OPS = st.lists(st.one_of(
     st.tuples(st.just("score"), CATEGORY_FACTS),
     st.tuples(st.just("choose"), st.sampled_from(SHARED_STATES)),
     st.tuples(st.just("train"), CATEGORY_FACTS, st.sampled_from([0.0, 0.5, 1.0, 2.0]),
@@ -633,32 +673,34 @@ Q_TABLE_OPS = st.lists(st.one_of(
     st.tuples(st.just("snapshot")),
 ), min_size=1, max_size=25)
 
-
-def assert_table_is_exact(scorer, upstream):
-    for category, table in scorer.tables.items():
-        assert table.net is scorer.nets[category]
-        for key, (q, trace) in table.entries.items():
-            assert key == trace.facts.tobytes()
-            fresh_q, fresh = table.net.forward(trace.facts.copy())
-            assert q == fresh_q
-            assert np.array_equal(trace.facts, fresh.facts)
-            assert np.array_equal(trace.and_pre, fresh.and_pre)
-            assert np.array_equal(trace.and_out, fresh.and_out)
-            assert (trace.or_pre, trace.or_out) == (fresh.or_pre, fresh.or_out)
-            cached_grads = table.net.gradients(trace, upstream)
-            fresh_grads = table.net.gradients(fresh, upstream)
-            assert cached_grads.keys() == fresh_grads.keys()
-            for name, grad in cached_grads.items():
-                assert np.array_equal(grad, fresh_grads[name]), (category, name)
+CATEGORY_BY_ARITY = {len(literals): category for category, literals in CATEGORY_LITERALS.items()}
 
 
-def assert_memo_is_exact(scorer):
-    # every kept greedy choice equals fresh forward passes on today's parameters
-    for key, (candidates, action, q_values) in scorer.greedy.items():
-        assert key == id(candidates)
-        want_action, want_q = select_action(candidates, scorer.nets, 0.0, random.Random(0))
-        assert action == want_action
-        assert float_bits(q_values) == float_bits(want_q)
+def assert_memo_is_exact(scorer, upstream):
+    # every kept forward pass and greedy choice equals fresh forward passes on
+    # today's parameters, bit for bit
+    for key, (record, value) in scorer.memo.items():
+        assert key == id(record)
+        if isinstance(record, tuple):
+            action, q_values = value
+            want_action, want_q = select_action(record, scorer.nets, 0.0, random.Random(0))
+            assert action == want_action
+            assert float_bits(q_values) == float_bits(want_q)
+            continue
+        net = scorer.nets[CATEGORY_BY_ARITY[record.size]]
+        q, trace = value
+        assert trace.facts is record
+        fresh_q, fresh = net.forward(record.copy())
+        assert q == fresh_q
+        assert np.array_equal(trace.facts, fresh.facts)
+        assert np.array_equal(trace.and_pre, fresh.and_pre)
+        assert np.array_equal(trace.and_out, fresh.and_out)
+        assert (trace.or_pre, trace.or_out) == (fresh.or_pre, fresh.or_out)
+        cached_grads = net.gradients(trace, upstream)
+        fresh_grads = net.gradients(fresh, upstream)
+        assert cached_grads.keys() == fresh_grads.keys()
+        for name, grad in cached_grads.items():
+            assert np.array_equal(grad, fresh_grads[name]), (net.category, name)
 
 
 def assert_parameters_in_domain(scorer):
@@ -670,10 +712,10 @@ def assert_parameters_in_domain(scorer):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(ops=Q_TABLE_OPS, seed=st.integers(0, 2**16),
+@given(ops=MEMO_OPS, seed=st.integers(0, 2**16),
        learning_rate=st.sampled_from([1e-3, 0.05, 0.3]),
        upstream=st.floats(-2.0, 2.0, allow_nan=False))
-def test_q_table_entries_equal_a_fresh_forward(lexicon, ops, seed, learning_rate, upstream):
+def test_memo_entries_equal_a_fresh_forward(lexicon, ops, seed, learning_rate, upstream):
     config = TrainerConfig(learning_rate=learning_rate, gate_cap=3, batch_size=2,
                            target_update_period=3)
     agent = LnnAgent(config, run_seed=seed)
@@ -681,25 +723,27 @@ def test_q_table_entries_equal_a_fresh_forward(lexicon, ops, seed, learning_rate
     for op in ops:
         if op[0] == "score":
             category, facts = op[1]
-            agent.scorer.tables[category].forward(facts)
+            agent.scorer.q(make_transition(category, facts, 0.0, True,
+                                           candidate=shared_candidate))
         elif op[0] == "choose":
             candidates = enumerate_candidates(op[1], lexicon)
             action, q_values = agent.choose(op[1], candidates, 0.0, random.Random(0))
-            kept = agent.scorer.greedy[id(candidates)]
-            assert (action, q_values) == kept[1:] and q_values is not kept[2]
+            record, (kept_action, kept_q) = agent.scorer.memo[id(candidates)]
+            assert record is candidates
+            assert (action, q_values) == (kept_action, kept_q) and q_values is not kept_q
         elif op[0] == "train":
             (category, facts), reward, next_candidates, terminal = op[1:]
             agent.buffer.push(make_transition(category, facts, reward, terminal,
-                                              next_candidates))
+                                              next_candidates, candidate=shared_candidate))
             agent.train_step()
         elif op[0] == "induce":
             category, facts = op[1]
-            agent.scorer.before_batch([make_transition(category, facts, 1.0, True)])
+            agent.scorer.before_batch([make_transition(category, facts, 1.0, True,
+                                                       candidate=shared_candidate)])
         else:
             snapshots.append(copy.deepcopy(agent.scorer))
         for scorer in (agent.scorer, agent.target, *snapshots):
-            assert_table_is_exact(scorer, upstream)
-            assert_memo_is_exact(scorer)
+            assert_memo_is_exact(scorer, upstream)
             assert_parameters_in_domain(scorer)
 
 
@@ -817,13 +861,13 @@ def test_an_exploring_choice_runs_no_forward_pass(lexicon, make_agent):
 
 
 def reference_choose(agent, props, candidates, epsilon, rng):
-    """Score every action with fresh forward passes, then `epsilon_greedy`."""
+    """Score every action with fresh forward passes, then `loop_index`."""
     scorer = agent.scorer
     if isinstance(scorer, LnnScorer):
         q_values = [scorer.nets[c.category].forward(c.values)[0] for c in candidates]
-        return candidates[epsilon_greedy(q_values, epsilon, rng)].action, q_values
+        return candidates[loop_index(q_values, epsilon, rng)].action, q_values
     q_values = scorer.forward(props.as_vector())[0].tolist()
-    return ALL_ACTIONS[epsilon_greedy(q_values, epsilon, rng)], q_values
+    return ALL_ACTIONS[loop_index(q_values, epsilon, rng)], q_values
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -872,7 +916,7 @@ def test_a_traced_exploring_episode_writes_fresh_greedy_scores(lexicon, make_age
         return [t.action for pool in (a.buffer.prioritized, a.buffer.ordinary) for t in pool]
 
     assert report_untraced.steps == report.steps and actions(untraced) == actions(agent)
-    assert agent.parameter_checksum() == untraced.parameter_checksum()
+    assert parameter_bytes(agent) == parameter_bytes(untraced)
 
 
 # ---------------------------------------------------------------------------
@@ -905,26 +949,31 @@ def test_untrained_networks_stall_near_the_step_cap(lexicon):
 
 def test_an_eval_scores_each_candidate_tuple_once(lexicon):
     # the scripted networks never change, so each state's greedy choice is
-    # scored once: at most one Q table lookup per candidate of a distinct tuple
+    # scored once, and each shared values array runs one forward pass
     agent = LnnAgent(TrainerConfig(), nets=scripted_rule_networks())
-    seen, choose, lookups = {}, agent.choose, []
-    forward = QTable.forward
+    seen, choose, scored = {}, agent.choose, []
+    score = LnnScorer._greedy
 
     def record_choose(props, candidates, epsilon, rng):
         seen[id(candidates)] = candidates
         return choose(props, candidates, epsilon, rng)
 
-    def counted(table, facts):
-        lookups.append(facts)
-        return forward(table, facts)
+    def counted(scorer, candidates):
+        scored.append(candidates)
+        return score(scorer, candidates)
 
     agent.choose = record_choose
     graphs = [generate_game(GameSpec("hard", level, seed))
               for level in (5, 15, 25) for seed in range(4)]
-    with mock.patch.object(QTable, "forward", counted):
+    with mock.patch.object(LnnScorer, "_greedy", counted), \
+            counting_forward(LnnAgent) as calls:
         _, mean_steps = evaluate(agent, graphs, lexicon)
     assert all(len(candidates) == 5 for candidates in seen.values())
-    assert len(lookups) <= 5 * len(seen)
+    assert sorted(map(id, scored)) == sorted(seen)
+    values = {id(c.values) for candidates in seen.values() for c in candidates}
+    # 16 direction arrays and 2 coin arrays at most
+    assert len(calls) == len(values) <= 18
+    assert {id(x) for x in calls} == values
     # states recur, so scoring every step would have cost more
     assert len(seen) < mean_steps * len(graphs)
 
@@ -932,9 +981,9 @@ def test_an_eval_scores_each_candidate_tuple_once(lexicon):
 def test_eval_mode_mutates_no_parameters(lexicon):
     agent = LnnAgent(TrainerConfig(), run_seed=7)
     graph = generate_game(GameSpec("medium", 3, 1))
-    before = agent.parameter_checksum()
+    before = parameter_bytes(agent)
     run_episode(graph, agent, lexicon, mode="eval")
-    assert agent.parameter_checksum() == before
+    assert parameter_bytes(agent) == before
     assert len(agent.buffer) == 0
 
 

@@ -178,21 +178,33 @@ def float_bits(values):
     return [float(v).hex() for v in values]
 
 
-def assert_mlp_memo_is_exact(scorer):
-    # every kept greedy choice equals a fresh forward on today's parameters
-    for key, (props, action, q_values) in scorer.greedy.items():
-        assert key == id(props)
-        fresh = scorer.forward(props.as_vector())[0].tolist()
-        assert float_bits(q_values) == float_bits(fresh)
-        assert action == ALL_ACTIONS[greedy(fresh)]
+def assert_mlp_memo_is_exact(scorer, action_index, upstream):
+    # every kept forward pass and greedy choice equals a fresh forward on
+    # today's parameters, bit for bit
+    for key, (record, value) in scorer.memo.items():
+        assert key == id(record)
+        if isinstance(record, PropositionSet):
+            action, q_values = value
+            fresh = scorer.forward(record.as_vector())[0].tolist()
+            assert float_bits(q_values) == float_bits(fresh)
+            assert action == ALL_ACTIONS[greedy(fresh)]
+            continue
+        x, (q, hidden) = record, value
+        fresh_q, fresh_hidden = scorer.forward(x.copy())
+        assert np.array_equal(q, fresh_q)
+        assert np.array_equal(hidden, fresh_hidden)
+        cached = scorer.gradients(x, hidden, action_index, upstream)
+        fresh = gradients_from_a_fresh_pass(scorer, x, action_index, upstream)
+        assert cached.keys() == fresh.keys()
+        for name in fresh:
+            assert np.array_equal(cached[name], fresh[name]), name
 
 
-# score: fill the online table through `choose` on a fresh record; choose: the
+# score: fill the online memo through `choose` on a fresh record; choose: the
 # same on a shared record, which may have been scored before; train: push a
-# transition and take a full train_step (Adam, table and memo clear, target
-# refresh); snapshot: keep a copy that must stay exact as the online scorer
-# moves on
-MLP_TABLE_OPS = st.lists(st.one_of(
+# transition and take a full train_step (Adam, memo clear, target refresh);
+# snapshot: keep a copy that must stay exact as the online scorer moves on
+MLP_MEMO_OPS = st.lists(st.one_of(
     st.tuples(st.just("score"), STATE_VECTORS),
     st.tuples(st.just("choose"), st.sampled_from(SHARED_STATES)),
     st.tuples(st.just("train"), STATE_VECTORS, st.sampled_from(ALL_ACTIONS),
@@ -221,10 +233,10 @@ def as_props(vector):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(ops=MLP_TABLE_OPS, seed=st.integers(0, 2**16),
+@given(ops=MLP_MEMO_OPS, seed=st.integers(0, 2**16),
        learning_rate=st.sampled_from([1e-3, 0.05, 0.3]),
        action_index=st.integers(0, N_ACTIONS - 1), upstream=st.sampled_from([-1.3, 0.4]))
-def test_mlp_q_table_entries_equal_a_fresh_forward(ops, seed, learning_rate, action_index, upstream):
+def test_mlp_memo_entries_equal_a_fresh_forward(ops, seed, learning_rate, action_index, upstream):
     agent = MlpAgent(TrainerConfig(learning_rate=learning_rate, batch_size=2,
                                    target_update_period=3), run_seed=seed)
     snapshots = []
@@ -233,8 +245,9 @@ def test_mlp_q_table_entries_equal_a_fresh_forward(ops, seed, learning_rate, act
             agent.choose(as_props(op[1]), [], 0.0, random.Random(0))
         elif op[0] == "choose":
             action, q_values = agent.choose(op[1], (), 0.0, random.Random(0))
-            kept = agent.scorer.greedy[id(op[1])]
-            assert (action, q_values) == kept[1:] and q_values is not kept[2]
+            record, (kept_action, kept_q) = agent.scorer.memo[id(op[1])]
+            assert record is op[1]
+            assert (action, q_values) == (kept_action, kept_q) and q_values is not kept_q
         elif op[0] == "train":
             vec, action, reward, next_vec, terminal = op[1:]
             agent.buffer.push(Transition(props=as_props(vec), candidates=(), action=action,
@@ -244,15 +257,4 @@ def test_mlp_q_table_entries_equal_a_fresh_forward(ops, seed, learning_rate, act
         else:
             snapshots.append(copy.deepcopy(agent.scorer))
         for scorer in (agent.scorer, agent.target, *snapshots):
-            assert_mlp_memo_is_exact(scorer)
-            assert scorer.table.net is scorer
-            for key, (q, hidden) in scorer.table.entries.items():
-                x = np.frombuffer(key)
-                fresh_q, fresh_hidden = scorer.forward(x)
-                assert np.array_equal(q, fresh_q)
-                assert np.array_equal(hidden, fresh_hidden)
-                cached = scorer.gradients(x, hidden, action_index, upstream)
-                fresh = gradients_from_a_fresh_pass(scorer, x, action_index, upstream)
-                assert cached.keys() == fresh.keys()
-                for name in fresh:
-                    assert np.array_equal(cached[name], fresh[name]), name
+            assert_mlp_memo_is_exact(scorer, action_index, upstream)

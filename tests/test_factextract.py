@@ -1,5 +1,6 @@
 """Parser round-trips, history tracking, and the 26-value proposition contract."""
 
+import itertools
 import random
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from test_agent import reference_vector
 
 from lnnrl.factextract import (
+    GROUNDINGS,
     PROPOSITION_NAMES,
     AgentMap,
     ObservationParseError,
@@ -21,11 +23,13 @@ from lnnrl.factextract import (
 from lnnrl.worldsim import (
     DIFFICULTIES,
     DIRECTIONS,
+    EXIT_TEMPLATES,
     NOUNS,
     Action,
     GameSpec,
     generate_game,
     render_observation,
+    _join_directions,
     reset,
     step,
 )
@@ -92,6 +96,36 @@ def test_all_template_variants_are_parseable():
                 )
                 parsed = parse_observation(many)
                 assert parsed.open_exits == {"north", "east", "south"}
+
+
+def exit_lists(words):
+    """Every way to write the words as a list: the renderer's ", ... and ",
+    commas alone and "and" alone."""
+    joined = words[0] if len(words) == 1 else ", ".join(words[:-1]) + " and " + words[-1]
+    return {joined, ", ".join(words), " and ".join(words)}
+
+
+def test_the_parser_accepts_exactly_the_rendered_exit_sentences():
+    forms = {form for pair in EXIT_TEMPLATES for form in pair}
+    for n in range(1, len(DIRECTIONS) + 1):
+        for exits in itertools.combinations(DIRECTIONS, n):
+            # what `render_observation` writes for these exits, one text per template
+            rendered = {pair[n > 1].format(dirs=_join_directions(exits)) for pair in EXIT_TEMPLATES}
+            # every order of the words, and every order with one word repeated
+            sequences = {seq for extra in ((), *((word,) for word in exits))
+                         for seq in itertools.permutations(exits + extra)}
+            accepted = set()
+            for words in sequences:
+                for text in exit_lists(words):
+                    for form in forms:
+                        sentence = form.format(dirs=text)
+                        try:
+                            parsed = parse_observation(f"You are in the Dusty Cellar. {sentence}")
+                        except ObservationParseError:
+                            continue
+                        assert parsed.open_exits == frozenset(exits)
+                        accepted.add(sentence)
+            assert accepted == rendered, exits
 
 
 def test_parse_error_names_the_unmatched_span():
@@ -363,6 +397,20 @@ def test_grounded_pairs_sum_to_one_over_random_states():
             assert values[6] + values[7] == 1.0
         money = ground_facts(props, "money", "coin").values
         assert money[0] + money[1] == 1.0
+
+
+def test_equal_truth_assignments_share_one_values_array_across_nouns():
+    arrays = {id(c.values): c.values for c in GROUNDINGS.values()}
+    # 2**4 direction assignments and 2 coin assignments
+    assert len(arrays) == 18
+    for values in arrays.values():
+        with pytest.raises(ValueError):
+            values[0] = 0.5
+    for (category, noun, bits), candidate in GROUNDINGS.items():
+        assert candidate.values.tolist() == [float(v) for b in bits for v in (b, not b)]
+        for (other_category, _, other_bits), other in GROUNDINGS.items():
+            same = (category, bits) == (other_category, other_bits)
+            assert (candidate.values is other.values) == same
 
 
 def test_grounding_category_noun_mismatch_raises():
