@@ -38,6 +38,7 @@ from .factextract import (
     CATEGORY_VERBS,
     AgentMap,
     Candidate,
+    ParsedObservation,
     PropositionSet,
     extract_propositions,
     ground_facts,
@@ -50,8 +51,10 @@ from .rng import substream
 from .worldsim import (
     Action,
     RoomGraph,
+    RoomId,
     StepOutcome,
-    reset,
+    render_observation,
+    start_episode,
     step,
 )
 
@@ -463,6 +466,15 @@ class LnnAgent(DqnAgent):
 # ---------------------------------------------------------------------------
 
 
+def read_room(graph: RoomGraph, room: RoomId) -> ParsedObservation:
+    """The room's parsed text from the graph's memo, rendered and parsed on
+    the first read only."""
+    parsed = graph.readings.get(room)
+    if parsed is None:
+        parsed = graph.readings[room] = parse_observation(render_observation(graph, room))
+    return parsed
+
+
 @dataclass
 class EpisodeReport:
     quest_reward: float
@@ -488,23 +500,23 @@ def run_episode(
     step, facts, action, q values, shaped reward) before the agent observes
     the step.
 
-    Each observation is read once. A step that records no move (an invalid
-    action, or `take coin`) changes neither the room, its text nor the
+    Each room is read once per graph. A step that records no move (an
+    invalid action, or `take coin`) changes neither the room nor the
     `AgentMap`, so the current `props` and `candidates` stand as the next
-    ones: the very records a fresh reading would return. A move parses its
-    text through a dict kept for this episode only, then extracts afresh,
-    because the map changed, and enumerates: a lookup once the state has
-    been seen.
+    ones: the very records a fresh reading would return. A move, and the
+    start, take the room's reading from `graph.readings`, rendering and
+    parsing it only on the room's first entry in any episode on this graph,
+    then extract afresh, because the map changed, and enumerate: a lookup
+    once the state has been seen.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     rng = rng or random.Random(0)
     eps = epsilon if mode == "train" else 0.0
 
-    state, observation = reset(graph)
+    state = start_episode(graph)
     agent_map = AgentMap.start(state.room)
-    parsed_by_text = {observation: parse_observation(observation)}
-    props = extract_propositions(parsed_by_text[observation], agent_map)
+    props = extract_propositions(read_room(graph, state.room), agent_map)
     candidates = enumerate_candidates(props, lexicon)
 
     bonus = agent.config.bonus_coefficient
@@ -525,11 +537,7 @@ def run_episode(
         next_props, next_candidates = props, candidates
         if outcome.action_valid and action.verb == "go":
             agent_map.record_move(action.noun, outcome.room_id)
-            observation = outcome.observation
-            parsed = parsed_by_text.get(observation)
-            if parsed is None:
-                parsed = parsed_by_text[observation] = parse_observation(observation)
-            next_props = extract_propositions(parsed, agent_map)
+            next_props = extract_propositions(read_room(graph, outcome.room_id), agent_map)
             next_candidates = enumerate_candidates(next_props, lexicon)
 
         if trace is not None:

@@ -41,11 +41,20 @@ class ObservationParseError(Exception):
     """Input text falls outside the observation grammar."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParsedObservation:
+    """What one observation says. A graph keeps one per room it has read
+    (`RoomGraph.readings`), so a reading is kept small: no `__dict__`, and its
+    frozensets are shared module constants."""
+
     room_name: str
     open_exits: frozenset[str]
     objects_seen: frozenset[str]
+
+
+#: the two `objects_seen` values there are, shared by every reading
+_NO_OBJECTS: frozenset[str] = frozenset()
+_COIN_SEEN: frozenset[str] = frozenset({"coin"})
 
 
 _ROOM_RES = [
@@ -118,11 +127,11 @@ def parse_observation(text: str) -> ParsedObservation:
     open_exits = _read_direction_list(m, text, pos)
     pos = m.end()
 
-    objects: frozenset[str] = frozenset()
+    objects = _NO_OBJECTS
     if pos < len(text) and text.startswith(" ", pos):
         m = _match_any(_COIN_RES, text, pos + 1)
         if m is not None:
-            objects = frozenset({"coin"})
+            objects = _COIN_SEEN
             pos = m.end()
 
     if pos != len(text):

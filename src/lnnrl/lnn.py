@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,20 @@ def classify_truth(value: float, config: TruthConfig) -> TruthValue:
     if value <= 1.0 - config.alpha:
         return TruthValue.FALSE
     return TruthValue.UNKNOWN
+
+
+#: the gradient of a 0-d parameter that receives none
+_ZERO = np.array(0.0, dtype=np.float64)
+_ZERO.flags.writeable = False
+
+
+@functools.cache
+def _zero_vector(n: int) -> np.ndarray:
+    """The gradient of an n-weight gate that receives none: one read-only
+    array per arity, so every network of that arity shares it."""
+    zeros = np.zeros(n, dtype=np.float64)
+    zeros.flags.writeable = False
+    return zeros
 
 
 def clamp01(v: float) -> float:
@@ -183,7 +198,8 @@ class LnnNetwork:
         forms, named as in `parameters`.
 
         `trace` is what `forward` returned on the current parameters; no
-        second forward pass runs.
+        second forward pass runs. A gate with no gradient gets shared,
+        read-only zeros, which callers only read or add into new arrays.
         """
         x = trace.facts
         prefix = self.category
@@ -200,8 +216,8 @@ class LnnNetwork:
                 grads[f"{prefix}.and{j}.w"] = -g_out * (1.0 - x)
                 grads[f"{prefix}.and{j}.b"] = np.array(g_out, dtype=np.float64)
             else:
-                grads[f"{prefix}.and{j}.w"] = np.zeros_like(gate.weights)
-                grads[f"{prefix}.and{j}.b"] = np.array(0.0, dtype=np.float64)
+                grads[f"{prefix}.and{j}.w"] = _zero_vector(gate.weights.size)
+                grads[f"{prefix}.and{j}.b"] = _ZERO
         return grads
 
     # ------------------------------------------------------ structure and domain

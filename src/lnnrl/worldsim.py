@@ -12,14 +12,17 @@ how many dead-end distractor rooms hang off each path room:
 Observations are templated English with three surface forms per sentence so a
 parser cannot get away with matching a single fixed string. Rendering and
 stepping are pure functions of the generated graph, which makes full-episode
-replays reproducible. An episode renders each room once, on its first entry,
-and hands out that one string for every later visit; the texts belong to the
-episode's state and go with it.
+replays reproducible. `step` renders nothing: a `StepOutcome` renders its
+room's text only when its `observation` is read. A room's text, and so its
+reading, is a function of (graph, room) alone, so each `RoomGraph` keeps a
+memo of the readings made of its rooms, which lives and dies with the graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 from .rng import derive_seed, substream
 
@@ -42,6 +45,9 @@ DISTRACTORS_PER_ROOM = {"easy": 0, "medium": 1, "hard": 2}
 DEFAULT_MAX_EPISODE_STEPS = 100
 
 RoomId = int
+
+if TYPE_CHECKING:
+    from .factextract import ParsedObservation
 
 
 @dataclass(frozen=True)
@@ -86,6 +92,10 @@ class EpisodeFinishedError(WorldError):
 # ---------------------------------------------------------------------------
 
 
+#: the keys `GameSpec.to_line` writes
+_SPEC_LINE_KEYS = ("difficulty", "level", "seed", "max_steps")
+
+
 @dataclass(frozen=True)
 class GameSpec:
     difficulty: str
@@ -112,23 +122,41 @@ class GameSpec:
 
     @classmethod
     def from_line(cls, line: str) -> "GameSpec":
+        """The spec `to_line` wrote: each of its keys at most once, integers in
+        their canonical form; `max_steps` may be left out for the default."""
         fields: dict[str, str] = {}
         for token in line.split():
             if "=" not in token:
                 raise InvalidSpecError(f"bad spec token {token!r} in line {line!r}")
             key, value = token.split("=", 1)
+            if key not in _SPEC_LINE_KEYS:
+                raise InvalidSpecError(f"unknown field {key!r} in spec line {line!r}")
+            if key in fields:
+                raise InvalidSpecError(f"repeated field {key!r} in spec line {line!r}")
             fields[key] = value
-        try:
-            spec = cls(
-                difficulty=fields["difficulty"],
-                level=int(fields["level"]),
-                seed=int(fields["seed"]),
-                max_episode_steps=int(fields.get("max_steps", DEFAULT_MAX_EPISODE_STEPS)),
-            )
-        except KeyError as exc:
-            raise InvalidSpecError(f"missing field {exc} in spec line {line!r}") from exc
+        fields.setdefault("max_steps", str(DEFAULT_MAX_EPISODE_STEPS))
+        for key in _SPEC_LINE_KEYS:
+            if key not in fields:
+                raise InvalidSpecError(f"missing field {key!r} in spec line {line!r}")
+        spec = cls(
+            difficulty=fields["difficulty"],
+            level=_spec_int(fields, "level", line),
+            seed=_spec_int(fields, "seed", line),
+            max_episode_steps=_spec_int(fields, "max_steps", line),
+        )
         spec.validate()
         return spec
+
+
+def _spec_int(fields: dict[str, str], key: str, line: str) -> int:
+    """`fields[key]` as an integer written as `str(int)` writes one."""
+    raw = fields[key]
+    try:
+        if str(int(raw)) == raw:
+            return int(raw)
+    except ValueError:
+        pass
+    raise InvalidSpecError(f"field {key!r} must be an integer, got {raw!r} in spec line {line!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +188,11 @@ ROOM_NAME_BANK: tuple[str, ...] = tuple(
 
 @dataclass(frozen=True)
 class RoomGraph:
-    """Immutable generated map plus the spec metadata the engine needs."""
+    """Immutable generated map plus the spec metadata the engine needs.
+
+    `readings` is the graph's one piece of state: a memo of parsed room
+    texts that every episode on this graph shares.
+    """
 
     difficulty: str
     level: int
@@ -179,6 +211,14 @@ class RoomGraph:
 
     def degree(self, room: RoomId) -> int:
         return len(self.open_exits(room))
+
+    @functools.cached_property
+    def readings(self) -> dict[RoomId, "ParsedObservation"]:
+        """Room id -> `parse_observation(render_observation(self, room))`,
+        filled by `agent.run_episode` on a room's first entry in any episode
+        on this graph. A room's text never changes, so neither does its
+        reading; the memo is this graph's alone, even among equal graphs."""
+        return {}
 
 
 def _neighbors(cell: tuple[int, int]):
@@ -423,50 +463,47 @@ def render_observation(graph: RoomGraph, room: RoomId) -> str:
 
 @dataclass
 class EpisodeState:
-    """One episode in progress: where the agent is, the step count, and the
-    text of every room the episode has entered.
-
-    `texts` is filled by `observation()` on each room's first entry and lives
-    only as long as the episode, so no text outlives it or leaks into
-    another graph's episode.
-    """
+    """One episode in progress: where the agent is and the step count."""
 
     graph: RoomGraph
     room: RoomId
     steps: int = 0
     done: bool = False
-    texts: dict[RoomId, str] = field(default_factory=dict)
-
-    def observation(self) -> str:
-        """The current room's text: rendered on first entry, the same string after."""
-        text = self.texts.get(self.room)
-        if text is None:
-            text = self.texts[self.room] = render_observation(self.graph, self.room)
-        return text
 
 
-@dataclass(frozen=True)
-class StepOutcome:
-    observation: str
+class StepOutcome(NamedTuple):
+    """What one step did. The room's text is rendered only when
+    `observation` is read, so a step that nobody reads costs no rendering."""
+
     quest_reward: float
     done: bool
     room_id: RoomId
     action_valid: bool
+    graph: RoomGraph
+
+    @property
+    def observation(self) -> str:
+        """The text of the room the step ended in, rendered on each read."""
+        return render_observation(self.graph, self.room_id)
+
+
+def start_episode(graph: RoomGraph) -> EpisodeState:
+    """Place the agent at the start room; nothing is rendered."""
+    if not graph.rooms:
+        raise WorldError("graph has no rooms")
+    return EpisodeState(graph=graph, room=graph.start)
 
 
 def reset(graph: RoomGraph) -> tuple[EpisodeState, str]:
     """Place the agent at the start room and render the opening observation."""
-    if not graph.rooms:
-        raise WorldError("graph has no rooms")
-    state = EpisodeState(graph=graph, room=graph.start)
-    return state, state.observation()
+    state = start_episode(graph)
+    return state, render_observation(graph, state.room)
 
 
 def step(state: EpisodeState, action: Action) -> StepOutcome:
     """Apply one action. Invalid actions cost a step but never change the room.
 
-    A room is rendered only on the episode's first entry into it; every later
-    observation of that room is the same string object.
+    Nothing is rendered here; see `StepOutcome.observation`.
     """
     if state.done:
         raise EpisodeFinishedError("episode already finished")
@@ -488,13 +525,7 @@ def step(state: EpisodeState, action: Action) -> StepOutcome:
     if not state.done and state.steps >= graph.max_episode_steps:
         state.done = True
 
-    return StepOutcome(
-        observation=state.observation(),
-        quest_reward=reward,
-        done=state.done,
-        room_id=state.room,
-        action_valid=valid,
-    )
+    return StepOutcome(reward, state.done, state.room, valid, graph)
 
 
 # ---------------------------------------------------------------------------

@@ -1069,65 +1069,83 @@ def recording(fn, log):
 def test_each_observation_is_read_once_and_equals_a_fresh_reading(
         lexicon, difficulty, level, game_seed, epsilon, mode, make_agent):
     graph = generate_game(GameSpec(difficulty, level, game_seed))
-    agent = make_agent(TrainerConfig(), run_seed=game_seed)
-    seen, stored = [], []
-    choose, observe = agent.choose, agent.observe
+    passes = []
 
-    def record_choose(props, candidates, eps, rng):
-        action, q_values = choose(props, candidates, eps, rng)
-        seen.append((props, candidates, action))
-        return action, q_values
+    # the same episode twice, by two equal agents: the second pass finds every
+    # room it enters in the graph's memo, so it renders and parses nothing
+    for _ in range(2):
+        agent = make_agent(TrainerConfig(), run_seed=game_seed)
+        seen, stored = [], []
+        choose, observe = agent.choose, agent.observe
 
-    agent.choose = record_choose
-    agent.observe = lambda t: (stored.append(t), observe(t))
-    logs = {name: [] for name in ("reset", "step", "parse_observation",
-                                  "extract_propositions", "enumerate_candidates")}
-    with contextlib.ExitStack() as patches:
-        for name, log in logs.items():
-            patches.enter_context(mock.patch.object(
-                agent_module, name, recording(getattr(agent_module, name), log)))
-        report = run_episode(graph, agent, lexicon, mode=mode, epsilon=epsilon,
-                             rng=random.Random(game_seed))
+        def record_choose(props, candidates, eps, rng):
+            action, q_values = choose(props, candidates, eps, rng)
+            seen.append((props, candidates, action))
+            return action, q_values
 
-    # every text the loop saw is the room's own rendering
-    [(_, (_, opening))] = logs["reset"]
-    assert opening == render_observation(graph, graph.start)
-    outcomes = [outcome for _, outcome in logs["step"]]
-    assert len(outcomes) == len(seen) == report.steps
-    assert len(stored) == (report.steps if mode == "train" else 0)
-    for outcome in outcomes:
-        assert outcome.observation == render_observation(graph, outcome.room_id)
+        agent.choose = record_choose
+        agent.observe = lambda t: (stored.append(t), observe(t))
+        read_before = set(graph.readings)
+        logs = {name: [] for name in ("step", "render_observation", "parse_observation",
+                                      "extract_propositions", "enumerate_candidates")}
+        with contextlib.ExitStack() as patches:
+            for name, log in logs.items():
+                patches.enter_context(mock.patch.object(
+                    agent_module, name, recording(getattr(agent_module, name), log)))
+            report = run_episode(graph, agent, lexicon, mode=mode, epsilon=epsilon,
+                                 rng=random.Random(game_seed))
+        passes.append((seen, dict(graph.readings)))
 
-    # replay the actions through a fresh reading of every step
-    state, _ = reset(graph)
-    agent_map = AgentMap.start(state.room)
-    props = extract_propositions(parse_observation(render_observation(graph, graph.start)), agent_map)
-    moves = 0
-    for k, ((seen_props, seen_candidates, action), outcome) in enumerate(zip(seen, outcomes)):
-        candidates = enumerate_candidates(props, lexicon)
-        assert seen_props is props
-        assert same_records(seen_candidates, candidates)
-        replayed = step(state, action)
-        assert (replayed.room_id, replayed.action_valid, replayed.done) == (
-            outcome.room_id, outcome.action_valid, outcome.done)
-        if replayed.action_valid and action.verb == "go":
-            agent_map.record_move(action.noun, replayed.room_id)
-            moves += 1
-        next_props = extract_propositions(
-            parse_observation(render_observation(graph, replayed.room_id)), agent_map)
-        if mode == "train":
-            t = stored[k]
-            assert t.props is props and same_records(t.candidates, candidates)
-            assert t.action == action and t.terminal == replayed.done
-            assert t.next_props is next_props
-            assert same_records(t.next_candidates, enumerate_candidates(next_props, lexicon))
-        props = next_props
+        # every text the loop read is the room's own rendering, of a room not read before
+        rendered = [room for (_, room), _ in logs["render_observation"]]
+        assert sorted(rendered) == sorted(set(graph.readings) - read_before)
+        for (g, room), text in logs["render_observation"]:
+            assert g is graph and text == render_observation(graph, room)
+        outcomes = [outcome for _, outcome in logs["step"]]
+        assert len(outcomes) == len(seen) == report.steps
+        assert len(stored) == (report.steps if mode == "train" else 0)
+        for outcome in outcomes:
+            assert outcome.observation == render_observation(graph, outcome.room_id)
 
-    # at most one parse per distinct text; one extract and enumeration per move, plus one
-    parsed = [args[0] for args, _ in logs["parse_observation"]]
-    assert len(parsed) == len(set(parsed))
-    assert len(logs["extract_propositions"]) == moves + 1
-    assert len(logs["enumerate_candidates"]) == moves + 1
+        # replay the actions through a fresh reading of every step
+        state, _ = reset(graph)
+        agent_map = AgentMap.start(state.room)
+        props = extract_propositions(parse_observation(render_observation(graph, graph.start)),
+                                     agent_map)
+        moves = 0
+        for k, ((seen_props, seen_candidates, action), outcome) in enumerate(zip(seen, outcomes)):
+            candidates = enumerate_candidates(props, lexicon)
+            assert seen_props is props
+            assert same_records(seen_candidates, candidates)
+            replayed = step(state, action)
+            assert (replayed.room_id, replayed.action_valid, replayed.done) == (
+                outcome.room_id, outcome.action_valid, outcome.done)
+            if replayed.action_valid and action.verb == "go":
+                agent_map.record_move(action.noun, replayed.room_id)
+                moves += 1
+            next_props = extract_propositions(
+                parse_observation(render_observation(graph, replayed.room_id)), agent_map)
+            if mode == "train":
+                t = stored[k]
+                assert t.props is props and same_records(t.candidates, candidates)
+                assert t.action == action and t.terminal == replayed.done
+                assert t.next_props is next_props
+                assert same_records(t.next_candidates, enumerate_candidates(next_props, lexicon))
+            props = next_props
+
+        # each rendered text is parsed once, into the memo; one extract and
+        # enumeration per move, plus one
+        parsed = [args[0] for args, _ in logs["parse_observation"]]
+        assert parsed == [text for _, text in logs["render_observation"]]
+        assert len(logs["extract_propositions"]) == moves + 1
+        assert len(logs["enumerate_candidates"]) == moves + 1
+
+    (first, readings), (second, readings_after) = passes
+    assert len(parsed) == 0 and readings_after == readings and graph.start in readings
+    assert all(readings_after[room] is reading for room, reading in readings.items())
+    assert len(first) == len(second)
+    for (props, candidates, action), (props2, candidates2, action2) in zip(first, second):
+        assert props2 is props and candidates2 is candidates and action2 == action
 
 
 def test_trace_lines_carry_facts_and_q_values(lexicon):

@@ -50,6 +50,19 @@ def test_round_trip_recovers_room_exits_and_coin():
             assert ("coin" in parsed.objects_seen) == (room == graph.coin_room)
 
 
+def test_readings_are_slotted_and_share_their_object_sets():
+    # a graph keeps a reading per room it has read, so each one is kept small
+    graph = generate_game(GameSpec("hard", 3, 4))
+    readings = [parse_observation(render_observation(graph, room)) for room in graph.rooms]
+    assert all(not hasattr(parsed, "__dict__") for parsed in readings)
+    coin_free = [parsed for room, parsed in zip(graph.rooms, readings) if room != graph.coin_room]
+    assert len(coin_free) > 1 and all(p.objects_seen is coin_free[0].objects_seen for p in coin_free)
+    assert coin_free[0].objects_seen == frozenset()
+    coin = parse_observation(render_observation(graph, graph.coin_room))
+    assert coin.objects_seen == {"coin"}
+    assert parse_observation(render_observation(graph, graph.coin_room)).objects_seen is coin.objects_seen
+
+
 # the characters of the grammar, so that many mutations still parse or fail late
 GRAMMAR_CHARS = st.sampled_from(list("abcdefghijklmnopqrstuvwxyz ,."))
 

@@ -1,5 +1,6 @@
 """Logic-node semantics, gradients vs finite differences, induction, rules, checkpoints."""
 
+import copy
 import itertools
 import random
 
@@ -153,6 +154,27 @@ def test_clamped_activation_has_zero_gradient():
     assert trace.and_pre[0] < 0.0
     grads = net.gradients(trace, 1.0)
     assert np.all(grads["direction.and0.w"] == 0.0) and float(grads["direction.and0.b"]) == 0.0
+
+
+def test_a_gate_without_gradient_gets_shared_read_only_zeros():
+    # gate 0 saturates at 0 and gate 1 is open, so only gate 0 gets no gradient
+    net = make_net([[1.0, 1.0, 1.0, 1.0], [0.1, 0.1, 0.1, 0.1]], [1.0, 0.5], or_bias=1.0)
+    x = np.zeros(4)
+    first = net.gradients(net.forward(x)[1], 1.0)
+    w, b = first["direction.and0.w"], first["direction.and0.b"]
+    assert w.shape == net.and_gates[0].weights.shape and b.shape == ()
+    assert np.all(w == 0.0) and float(b) == 0.0
+    for zeros in (w, b):
+        assert not zeros.flags.writeable
+        with pytest.raises(ValueError):
+            zeros[...] = 1.0
+    # gate 1's gradient is the network's own, fresh and writable
+    assert first["direction.and1.w"].flags.writeable
+    # every call and every network of this arity, a copy too, hands out the same zeros
+    other = make_net([[1.0, 1.0, 1.0, 1.0]], [1.0], or_bias=1.0)
+    for grads in (net.gradients(net.forward(x)[1], 1.0), other.gradients(other.forward(x)[1], 1.0),
+                  copy.deepcopy(net).gradients(net.forward(x)[1], 1.0)):
+        assert grads["direction.and0.w"] is w and grads["direction.and0.b"] is b
 
 
 def test_zero_upstream_zeroes_all_gradients():

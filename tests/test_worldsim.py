@@ -1,9 +1,15 @@
 """World generation and step-engine behavior, checked against independent oracles."""
 
+import random
 from collections import deque
 
 import pytest
+from test_agent import recording
 
+import lnnrl.agent as agent_module
+import lnnrl.worldsim as worldsim
+from lnnrl.factextract import parse_observation
+from lnnrl.lexicon import default_lexicon
 from lnnrl.worldsim import (
     ALL_ACTIONS,
     DIRECTIONS,
@@ -92,6 +98,21 @@ def test_spec_line_rejects_garbage():
         GameSpec.from_line("difficulty=easy level")
     with pytest.raises(InvalidSpecError):
         GameSpec.from_line("level=3 seed=0")
+
+
+@pytest.mark.parametrize("line, field", [
+    ("difficulty=easy level=x seed=0 max_steps=80", "level"),
+    ("difficulty=easy level=3 seed=0 max_steps=1e3", "max_steps"),
+    ("difficulty=easy level=3 seed=0x1f max_steps=80", "seed"),
+    ("difficulty=easy level=+3 seed=0 max_steps=80", "level"),
+    ("difficulty=easy level=03 seed=0 max_steps=80", "level"),
+    ("difficulty=easy level=3 seed=0 max_steps=80 bogus=1", "bogus"),
+    ("difficulty=easy level=3 seed=0 seed=5 max_steps=80", "seed"),
+    ("difficulty=easy difficulty=hard level=3 seed=0", "difficulty"),
+])
+def test_spec_line_accepts_only_what_to_line_writes(line, field):
+    with pytest.raises(InvalidSpecError, match=f"'{field}'"):
+        GameSpec.from_line(line)
 
 
 # ---------------------------------------------------------------------------
@@ -257,34 +278,65 @@ def test_invalid_actions_keep_room_and_distance():
         assert bfs_distance(graph, state.room, graph.coin_room) == base_distance
 
 
-def test_an_episode_renders_each_room_once(monkeypatch):
-    import lnnrl.worldsim as worldsim
-
+def test_a_step_renders_only_when_its_observation_is_read(monkeypatch):
     graph = generate_game(GameSpec("medium", 3, 1))
     rendered = []
-
-    def counting_render(g, room):
-        rendered.append(room)
-        return render_observation(g, room)
-
-    monkeypatch.setattr(worldsim, "render_observation", counting_render)
-    state, opening = reset(graph)
-    texts = {graph.start: opening}
+    monkeypatch.setattr(worldsim, "render_observation", recording(render_observation, rendered))
+    state = worldsim.start_episode(graph)
     out = graph.open_exits(graph.start)[0]
-    wait = Action("take", "coin")   # invalid: the coin is three rooms away
-    # back and forth through one doorway, with invalid actions in both rooms
-    for action in (Action("go", out), wait, Action("go", OPPOSITE[out]), wait) * 3:
-        outcome = step(state, action)
-        assert outcome.action_valid == (action is not wait)
-        text = texts.setdefault(outcome.room_id, outcome.observation)
-        assert outcome.observation is text
-        assert text == render_observation(graph, outcome.room_id)
-    assert len(texts) == 2 and sorted(rendered) == sorted(texts)
+    outcomes = [step(state, action) for action in (Action("go", out), Action("take", "coin"))]
+    assert rendered == [] and state.room == outcomes[-1].room_id != graph.start
+    # each read renders the room the step ended in, afresh
+    for outcome in outcomes + outcomes:
+        assert outcome.observation == render_observation(graph, outcome.room_id)
+    assert [room for (_, room), _ in rendered] == [outcome.room_id for outcome in outcomes] * 2
 
-    # the texts go with the episode: a new one renders its start room again
-    rendered.clear()
-    _, again = reset(graph)
-    assert rendered == [graph.start] and again == opening
+
+def play_exploring_episodes(graph, monkeypatch, seeds):
+    """Play random-action train episodes on `graph`; the (graph, room) pairs
+    rendered and the texts parsed, each with its result, in order."""
+    rendered, parsed = [], []
+    render = recording(render_observation, rendered)
+    monkeypatch.setattr(worldsim, "render_observation", render)
+    monkeypatch.setattr(agent_module, "render_observation", render)
+    monkeypatch.setattr(agent_module, "parse_observation",
+                        recording(agent_module.parse_observation, parsed))
+    agent = agent_module.LnnAgent(agent_module.TrainerConfig())
+    steps = [agent_module.run_episode(graph, agent, default_lexicon(), mode="train",
+                                      epsilon=1.0, rng=random.Random(seed)).steps
+             for seed in seeds]
+    monkeypatch.undo()
+    return rendered, parsed, steps
+
+
+def test_a_game_renders_and_parses_each_room_once_across_episodes(monkeypatch):
+    graph = generate_game(GameSpec("medium", 3, 1))
+    rendered, parsed, steps = play_exploring_episodes(graph, monkeypatch, (0, 1, 2))
+    assert min(steps) > len(graph.rooms)     # every episode revisits rooms
+    assert set(graph.readings) == set(graph.rooms)
+
+    rooms = [room for (_, room), _ in rendered]
+    assert len(rooms) == len(set(rooms)) == len(parsed) == len(graph.readings)
+    assert set(rooms) == set(graph.readings) and graph.start in rooms
+    assert all(g is graph for (g, _), _ in rendered)
+    assert [text for (text,), _ in parsed] == [text for _, text in rendered]
+    for room, reading in graph.readings.items():
+        assert reading == parse_observation(render_observation(graph, room))
+
+    # a later episode reads every room from the memo
+    rendered, parsed, _ = play_exploring_episodes(graph, monkeypatch, (3,))
+    assert rendered == [] and parsed == []
+
+
+def test_equal_graphs_do_not_share_readings(monkeypatch):
+    spec = GameSpec("medium", 3, 1)
+    first, second = generate_game(spec), generate_game(spec)
+    assert first == second and first is not second
+    _, parsed, _ = play_exploring_episodes(first, monkeypatch, (0,))
+    assert parsed and second.readings == {}
+    _, parsed_again, _ = play_exploring_episodes(second, monkeypatch, (0,))
+    assert parsed_again == parsed and second.readings == first.readings
+    assert all(second.readings[room] is not first.readings[room] for room in first.readings)
 
 
 def test_episode_caps_at_max_steps_with_zero_reward():
