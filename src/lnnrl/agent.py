@@ -45,7 +45,7 @@ from .factextract import (
     parse_observation,
 )
 from .lexicon import LexiconTable
-from .lnn import DEFAULT_ALPHA, DEFAULT_GATE_CAP, LnnNetwork, TruthConfig, clamp01
+from .lnn import DEFAULT_ALPHA, DEFAULT_GATE_CAP, OR, LnnNetwork, LogicNode, TruthConfig, clamp01
 from .optim import AdamOptimizer
 from .rng import substream
 from .worldsim import (
@@ -197,7 +197,11 @@ def shape_reward(
 @dataclass(frozen=True, slots=True)
 class Transition:
     """One stored step: the shared, read-only records `choose` saw before and
-    after it. Each scorer reads its own inputs from them."""
+    after it. Each scorer reads its own inputs from them.
+
+    `chosen` is the candidate whose action was taken, for a scorer that reads
+    candidates (the logic networks), recorded once when the step is stored;
+    None for one that reads actions (the MLP)."""
 
     props: PropositionSet
     candidates: tuple[Candidate, ...]
@@ -206,13 +210,7 @@ class Transition:
     terminal: bool
     next_props: PropositionSet
     next_candidates: tuple[Candidate, ...]
-
-    def chosen(self) -> Candidate | None:
-        """The candidate that proposed `action`; None if no candidate did."""
-        for candidate in self.candidates:
-            if candidate.action == self.action:
-                return candidate
-        return None
+    chosen: Candidate | None = None
 
 
 class ReplayBuffer:
@@ -293,7 +291,7 @@ def scripted_rule_networks(alpha: float = DEFAULT_ALPHA) -> dict[str, LnnNetwork
         net = LnnNetwork(category, CATEGORY_LITERALS[category], CATEGORY_VERBS[category],
                          truth, or_bias=or_bias)
         net.and_gates = []
-        net.or_root.weights = np.array([], dtype=np.float64)
+        net.or_root = LogicNode.create(OR, [], or_bias)
         for literals in gates:
             net.add_and_gate([1.0 if name in literals else 0.0 for name in net.literals])
         return net
@@ -315,19 +313,22 @@ class DqnAgent:
 
     The scorer supplies `choose(props, candidates, epsilon, rng)`, returning
     the action and its q values, or None when the step explored;
+    `chosen(candidates, action)`, the `Transition.chosen` it reads;
     `q(transition)`, a float for every transition its `choose` produced;
     `best_next(transition)`; `transition_gradients(transition, upstream)`,
-    from the pass its memo kept; `parameters()`, keyed so one optimizer
-    covers it all; and hooks `before_batch(batch)` and `after_step()`. Each
-    reads its own inputs from the shared `Transition`. The target, a deep copy
-    of the scorer, is retaken every `target_update_period` optimizer steps.
+    from the pass its memo kept; `parameters()`, the arrays one optimizer
+    steps, keyed as the gradients are; `relayout`, the optimizer's, or None
+    when no array ever changes shape; and hooks `before_batch(batch)` and
+    `after_step(stepped)`, given the keys that were stepped. Each reads its
+    own inputs from the shared `Transition`. The target, a deep copy of the
+    scorer, is retaken every `target_update_period` optimizer steps.
     """
 
     def __init__(self, config: TrainerConfig, scorer, replay_rng: random.Random):
         self.config = config
         self.scorer = scorer
         self.target = copy.deepcopy(scorer)
-        self.optimizer = AdamOptimizer(learning_rate=config.learning_rate)
+        self.optimizer = AdamOptimizer(config.learning_rate, scorer.relayout)
         self.buffer = ReplayBuffer(config.replay_capacity, config.priority_fraction)
         self.replay_rng = replay_rng
         self.env_steps = 0
@@ -336,6 +337,9 @@ class DqnAgent:
     def choose(self, props: PropositionSet, candidates: tuple[Candidate, ...],
                epsilon: float, rng: random.Random) -> tuple[Action, list[float] | None]:
         return self.scorer.choose(props, candidates, epsilon, rng)
+
+    def chosen(self, candidates: tuple[Candidate, ...], action: Action) -> Candidate | None:
+        return self.scorer.chosen(candidates, action)
 
     def observe(self, transition: Transition) -> None:
         self.buffer.push(transition)
@@ -350,6 +354,8 @@ class DqnAgent:
         batch = self.buffer.sample(self.config.batch_size, self.replay_rng)
         self.scorer.before_batch(batch)
 
+        # one array per key and transition (a logic network's whole gradient),
+        # summed in batch order
         grads: dict[str, np.ndarray] = {}
         total_loss = 0.0
         for transition in batch:
@@ -360,7 +366,7 @@ class DqnAgent:
                 grads[name] = grads[name] + g if name in grads else g
 
         self.optimizer.step(self.scorer.parameters(), grads)
-        self.scorer.after_step()
+        self.scorer.after_step(grads.keys())
         self.optimizer_steps += 1
         if self.optimizer_steps % self.config.target_update_period == 0:
             self.target = copy.deepcopy(self.scorer)
@@ -395,13 +401,16 @@ class Memo(dict):
 
 
 class LnnScorer:
-    """Per-category logic networks, whose parameter names carry their category.
+    """Per-category logic networks; the optimizer steps each network's
+    buffer, keyed by its category.
 
     All scoring goes through `memo`: a forward pass per candidate `values`
     array (facts are crisp, so one shared array per category and truth
     assignment), a greedy choice per candidate tuple. It is emptied after
     every optimizer step and whenever induction adds a gate. Replay reads the
-    next candidates and the chosen one, which `choose` always acted through.
+    next candidates and the chosen one, which `choose` always acted through;
+    the target's memo keeps each next state's greedy choice until the next
+    refresh, since the target's parameters stand until then.
     """
 
     def __init__(self, nets: dict[str, LnnNetwork]):
@@ -423,32 +432,51 @@ class LnnScorer:
         action, q_values = self.memo.of(candidates, self._greedy)
         return action, list(q_values)
 
+    def chosen(self, candidates: tuple[Candidate, ...], action: Action) -> Candidate:
+        # `choose` acted through a candidate's own action object
+        for candidate in candidates:
+            if candidate.action is action:
+                return candidate
+        raise ValueError(f"no candidate proposed {action}")
+
     def q(self, transition: Transition) -> float:
-        return self._forward(transition.chosen())[0]
+        return self._forward(transition.chosen)[0]
 
     def best_next(self, transition: Transition) -> float:
-        # no next candidate leaves nothing to bootstrap from
-        return max((self._forward(c)[0] for c in transition.next_candidates), default=0.0)
+        candidates = transition.next_candidates
+        if not candidates:
+            return 0.0       # nothing to bootstrap from
+        return max(self.memo.of(candidates, self._greedy)[1])
 
     def transition_gradients(self, transition: Transition, upstream: float) -> dict[str, np.ndarray]:
-        chosen = transition.chosen()
-        return self.nets[chosen.category].gradients(self._forward(chosen)[1], upstream)
+        chosen = transition.chosen
+        net = self.nets[chosen.category]
+        return {chosen.category: net.gradients(self._forward(chosen)[1], upstream).vector}
 
     def parameters(self) -> dict[str, np.ndarray]:
-        return {name: p for net in self.nets.values() for name, p in net.parameters().items()}
+        return {category: net.buffer for category, net in self.nets.items()}
+
+    def relayout(self, category: str, m: np.ndarray, v: np.ndarray,
+                 t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Adam's state for a network whose buffer induction grew, laid out
+        again: a new gate starts with zero moments and its own count, a new
+        OR weight with zero moments and the OR root's count."""
+        net = self.nets[category]
+        return net.relayout(m, 0.0, 0.0), net.relayout(v, 0.0, 0.0), net.relayout(t, 0)
 
     def before_batch(self, batch: list[Transition]) -> None:
         # induction first so the fresh gate participates in this update
         for transition in batch:
             if transition.reward < 1.0:
                 continue
-            chosen = transition.chosen()
+            chosen = transition.chosen
             if self.nets[chosen.category].induce(self._forward(chosen)[1]) is not None:
                 self.memo.clear()
 
-    def after_step(self) -> None:
-        for net in self.nets.values():
-            net.project()
+    def after_step(self, stepped) -> None:
+        # a network that was not stepped is still in its domain
+        for category in stepped:
+            self.nets[category].project()
         self.memo.clear()
 
 
@@ -498,7 +526,8 @@ def run_episode(
     on its update period); mode="eval" is read-only and always greedy.
     Given a text sink as `trace`, each step writes one line to it (epoch,
     step, facts, action, q values, shaped reward) before the agent observes
-    the step.
+    the step. The shaped reward is computed only when a transition or a
+    trace line reads it.
 
     Each room is read once per graph. A step that records no move (an
     invalid action, or `take coin`) changes neither the room nor the
@@ -520,18 +549,20 @@ def run_episode(
     candidates = enumerate_candidates(props, lexicon)
 
     bonus = agent.config.bonus_coefficient
+    shaped = mode == "train" or trace is not None
     quest_total = 0.0
 
     while not state.done:
         action, q_values = agent.choose(props, candidates, eps, rng)
 
         outcome = step(state, action)
-        # the map still holds the state before the step: no move is recorded yet
-        reward = shape_reward(
-            outcome, props, agent_map.visited,
-            agent_map.entry_direction.get(agent_map.current),
-            action, graph.difficulty, bonus,
-        )
+        if shaped:
+            # the map still holds the state before the step: no move is recorded yet
+            reward = shape_reward(
+                outcome, props, agent_map.visited,
+                agent_map.entry_direction.get(agent_map.current),
+                action, graph.difficulty, bonus,
+            )
         quest_total += outcome.quest_reward
 
         next_props, next_candidates = props, candidates
@@ -552,7 +583,8 @@ def run_episode(
 
         if mode == "train":
             agent.observe(Transition(props, candidates, action, reward, outcome.done,
-                                     next_props, next_candidates))
+                                     next_props, next_candidates,
+                                     agent.chosen(candidates, action)))
 
         props = next_props
         candidates = next_candidates

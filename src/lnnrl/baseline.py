@@ -34,6 +34,9 @@ class MlpScorer:
     hidden layer of the state's kept pass.
     """
 
+    #: the optimizer's: no array ever changes shape
+    relayout = None
+
     def __init__(self, seed: int = 0):
         rng = np.random.default_rng(seed)
         self.w1 = rng.normal(0.0, np.sqrt(2.0 / N_INPUTS), size=(N_INPUTS, N_HIDDEN))
@@ -82,6 +85,10 @@ class MlpScorer:
         action, q_values = self.memo.of(props, self._greedy)
         return action, list(q_values)
 
+    def chosen(self, candidates: tuple[Candidate, ...], action: Action) -> None:
+        # the MLP reads the action, never a candidate
+        return None
+
     def q(self, transition: Transition) -> float:
         return float(self._forward(transition.props)[0][ACTION_INDEX[transition.action]])
 
@@ -96,7 +103,7 @@ class MlpScorer:
     def before_batch(self, batch: list[Transition]) -> None:
         pass
 
-    def after_step(self) -> None:
+    def after_step(self, stepped) -> None:
         self.memo.clear()
 
     # ------------------------------------------------------------ checkpoints

@@ -52,12 +52,16 @@ def _cmd_generate(args) -> int:
 
 
 def _parse_overrides(pairs: list[str]) -> dict[str, str]:
+    """The `--set key=value` pairs; each key once. A key may override one of
+    the config file's."""
     overrides = {}
     for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        overrides[key.strip()] = value.strip()
+        key, value = (part.strip() for part in pair.split("=", 1))
+        if key in overrides:
+            raise ConfigError(f"--set {key} given twice")
+        overrides[key] = value
     return overrides
 
 

@@ -69,6 +69,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive")
         if not self.test_levels:
             raise ConfigError("test_levels must not be empty")
+        if len(set(self.test_levels)) != len(self.test_levels):
+            # a repeated level would play and count each of its games twice
+            raise ConfigError(f"test_levels must be distinct, got {self.test_levels}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be nonnegative (0 means the default), got {self.epochs}")
         if not math.isfinite(self.rule_weight_threshold):
@@ -122,6 +125,9 @@ class ExperimentConfig:
 
 
 def parse_key_value_text(text: str, source: str = "<config>") -> dict[str, str]:
+    """The `key=value` lines of `text`; blank lines and `#` comments are
+    skipped, and a line that is not a pair, or repeats a key, raises
+    ConfigError naming `source:line`."""
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -129,16 +135,19 @@ def parse_key_value_text(text: str, source: str = "<config>") -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        pairs[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in pairs:
+            raise ConfigError(f"{source}:{lineno}: repeated key {key!r}")
+        pairs[key] = value
     return pairs
 
 
 def _coerce(raw: str, default, key: str):
-    """Parse `raw` as the type of the field's default; tuples are comma-separated ints."""
+    """Parse `raw` as the type of the field's default; tuples are comma-separated
+    ints, none of them empty."""
     try:
         if isinstance(default, tuple):
-            return tuple(int(tok) for tok in raw.split(",") if tok)
+            return tuple(int(tok) for tok in raw.split(","))
         return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value {raw!r} for {key}") from exc

@@ -16,6 +16,11 @@ classical conjunction/disjunction on boolean inputs.
 Gradients use a pass-through derivative of 1 strictly inside (0, 1) and 0 at
 or beyond the clamp, chained through OR -> AND.
 
+A network keeps all its parameters in one float64 buffer, so a gradient is
+one vector in the same layout and an optimizer step or a projection is a few
+whole-buffer numpy operations. The nodes and the named parameters are views
+into that buffer.
+
 Gate induction splices in a new AND gate seeded from a fact vector (weight 1
 on every literal true at threshold alpha) when no gate fires on it. Conjunctive
 rules are read back out by keeping gates and literals whose weights clear a
@@ -25,8 +30,9 @@ threshold.
 from __future__ import annotations
 
 import contextlib
+import copy
 import enum
-import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,29 +77,17 @@ def classify_truth(value: float, config: TruthConfig) -> TruthValue:
     return TruthValue.UNKNOWN
 
 
-#: the gradient of a 0-d parameter that receives none
-_ZERO = np.array(0.0, dtype=np.float64)
-_ZERO.flags.writeable = False
-
-
-@functools.cache
-def _zero_vector(n: int) -> np.ndarray:
-    """The gradient of an n-weight gate that receives none: one read-only
-    array per arity, so every network of that arity shares it."""
-    zeros = np.zeros(n, dtype=np.float64)
-    zeros.flags.writeable = False
-    return zeros
-
-
 def clamp01(v: float) -> float:
     """`np.clip(v, 0.0, 1.0)` of one float, bit for bit (NaN stays NaN, -0.0
     stays -0.0), without the cost of a numpy call."""
     return min(max(v, 0.0), 1.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LogicNode:
-    """One weighted connective. Bias is a 0-d array so optimizers can update in place."""
+    """One weighted connective. Bias is a 0-d array so it can be updated in
+    place. A network's nodes are views into its parameter buffer, so writing
+    into `weights` or `bias` writes the network's parameters."""
 
     kind: str
     weights: np.ndarray
@@ -128,8 +122,72 @@ class ForwardTrace:
     or_out: float
 
 
+def _named(category: str, arity: int, n_gates: int, vector: np.ndarray) -> dict[str, np.ndarray]:
+    """Views into `vector`, laid out as a buffer of `n_gates` gates of
+    `arity` weights, named `<category>.and<j>.w|b` and `<category>.or.w|b`."""
+    views: dict[str, np.ndarray] = {}
+    step = arity + 1
+    for j in range(n_gates):
+        k = j * step
+        views[f"{category}.and{j}.w"] = vector[k:k + arity]
+        views[f"{category}.and{j}.b"] = vector[k + arity:k + step].reshape(())
+    o = n_gates * step
+    views[f"{category}.or.w"] = vector[o + 1:]
+    views[f"{category}.or.b"] = vector[o:o + 1].reshape(())
+    return views
+
+
+def _relayout(old: np.ndarray, arity: int, n_old: int, n: int, gate_fill, or_fill) -> np.ndarray:
+    """`old`, laid out for `n_old` gates, laid out for `n >= n_old`: each old
+    element keeps its value, each new gate's elements are `gate_fill`, and
+    each new OR weight is `or_fill`, or the old OR bias's element if None."""
+    step = arity + 1
+    o_old, o = n_old * step, n * step
+    if old.size != o_old + 1 + n_old or n < n_old:
+        raise ValueError(f"cannot lay out {old.size} elements of {n_old} gates for {n} gates")
+    new = np.empty(o + 1 + n, dtype=old.dtype)
+    new[:o_old] = old[:o_old]
+    new[o_old:o] = gate_fill
+    new[o:o + 1 + n_old] = old[o_old:]
+    new[o + 1 + n_old:] = old[o_old] if or_fill is None else or_fill
+    return new
+
+
+class Gradient(Mapping):
+    """What `LnnNetwork.gradients` returns: one vector laid out like the
+    network's buffer, `vector`, which reads by parameter name as
+    `LnnNetwork.parameters` reads the buffer. The views are built only when
+    a name is read."""
+
+    __slots__ = ("vector", "_layout")
+
+    def __init__(self, vector: np.ndarray, layout: tuple[str, int, int]):
+        self.vector = vector
+        self._layout = layout
+
+    def _views(self) -> dict[str, np.ndarray]:
+        return _named(*self._layout, self.vector)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views()[name]
+
+    def __iter__(self):
+        return iter(self._views())
+
+    def __len__(self) -> int:
+        return 2 * self._layout[2] + 2
+
+
 class LnnNetwork:
-    """Fact inputs -> AND bank -> OR root, for one word category."""
+    """Fact inputs -> AND bank -> OR root, for one word category.
+
+    Every parameter lives in one float64 vector, `buffer`: gate j's weights
+    then its bias, for each gate in turn, then the OR bias, then the OR
+    weights (one per gate, contiguous). `and_gates`, `or_root` and
+    `parameters()` are views into it. Assigning `and_gates` or `or_root`
+    copies the given nodes' values into a new buffer; `add_and_gate` grows it
+    with `relayout`. A deep copy gets its own buffer and views into it.
+    """
 
     def __init__(
         self,
@@ -145,14 +203,75 @@ class LnnNetwork:
         self.verb = verb
         self.config = config or TruthConfig()
         self.gate_cap = gate_cap
-        self.and_gates: list[LogicNode] = [
-            LogicNode.create(AND, np.full(self.input_arity, 0.5), 1.0)
-        ]
-        self.or_root = LogicNode.create(OR, np.array([1.0]), or_bias)
+        self._lay_out([LogicNode.create(AND, np.full(self.input_arity, 0.5), 1.0)],
+                      LogicNode.create(OR, np.array([1.0]), or_bias))
 
     @property
     def input_arity(self) -> int:
         return len(self.literals)
+
+    # ------------------------------------------------------------------ buffer
+
+    @property
+    def and_gates(self) -> tuple[LogicNode, ...]:
+        return self._and_gates
+
+    @and_gates.setter
+    def and_gates(self, gates) -> None:
+        self._lay_out(gates, self._or_root)
+
+    @property
+    def or_root(self) -> LogicNode:
+        return self._or_root
+
+    @or_root.setter
+    def or_root(self, node: LogicNode) -> None:
+        self._lay_out(self._and_gates, node)
+
+    def _lay_out(self, gates, or_root: LogicNode) -> None:
+        """A new buffer holding the values of `gates` and `or_root`."""
+        parts = []
+        for gate in gates:
+            weights = np.asarray(gate.weights, dtype=np.float64)
+            if weights.shape != (self.input_arity,):
+                raise ValueError(f"gate weights must have shape ({self.input_arity},)")
+            parts += [weights, np.reshape(gate.bias, 1)]
+        parts += [np.reshape(or_root.bias, 1), np.reshape(or_root.weights, -1)]
+        self._point(np.concatenate(parts, dtype=np.float64), len(gates))
+
+    def _point(self, buffer: np.ndarray, n_gates: int) -> None:
+        """Make `buffer` the network's, with `n_gates` gates, and point the
+        nodes into it."""
+        self.buffer = buffer
+        # weights then bias for each gate, then the OR root's
+        views = list(_named(self.category, self.input_arity, n_gates, buffer).values())
+        self._and_gates = tuple(LogicNode(AND, w, b) for w, b in zip(views[:-2:2], views[1:-2:2]))
+        self._or_root = LogicNode(OR, *views[-2:])
+
+    def __deepcopy__(self, memo) -> "LnnNetwork":
+        copied = copy.copy(self)
+        copied._point(self.buffer.copy(), len(self._and_gates))
+        memo[id(self)] = copied
+        return copied
+
+    def relayout(self, old: np.ndarray, gate_fill, or_fill=None) -> np.ndarray:
+        """`old`, a vector laid out like `buffer` before the newest gates were
+        added, laid out like `buffer` now. Each old element keeps its value;
+        a new gate's elements are `gate_fill`, and a new OR weight is
+        `or_fill`, or, if None, the old OR bias's element (for an optimizer's
+        clocks: the OR root's)."""
+        arity = self.input_arity
+        return _relayout(old, arity, (old.size - 1) // (arity + 2), len(self._and_gates),
+                         gate_fill, or_fill)
+
+    def named(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Views into `vector`, laid out like `buffer`, by parameter name:
+        `<category>.and<j>.w|b` and `<category>.or.w|b`."""
+        return _named(self.category, self.input_arity, len(self._and_gates), vector)
+
+    def parameters(self) -> dict[str, np.ndarray]:
+        """Every parameter, as a named view into `buffer`."""
+        return self.named(self.buffer)
 
     # ------------------------------------------------------------------ forward
 
@@ -173,52 +292,41 @@ class LnnNetwork:
                 f"{self.category} network expects {self.input_arity} facts, got shape {x.shape}"
             )
         y = 1.0 - x
-        pre = [float(g.bias) - float(g.weights.dot(y)) for g in self.and_gates]
+        pre = [float(g.bias) - float(g.weights.dot(y)) for g in self._and_gates]
         and_pre = np.array(pre, dtype=np.float64)
         and_out = np.array([clamp01(v) for v in pre], dtype=np.float64)
-        or_pre = 1.0 - float(self.or_root.bias) + float(self.or_root.weights.dot(and_out))
+        or_pre = 1.0 - float(self._or_root.bias) + float(self._or_root.weights.dot(and_out))
         or_out = clamp01(or_pre)
         return or_out, ForwardTrace(x, and_pre, and_out, or_pre, or_out)
 
     # ---------------------------------------------------------------- gradients
 
-    def parameters(self) -> dict[str, np.ndarray]:
-        """Every parameter, named `<category>.and<j>.w|b` and `<category>.or.w|b`
-        so one optimizer can cover several networks."""
-        params: dict[str, np.ndarray] = {}
-        for j, gate in enumerate(self.and_gates):
-            params[f"{self.category}.and{j}.w"] = gate.weights
-            params[f"{self.category}.and{j}.b"] = gate.bias
-        params[f"{self.category}.or.w"] = self.or_root.weights
-        params[f"{self.category}.or.b"] = self.or_root.bias
-        return params
-
-    def gradients(self, trace: ForwardTrace, upstream: float) -> dict[str, np.ndarray]:
+    def gradients(self, trace: ForwardTrace, upstream: float) -> Gradient:
         """d(upstream * q)/d(param) for every parameter, exact for the clamped
-        forms, named as in `parameters`.
+        forms: one fresh vector laid out like `buffer`, zero where a gate gets
+        no gradient.
 
         `trace` is what `forward` returned on the current parameters; no
-        second forward pass runs. A gate with no gradient gets shared,
-        read-only zeros, which callers only read or add into new arrays.
+        second forward pass runs.
         """
-        x = trace.facts
-        prefix = self.category
-        grads: dict[str, np.ndarray] = {}
+        arity, n = self.input_arity, len(self._and_gates)
+        step = arity + 1
+        o = n * step
+        grad = np.zeros(o + 1 + n)
 
-        or_open = 0.0 < trace.or_pre < 1.0
-        g_or = upstream if or_open else 0.0
-        grads[f"{prefix}.or.w"] = g_or * trace.and_out
-        grads[f"{prefix}.or.b"] = np.array(-g_or, dtype=np.float64)
+        g_or = upstream if 0.0 < trace.or_pre < 1.0 else 0.0
+        grad[o] = -g_or
+        np.multiply(trace.and_out, g_or, out=grad[o + 1:])
 
-        for j, gate in enumerate(self.and_gates):
-            g_out = g_or * float(self.or_root.weights[j])
-            if g_out != 0.0 and 0.0 < trace.and_pre[j] < 1.0:
-                grads[f"{prefix}.and{j}.w"] = -g_out * (1.0 - x)
-                grads[f"{prefix}.and{j}.b"] = np.array(g_out, dtype=np.float64)
-            else:
-                grads[f"{prefix}.and{j}.w"] = _zero_vector(gate.weights.size)
-                grads[f"{prefix}.and{j}.b"] = _ZERO
-        return grads
+        y = 1.0 - trace.facts
+        for j, (or_w, pre) in enumerate(zip(self._or_root.weights.tolist(),
+                                            trace.and_pre.tolist())):
+            g_out = g_or * or_w
+            if g_out != 0.0 and 0.0 < pre < 1.0:
+                k = j * step
+                np.multiply(y, -g_out, out=grad[k:k + arity])
+                grad[k + arity] = g_out
+        return Gradient(grad, (self.category, arity, n))
 
     # ------------------------------------------------------ structure and domain
 
@@ -236,27 +344,30 @@ class LnnNetwork:
         The OR root gains one unit-weight input. Returns the new gate's
         index, or None, adding nothing, when the bank is full.
         """
-        if len(self.and_gates) >= self.gate_cap:
+        n = len(self._and_gates)
+        if n >= self.gate_cap:
             return None
         x = np.asarray(facts, dtype=np.float64)
         if x.shape != (self.input_arity,):
             raise ValueError(f"seed facts must have arity {self.input_arity}")
-        weights = np.where(x >= self.config.alpha, 1.0, 0.0)
-        self.and_gates.append(LogicNode.create(AND, weights, 1.0))
-        self.or_root.weights = np.append(self.or_root.weights, 1.0)
-        return len(self.and_gates) - 1
+        arity = self.input_arity
+        buffer = _relayout(self.buffer, arity, n, n + 1, 0.0, 1.0)
+        k = n * (arity + 1)
+        buffer[k:k + arity] = np.where(x >= self.config.alpha, 1.0, 0.0)
+        buffer[k + arity] = 1.0
+        self._point(buffer, n + 1)
+        return n
 
     def project(self) -> None:
-        """Put every parameter back into its domain, in place."""
-        # weights and biases stay nonnegative; OR weights additionally stay <= 1
-        # so a lone matching gate cannot pin its score to the upper clamp.
-        # `np.maximum` is what `np.clip` runs for a lower bound alone, and the
-        # `clip` method skips `np.clip`'s dispatch: both give its exact results.
-        for gate in self.and_gates:
-            np.maximum(gate.weights, 0.0, out=gate.weights)
-            gate.bias[...] = max(float(gate.bias), 0.0)
-        self.or_root.weights.clip(0.0, 1.0, out=self.or_root.weights)
-        self.or_root.bias[...] = max(float(self.or_root.bias), 0.0)
+        """Put every parameter back into its domain, in place, as `np.clip`
+        would: weights and biases nonnegative, OR weights also at most 1, so
+        a lone matching gate cannot pin its score to the upper clamp."""
+        # every gate weight and bias and the OR bias precede the OR weights;
+        # `np.maximum` is what `np.clip` runs for a lower bound alone
+        head = self.buffer[:len(self._and_gates) * (self.input_arity + 1) + 1]
+        np.maximum(head, 0.0, out=head)
+        weights = self._or_root.weights
+        weights.clip(0.0, 1.0, out=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +543,11 @@ def load_network(path) -> LnnNetwork:
         if n_gates < 0 or len(body) != n_gates + 1:
             raise CheckpointError(
                 f"{path}: expected {n_gates} gate rows and an or row, found {len(body)} rows")
-        net.and_gates = []
+        gates = []
         for j, line in enumerate(body[:n_gates]):
             bias, weights = _row(path, line, ["and", str(j)], net.input_arity)
-            net.and_gates.append(LogicNode(AND, weights, bias))
+            gates.append(LogicNode(AND, weights, bias))
         bias, weights = _row(path, body[n_gates], ["or"], n_gates)
+        net.and_gates = gates
         net.or_root = LogicNode(OR, weights, bias)
     return net

@@ -88,6 +88,7 @@ def make_transition(category, facts, reward, terminal, next_candidates=(),
         props=props, candidates=(chosen,), action=chosen.action,
         reward=reward, terminal=terminal, next_props=props,
         next_candidates=tuple(candidate(c, f) for c, f in next_candidates),
+        chosen=chosen,
     )
 
 
@@ -705,10 +706,11 @@ def assert_memo_is_exact(scorer, upstream):
 
 def assert_parameters_in_domain(scorer):
     # the projection's invariant: finite and nonnegative, OR weights at most 1
-    for name, p in scorer.parameters().items():
-        assert np.all(np.isfinite(p)) and np.all(p >= 0.0), name
-        if name.endswith(".or.w"):
-            assert np.all(p <= 1.0), name
+    for net in scorer.nets.values():
+        for name, p in net.parameters().items():
+            assert np.all(np.isfinite(p)) and np.all(p >= 0.0), name
+            if name.endswith(".or.w"):
+                assert np.all(p <= 1.0), name
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -760,19 +762,19 @@ def test_projection_keeps_every_parameter_in_its_domain(seed, learning_rate, ind
     scorer = LnnScorer(fresh_networks(TrainerConfig(gate_cap=5)))
     for category, facts in induced:
         scorer.nets[category].add_and_gate(facts)
-    optimizer = AdamOptimizer(learning_rate=learning_rate)
+    optimizer = AdamOptimizer(learning_rate, scorer.relayout)
     rng = np.random.default_rng(seed)
     for sign in signs:
         params = scorer.parameters()
         grads = {}
-        for name, p in params.items():
+        for category, buffer in params.items():
             if sign == "mixed":
-                direction = rng.choice([-1.0, 1.0], size=p.shape)
+                direction = rng.choice([-1.0, 1.0], size=buffer.shape)
             else:
                 direction = 1.0 if sign == "up" else -1.0
-            grads[name] = direction * rng.uniform(0.1, 10.0, size=p.shape)
+            grads[category] = direction * rng.uniform(0.1, 10.0, size=buffer.shape)
         optimizer.step(params, grads)
-        scorer.after_step()
+        scorer.after_step(grads)
         assert_parameters_in_domain(scorer)
 
 
@@ -789,20 +791,18 @@ def test_projection_equals_np_clip_bit_for_bit(induced, data):
     for category, facts in induced:
         scorer.nets[category].add_and_gate(facts)
     for p in scorer.parameters().values():
-        p[...] = np.reshape(data.draw(st.lists(PROJECTION_VALUES, min_size=p.size,
-                                               max_size=p.size)), p.shape)
+        p[...] = data.draw(st.lists(PROJECTION_VALUES, min_size=p.size, max_size=p.size))
     reference = copy.deepcopy(scorer)
-    scorer.after_step()
-    # the projection as it was written with `np.clip`: kept as reference
-    for net in reference.nets.values():
-        for gate in net.and_gates:
-            np.clip(gate.weights, 0.0, None, out=gate.weights)
-            gate.bias[...] = max(float(gate.bias), 0.0)
-        np.clip(net.or_root.weights, 0.0, 1.0, out=net.or_root.weights)
-        net.or_root.bias[...] = max(float(net.or_root.bias), 0.0)
-    want = reference.parameters()
-    for name, p in scorer.parameters().items():
-        assert p.shape == want[name].shape and p.tobytes() == want[name].tobytes(), name
+    stepped = data.draw(st.sets(st.sampled_from(sorted(scorer.nets))))
+    scorer.after_step(stepped)
+    # the projection as `np.clip` on every named parameter: kept as reference
+    for category in stepped:
+        for name, p in reference.nets[category].parameters().items():
+            np.clip(p, 0.0, 1.0 if name.endswith(".or.w") else None, out=p)
+    for category, net in scorer.nets.items():
+        want = reference.nets[category].parameters()
+        for name, p in net.parameters().items():
+            assert p.shape == want[name].shape and p.tobytes() == want[name].tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -1031,17 +1031,17 @@ def test_train_mode_stores_the_shared_records_choose_saw(lexicon, make_agent):
             assert t.next_candidates is following.candidates
             assert t.next_props is following.props
 
-        chosen = t.chosen()
         if make_agent is LnnAgent:
-            assert chosen.action == t.action
-        elif chosen is None:
-            # the MLP explores all ten actions, some of which no candidate proposes
-            assert t.action not in [c.action for c in t.candidates]
+            # the candidate the action came from, recorded when the step was stored
+            assert t.chosen in t.candidates and t.chosen.action is t.action
+            assert t.chosen is next(c for c in t.candidates if c.action == t.action)
         else:
-            assert chosen.action == t.action and chosen in t.candidates
+            # the MLP reads actions only, and explores all ten, some of which
+            # no candidate proposes
+            assert t.chosen is None
     assert stored[-1].terminal
     if make_agent is MlpAgent:
-        assert any(t.chosen() is None for t in stored)
+        assert any(t.action not in [c.action for c in t.candidates] for t in stored)
 
 
 def same_records(a, b):
@@ -1146,6 +1146,21 @@ def test_each_observation_is_read_once_and_equals_a_fresh_reading(
     assert len(first) == len(second)
     for (props, candidates, action), (props2, candidates2, action2) in zip(first, second):
         assert props2 is props and candidates2 is candidates and action2 == action
+
+
+@pytest.mark.parametrize("make_agent", [LnnAgent, MlpAgent, oracle_agent],
+                         ids=["lnn", "mlp", "oracle"])
+def test_an_eval_episode_reports_the_same_with_and_without_a_trace(lexicon, make_agent):
+    for seed in range(3):
+        graph = generate_game(GameSpec("medium", 4, seed))
+        agent = make_agent(TrainerConfig(), run_seed=seed)
+        with mock.patch.object(agent_module, "shape_reward", wraps=shape_reward) as shaping:
+            untraced = run_episode(graph, agent, lexicon, mode="eval")
+            # nothing reads an untraced eval step's shaped reward, so none is computed
+            assert shaping.call_count == 0
+            traced = run_episode(graph, agent, lexicon, mode="eval", trace=io.StringIO())
+            assert shaping.call_count == traced.steps
+        assert traced == untraced
 
 
 def test_trace_lines_carry_facts_and_q_values(lexicon):

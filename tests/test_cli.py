@@ -4,7 +4,8 @@ import shutil
 
 import pytest
 
-from lnnrl.cli import main
+from lnnrl.cli import _parse_overrides, main
+from lnnrl.harness import ExperimentConfig
 
 
 def test_generate_prints_spec_and_adjacency(capsys):
@@ -139,6 +140,43 @@ def test_eval_rejects_a_run_directory_off_contract(tiny_run, tmp_path, capsys, f
     RUN_DIR_FAULTS[fault](run_dir / "seed0")
     assert main(["eval", "--run-dir", str(run_dir)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# each leaves config.txt well-formed line by line, but not one value per key
+# or not one game set per test level
+CONFIG_FAULTS = {
+    "repeated_key": lambda text: text + "n_seeds=3\n",
+    "empty_test_level": lambda text: text.replace("test_levels=1,2", "test_levels=1,,2"),
+    "repeated_test_level": lambda text: text.replace("test_levels=1,2", "test_levels=1,1"),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "rules", "play"])
+@pytest.mark.parametrize("fault", sorted(CONFIG_FAULTS))
+def test_commands_reject_a_config_off_contract(tiny_run, tmp_path, monkeypatch, capsys,
+                                               command, fault):
+    monkeypatch.setattr("builtins.input", lambda prompt="": "quit")
+    run_dir = tmp_path / "damaged"
+    shutil.copytree(tiny_run, run_dir)
+    config = run_dir / "config.txt"
+    damaged = CONFIG_FAULTS[fault](config.read_text(encoding="utf-8"))
+    assert damaged != config.read_text(encoding="utf-8")
+    config.write_text(damaged, encoding="utf-8")
+    assert main([command, "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("test_levels" in err or "n_seeds" in err)
+
+
+def test_a_repeated_set_key_is_rejected(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--out", str(out), "--set", "epochs=1", "--set", "epochs=2"]) == 2
+    assert capsys.readouterr().err == "error: --set epochs given twice\n"
+    assert not out.exists()
+    # overriding a key of the config file stays legal
+    config = tmp_path / "config.txt"
+    config.write_text("epochs=5\nn_seeds=2\n", encoding="utf-8")
+    assert _parse_overrides(["epochs=1"]) == {"epochs": "1"}
+    assert ExperimentConfig.from_file(config, _parse_overrides([" epochs = 1"])).epochs == 1
 
 
 def test_rules_prints_quantified_notation(tiny_run, capsys):

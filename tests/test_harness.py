@@ -1,6 +1,8 @@
 """Experiment config parsing, seeding, metrics emission, and run comparison."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lnnrl.harness import (
     ConfigError,
@@ -77,6 +79,73 @@ def test_bad_config_values_rejected():
 def test_key_value_parser_reports_line():
     with pytest.raises(ConfigError, match=":2:"):
         parse_key_value_text("a=1\nnot a pair\n")
+
+
+def test_a_repeated_config_key_names_its_line():
+    with pytest.raises(ConfigError, match=r"^run/config\.txt:3: repeated key 'n_seeds'$"):
+        parse_key_value_text("n_seeds=2\n# comment\nn_seeds=3", source="run/config.txt")
+    with pytest.raises(ConfigError, match=":2:"):
+        parse_key_value_text("epochs=1\n  epochs = 1\n")
+
+
+def test_an_empty_test_level_is_rejected():
+    for raw in ("5,,10", "5,10,", ",5", ""):
+        with pytest.raises(ConfigError, match="test_levels"):
+            ExperimentConfig.from_pairs({"test_levels": raw})
+
+
+def test_repeated_test_levels_are_rejected():
+    with pytest.raises(ConfigError, match="distinct"):
+        ExperimentConfig.from_pairs({"test_levels": "5,5"})
+    with pytest.raises(ConfigError, match="distinct"):
+        tiny_config(test_levels=(1, 2, 1)).validate()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_configs(draw):
+    levels = draw(st.lists(st.integers(1, 40), min_size=1, max_size=5, unique=True))
+    train_level = draw(st.integers(1, 40))
+    trainer = TrainerConfig(
+        gamma=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        batch_size=draw(st.integers(1, 64)),
+        update_period=draw(st.integers(1, 64)),
+        epsilon_start=draw(st.floats(0.0, 1.0)),
+        epsilon_end=draw(st.floats(0.0, 1.0)),
+        epsilon_anneal_epochs=draw(st.integers(1, 10**6)),
+        bonus_coefficient=draw(st.floats(0.0, 1e6)),
+        learning_rate=draw(st.floats(0.0, 10.0)),
+        replay_capacity=draw(st.integers(1, 10**6)),
+        priority_fraction=draw(st.floats(0.0, 1.0)),
+        target_update_period=draw(st.integers(1, 10**4)),
+        alpha=draw(st.floats(0.5, 1.0)),
+        gate_cap=draw(st.integers(1, 10**4)),
+    )
+    return ExperimentConfig(
+        difficulty=draw(st.sampled_from(["easy", "medium", "hard"])),
+        agent=draw(st.sampled_from(["lnn", "nn"])),
+        n_train_games=draw(st.integers(1, 10**4)),
+        train_level=train_level,
+        test_levels=tuple(levels),
+        n_test_per_level=draw(st.integers(1, 10**4)),
+        epochs=draw(st.integers(0, 10**6)),
+        eval_interval=draw(st.integers(1, 10**4)),
+        n_seeds=draw(st.integers(1, 100)),
+        base_seed=draw(st.integers(-(2**63), 2**63)),
+        max_episode_steps=max(train_level, *levels) + 1 + draw(st.integers(0, 1000)),
+        moving_average_window=draw(st.integers(1, 100)),
+        rule_weight_threshold=draw(FINITE),
+        trainer=trainer,
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(config=valid_configs())
+def test_config_text_round_trips(config):
+    config.validate()
+    assert ExperimentConfig.from_pairs(parse_key_value_text(config.to_text())) == config
 
 
 def test_default_epochs_follow_difficulty():

@@ -24,6 +24,7 @@ from lnnrl.lnn import (
     load_network,
     save_network,
 )
+from lnnrl.agent import LnnScorer
 from lnnrl.optim import AdamOptimizer
 
 
@@ -156,25 +157,25 @@ def test_clamped_activation_has_zero_gradient():
     assert np.all(grads["direction.and0.w"] == 0.0) and float(grads["direction.and0.b"]) == 0.0
 
 
-def test_a_gate_without_gradient_gets_shared_read_only_zeros():
+def test_gradients_are_one_fresh_vector_laid_out_like_the_buffer():
     # gate 0 saturates at 0 and gate 1 is open, so only gate 0 gets no gradient
     net = make_net([[1.0, 1.0, 1.0, 1.0], [0.1, 0.1, 0.1, 0.1]], [1.0, 0.5], or_bias=1.0)
     x = np.zeros(4)
     first = net.gradients(net.forward(x)[1], 1.0)
+    vector = first.vector
+    assert vector.shape == net.buffer.shape and vector.dtype == np.float64
+    assert vector.flags.writeable and not np.shares_memory(vector, net.buffer)
+    # read by name, the gradient is views into that one vector, named as the parameters
+    assert list(first) == list(net.parameters())
+    for name, view in first.items():
+        assert np.shares_memory(view, vector) and view.shape == net.parameters()[name].shape
+    # a gate with no gradient reads +0.0; gate 1's gradient is its own
     w, b = first["direction.and0.w"], first["direction.and0.b"]
-    assert w.shape == net.and_gates[0].weights.shape and b.shape == ()
-    assert np.all(w == 0.0) and float(b) == 0.0
-    for zeros in (w, b):
-        assert not zeros.flags.writeable
-        with pytest.raises(ValueError):
-            zeros[...] = 1.0
-    # gate 1's gradient is the network's own, fresh and writable
-    assert first["direction.and1.w"].flags.writeable
-    # every call and every network of this arity, a copy too, hands out the same zeros
-    other = make_net([[1.0, 1.0, 1.0, 1.0]], [1.0], or_bias=1.0)
-    for grads in (net.gradients(net.forward(x)[1], 1.0), other.gradients(other.forward(x)[1], 1.0),
-                  copy.deepcopy(net).gradients(net.forward(x)[1], 1.0)):
-        assert grads["direction.and0.w"] is w and grads["direction.and0.b"] is b
+    assert same_bits(w, np.zeros(4)) and same_bits(b, 0.0)
+    assert np.all(first["direction.and1.w"] < 0.0) and float(first["direction.and1.b"]) > 0.0
+    # every call writes a fresh vector
+    second = net.gradients(net.forward(x)[1], 1.0)
+    assert not np.shares_memory(second.vector, vector) and same_bits(second.vector, vector)
 
 
 def test_zero_upstream_zeroes_all_gradients():
@@ -441,12 +442,96 @@ def test_adam_zero_learning_rate_leaves_parameters_bitwise():
 
 
 def test_adam_pads_state_when_parameter_grows():
-    opt = AdamOptimizer(learning_rate=0.01)
-    params = {"or.w": np.array([1.0, 1.0])}
-    opt.step(params, {"or.w": np.array([0.1, 0.2])})
-    params["or.w"] = np.append(params["or.w"], 1.0)
-    opt.step(params, {"or.w": np.array([0.1, 0.2, 0.3])})
-    assert params["or.w"].shape == (3,)
+    net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take")
+    params, grad = {"money": net.buffer}, np.full(net.buffer.size, 0.5)
+    opt = AdamOptimizer(learning_rate=0.01, relayout=LnnScorer({"money": net}).relayout)
+    opt.step(params, {"money": grad})
+    opt.step(params, {"money": grad})
+    m, v = opt._state["money"][0].copy(), opt._state["money"][1].copy()
+    net.add_and_gate(np.array([1.0, 0.0]))
+    # laid out again, every old moment and count keeps its bits
+    moved = LnnScorer({"money": net}).relayout("money", m, v, np.full(m.shape, 2))
+    for old, new in zip((m, v, np.full(m.shape, 2)), moved):
+        # gate 0 comes first, then the new gate, then the OR bias and weights
+        assert same_bits(np.concatenate([new[:3], new[6:8]]), old)
+    params = {"money": net.buffer}
+    opt.step(params, {"money": np.zeros(net.buffer.size)})
+    m2, v2, t, top = opt._state["money"]
+    assert m2.shape == v2.shape == t.shape == net.buffer.shape and top == 3
+    # the new gate starts its own count with zero moments, a new OR weight
+    # keeps the OR root's count with zero moments, and everything else moved on
+    names = net.named(t)
+    assert names["money.and0.w"].tolist() == [3, 3] and int(names["money.and0.b"]) == 3
+    assert names["money.and1.w"].tolist() == [1, 1] and int(names["money.and1.b"]) == 1
+    assert names["money.or.w"].tolist() == [3, 3] and int(names["money.or.b"]) == 3
+    for moments, old in ((m2, m), (v2, v)):
+        named = net.named(moments)
+        assert np.all(named["money.and1.w"] == 0.0) and float(named["money.and1.b"]) == 0.0
+        assert named["money.or.w"][1] == 0.0
+        assert np.all(named["money.and0.w"] != 0.0) and named["money.or.w"][0] != 0.0
+    # without a relayout, a grown array is an error
+    plain = AdamOptimizer(learning_rate=0.01)
+    plain.step({"w": np.ones(2)}, {"w": np.ones(2)})
+    with pytest.raises(ValueError, match="changed shape"):
+        plain.step({"w": np.ones(3)}, {"w": np.ones(3)})
+
+
+def test_a_grown_buffer_keeps_every_value_and_memory_does_not_grow_with_the_cap():
+    net = LnnNetwork("direction", CATEGORY_LITERALS["direction"], "go", gate_cap=10**9)
+    assert net.buffer.size == 8 + 1 + 1 + 1
+    rng = np.random.default_rng(5)
+    for n in range(1, 6):
+        net.buffer[...] = rng.uniform(0.0, 1.0, size=net.buffer.size)
+        before = {name: p.copy() for name, p in net.parameters().items()}
+        old = net.buffer
+        seed = (rng.uniform(size=8) > 0.5).astype(float)
+        assert net.add_and_gate(seed) == n
+        assert net.buffer is not old and net.buffer.size == (n + 1) * 10 + 1
+        after = net.parameters()
+        for name, value in before.items():
+            if name.endswith(".or.w"):
+                assert same_bits(after[name][:n], value)
+            else:
+                assert same_bits(after[name], value), name
+        assert same_bits(after[f"direction.and{n}.w"], np.where(seed >= 0.75, 1.0, 0.0))
+        assert same_bits(after[f"direction.and{n}.b"], 1.0) and after["direction.or.w"][n] == 1.0
+        # every node is a view into the new buffer
+        for node in (*net.and_gates, net.or_root):
+            assert np.shares_memory(node.weights, net.buffer)
+            assert np.shares_memory(node.bias, net.buffer)
+        # a vector in the old layout moves the same way
+        moved = net.relayout(np.arange(old.size, dtype=float), -1.0, None)
+        assert same_bits(net.named(moved)[f"direction.and{n}.w"], np.full(8, -1.0))
+        # a new OR weight copies the OR bias's element, n * 9 in the old layout
+        assert moved[-1] == moved[(n + 1) * 9] == n * 9
+        assert sorted(moved[moved >= 0.0].tolist()) == sorted([*range(old.size), n * 9])
+
+
+def test_a_deep_copy_points_into_its_own_buffer():
+    net = make_net([[0.5, 0.25, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]], [0.75, 0.5])
+    copied = copy.deepcopy(net)
+    assert same_bits(copied.buffer, net.buffer) and not np.shares_memory(copied.buffer, net.buffer)
+    for node, original in zip((*copied.and_gates, copied.or_root), (*net.and_gates, net.or_root)):
+        for view, other in ((node.weights, original.weights), (node.bias, original.bias)):
+            assert np.shares_memory(view, copied.buffer)
+            assert not np.shares_memory(view, net.buffer) and same_bits(view, other)
+    for view in copied.parameters().values():
+        assert np.shares_memory(view, copied.buffer)
+    # writing the copy leaves the original as it was
+    copied.buffer[...] = 0.0
+    assert float(copied.and_gates[1].bias) == 0.0 and float(net.and_gates[1].bias) == 1.0
+    copied.add_and_gate(np.ones(4))
+    assert len(copied.and_gates) == 3 and len(net.and_gates) == 2
+
+
+def test_assigning_nodes_lays_out_a_new_buffer():
+    net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take")
+    net.and_gates = [LogicNode.create(AND, [0.25, 0.5], 0.75), LogicNode.create(AND, [1.0, 0.0], 2.0)]
+    net.or_root = LogicNode.create(OR, [0.125, 1.0], 1.5)
+    assert net.buffer.tolist() == [0.25, 0.5, 0.75, 1.0, 0.0, 2.0, 1.5, 0.125, 1.0]
+    assert isinstance(net.and_gates, tuple)
+    with pytest.raises(ValueError):
+        net.and_gates = [LogicNode.create(AND, [1.0, 0.0, 1.0], 1.0)]
 
 
 
@@ -562,11 +647,12 @@ EXTREME_GRADS = st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, 5e-324, 1e155
 
 @st.composite
 def adam_runs(draw):
-    """Up to 12 operations, each an optimizer step or a grown OR root."""
+    """Up to 12 operations, each an optimizer step or an induced gate, seeded
+    from crisp facts."""
     ops = []
     for _ in range(draw(st.integers(1, 12))):
         if draw(st.integers(0, 3)) == 0:
-            ops.append(("grow", None))
+            ops.append(("grow", draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=2, max_size=2))))
         else:
             ops.append(("step", draw(st.lists(EXTREME_GRADS, min_size=16, max_size=16))))
     return ops
@@ -574,26 +660,35 @@ def adam_runs(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(ops=adam_runs(), learning_rate=st.sampled_from([0.0, 1e-3, 0.5, 10.0]),
-       bias=EDGE_FLOATS, weights=st.lists(WEIGHTS, min_size=3, max_size=3))
-def test_adam_equals_the_numpy_array_form_bit_for_bit(ops, learning_rate, bias, weights):
-    def fresh():
-        return {"and0.b": np.array(bias), "or.b": np.array(1.25),
-                "and0.w": np.array(weights), "or.w": np.array([1.0])}
-
-    params, ref_params = fresh(), fresh()
-    opt, ref = AdamOptimizer(learning_rate=learning_rate), ReferenceAdam(learning_rate)
+       bias=EDGE_FLOATS, weights=st.lists(WEIGHTS, min_size=2, max_size=2),
+       gate_cap=st.integers(1, 16))
+def test_adam_equals_the_numpy_array_form_bit_for_bit(ops, learning_rate, bias, weights, gate_cap):
+    # one money network, stepped on its buffer; the reference keeps the same
+    # parameters as named arrays, as the network once held them
+    net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take", gate_cap=gate_cap)
+    net.and_gates = [LogicNode.create(AND, weights, bias)]
+    ref_params = {name: p.copy() for name, p in net.parameters().items()}
+    opt = AdamOptimizer(learning_rate=learning_rate, relayout=LnnScorer({"money": net}).relayout)
+    ref = ReferenceAdam(learning_rate)
     for kind, values in ops:
         if kind == "grow":
-            params["or.w"] = np.append(params["or.w"], 1.0)
-            ref_params["or.w"] = np.append(ref_params["or.w"], 1.0)
+            seed = np.array(values[:2]) if values else np.array([1.0, 0.0])
+            j = net.add_and_gate(seed)
+            if j is not None:
+                ref_params[f"money.and{j}.w"] = np.where(seed >= net.config.alpha, 1.0, 0.0)
+                ref_params[f"money.and{j}.b"] = np.array(1.0)
+                ref_params["money.or.w"] = np.append(ref_params["money.or.w"], 1.0)
             continue
-        grads = {name: np.array(values[: p.size]).reshape(p.shape) for name, p in params.items()}
+        grad = np.resize(np.array(values), net.buffer.size)
+        ref_grads = {name: g.copy() for name, g in net.named(grad).items()}
         with np.errstate(all="ignore"):   # extreme gradients overflow on purpose
-            opt.step(params, grads)
-            ref.step(ref_params, grads)
-        for name in params:
-            assert params[name].shape == ref_params[name].shape
-            assert same_bits(params[name], ref_params[name]), (name, params[name], ref_params[name])
-            m, v, t = opt._state[name]
+            opt.step({"money": net.buffer}, {"money": grad})
+            ref.step(ref_params, ref_grads)
+        m, v, t, _ = opt._state["money"]
+        clocks = net.named(np.broadcast_to(t, net.buffer.shape))
+        moments = net.named(m), net.named(v)
+        for name, p in net.parameters().items():
+            assert same_bits(p, ref_params[name]), (name, p, ref_params[name])
             ref_m, ref_v, ref_t = ref.state[name]
-            assert t == ref_t and same_bits(m, ref_m) and same_bits(v, ref_v), name
+            assert np.all(clocks[name] == ref_t), name
+            assert same_bits(moments[0][name], ref_m) and same_bits(moments[1][name], ref_v), name
