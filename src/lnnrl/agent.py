@@ -317,11 +317,12 @@ class DqnAgent:
     `q(transition)`, a float for every transition its `choose` produced;
     `best_next(transition)`; `transition_gradients(transition, upstream)`,
     from the pass its memo kept; `parameters()`, the arrays one optimizer
-    steps, keyed as the gradients are; `relayout`, the optimizer's, or None
-    when no array ever changes shape; and hooks `before_batch(batch)` and
-    `after_step(stepped)`, given the keys that were stepped. Each reads its
-    own inputs from the shared `Transition`. The target, a deep copy of the
-    scorer, is retaken every `target_update_period` optimizer steps.
+    steps, keyed as the gradients are; `relayout(key, moment)`, an Adam
+    moment laid out for the grown array, new elements 0, or None if no array
+    grows; and hooks `before_batch(batch)` and `after_step(stepped)`, given
+    the keys that were stepped. Each reads its own inputs from the shared
+    `Transition`. The target, a deep copy of the scorer, is retaken every
+    `target_update_period` optimizer steps.
     """
 
     def __init__(self, config: TrainerConfig, scorer, replay_rng: random.Random):
@@ -456,13 +457,10 @@ class LnnScorer:
     def parameters(self) -> dict[str, np.ndarray]:
         return {category: net.buffer for category, net in self.nets.items()}
 
-    def relayout(self, category: str, m: np.ndarray, v: np.ndarray,
-                 t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Adam's state for a network whose buffer induction grew, laid out
-        again: a new gate starts with zero moments and its own count, a new
-        OR weight with zero moments and the OR root's count."""
-        net = self.nets[category]
-        return net.relayout(m, 0.0, 0.0), net.relayout(v, 0.0, 0.0), net.relayout(t, 0)
+    def relayout(self, category: str, moment: np.ndarray) -> np.ndarray:
+        """An Adam moment of a network whose buffer induction grew, laid out
+        again: zero for a new gate and a new OR weight."""
+        return self.nets[category].relayout(moment)
 
     def before_batch(self, batch: list[Transition]) -> None:
         # induction first so the fresh gate participates in this update

@@ -15,6 +15,7 @@ import numpy as np
 from .agent import DqnAgent, Memo, TrainerConfig, Transition, explore, greedy
 from .factextract import PROPOSITION_NAMES, Candidate, PropositionSet
 from .lnn import CheckpointError, reading_checkpoint
+from .numtext import parse_float, parse_int
 from .rng import substream
 from .worldsim import ALL_ACTIONS, Action
 
@@ -130,7 +131,7 @@ class MlpScorer:
             if (len(head) != 4 or head[0] != "shape" or head[1] != str(N_INPUTS)
                     or head[3] != str(N_ACTIONS) or not head[2].isdigit() or int(head[2]) == 0):
                 raise CheckpointError(f"{path}: expected 'shape {N_INPUTS} <hidden> {N_ACTIONS}' on line 2")
-            n_hidden = int(head[2])
+            n_hidden = parse_int(head[2])
             shapes = {
                 "w1": (N_INPUTS, n_hidden),
                 "b1": (n_hidden,),
@@ -142,7 +143,7 @@ class MlpScorer:
                 name, _, rest = line.partition(" ")
                 if name not in shapes or name in rows:
                     raise CheckpointError(f"{path}: unexpected or repeated row {name!r}")
-                values = np.array([float(t) for t in rest.split()])
+                values = np.array([parse_float(t) for t in rest.split()])
                 size = int(np.prod(shapes[name]))
                 if values.size != size or not np.all(np.isfinite(values)):
                     raise CheckpointError(f"{path}: row {name} needs {size} finite values")

@@ -42,6 +42,8 @@ from .worldsim import (
 
 
 def _cmd_generate(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     for i in range(args.count):
         spec = GameSpec(args.difficulty, args.level, args.seed + i, args.max_steps)
         graph = generate_game(spec)

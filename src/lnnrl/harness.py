@@ -26,6 +26,7 @@ from .lnn import (
     render_ruleset,
     save_network,
 )
+from .numtext import parse_float, parse_int
 from .rng import derive_seed, substream
 from .worldsim import DIFFICULTIES, GameSpec, InvalidSpecError, RoomGraph, generate_game
 
@@ -143,12 +144,12 @@ def parse_key_value_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 
 def _coerce(raw: str, default, key: str):
-    """Parse `raw` as the type of the field's default; tuples are comma-separated
-    ints, none of them empty."""
+    """Parse `raw` as the type of the field's default, a number in canonical
+    form; tuples are comma-separated ints, none of them empty."""
     try:
         if isinstance(default, tuple):
-            return tuple(int(tok) for tok in raw.split(","))
-        return type(default)(raw)
+            return tuple(parse_int(tok) for tok in raw.split(","))
+        return {int: parse_int, float: parse_float}.get(type(default), str)(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value {raw!r} for {key}") from exc
 
@@ -398,7 +399,7 @@ def read_metrics_csv(path: str | Path) -> tuple[list[str], list[list[float]]]:
         if len(cells) != len(header):
             raise ValueError(f"{path}:{lineno}: {len(cells)} cells, the header has {len(header)}")
         try:
-            row = [float(cell) for cell in cells]
+            row = [parse_float(cell) for cell in cells]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         if not all(math.isfinite(value) for value in row):

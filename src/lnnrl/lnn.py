@@ -37,6 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numtext import parse_float, parse_int
+
 DEFAULT_ALPHA = 0.75
 DEFAULT_GATE_CAP = 16
 DEFAULT_RULE_WEIGHT_THRESHOLD = 0.55
@@ -137,19 +139,17 @@ def _named(category: str, arity: int, n_gates: int, vector: np.ndarray) -> dict[
     return views
 
 
-def _relayout(old: np.ndarray, arity: int, n_old: int, n: int, gate_fill, or_fill) -> np.ndarray:
+def _relayout(old: np.ndarray, arity: int, n_old: int, n: int) -> np.ndarray:
     """`old`, laid out for `n_old` gates, laid out for `n >= n_old`: each old
-    element keeps its value, each new gate's elements are `gate_fill`, and
-    each new OR weight is `or_fill`, or the old OR bias's element if None."""
+    element keeps its value, and each new gate's elements and each new OR
+    weight are 0."""
     step = arity + 1
     o_old, o = n_old * step, n * step
     if old.size != o_old + 1 + n_old or n < n_old:
         raise ValueError(f"cannot lay out {old.size} elements of {n_old} gates for {n} gates")
-    new = np.empty(o + 1 + n, dtype=old.dtype)
+    new = np.zeros(o + 1 + n, dtype=old.dtype)
     new[:o_old] = old[:o_old]
-    new[o_old:o] = gate_fill
     new[o:o + 1 + n_old] = old[o_old:]
-    new[o + 1 + n_old:] = old[o_old] if or_fill is None else or_fill
     return new
 
 
@@ -254,15 +254,12 @@ class LnnNetwork:
         memo[id(self)] = copied
         return copied
 
-    def relayout(self, old: np.ndarray, gate_fill, or_fill=None) -> np.ndarray:
+    def relayout(self, old: np.ndarray) -> np.ndarray:
         """`old`, a vector laid out like `buffer` before the newest gates were
         added, laid out like `buffer` now. Each old element keeps its value;
-        a new gate's elements are `gate_fill`, and a new OR weight is
-        `or_fill`, or, if None, the old OR bias's element (for an optimizer's
-        clocks: the OR root's)."""
+        a new gate's elements and a new OR weight are 0."""
         arity = self.input_arity
-        return _relayout(old, arity, (old.size - 1) // (arity + 2), len(self._and_gates),
-                         gate_fill, or_fill)
+        return _relayout(old, arity, (old.size - 1) // (arity + 2), len(self._and_gates))
 
     def named(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """Views into `vector`, laid out like `buffer`, by parameter name:
@@ -351,10 +348,11 @@ class LnnNetwork:
         if x.shape != (self.input_arity,):
             raise ValueError(f"seed facts must have arity {self.input_arity}")
         arity = self.input_arity
-        buffer = _relayout(self.buffer, arity, n, n + 1, 0.0, 1.0)
+        buffer = _relayout(self.buffer, arity, n, n + 1)
         k = n * (arity + 1)
         buffer[k:k + arity] = np.where(x >= self.config.alpha, 1.0, 0.0)
         buffer[k + arity] = 1.0
+        buffer[-1] = 1.0
         self._point(buffer, n + 1)
         return n
 
@@ -499,8 +497,8 @@ def _row(path, line: str, head: list[str], width: int) -> tuple[np.ndarray, np.n
     n = len(head)
     if tokens[:n] != head or tokens[n:n + 1] != ["bias"] or tokens[n + 2:n + 3] != ["weights"]:
         raise CheckpointError(f"{path}: expected a {' '.join(head)!r} row, got {line!r}")
-    bias = float(tokens[n + 1])
-    weights = np.array([float(t) for t in tokens[n + 3:]], dtype=np.float64)
+    bias = parse_float(tokens[n + 1])
+    weights = np.array([parse_float(t) for t in tokens[n + 3:]], dtype=np.float64)
     if weights.size != width:
         raise CheckpointError(f"{path}: {' '.join(head)} row has {weights.size} weights, expected {width}")
     if not all(np.isfinite(v) and v >= 0 for v in (bias, *weights)):
@@ -530,13 +528,13 @@ def load_network(path) -> LnnNetwork:
             category=fields["category"],
             literals=tuple(fields["literals"].split()),
             verb=fields["verb"],
-            config=TruthConfig(alpha=float(fields["alpha"])),
-            gate_cap=int(fields["gate_cap"]),
+            config=TruthConfig(alpha=parse_float(fields["alpha"])),
+            gate_cap=parse_int(fields["gate_cap"]),
         )
-        if net.input_arity != int(fields["arity"]):
+        if net.input_arity != parse_int(fields["arity"]):
             raise CheckpointError(f"{path}: arity does not match literal list")
 
-        n_gates = int(fields["gates"])
+        n_gates = parse_int(fields["gates"])
         if n_gates > net.gate_cap:
             raise CheckpointError(f"{path}: {n_gates} gates exceed gate_cap {net.gate_cap}")
         body = lines[1 + len(_HEADER_KEYS):]

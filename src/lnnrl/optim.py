@@ -1,18 +1,15 @@
-"""Small Adam over named float64 arrays, with a step count per element.
+"""Small Adam over named float64 arrays, with one step count per array.
 
 Each name is one array updated in place by whole-array numpy operations: a
-logic network's whole parameter buffer, or one of the MLP's arrays. Adam's
-bias corrections `1 - beta ** t` depend on how often an element was stepped,
-and elements of one buffer can differ: a gate induced mid-run starts its own
-count, while the OR weights keep theirs. So the count is an int while every
-element of the array shares it, and an int array otherwise; the corrections
-are read from tables of Python floats indexed by it, because `np.power`
-rounds some `beta ** t` differently. Every other operation is numpy's, in
-the order Adam writes it, so each element, a bias included, gets the IEEE
-results it would get updated on its own.
+logic network's whole parameter buffer, or one of the MLP's arrays. Every
+element of an array is stepped whenever the array is, so one int count serves
+them all; `1 - beta ** t` is computed on Python floats, as `np.power` rounds
+some powers differently. Every other operation is numpy's, in Adam's order, so
+each element, a bias included, gets the IEEE results it would get on its own.
 
-When an array has grown since its last step (induction added a gate), the
-`relayout` given to the optimizer lays its moments and counts out again.
+When induction has grown an array, the `relayout` given to the optimizer lays
+each moment out again, new elements 0. The induced gate joins at the array's
+count: its gradient is an exact zero, so any count gives it a zero update.
 """
 
 from __future__ import annotations
@@ -28,54 +25,36 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 
-#: (name, m, v, t) -> (m, v, t) laid out for the name's grown array; t is an
-#: int array, one count per element
-Relayout = Callable[[str, np.ndarray, np.ndarray, np.ndarray],
-                    tuple[np.ndarray, np.ndarray, np.ndarray]]
+#: (name, moment) -> the moment laid out for the grown array, new elements 0
+Relayout = Callable[[str, np.ndarray], np.ndarray]
 
 
 class AdamOptimizer:
+    """Adam over named arrays, one state `[m, v, t]` per name: the moments and
+    the array's int step count."""
+
     def __init__(self, learning_rate: float = 1e-3, relayout: Relayout | None = None):
         self.learning_rate = learning_rate
         self.relayout = relayout
-        # name -> [m, v, t, top]: the moments, the step count (an int, or an
-        # int array once the elements' counts differ) and the largest count
         self._state: dict[str, list] = {}
-        # 1 - beta ** t for t = 0, 1, ..., grown as the counts grow
-        self._c1 = self._c2 = np.empty(0)
-
-    def _grow_tables(self, top: int) -> None:
-        n = max(2 * len(self._c1), top + 1)
-        self._c1 = np.array([1.0 - BETA1 ** t for t in range(n)])
-        self._c2 = np.array([1.0 - BETA2 ** t for t in range(n)])
-
-    def _relayout(self, name: str, state: list, shape) -> None:
-        if self.relayout is None:
-            raise ValueError(f"{name} changed shape from {state[0].shape} to {shape}, "
-                             "and the optimizer has no relayout")
-        m, v, t = state[:3]
-        if not isinstance(t, np.ndarray):
-            t = np.full(m.shape, t)
-        state[:3] = self.relayout(name, m, v, t)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         """One update, in place, for every array that received a gradient."""
-        lr = self.learning_rate
         for name, grad in grads.items():
             param = params[name]
             state = self._state.get(name)
             if state is None:
-                state = self._state[name] = [np.zeros(param.shape), np.zeros(param.shape), 0, 0]
+                state = self._state[name] = [np.zeros(param.shape), np.zeros(param.shape), 0]
             elif state[0].shape != param.shape:
-                self._relayout(name, state, param.shape)
-            m, v, t, top = state
+                if self.relayout is None:
+                    raise ValueError(f"{name} changed shape from {state[0].shape} to "
+                                     f"{param.shape}, and the optimizer has no relayout")
+                state[:2] = [self.relayout(name, moment) for moment in state[:2]]
+            m, v, t = state
             t = state[2] = t + 1
-            top = state[3] = top + 1
-            if top >= len(self._c1):
-                self._grow_tables(top)
-            c1, c2 = self._c1[t], self._c2[t]
+            c1, c2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
             m *= BETA1
             m += (1.0 - BETA1) * grad
             v *= BETA2
             v += (1.0 - BETA2) * grad * grad
-            param -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+            param -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + EPS)

@@ -24,6 +24,7 @@ import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
+from .numtext import parse_int
 from .rng import derive_seed, substream
 
 # ---------------------------------------------------------------------------
@@ -152,11 +153,10 @@ def _spec_int(fields: dict[str, str], key: str, line: str) -> int:
     """`fields[key]` as an integer written as `str(int)` writes one."""
     raw = fields[key]
     try:
-        if str(int(raw)) == raw:
-            return int(raw)
+        return parse_int(raw)
     except ValueError:
-        pass
-    raise InvalidSpecError(f"field {key!r} must be an integer, got {raw!r} in spec line {line!r}")
+        raise InvalidSpecError(
+            f"field {key!r} must be an integer, got {raw!r} in spec line {line!r}") from None
 
 
 # ---------------------------------------------------------------------------

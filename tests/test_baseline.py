@@ -113,6 +113,11 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 
+def with_first_b1_value(lines, raw):
+    name, _, rest = lines[3].split(" ", 2)
+    return lines[:3] + [f"{name} {raw} {rest}"] + lines[4:]
+
+
 # each leaves a loadable-looking file that must not load
 MLP_DAMAGE = {
     "cut_after_w1": lambda lines: lines[:3],
@@ -121,6 +126,10 @@ MLP_DAMAGE = {
     "short_row": lambda lines: lines[:5] + [lines[5].rsplit(" ", 1)[0]],
     "foreign_shape": lambda lines: [lines[0], f"shape {N_INPUTS} 64 {N_ACTIONS + 1}"] + lines[2:],
     "unparsable_value": lambda lines: lines[:4] + [lines[4].replace(" ", " x", 1)] + lines[5:],
+    # `int` and `float` read these, but `save` writes none of them
+    "padded_hidden_width": lambda lines: [lines[0], f"shape {N_INPUTS} 064 {N_ACTIONS}"] + lines[2:],
+    "underscored_value": lambda lines: with_first_b1_value(lines, "1_0"),
+    "non_ascii_value": lambda lines: with_first_b1_value(lines, "\u0661"),
 }
 
 

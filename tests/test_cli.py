@@ -29,6 +29,13 @@ def test_generate_rejects_level_zero(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_generate_rejects_a_count_below_one(capsys, count):
+    assert main(["generate", "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: --count must be at least 1, got {count}\n"
+
+
 TINY_ARGS = [
     "--set", "difficulty=easy", "--set", "epochs=6", "--set", "eval_interval=3",
     "--set", "n_train_games=3", "--set", "n_test_per_level=1",
@@ -73,6 +80,16 @@ def test_train_rejects_out_of_domain_trainer_values(tmp_path, capsys, setting):
     # the setting comes last so TINY_ARGS cannot override it
     assert main(["train", "--out", str(out)] + TINY_ARGS + ["--set", setting]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["epochs=1_0", "n_seeds=\u0663", "learning_rate=0_5",
+                                     "gate_cap=016", "test_levels=1,+2"])
+def test_train_rejects_a_number_off_its_canonical_form(tmp_path, capsys, setting):
+    out = tmp_path / "x"
+    assert main(["train", "--out", str(out), "--set", setting]) == 2
+    key, _, raw = setting.partition("=")
+    assert capsys.readouterr().err == f"error: bad value {raw!r} for {key}\n"
     assert not out.exists()
 
 
@@ -142,12 +159,14 @@ def test_eval_rejects_a_run_directory_off_contract(tiny_run, tmp_path, capsys, f
     assert "error:" in capsys.readouterr().err
 
 
-# each leaves config.txt well-formed line by line, but not one value per key
-# or not one game set per test level
+# each leaves config.txt well-formed line by line, but not one value per key,
+# not one game set per test level, or a number off its canonical form
 CONFIG_FAULTS = {
     "repeated_key": lambda text: text + "n_seeds=3\n",
     "empty_test_level": lambda text: text.replace("test_levels=1,2", "test_levels=1,,2"),
     "repeated_test_level": lambda text: text.replace("test_levels=1,2", "test_levels=1,1"),
+    "signed_test_level": lambda text: text.replace("test_levels=1,2", "test_levels=1,+2"),
+    "non_ascii_seed_count": lambda text: text.replace("n_seeds=1\n", "n_seeds=\u0661\n"),
 }
 
 

@@ -1,5 +1,7 @@
 """Experiment config parsing, seeding, metrics emission, and run comparison."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,6 +94,26 @@ def test_an_empty_test_level_is_rejected():
     for raw in ("5,,10", "5,10,", ",5", ""):
         with pytest.raises(ConfigError, match="test_levels"):
             ExperimentConfig.from_pairs({"test_levels": raw})
+
+
+# `int` and `float` read each of these, but no writer writes them
+NON_CANONICAL_NUMBERS = {
+    "epochs": "1_0",
+    "n_seeds": "\u0663",
+    "train_level": "+5",
+    "max_episode_steps": "0100",
+    "test_levels": "5, 10",
+    "gate_cap": "1_6",
+    "learning_rate": "0_5",
+    "gamma": "\u0660.\u0665",
+}
+
+
+@pytest.mark.parametrize("key", sorted(NON_CANONICAL_NUMBERS))
+def test_a_number_off_its_canonical_form_is_rejected(key):
+    raw = NON_CANONICAL_NUMBERS[key]
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'bad value {raw!r} for {key}')}$"):
+        ExperimentConfig.from_pairs({key: raw})
 
 
 def test_repeated_test_levels_are_rejected():
@@ -280,7 +302,8 @@ def test_schema_mismatch_is_an_error(tmp_path):
 
 
 @pytest.mark.parametrize("row", ["30,0.95", "30,0.95,20.0,7", "30,0.95,x",
-                                 "30,nan,20.0", "30,inf,20.0", "30,0.95,-inf"])
+                                 "30,nan,20.0", "30,inf,20.0", "30,0.95,-inf",
+                                 "3_0,0.95,20.0", "30,0.9_5,20.0", "30,\u0660.9,20.0"])
 def test_rows_must_match_the_header_width(tmp_path, row):
     path = tmp_path / "m.csv"
     write_csv(path, [(10, 0.5, 90.0), (20, 0.6, 80.0)])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lnnrl.factextract import CATEGORY_LITERALS, CATEGORY_VERBS
+from lnnrl.factextract import CATEGORY_LITERALS, CATEGORY_VERBS, GROUNDINGS
 from lnnrl.lnn import (
     AND,
     OR,
@@ -384,8 +384,9 @@ def test_checkpoint_round_trip_is_exact(tmp_path_factory, net):
         assert a.bias.dtype == b.bias.dtype and a.bias.tobytes() == b.bias.tobytes()
 
 
-# each damages the alpha row (line 3), the first gate row (line 8) or the OR
-# row (the last), or cuts the file short
+# each damages the alpha row (line 3), the gate_cap row (line 4), the gates
+# row (line 7), the first gate row (line 8) or the OR row (the last), or cuts
+# the file short; a number off its canonical form counts as damage
 CHECKPOINT_DAMAGE = {
     "truncated": lambda lines: lines[:9],
     "short_gate_row": lambda lines: lines[:8] + [lines[8].rsplit(" ", 1)[0]] + lines[9:],
@@ -394,6 +395,10 @@ CHECKPOINT_DAMAGE = {
     "unparsable_bias": lambda lines: lines[:8] + [lines[8].replace("bias 1 ", "bias one ")] + lines[9:],
     "alpha_out_of_range": lambda lines: lines[:3] + ["alpha 0.25"] + lines[4:],
     "or_weight_above_one": lambda lines: lines[:-1] + [lines[-1].rsplit(" ", 1)[0] + " 2.5"],
+    "underscored_gate_cap": lambda lines: lines[:4] + ["gate_cap 1_6"] + lines[5:],
+    "signed_gate_count": lambda lines: lines[:7] + ["gates +3"] + lines[8:],
+    "underscored_weight": lambda lines: lines[:8] + [lines[8].rsplit(" ", 1)[0] + " 0_5"] + lines[9:],
+    "non_ascii_bias": lambda lines: lines[:8] + [lines[8].replace("bias 1 ", "bias \u0661 ")] + lines[9:],
 }
 
 
@@ -449,21 +454,18 @@ def test_adam_pads_state_when_parameter_grows():
     opt.step(params, {"money": grad})
     m, v = opt._state["money"][0].copy(), opt._state["money"][1].copy()
     net.add_and_gate(np.array([1.0, 0.0]))
-    # laid out again, every old moment and count keeps its bits
-    moved = LnnScorer({"money": net}).relayout("money", m, v, np.full(m.shape, 2))
-    for old, new in zip((m, v, np.full(m.shape, 2)), moved):
+    # laid out again, every old moment keeps its bits and every new one is 0
+    scorer = LnnScorer({"money": net})
+    for old in (m, v):
+        new = scorer.relayout("money", old)
         # gate 0 comes first, then the new gate, then the OR bias and weights
         assert same_bits(np.concatenate([new[:3], new[6:8]]), old)
+        assert same_bits(np.concatenate([new[3:6], new[8:]]), np.zeros(4))
     params = {"money": net.buffer}
     opt.step(params, {"money": np.zeros(net.buffer.size)})
-    m2, v2, t, top = opt._state["money"]
-    assert m2.shape == v2.shape == t.shape == net.buffer.shape and top == 3
-    # the new gate starts its own count with zero moments, a new OR weight
-    # keeps the OR root's count with zero moments, and everything else moved on
-    names = net.named(t)
-    assert names["money.and0.w"].tolist() == [3, 3] and int(names["money.and0.b"]) == 3
-    assert names["money.and1.w"].tolist() == [1, 1] and int(names["money.and1.b"]) == 1
-    assert names["money.or.w"].tolist() == [3, 3] and int(names["money.or.b"]) == 3
+    m2, v2, t = opt._state["money"]
+    # one count for the whole array, moved on by every step
+    assert m2.shape == v2.shape == net.buffer.shape and type(t) is int and t == 3
     for moments, old in ((m2, m), (v2, v)):
         named = net.named(moments)
         assert np.all(named["money.and1.w"] == 0.0) and float(named["money.and1.b"]) == 0.0
@@ -499,12 +501,12 @@ def test_a_grown_buffer_keeps_every_value_and_memory_does_not_grow_with_the_cap(
         for node in (*net.and_gates, net.or_root):
             assert np.shares_memory(node.weights, net.buffer)
             assert np.shares_memory(node.bias, net.buffer)
-        # a vector in the old layout moves the same way
-        moved = net.relayout(np.arange(old.size, dtype=float), -1.0, None)
-        assert same_bits(net.named(moved)[f"direction.and{n}.w"], np.full(8, -1.0))
-        # a new OR weight copies the OR bias's element, n * 9 in the old layout
-        assert moved[-1] == moved[(n + 1) * 9] == n * 9
-        assert sorted(moved[moved >= 0.0].tolist()) == sorted([*range(old.size), n * 9])
+        # a vector in the old layout moves the same way, every new element 0
+        moved = net.relayout(np.arange(1.0, old.size + 1.0))
+        named = net.named(moved)
+        assert same_bits(named[f"direction.and{n}.w"], np.zeros(8))
+        assert same_bits(named[f"direction.and{n}.b"], 0.0) and same_bits(moved[-1], 0.0)
+        assert sorted(moved[moved > 0.0].tolist()) == list(range(1, old.size + 1))
 
 
 def test_a_deep_copy_points_into_its_own_buffer():
@@ -680,15 +682,62 @@ def test_adam_equals_the_numpy_array_form_bit_for_bit(ops, learning_rate, bias, 
                 ref_params["money.or.w"] = np.append(ref_params["money.or.w"], 1.0)
             continue
         grad = np.resize(np.array(values), net.buffer.size)
+        # an induced gate gets the exact zero gradient `gradients` gives it
+        step = net.input_arity + 1
+        grad[step:len(net.and_gates) * step] = 0.0
         ref_grads = {name: g.copy() for name, g in net.named(grad).items()}
         with np.errstate(all="ignore"):   # extreme gradients overflow on purpose
             opt.step({"money": net.buffer}, {"money": grad})
             ref.step(ref_params, ref_grads)
-        m, v, t, _ = opt._state["money"]
-        clocks = net.named(np.broadcast_to(t, net.buffer.shape))
+        m, v, t = opt._state["money"]
         moments = net.named(m), net.named(v)
         for name, p in net.parameters().items():
             assert same_bits(p, ref_params[name]), (name, p, ref_params[name])
-            ref_m, ref_v, ref_t = ref.state[name]
-            assert np.all(clocks[name] == ref_t), name
+            ref_m, ref_v, _ = ref.state[name]
             assert same_bits(moments[0][name], ref_m) and same_bits(moments[1][name], ref_v), name
+        # the array's one count is the count of every name there from the start
+        for name in ("money.and0.w", "money.and0.b", "money.or.w", "money.or.b"):
+            assert type(t) is int and t == ref.state[name][2], name
+
+
+def category_assignments(category):
+    """The category's crisp fact vectors, one per truth assignment."""
+    arrays = {id(c.values): c.values for key, c in GROUNDINGS.items() if key[0] == category}
+    return list(arrays.values())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(category=st.sampled_from(sorted(CATEGORY_LITERALS)), data=st.data(),
+       or_bias=st.floats(0.0, 1e3) | st.sampled_from([0.0, 1.0, 1.25]),
+       upstream=st.floats(allow_nan=False, allow_infinity=False),
+       learning_rate=st.sampled_from([1e-3, 0.5, 10.0]))
+def test_an_induced_gate_gets_no_gradient_so_any_adam_count_leaves_it(
+        category, data, or_bias, upstream, learning_rate):
+    # the optimizer keeps one step count per buffer, so an induced gate joins
+    # at the buffer's count: that moves no bit only while the gate's weights
+    # and bias get an exact zero gradient, so their moments stay 0
+    assignments = category_assignments(category)
+    net = LnnNetwork(category, CATEGORY_LITERALS[category], CATEGORY_VERBS[category],
+                     gate_cap=len(assignments) + 1)
+    optimizer = AdamOptimizer(learning_rate, LnnScorer({category: net}).relayout)
+    optimizer.step({category: net.buffer}, {category: np.full(net.buffer.size, 0.5)})
+    net.project()
+    for facts in assignments:
+        net.induce(net.forward(facts)[1])
+    n = len(net.and_gates)
+    assert n == len(assignments) + 1
+    or_weights = data.draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]),
+                                    min_size=n, max_size=n))
+    net.or_root = LogicNode.create(OR, or_weights, or_bias)
+    step = net.input_arity + 1
+    induced = slice(step, n * step)
+    before, total = net.buffer.copy(), np.zeros(net.buffer.size)
+    with np.errstate(all="ignore"):   # a huge upstream overflows the sum and the other moments
+        for facts in assignments:
+            grad = net.gradients(net.forward(facts)[1], upstream).vector
+            assert same_bits(grad[induced], np.zeros(n * step - step))
+            total += grad
+        optimizer.step({category: net.buffer}, {category: total})
+    assert same_bits(net.buffer[induced], before[induced])
+    m, v, t = optimizer._state[category]
+    assert t == 2 and not np.any(m[induced]) and not np.any(v[induced])
