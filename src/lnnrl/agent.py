@@ -315,8 +315,9 @@ class DqnAgent:
     the action and its q values, or None when the step explored;
     `chosen(candidates, action)`, the `Transition.chosen` it reads;
     `q(transition)`, a float for every transition its `choose` produced;
-    `best_next(transition)`; `transition_gradients(transition, upstream)`,
-    from the pass its memo kept; `parameters()`, the arrays one optimizer
+    `best_next(transition)`; `batch_gradients(batch, upstreams)`, the
+    gradient of `sum_i upstreams[i] * q(batch[i])` as one vector per key,
+    from the passes its memo kept; `parameters()`, the arrays one optimizer
     steps, keyed as the gradients are; `relayout(key, moment)`, an Adam
     moment laid out for the grown array, new elements 0, or None if no array
     grows; and hooks `before_batch(batch)` and `after_step(stepped)`, given
@@ -349,22 +350,20 @@ class DqnAgent:
             self.train_step()
 
     def train_step(self) -> float:
-        """One sampled batch: Q-regression, one optimizer step, target refresh."""
+        """One sampled batch: every TD error in batch order, then one gradient
+        call for the batch, one optimizer step and the target refresh."""
         if len(self.buffer) == 0:
             raise ValueError("train_step requires a non-empty replay buffer")
         batch = self.buffer.sample(self.config.batch_size, self.replay_rng)
         self.scorer.before_batch(batch)
 
-        # one array per key and transition (a logic network's whole gradient),
-        # summed in batch order
-        grads: dict[str, np.ndarray] = {}
+        upstreams = []
         total_loss = 0.0
         for transition in batch:
             error = self.scorer.q(transition) - td_target(transition, self.target, self.config.gamma)
             total_loss += error * error
-            upstream = 2.0 * error / len(batch)
-            for name, g in self.scorer.transition_gradients(transition, upstream).items():
-                grads[name] = grads[name] + g if name in grads else g
+            upstreams.append(2.0 * error / len(batch))
+        grads = self.scorer.batch_gradients(batch, upstreams)
 
         self.optimizer.step(self.scorer.parameters(), grads)
         self.scorer.after_step(grads.keys())
@@ -411,7 +410,9 @@ class LnnScorer:
     every optimizer step and whenever induction adds a gate. Replay reads the
     next candidates and the chosen one, which `choose` always acted through;
     the target's memo keeps each next state's greedy choice until the next
-    refresh, since the target's parameters stand until then.
+    refresh, since the target's parameters stand until then. A batch's
+    gradient is each transition's network gradient, one vector in its
+    buffer's layout, summed per category in batch order.
     """
 
     def __init__(self, nets: dict[str, LnnNetwork]):
@@ -449,10 +450,15 @@ class LnnScorer:
             return 0.0       # nothing to bootstrap from
         return max(self.memo.of(candidates, self._greedy)[1])
 
-    def transition_gradients(self, transition: Transition, upstream: float) -> dict[str, np.ndarray]:
-        chosen = transition.chosen
-        net = self.nets[chosen.category]
-        return {chosen.category: net.gradients(self._forward(chosen)[1], upstream).vector}
+    def batch_gradients(self, batch: list[Transition], upstreams: list[float]) -> dict[str, np.ndarray]:
+        # one vector per transition (its network's whole gradient), summed per
+        # category in batch order
+        grads: dict[str, np.ndarray] = {}
+        for transition, upstream in zip(batch, upstreams):
+            chosen = transition.chosen
+            g = self.nets[chosen.category].gradients(self._forward(chosen)[1], upstream).vector
+            grads[chosen.category] = grads[chosen.category] + g if chosen.category in grads else g
+        return grads
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {category: net.buffer for category, net in self.nets.items()}

@@ -8,6 +8,7 @@ black-box scorer in the middle.
 
 from __future__ import annotations
 
+import copy
 import random
 
 import numpy as np
@@ -26,48 +27,85 @@ N_HIDDEN = 64
 ACTION_INDEX: dict[Action, int] = {a: i for i, a in enumerate(ALL_ACTIONS)}
 
 
+def _views(flat: np.ndarray, n_hidden: int) -> tuple[np.ndarray, ...]:
+    """`w1`, `b1`, `w2`, `b2` as views into the last axis of `flat`, laid out
+    as the buffer is for `n_hidden` hidden units."""
+    w1_end = N_INPUTS * n_hidden
+    w2_start = w1_end + n_hidden
+    b2_start = w2_start + n_hidden * N_ACTIONS
+    lead = flat.shape[:-1]
+    return (flat[..., :w1_end].reshape(lead + (N_INPUTS, n_hidden)),
+            flat[..., w1_end:w2_start],
+            flat[..., w2_start:b2_start].reshape(lead + (n_hidden, N_ACTIONS)),
+            flat[..., b2_start:])
+
+
 class MlpScorer:
     """26 -> 64 (ReLU) -> 10, with hand-rolled backprop.
 
+    All parameters live in one float64 vector, `buffer`, laid out
+    `[w1 (26 x 64, row-major) | b1 | w2 (64 x 10, row-major) | b2]`; `w1`,
+    `b1`, `w2` and `b2` are views into it, and the optimizer steps the whole
+    buffer under the key "mlp". A deep copy (the target) copies the buffer and
+    points its own views into the copy.
+
     All scoring goes through `memo`: a forward pass per state's shared
     26-vector, a greedy choice per props record. It is emptied after every
-    optimizer step. Replay reads the records' 26-vectors; gradients reuse the
-    hidden layer of the state's kept pass.
+    optimizer step. Replay reads the records' 26-vectors; one gradient call
+    per batch reuses the hidden layers of the states' kept passes.
     """
 
-    #: the optimizer's: no array ever changes shape
+    #: the optimizer's: the buffer never changes shape
     relayout = None
 
     def __init__(self, seed: int = 0):
         rng = np.random.default_rng(seed)
-        self.w1 = rng.normal(0.0, np.sqrt(2.0 / N_INPUTS), size=(N_INPUTS, N_HIDDEN))
-        self.b1 = np.zeros(N_HIDDEN)
-        self.w2 = rng.normal(0.0, np.sqrt(1.0 / N_HIDDEN), size=(N_HIDDEN, N_ACTIONS))
-        self.b2 = np.zeros(N_ACTIONS)
+        w1 = rng.normal(0.0, np.sqrt(2.0 / N_INPUTS), size=(N_INPUTS, N_HIDDEN))
+        w2 = rng.normal(0.0, np.sqrt(1.0 / N_HIDDEN), size=(N_HIDDEN, N_ACTIONS))
+        self._point_into(np.concatenate(
+            [w1.ravel(), np.zeros(N_HIDDEN), w2.ravel(), np.zeros(N_ACTIONS)]), N_HIDDEN)
         self.memo = Memo()
 
+    def _point_into(self, buffer: np.ndarray, n_hidden: int) -> None:
+        """Make `buffer` the parameters, with `w1`, `b1`, `w2`, `b2` views into it."""
+        self.buffer = buffer
+        self.w1, self.b1, self.w2, self.b2 = _views(buffer, n_hidden)
+
+    def __deepcopy__(self, memo) -> "MlpScorer":
+        scorer = type(self).__new__(type(self))
+        scorer._point_into(self.buffer.copy(), self.b1.size)
+        scorer.memo = copy.deepcopy(self.memo, memo)
+        return scorer
+
     def parameters(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
+        return {"mlp": self.buffer}
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The ten action values and the rectified hidden layer behind them."""
         hidden = np.maximum(self.w1.T @ x + self.b1, 0.0)
         return self.w2.T @ hidden + self.b2, hidden
 
-    def gradients(self, x: np.ndarray, hidden: np.ndarray, action_index: int,
-                  upstream: float) -> dict[str, np.ndarray]:
-        """d(upstream * q[action_index])/d(params), given `forward(x)`'s `hidden`."""
-        g_hidden = upstream * self.w2[:, action_index]
-        g_pre = g_hidden * (hidden > 0.0)
-        grads = {
-            "b1": g_pre,
-            "w1": np.outer(x, g_pre),
-            "b2": np.zeros(N_ACTIONS),
-            "w2": np.zeros_like(self.w2),
-        }
-        grads["b2"][action_index] = upstream
-        grads["w2"][:, action_index] = upstream * hidden
-        return grads
+    def gradients(self, xs: np.ndarray, hiddens: np.ndarray, action_indices: list[int],
+                  upstreams: np.ndarray) -> np.ndarray:
+        """d(sum_i upstreams[i] * q_i[action_indices[i]])/d(buffer), one fresh
+        vector in the buffer's layout, given each row of `xs` and the hidden
+        layer `forward` gave it (the rows of `hiddens`).
+
+        Each transition's term, one row of `terms`, is the per-transition
+        gradient's, elementwise and with no BLAS call, and the rows are summed
+        in batch order from -0.0, the exact additive identity: bit for bit the
+        sum `g_0 + g_1 + ...` of one gradient per transition, signed zeros
+        included."""
+        rows = np.arange(len(action_indices))
+        u = upstreams[:, None]
+        terms = np.zeros((rows.size, self.buffer.size))
+        w1, b1, w2, b2 = _views(terms, self.b1.size)
+        np.multiply(u * self.w2.T[action_indices], hiddens > 0.0, out=b1)
+        np.multiply(xs[:, :, None], b1[:, None, :], out=w1)
+        w2[rows, :, action_indices] = u * hiddens
+        b2[rows, action_indices] = upstreams
+        # an axis-0 reduction adds whole rows, in order
+        return np.add.reduce(terms, axis=0, initial=-0.0)
 
     # ------------------------------------------------------ scorer contract
 
@@ -94,12 +132,13 @@ class MlpScorer:
         return float(self._forward(transition.props)[0][ACTION_INDEX[transition.action]])
 
     def best_next(self, transition: Transition) -> float:
-        return float(np.max(self._forward(transition.next_props)[0]))
+        return float(self._forward(transition.next_props)[0].max())
 
-    def transition_gradients(self, transition: Transition, upstream: float) -> dict[str, np.ndarray]:
-        x = transition.props.as_vector()
-        return self.gradients(x, self._forward(transition.props)[1],
-                              ACTION_INDEX[transition.action], upstream)
+    def batch_gradients(self, batch: list[Transition], upstreams: list[float]) -> dict[str, np.ndarray]:
+        xs = np.array([t.props.as_vector() for t in batch])
+        hiddens = np.array([self._forward(t.props)[1] for t in batch])
+        return {"mlp": self.gradients(xs, hiddens, [ACTION_INDEX[t.action] for t in batch],
+                                      np.array(upstreams))}
 
     def before_batch(self, batch: list[Transition]) -> None:
         pass
@@ -132,27 +171,23 @@ class MlpScorer:
                     or head[3] != str(N_ACTIONS) or not head[2].isdigit() or int(head[2]) == 0):
                 raise CheckpointError(f"{path}: expected 'shape {N_INPUTS} <hidden> {N_ACTIONS}' on line 2")
             n_hidden = parse_int(head[2])
-            shapes = {
-                "w1": (N_INPUTS, n_hidden),
-                "b1": (n_hidden,),
-                "w2": (n_hidden, N_ACTIONS),
-                "b2": (N_ACTIONS,),
-            }
+            # each row's size, in the buffer's order
+            sizes = {"w1": N_INPUTS * n_hidden, "b1": n_hidden,
+                     "w2": n_hidden * N_ACTIONS, "b2": N_ACTIONS}
             rows: dict[str, np.ndarray] = {}
             for line in lines[2:]:
                 name, _, rest = line.partition(" ")
-                if name not in shapes or name in rows:
+                if name not in sizes or name in rows:
                     raise CheckpointError(f"{path}: unexpected or repeated row {name!r}")
                 values = np.array([parse_float(t) for t in rest.split()])
-                size = int(np.prod(shapes[name]))
-                if values.size != size or not np.all(np.isfinite(values)):
-                    raise CheckpointError(f"{path}: row {name} needs {size} finite values")
-                rows[name] = values.reshape(shapes[name])
-            missing = [name for name in shapes if name not in rows]
+                if values.size != sizes[name] or not np.all(np.isfinite(values)):
+                    raise CheckpointError(f"{path}: row {name} needs {sizes[name]} finite values")
+                rows[name] = values
+            missing = [name for name in sizes if name not in rows]
             if missing:
                 raise CheckpointError(f"{path}: missing rows {', '.join(missing)}")
         scorer = cls.__new__(cls)
-        scorer.w1, scorer.b1, scorer.w2, scorer.b2 = (rows[name] for name in shapes)
+        scorer._point_into(np.concatenate([rows[name] for name in sizes]), n_hidden)
         scorer.memo = Memo()
         return scorer
 

@@ -27,6 +27,7 @@ from .harness import (
 )
 from .lexicon import default_lexicon
 from .lnn import render_ruleset
+from .numtext import parse_float, parse_int
 from .rng import derive_seed
 from .worldsim import (
     Action,
@@ -164,6 +165,21 @@ def _cmd_play(args) -> int:
     return 0
 
 
+def _argument(parse):
+    """An argparse type reading a number as the file readers do: `parse`'s
+    ValueError becomes argparse's `error:` (exit 2) with its message."""
+    def read(raw: str):
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return read
+
+
+INT = _argument(parse_int)
+FLOAT = _argument(parse_float)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lnnrl", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -171,10 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="print game specs and optional adjacency dumps")
     p.add_argument("--difficulty", default="easy")
-    p.add_argument("--level", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--max-steps", type=int, default=100)
+    p.add_argument("--level", type=INT, default=5)
+    p.add_argument("--seed", type=INT, default=0)
+    p.add_argument("--count", type=INT, default=1)
+    p.add_argument("--max-steps", type=INT, default=100)
     p.add_argument("--adjacency", action="store_true")
     p.set_defaults(func=_cmd_generate)
 
@@ -187,28 +203,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on its test set")
     p.add_argument("--run-dir", required=True)
-    p.add_argument("--seed-index", type=int, default=0)
+    p.add_argument("--seed-index", type=INT, default=0)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("rules", help="dump extracted rules from a checkpoint")
     p.add_argument("--run-dir", required=True)
-    p.add_argument("--seed-index", type=int, default=0)
-    p.add_argument("--threshold", type=float, help="default: the run's rule_weight_threshold")
+    p.add_argument("--seed-index", type=INT, default=0)
+    p.add_argument("--threshold", type=FLOAT, help="default: the run's rule_weight_threshold")
     p.set_defaults(func=_cmd_rules)
 
     p = sub.add_parser("compare", help="first threshold crossings of two metric files")
     p.add_argument("csv_a")
     p.add_argument("csv_b")
-    p.add_argument("--threshold", type=float, default=0.9)
+    p.add_argument("--threshold", type=FLOAT, default=0.9)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("play", help="interactive episode with fact inspection")
     p.add_argument("--difficulty", default="easy")
-    p.add_argument("--level", type=int, default=5)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--max-steps", type=int, default=100)
+    p.add_argument("--level", type=INT, default=5)
+    p.add_argument("--seed", type=INT, default=1)
+    p.add_argument("--max-steps", type=INT, default=100)
     p.add_argument("--run-dir", default=None)
-    p.add_argument("--seed-index", type=int, default=0)
+    p.add_argument("--seed-index", type=INT, default=0)
     p.set_defaults(func=_cmd_play)
 
     return parser

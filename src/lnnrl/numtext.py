@@ -1,6 +1,7 @@
 """Numbers as this project writes them. `int` and `float` read more (`1_0`
-as 10, `+1`, `064`, `٣` as 3, `0_5` as 5.0); each file reader calls these
-instead and raises its own error on their ValueError."""
+as 10, `+1`, `064`, `٣` as 3, `0_5` as 5.0); each file reader and the
+command line's number flags call these instead and raise their own error on
+their ValueError."""
 
 
 def parse_int(raw: str) -> int:

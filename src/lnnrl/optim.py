@@ -1,10 +1,10 @@
 """Small Adam over named float64 arrays, with one step count per array.
 
 Each name is one array updated in place by whole-array numpy operations: a
-logic network's whole parameter buffer, or one of the MLP's arrays. Every
-element of an array is stepped whenever the array is, so one int count serves
-them all; `1 - beta ** t` is computed on Python floats, as `np.power` rounds
-some powers differently. Every other operation is numpy's, in Adam's order, so
+logic network's whole parameter buffer, or the MLP's. Every element of an
+array is stepped whenever the array is, so one int count serves them all;
+`1 - beta ** t` is computed on Python floats, as `np.power` rounds some
+powers differently. Every other operation is numpy's, in Adam's order, so
 each element, a bias included, gets the IEEE results it would get on its own.
 
 When induction has grown an array, the `relayout` given to the optimizer lays

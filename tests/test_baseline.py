@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lnnrl.agent import TrainerConfig, Transition, greedy
-from lnnrl.baseline import MlpAgent, MlpScorer, N_ACTIONS, N_INPUTS
+from lnnrl.baseline import MlpAgent, MlpScorer, N_ACTIONS, N_HIDDEN, N_INPUTS
 from lnnrl.factextract import (
     AgentMap,
     ParsedObservation,
@@ -40,25 +40,35 @@ def test_forward_shape_26_in_10_out():
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(2)
     scorer = MlpScorer(seed=3)
-    x = rng.uniform(0, 1, size=N_INPUTS)
-    upstream = 1.7
-    action_index = 4
-    grads = scorer.gradients(x, scorer.forward(x)[1], action_index, upstream)
-    params = scorer.parameters()
+    # a batch with a repeated state and a repeated action
+    xs = rng.uniform(0, 1, size=(3, N_INPUTS))
+    xs[2] = xs[0]
+    action_indices = [4, 7, 4]
+    upstreams = np.array([1.7, -0.6, 0.9])
+    hiddens = np.array([scorer.forward(x)[1] for x in xs])
+    grad = scorer.gradients(xs, hiddens, action_indices, upstreams)
+    assert grad.shape == scorer.buffer.shape
+
+    def loss():
+        return sum(u * scorer.forward(x)[0][a] for x, a, u in zip(xs, action_indices, upstreams))
+
+    # the gradient read by name, in the buffer's layout
+    names = ("w1", "b1", "w2", "b2")
+    sizes = [getattr(scorer, name).size for name in names]
+    by_name = dict(zip(names, np.split(grad, np.cumsum(sizes)[:-1])))
     step = 1e-6
     checked = 0
-    for name, grad in grads.items():
-        flat_p = params[name].reshape(-1)
-        flat_g = grad.reshape(-1)
+    for name in names:
+        flat_p = getattr(scorer, name).reshape(-1)
         for index in rng.choice(flat_p.size, size=min(20, flat_p.size), replace=False):
             original = flat_p[index]
             flat_p[index] = original + step
-            q_plus = scorer.forward(x)[0][action_index]
+            plus = loss()
             flat_p[index] = original - step
-            q_minus = scorer.forward(x)[0][action_index]
+            minus = loss()
             flat_p[index] = original
-            expected = upstream * (q_plus - q_minus) / (2 * step)
-            assert flat_g[index] == pytest.approx(expected, rel=1e-5, abs=1e-8), name
+            expected = (plus - minus) / (2 * step)
+            assert by_name[name][index] == pytest.approx(expected, rel=1e-5, abs=1e-8), name
             checked += 1
     assert checked > 40
 
@@ -202,11 +212,9 @@ def assert_mlp_memo_is_exact(scorer, action_index, upstream):
         fresh_q, fresh_hidden = scorer.forward(x.copy())
         assert np.array_equal(q, fresh_q)
         assert np.array_equal(hidden, fresh_hidden)
-        cached = scorer.gradients(x, hidden, action_index, upstream)
+        cached = scorer.gradients(x[None], hidden[None], [action_index], np.array([upstream]))
         fresh = gradients_from_a_fresh_pass(scorer, x, action_index, upstream)
-        assert cached.keys() == fresh.keys()
-        for name in fresh:
-            assert np.array_equal(cached[name], fresh[name]), name
+        assert cached.tobytes() == fresh.tobytes()
 
 
 # score: fill the online memo through `choose` on a fresh record; choose: the
@@ -223,15 +231,28 @@ MLP_MEMO_OPS = st.lists(st.one_of(
 
 
 def gradients_from_a_fresh_pass(scorer, x, action_index, upstream):
-    """Reference: the gradients with the first layer run again on `x`."""
+    """Reference: the gradient with the first layer run again on `x`."""
     pre = scorer.w1.T @ x + scorer.b1
-    hidden = np.maximum(pre, 0.0)
-    g_pre = upstream * scorer.w2[:, action_index] * (pre > 0.0)
-    grads = {"b1": g_pre, "w1": np.outer(x, g_pre),
-             "b2": np.zeros(N_ACTIONS), "w2": np.zeros_like(scorer.w2)}
-    grads["b2"][action_index] = upstream
-    grads["w2"][:, action_index] = upstream * hidden
-    return grads
+    return outer_form_gradient(scorer, x, np.maximum(pre, 0.0), action_index, upstream)
+
+
+def outer_form_gradient(scorer, x, hidden, action_index, upstream):
+    """Reference: one transition's gradient in the `np.outer` form, each
+    parameter's part laid out as in the buffer."""
+    g_pre = upstream * scorer.w2[:, action_index] * (hidden > 0.0)
+    g_w2 = np.zeros_like(scorer.w2)
+    g_w2[:, action_index] = upstream * hidden
+    g_b2 = np.zeros(N_ACTIONS)
+    g_b2[action_index] = upstream
+    return np.concatenate([np.outer(x, g_pre).ravel(), g_pre, g_w2.ravel(), g_b2])
+
+
+def batch_order_sum(terms):
+    """g_0 + g_1 + ... + g_n, left to right, the first term as it is."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
 
 
 def as_props(vector):
@@ -267,3 +288,94 @@ def test_mlp_memo_entries_equal_a_fresh_forward(ops, seed, learning_rate, action
             snapshots.append(copy.deepcopy(agent.scorer))
         for scorer in (agent.scorer, agent.target, *snapshots):
             assert_mlp_memo_is_exact(scorer, action_index, upstream)
+
+
+# a batch: a few states and actions, each transition drawing one of them, so
+# states and actions repeat; upstreams of either sign, zeros of both signs
+GRADIENT_BATCHES = st.tuples(
+    st.lists(st.one_of(STATE_VECTORS,
+                       st.lists(st.floats(0.0, 1.0), min_size=N_INPUTS, max_size=N_INPUTS)
+                       .map(np.array)), min_size=1, max_size=4),
+    st.lists(st.integers(0, N_ACTIONS - 1), min_size=1, max_size=3),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2),
+                       st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0))),
+             min_size=1, max_size=32),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**16), batch=GRADIENT_BATCHES)
+def test_batched_gradients_equal_the_batch_order_sum_bit_for_bit(seed, batch):
+    scorer = MlpScorer(seed=seed)
+    states, actions, picks = batch
+    xs = np.array([states[i % len(states)] for i, _, _ in picks])
+    action_indices = [actions[j % len(actions)] for _, j, _ in picks]
+    upstreams = np.array([u for _, _, u in picks])
+    hiddens = np.array([scorer.forward(x)[1] for x in xs])
+
+    grad = scorer.gradients(xs, hiddens, action_indices, upstreams)
+
+    want = batch_order_sum([outer_form_gradient(scorer, x, h, a, float(u))
+                            for x, h, a, u in zip(xs, hiddens, action_indices, upstreams)])
+    assert grad.tobytes() == want.tobytes()
+
+
+ROW_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(width=st.sampled_from([N_INPUTS * N_HIDDEN, N_HIDDEN, N_HIDDEN * N_ACTIONS, N_ACTIONS]),
+       n_rows=st.integers(1, 32), seed=st.integers(0, 2**16),
+       pool=st.lists(ROW_FLOATS, min_size=1, max_size=8))
+def test_an_axis_0_reduction_from_negative_zero_adds_rows_left_to_right(width, n_rows, seed, pool):
+    # what `gradients` relies on, for each width of the buffer's parts: rows
+    # drawn from a few values, so whole columns of -0.0 and exact
+    # cancellations occur; a plain `sum(axis=0)` starts from +0.0 instead
+    rows = np.array(pool)[np.random.default_rng(seed).integers(0, len(pool), size=(n_rows, width))]
+    with np.errstate(over="ignore"):
+        want = batch_order_sum(list(rows))
+        got = np.add.reduce(rows, axis=0, initial=-0.0)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_the_parameters_are_views_into_one_buffer():
+    scorer = MlpScorer(seed=5)
+    assert scorer.parameters().keys() == {"mlp"} and scorer.parameters()["mlp"] is scorer.buffer
+    views = [scorer.w1, scorer.b1, scorer.w2, scorer.b2]
+    assert [v.shape for v in views] == [(N_INPUTS, N_HIDDEN), (N_HIDDEN,),
+                                        (N_HIDDEN, N_ACTIONS), (N_ACTIONS,)]
+    for view in views:
+        assert np.shares_memory(view, scorer.buffer) and view.flags.c_contiguous
+    # the layout: w1 row-major, b1, w2 row-major, b2
+    assert np.concatenate([v.ravel() for v in views]).tobytes() == scorer.buffer.tobytes()
+    scorer.buffer[-1] = 3.0
+    assert scorer.b2[-1] == 3.0
+
+
+def test_a_deep_copy_points_into_its_own_buffer_and_shares_the_memo():
+    scorer = MlpScorer(seed=6)
+    scorer.choose(SHARED_STATES[0], (), 0.0, random.Random(0))
+    copied = copy.deepcopy(scorer)
+    assert copied.buffer.tobytes() == scorer.buffer.tobytes()
+    assert not np.shares_memory(copied.buffer, scorer.buffer)
+    for name in ("w1", "b1", "w2", "b2"):
+        assert np.shares_memory(getattr(copied, name), copied.buffer)
+        assert np.array_equal(getattr(copied, name), getattr(scorer, name))
+    assert copied.memo is not scorer.memo and copied.memo.keys() == scorer.memo.keys()
+    assert all(copied.memo[key] is entry for key, entry in scorer.memo.items())
+    scorer.buffer += 1.0
+    assert not np.array_equal(copied.w1, scorer.w1)
+
+
+def test_load_of_save_gives_a_bit_identical_buffer(tmp_path):
+    scorer = MlpScorer(seed=9)
+    # extremes `.17g` must carry: signed zeros, subnormals, the largest float
+    scorer.buffer[:6] = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+                         1.7976931348623157e308, 0.1]
+    path = tmp_path / "mlp.txt"
+    scorer.save(path)
+    loaded = MlpScorer.load(path)
+    assert loaded.buffer.tobytes() == scorer.buffer.tobytes()
+    for name in ("w1", "b1", "w2", "b2"):
+        assert np.shares_memory(getattr(loaded, name), loaded.buffer)

@@ -36,6 +36,33 @@ def test_generate_rejects_a_count_below_one(capsys, count):
     assert captured.out == "" and captured.err == f"error: --count must be at least 1, got {count}\n"
 
 
+# `int` and `float` read each of these; the file readers refuse them all
+OFF_FORM_INTS = ["1_0", "+1", "064", "\u0663"]
+OFF_FORM_FLOATS = ["0_5", "\u0660.5", "\u0663"]
+
+# flag -> (the command line up to the flag, the values to refuse)
+NUMBER_FLAGS = {
+    "level": (["generate", "--level"], OFF_FORM_INTS),
+    "seed": (["play", "--seed"], OFF_FORM_INTS),
+    "count": (["generate", "--count"], OFF_FORM_INTS),
+    "max-steps": (["generate", "--max-steps"], OFF_FORM_INTS),
+    "seed-index": (["eval", "--run-dir", "unread", "--seed-index"], OFF_FORM_INTS),
+    "threshold": (["compare", "a.csv", "b.csv", "--threshold"], OFF_FORM_FLOATS),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(NUMBER_FLAGS))
+def test_a_number_flag_refuses_text_off_its_canonical_form(capsys, flag):
+    args, values = NUMBER_FLAGS[flag]
+    for raw in values:
+        with pytest.raises(SystemExit) as exited:
+            main(args + [raw])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument --{flag}: " in captured.err and repr(raw) in captured.err
+
+
 TINY_ARGS = [
     "--set", "difficulty=easy", "--set", "epochs=6", "--set", "eval_interval=3",
     "--set", "n_train_games=3", "--set", "n_test_per_level=1",
