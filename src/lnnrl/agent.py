@@ -17,7 +17,7 @@ logic networks and the MLP baseline's scorer lives in `baseline.py`.
 
 Gate induction: every sampled transition that carried reward >= 1 hands the
 chosen candidate's forward pass to its category network's `induce`, which
-splices in a gate seeded from those facts unless a gate already fires on them
+appends a gate seeded from those facts unless a gate already fires on them
 or the bank is full.
 """
 
@@ -170,7 +170,7 @@ def shape_reward(
     entry_direction_before: str | None,
     action: Action,
     difficulty: str,
-    bonus_coefficient: float = 1.0,
+    bonus_coefficient: float,
 ) -> float:
     """Quest reward plus exploration shaping. Invalid actions earn exactly 0."""
     if not outcome.action_valid:
@@ -216,7 +216,7 @@ class Transition:
 class ReplayBuffer:
     """Two FIFO pools; transitions with reward > 0 go to the prioritized pool."""
 
-    def __init__(self, capacity: int = 500_000, priority_fraction: float = 0.25):
+    def __init__(self, capacity: int, priority_fraction: float):
         prioritized_cap = max(1, int(capacity * priority_fraction))
         self.priority_fraction = priority_fraction
         self.prioritized: deque[Transition] = deque(maxlen=prioritized_cap)
@@ -288,8 +288,7 @@ def scripted_rule_networks(alpha: float = DEFAULT_ALPHA) -> dict[str, LnnNetwork
     truth = TruthConfig(alpha=alpha)
 
     def wired(category: str, or_bias: float, *gates: tuple[str, ...]) -> LnnNetwork:
-        net = LnnNetwork(category, CATEGORY_LITERALS[category], CATEGORY_VERBS[category],
-                         truth, or_bias=or_bias)
+        net = LnnNetwork(category, CATEGORY_LITERALS[category], CATEGORY_VERBS[category], truth)
         net.and_gates = []
         net.or_root = LogicNode.create(OR, [], or_bias)
         for literals in gates:
@@ -318,9 +317,8 @@ class DqnAgent:
     `best_next(transition)`; `batch_gradients(batch, upstreams)`, the
     gradient of `sum_i upstreams[i] * q(batch[i])` as one vector per key,
     from the passes its memo kept; `parameters()`, the arrays one optimizer
-    steps, keyed as the gradients are; `relayout(key, moment)`, an Adam
-    moment laid out for the grown array, new elements 0, or None if no array
-    grows; and hooks `before_batch(batch)` and `after_step(stepped)`, given
+    steps, keyed as the gradients are, each a vector that may grow only at
+    its end; and hooks `before_batch(batch)` and `after_step(stepped)`, given
     the keys that were stepped. Each reads its own inputs from the shared
     `Transition`. The target, a deep copy of the scorer, is retaken every
     `target_update_period` optimizer steps.
@@ -330,7 +328,7 @@ class DqnAgent:
         self.config = config
         self.scorer = scorer
         self.target = copy.deepcopy(scorer)
-        self.optimizer = AdamOptimizer(config.learning_rate, scorer.relayout)
+        self.optimizer = AdamOptimizer(config.learning_rate)
         self.buffer = ReplayBuffer(config.replay_capacity, config.priority_fraction)
         self.replay_rng = replay_rng
         self.env_steps = 0
@@ -462,11 +460,6 @@ class LnnScorer:
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {category: net.buffer for category, net in self.nets.items()}
-
-    def relayout(self, category: str, moment: np.ndarray) -> np.ndarray:
-        """An Adam moment of a network whose buffer induction grew, laid out
-        again: zero for a new gate and a new OR weight."""
-        return self.nets[category].relayout(moment)
 
     def before_batch(self, batch: list[Transition]) -> None:
         # induction first so the fresh gate participates in this update

@@ -55,9 +55,6 @@ class MlpScorer:
     per batch reuses the hidden layers of the states' kept passes.
     """
 
-    #: the optimizer's: the buffer never changes shape
-    relayout = None
-
     def __init__(self, seed: int = 0):
         rng = np.random.default_rng(seed)
         w1 = rng.normal(0.0, np.sqrt(2.0 / N_INPUTS), size=(N_INPUTS, N_HIDDEN))

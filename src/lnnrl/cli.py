@@ -30,6 +30,7 @@ from .lnn import render_ruleset
 from .numtext import parse_float, parse_int
 from .rng import derive_seed
 from .worldsim import (
+    DEFAULT_MAX_EPISODE_STEPS,
     Action,
     GameSpec,
     NOUNS,
@@ -190,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=INT, default=5)
     p.add_argument("--seed", type=INT, default=0)
     p.add_argument("--count", type=INT, default=1)
-    p.add_argument("--max-steps", type=INT, default=100)
+    p.add_argument("--max-steps", type=INT, default=DEFAULT_MAX_EPISODE_STEPS)
     p.add_argument("--adjacency", action="store_true")
     p.set_defaults(func=_cmd_generate)
 
@@ -222,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--difficulty", default="easy")
     p.add_argument("--level", type=INT, default=5)
     p.add_argument("--seed", type=INT, default=1)
-    p.add_argument("--max-steps", type=INT, default=100)
+    p.add_argument("--max-steps", type=INT, default=DEFAULT_MAX_EPISODE_STEPS)
     p.add_argument("--run-dir", default=None)
     p.add_argument("--seed-index", type=INT, default=0)
     p.set_defaults(func=_cmd_play)

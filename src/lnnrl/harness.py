@@ -28,7 +28,14 @@ from .lnn import (
 )
 from .numtext import parse_float, parse_int
 from .rng import derive_seed, substream
-from .worldsim import DIFFICULTIES, GameSpec, InvalidSpecError, RoomGraph, generate_game
+from .worldsim import (
+    DEFAULT_MAX_EPISODE_STEPS,
+    DIFFICULTIES,
+    GameSpec,
+    InvalidSpecError,
+    RoomGraph,
+    generate_game,
+)
 
 DEFAULT_EPOCHS = {"easy": 200, "medium": 500, "hard": 500}
 
@@ -51,7 +58,7 @@ class ExperimentConfig:
     eval_interval: int = 10
     n_seeds: int = 5
     base_seed: int = 0
-    max_episode_steps: int = 100
+    max_episode_steps: int = DEFAULT_MAX_EPISODE_STEPS
     moving_average_window: int = 1
     rule_weight_threshold: float = DEFAULT_RULE_WEIGHT_THRESHOLD
     trainer: TrainerConfig = field(default_factory=TrainerConfig)

@@ -13,14 +13,11 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .factextract import CATEGORY_NOUNS
-from .worldsim import DIRECTIONS, NOUNS
-
-CATEGORY_DIRECTION = "direction"
-CATEGORY_MONEY = "money"
+from .worldsim import NOUNS
 
 # the game vocabulary every usable lexicon must cover
-REQUIRED_ENTRIES: dict[str, str] = {d: CATEGORY_DIRECTION for d in DIRECTIONS}
-REQUIRED_ENTRIES["coin"] = CATEGORY_MONEY
+REQUIRED_ENTRIES: dict[str, str] = {
+    noun: category for category, nouns in CATEGORY_NOUNS.items() for noun in nouns}
 
 
 class LexiconError(Exception):

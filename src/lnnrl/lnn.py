@@ -21,7 +21,7 @@ one vector in the same layout and an optimizer step or a projection is a few
 whole-buffer numpy operations. The nodes and the named parameters are views
 into that buffer.
 
-Gate induction splices in a new AND gate seeded from a fact vector (weight 1
+Gate induction appends a new AND gate seeded from a fact vector (weight 1
 on every literal true at threshold alpha) when no gate fires on it. Conjunctive
 rules are read back out by keeping gates and literals whose weights clear a
 threshold.
@@ -128,29 +128,15 @@ def _named(category: str, arity: int, n_gates: int, vector: np.ndarray) -> dict[
     """Views into `vector`, laid out as a buffer of `n_gates` gates of
     `arity` weights, named `<category>.and<j>.w|b` and `<category>.or.w|b`."""
     views: dict[str, np.ndarray] = {}
-    step = arity + 1
+    step = arity + 2
     for j in range(n_gates):
-        k = j * step
+        k = 1 + j * step
         views[f"{category}.and{j}.w"] = vector[k:k + arity]
-        views[f"{category}.and{j}.b"] = vector[k + arity:k + step].reshape(())
-    o = n_gates * step
-    views[f"{category}.or.w"] = vector[o + 1:]
-    views[f"{category}.or.b"] = vector[o:o + 1].reshape(())
+        views[f"{category}.and{j}.b"] = vector[k + arity:k + arity + 1].reshape(())
+    # the OR weight at the end of each gate's block: a strided view
+    views[f"{category}.or.w"] = vector[step::step]
+    views[f"{category}.or.b"] = vector[0:1].reshape(())
     return views
-
-
-def _relayout(old: np.ndarray, arity: int, n_old: int, n: int) -> np.ndarray:
-    """`old`, laid out for `n_old` gates, laid out for `n >= n_old`: each old
-    element keeps its value, and each new gate's elements and each new OR
-    weight are 0."""
-    step = arity + 1
-    o_old, o = n_old * step, n * step
-    if old.size != o_old + 1 + n_old or n < n_old:
-        raise ValueError(f"cannot lay out {old.size} elements of {n_old} gates for {n} gates")
-    new = np.zeros(o + 1 + n, dtype=old.dtype)
-    new[:o_old] = old[:o_old]
-    new[o:o + 1 + n_old] = old[o_old:]
-    return new
 
 
 class Gradient(Mapping):
@@ -181,12 +167,14 @@ class Gradient(Mapping):
 class LnnNetwork:
     """Fact inputs -> AND bank -> OR root, for one word category.
 
-    Every parameter lives in one float64 vector, `buffer`: gate j's weights
-    then its bias, for each gate in turn, then the OR bias, then the OR
-    weights (one per gate, contiguous). `and_gates`, `or_root` and
-    `parameters()` are views into it. Assigning `and_gates` or `or_root`
-    copies the given nodes' values into a new buffer; `add_and_gate` grows it
-    with `relayout`. A deep copy gets its own buffer and views into it.
+    Every parameter lives in one float64 vector, `buffer`: the OR bias, then
+    one block per gate, its weights, its bias and the OR weight that reads
+    it. `and_gates`, `or_root` and `parameters()` are views into it; the OR
+    weights are a strided view. Assigning `and_gates` copies the given
+    gates' values into a new buffer and keeps the OR weight of each gate
+    that remains (0 for a new one); assigning `or_root` copies its values in
+    and needs one weight per gate. `add_and_gate` appends a block, so no
+    element moves. A deep copy gets its own buffer and views into it.
     """
 
     def __init__(
@@ -196,15 +184,16 @@ class LnnNetwork:
         verb: str,
         config: TruthConfig | None = None,
         gate_cap: int = DEFAULT_GATE_CAP,
-        or_bias: float = DEFAULT_OR_BIAS,
     ):
+        if gate_cap < 1:
+            raise ValueError(f"gate_cap must be at least 1, got {gate_cap}")
         self.category = category
         self.literals = tuple(literals)
         self.verb = verb
         self.config = config or TruthConfig()
         self.gate_cap = gate_cap
         self._lay_out([LogicNode.create(AND, np.full(self.input_arity, 0.5), 1.0)],
-                      LogicNode.create(OR, np.array([1.0]), or_bias))
+                      DEFAULT_OR_BIAS, [1.0])
 
     @property
     def input_arity(self) -> int:
@@ -218,7 +207,8 @@ class LnnNetwork:
 
     @and_gates.setter
     def and_gates(self, gates) -> None:
-        self._lay_out(gates, self._or_root)
+        kept = self._or_root.weights[:len(gates)]
+        self._lay_out(gates, self._or_root.bias, np.append(kept, np.zeros(len(gates) - kept.size)))
 
     @property
     def or_root(self) -> LogicNode:
@@ -226,18 +216,28 @@ class LnnNetwork:
 
     @or_root.setter
     def or_root(self, node: LogicNode) -> None:
-        self._lay_out(self._and_gates, node)
+        weights = np.reshape(node.weights, -1)
+        if weights.size != len(self._and_gates):
+            raise ValueError(f"an OR root over {len(self._and_gates)} gates needs "
+                             f"{len(self._and_gates)} weights, got {weights.size}")
+        self._lay_out(self._and_gates, node.bias, weights)
 
-    def _lay_out(self, gates, or_root: LogicNode) -> None:
-        """A new buffer holding the values of `gates` and `or_root`."""
-        parts = []
-        for gate in gates:
+    def _lay_out(self, gates, or_bias, or_weights) -> None:
+        """A new buffer holding the values of `gates` and of an OR root with
+        `or_bias` and `or_weights`, one per gate."""
+        arity = self.input_arity
+        step = arity + 2
+        buffer = np.empty(1 + len(gates) * step)
+        buffer[0] = or_bias
+        for j, gate in enumerate(gates):
             weights = np.asarray(gate.weights, dtype=np.float64)
-            if weights.shape != (self.input_arity,):
-                raise ValueError(f"gate weights must have shape ({self.input_arity},)")
-            parts += [weights, np.reshape(gate.bias, 1)]
-        parts += [np.reshape(or_root.bias, 1), np.reshape(or_root.weights, -1)]
-        self._point(np.concatenate(parts, dtype=np.float64), len(gates))
+            if weights.shape != (arity,):
+                raise ValueError(f"gate weights must have shape ({arity},)")
+            k = 1 + j * step
+            buffer[k:k + arity] = weights
+            buffer[k + arity] = gate.bias
+        buffer[step::step] = or_weights
+        self._point(buffer, len(gates))
 
     def _point(self, buffer: np.ndarray, n_gates: int) -> None:
         """Make `buffer` the network's, with `n_gates` gates, and point the
@@ -253,13 +253,6 @@ class LnnNetwork:
         copied._point(self.buffer.copy(), len(self._and_gates))
         memo[id(self)] = copied
         return copied
-
-    def relayout(self, old: np.ndarray) -> np.ndarray:
-        """`old`, a vector laid out like `buffer` before the newest gates were
-        added, laid out like `buffer` now. Each old element keeps its value;
-        a new gate's elements and a new OR weight are 0."""
-        arity = self.input_arity
-        return _relayout(old, arity, (old.size - 1) // (arity + 2), len(self._and_gates))
 
     def named(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """Views into `vector`, laid out like `buffer`, by parameter name:
@@ -281,7 +274,9 @@ class LnnNetwork:
         same IEEE results as numpy scalars. The dot products stay numpy
         `dot` calls (BLAS `ddot`, the same routine `@` calls on 1-D
         vectors): a Python sum matches them on crisp facts but not on the OR
-        layer's real-valued inputs, where `ddot` fuses multiply and add.
+        layer's real-valued inputs, where `ddot` fuses multiply and add. The
+        OR weights are dotted as a contiguous copy: `ddot` sums a strided
+        vector in another order.
         """
         x = np.asarray(facts, dtype=np.float64)
         if x.shape != (self.input_arity,):
@@ -292,7 +287,8 @@ class LnnNetwork:
         pre = [float(g.bias) - float(g.weights.dot(y)) for g in self._and_gates]
         and_pre = np.array(pre, dtype=np.float64)
         and_out = np.array([clamp01(v) for v in pre], dtype=np.float64)
-        or_pre = 1.0 - float(self._or_root.bias) + float(self._or_root.weights.dot(and_out))
+        or_weights = np.ascontiguousarray(self._or_root.weights)
+        or_pre = 1.0 - float(self._or_root.bias) + float(or_weights.dot(and_out))
         or_out = clamp01(or_pre)
         return or_out, ForwardTrace(x, and_pre, and_out, or_pre, or_out)
 
@@ -307,20 +303,19 @@ class LnnNetwork:
         second forward pass runs.
         """
         arity, n = self.input_arity, len(self._and_gates)
-        step = arity + 1
-        o = n * step
-        grad = np.zeros(o + 1 + n)
+        step = arity + 2
+        grad = np.zeros(1 + n * step)
 
         g_or = upstream if 0.0 < trace.or_pre < 1.0 else 0.0
-        grad[o] = -g_or
-        np.multiply(trace.and_out, g_or, out=grad[o + 1:])
+        grad[0] = -g_or
+        np.multiply(trace.and_out, g_or, out=grad[step::step])
 
         y = 1.0 - trace.facts
         for j, (or_w, pre) in enumerate(zip(self._or_root.weights.tolist(),
                                             trace.and_pre.tolist())):
             g_out = g_or * or_w
             if g_out != 0.0 and 0.0 < pre < 1.0:
-                k = j * step
+                k = 1 + j * step
                 np.multiply(y, -g_out, out=grad[k:k + arity])
                 grad[k + arity] = g_out
         return Gradient(grad, (self.category, arity, n))
@@ -336,10 +331,11 @@ class LnnNetwork:
         return self.add_and_gate(trace.facts)
 
     def add_and_gate(self, facts) -> int | None:
-        """Splice in a gate seeded from `facts`: unit weight on every true literal.
+        """Append a gate seeded from `facts`: unit weight on every true literal.
 
-        The OR root gains one unit-weight input. Returns the new gate's
-        index, or None, adding nothing, when the bank is full.
+        The OR root gains one unit-weight input. The new block goes at the
+        end of the buffer, so every other element keeps its index. Returns
+        the new gate's index, or None, adding nothing, when the bank is full.
         """
         n = len(self._and_gates)
         if n >= self.gate_cap:
@@ -347,25 +343,22 @@ class LnnNetwork:
         x = np.asarray(facts, dtype=np.float64)
         if x.shape != (self.input_arity,):
             raise ValueError(f"seed facts must have arity {self.input_arity}")
-        arity = self.input_arity
-        buffer = _relayout(self.buffer, arity, n, n + 1)
-        k = n * (arity + 1)
-        buffer[k:k + arity] = np.where(x >= self.config.alpha, 1.0, 0.0)
-        buffer[k + arity] = 1.0
-        buffer[-1] = 1.0
-        self._point(buffer, n + 1)
+        # the gate's weights, then its bias 1 and its OR weight 1
+        weights = np.where(x >= self.config.alpha, 1.0, 0.0)
+        self._point(np.concatenate((self.buffer, weights, (1.0, 1.0))), n + 1)
         return n
 
     def project(self) -> None:
         """Put every parameter back into its domain, in place, as `np.clip`
         would: weights and biases nonnegative, OR weights also at most 1, so
         a lone matching gate cannot pin its score to the upper clamp."""
-        # every gate weight and bias and the OR bias precede the OR weights;
-        # `np.maximum` is what `np.clip` runs for a lower bound alone
-        head = self.buffer[:len(self._and_gates) * (self.input_arity + 1) + 1]
-        np.maximum(head, 0.0, out=head)
+        # `np.maximum` is what `np.clip` runs for a lower bound alone, but it
+        # turns an OR weight of -0.0 into +0.0, so the OR weights are clipped
+        # from their values before it
         weights = self._or_root.weights
-        weights.clip(0.0, 1.0, out=weights)
+        before = weights.copy()
+        np.maximum(self.buffer, 0.0, out=self.buffer)
+        before.clip(0.0, 1.0, out=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +505,8 @@ def _row(path, line: str, head: list[str], width: int) -> tuple[np.ndarray, np.n
 def load_network(path) -> LnnNetwork:
     """Read a checkpoint written by `save_network`; a truncated, malformed or
     out-of-domain file (short row, non-finite or negative value, an OR weight
-    above 1, more gates than its gate_cap) raises CheckpointError."""
+    above 1, a gate_cap below 1, more gates than its gate_cap) raises
+    CheckpointError."""
     with reading_checkpoint(path):
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()

@@ -7,14 +7,13 @@ array is stepped whenever the array is, so one int count serves them all;
 powers differently. Every other operation is numpy's, in Adam's order, so
 each element, a bias included, gets the IEEE results it would get on its own.
 
-When induction has grown an array, the `relayout` given to the optimizer lays
-each moment out again, new elements 0. The induced gate joins at the array's
-count: its gradient is an exact zero, so any count gives it a zero update.
+An array may grow at its end (induction appends a gate to its network's
+buffer): its elements keep their places and moments, and the new tail starts
+with zero moments at the array's count. The induced gate's gradient is an
+exact zero, so any count gives it a zero update.
 """
 
 from __future__ import annotations
-
-from collections.abc import Callable
 
 import numpy as np
 
@@ -25,17 +24,13 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 
-#: (name, moment) -> the moment laid out for the grown array, new elements 0
-Relayout = Callable[[str, np.ndarray], np.ndarray]
-
 
 class AdamOptimizer:
     """Adam over named arrays, one state `[m, v, t]` per name: the moments and
     the array's int step count."""
 
-    def __init__(self, learning_rate: float = 1e-3, relayout: Relayout | None = None):
+    def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self.relayout = relayout
         self._state: dict[str, list] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
@@ -46,10 +41,11 @@ class AdamOptimizer:
             if state is None:
                 state = self._state[name] = [np.zeros(param.shape), np.zeros(param.shape), 0]
             elif state[0].shape != param.shape:
-                if self.relayout is None:
+                grown = param.size - state[0].size
+                if param.ndim != 1 or state[0].ndim != 1 or grown < 0:
                     raise ValueError(f"{name} changed shape from {state[0].shape} to "
-                                     f"{param.shape}, and the optimizer has no relayout")
-                state[:2] = [self.relayout(name, moment) for moment in state[:2]]
+                                     f"{param.shape}; only a vector may grow, at its end")
+                state[:2] = [np.append(moment, np.zeros(grown)) for moment in state[:2]]
             m, v, t = state
             t = state[2] = t + 1
             c1, c2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t

@@ -484,7 +484,7 @@ def test_sampling_falls_back_when_a_pool_is_empty():
     batch = buffer.sample(4, random.Random(0))
     assert len(batch) == 4
     with pytest.raises(ValueError):
-        ReplayBuffer(capacity=10).sample(4, random.Random(0))
+        ReplayBuffer(capacity=10, priority_fraction=0.25).sample(4, random.Random(0))
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +762,7 @@ def test_projection_keeps_every_parameter_in_its_domain(seed, learning_rate, ind
     scorer = LnnScorer(fresh_networks(TrainerConfig(gate_cap=5)))
     for category, facts in induced:
         scorer.nets[category].add_and_gate(facts)
-    optimizer = AdamOptimizer(learning_rate, scorer.relayout)
+    optimizer = AdamOptimizer(learning_rate)
     rng = np.random.default_rng(seed)
     for sign in signs:
         params = scorer.parameters()

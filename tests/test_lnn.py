@@ -24,7 +24,6 @@ from lnnrl.lnn import (
     load_network,
     save_network,
 )
-from lnnrl.agent import LnnScorer
 from lnnrl.optim import AdamOptimizer
 
 
@@ -386,7 +385,8 @@ def test_checkpoint_round_trip_is_exact(tmp_path_factory, net):
 
 # each damages the alpha row (line 3), the gate_cap row (line 4), the gates
 # row (line 7), the first gate row (line 8) or the OR row (the last), or cuts
-# the file short; a number off its canonical form counts as damage
+# the file short; a number off its canonical form counts as damage. A cap
+# below 1 is damage even with no gate over it
 CHECKPOINT_DAMAGE = {
     "truncated": lambda lines: lines[:9],
     "short_gate_row": lambda lines: lines[:8] + [lines[8].rsplit(" ", 1)[0]] + lines[9:],
@@ -399,6 +399,8 @@ CHECKPOINT_DAMAGE = {
     "signed_gate_count": lambda lines: lines[:7] + ["gates +3"] + lines[8:],
     "underscored_weight": lambda lines: lines[:8] + [lines[8].rsplit(" ", 1)[0] + " 0_5"] + lines[9:],
     "non_ascii_bias": lambda lines: lines[:8] + [lines[8].replace("bias 1 ", "bias \u0661 ")] + lines[9:],
+    "zero_gate_cap": lambda lines: (lines[:4] + ["gate_cap 0"] + lines[5:7]
+                                    + ["gates 0", "or bias 1.25 weights"]),
 }
 
 
@@ -447,40 +449,41 @@ def test_adam_zero_learning_rate_leaves_parameters_bitwise():
 
 
 def test_adam_pads_state_when_parameter_grows():
+    # a grown array keeps its elements in place: its old elements step as the
+    # same array never grown does, bit for bit, and its new tail steps from
+    # zero moments, as a fresh array does
     net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take")
-    params, grad = {"money": net.buffer}, np.full(net.buffer.size, 0.5)
-    opt = AdamOptimizer(learning_rate=0.01, relayout=LnnScorer({"money": net}).relayout)
-    opt.step(params, {"money": grad})
-    opt.step(params, {"money": grad})
-    m, v = opt._state["money"][0].copy(), opt._state["money"][1].copy()
+    rng = np.random.default_rng(2)
+    grown, kept, fresh = (AdamOptimizer(learning_rate=0.01) for _ in range(3))
+    old = net.buffer.copy()
+    for _ in range(2):
+        grad = rng.normal(size=old.size)
+        grown.step({"money": net.buffer}, {"money": grad})
+        kept.step({"money": old}, {"money": grad})
     net.add_and_gate(np.array([1.0, 0.0]))
-    # laid out again, every old moment keeps its bits and every new one is 0
-    scorer = LnnScorer({"money": net})
-    for old in (m, v):
-        new = scorer.relayout("money", old)
-        # gate 0 comes first, then the new gate, then the OR bias and weights
-        assert same_bits(np.concatenate([new[:3], new[6:8]]), old)
-        assert same_bits(np.concatenate([new[3:6], new[8:]]), np.zeros(4))
-    params = {"money": net.buffer}
-    opt.step(params, {"money": np.zeros(net.buffer.size)})
-    m2, v2, t = opt._state["money"]
+    tail = net.buffer[old.size:].copy()
+    grad = rng.normal(size=net.buffer.size)
+    grown.step({"money": net.buffer}, {"money": grad})
+    kept.step({"money": old}, {"money": grad[:old.size]})
+    fresh.step({"money": tail}, {"money": grad[old.size:]})
+    m, v, t = grown._state["money"]
     # one count for the whole array, moved on by every step
-    assert m2.shape == v2.shape == net.buffer.shape and type(t) is int and t == 3
-    for moments, old in ((m2, m), (v2, v)):
-        named = net.named(moments)
-        assert np.all(named["money.and1.w"] == 0.0) and float(named["money.and1.b"]) == 0.0
-        assert named["money.or.w"][1] == 0.0
-        assert np.all(named["money.and0.w"] != 0.0) and named["money.or.w"][0] != 0.0
-    # without a relayout, a grown array is an error
-    plain = AdamOptimizer(learning_rate=0.01)
-    plain.step({"w": np.ones(2)}, {"w": np.ones(2)})
-    with pytest.raises(ValueError, match="changed shape"):
-        plain.step({"w": np.ones(3)}, {"w": np.ones(3)})
+    assert m.shape == v.shape == net.buffer.shape and type(t) is int and t == 3
+    assert same_bits(net.buffer[:old.size], old)
+    for i in (0, 1):
+        assert same_bits(grown._state["money"][i][:old.size], kept._state["money"][i])
+        assert same_bits(grown._state["money"][i][old.size:], fresh._state["money"][i])
+    # an array that shrinks or changes rank is an error
+    for shape in ((1,), (2, 2)):
+        plain = AdamOptimizer(learning_rate=0.01)
+        plain.step({"w": np.ones(4)}, {"w": np.ones(4)})
+        with pytest.raises(ValueError, match="changed shape"):
+            plain.step({"w": np.ones(shape)}, {"w": np.ones(shape)})
 
 
 def test_a_grown_buffer_keeps_every_value_and_memory_does_not_grow_with_the_cap():
     net = LnnNetwork("direction", CATEGORY_LITERALS["direction"], "go", gate_cap=10**9)
-    assert net.buffer.size == 8 + 1 + 1 + 1
+    assert net.buffer.size == 1 + 8 + 1 + 1
     rng = np.random.default_rng(5)
     for n in range(1, 6):
         net.buffer[...] = rng.uniform(0.0, 1.0, size=net.buffer.size)
@@ -488,7 +491,10 @@ def test_a_grown_buffer_keeps_every_value_and_memory_does_not_grow_with_the_cap(
         old = net.buffer
         seed = (rng.uniform(size=8) > 0.5).astype(float)
         assert net.add_and_gate(seed) == n
-        assert net.buffer is not old and net.buffer.size == (n + 1) * 10 + 1
+        assert net.buffer is not old and net.buffer.size == 1 + (n + 1) * 10
+        # the old buffer is a prefix of the new one: no element moved
+        assert same_bits(net.buffer[:old.size], old)
+        assert same_bits(net.buffer[old.size:], np.append(np.where(seed >= 0.75, 1.0, 0.0), [1.0, 1.0]))
         after = net.parameters()
         for name, value in before.items():
             if name.endswith(".or.w"):
@@ -501,12 +507,6 @@ def test_a_grown_buffer_keeps_every_value_and_memory_does_not_grow_with_the_cap(
         for node in (*net.and_gates, net.or_root):
             assert np.shares_memory(node.weights, net.buffer)
             assert np.shares_memory(node.bias, net.buffer)
-        # a vector in the old layout moves the same way, every new element 0
-        moved = net.relayout(np.arange(1.0, old.size + 1.0))
-        named = net.named(moved)
-        assert same_bits(named[f"direction.and{n}.w"], np.zeros(8))
-        assert same_bits(named[f"direction.and{n}.b"], 0.0) and same_bits(moved[-1], 0.0)
-        assert sorted(moved[moved > 0.0].tolist()) == list(range(1, old.size + 1))
 
 
 def test_a_deep_copy_points_into_its_own_buffer():
@@ -528,13 +528,21 @@ def test_a_deep_copy_points_into_its_own_buffer():
 
 def test_assigning_nodes_lays_out_a_new_buffer():
     net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take")
+    # the first gate keeps its OR weight (1); the new second gate reads 0
     net.and_gates = [LogicNode.create(AND, [0.25, 0.5], 0.75), LogicNode.create(AND, [1.0, 0.0], 2.0)]
+    assert net.buffer.tolist() == [1.25, 0.25, 0.5, 0.75, 1.0, 1.0, 0.0, 2.0, 0.0]
     net.or_root = LogicNode.create(OR, [0.125, 1.0], 1.5)
-    assert net.buffer.tolist() == [0.25, 0.5, 0.75, 1.0, 0.0, 2.0, 1.5, 0.125, 1.0]
+    assert net.buffer.tolist() == [1.5, 0.25, 0.5, 0.75, 0.125, 1.0, 0.0, 2.0, 1.0]
     assert isinstance(net.and_gates, tuple)
     with pytest.raises(ValueError):
         net.and_gates = [LogicNode.create(AND, [1.0, 0.0, 1.0], 1.0)]
-
+    # an OR root needs one weight per gate
+    with pytest.raises(ValueError, match="2 weights, got 3"):
+        net.or_root = LogicNode.create(OR, [0.125, 1.0, 1.0], 1.5)
+    assert net.buffer.tolist() == [1.5, 0.25, 0.5, 0.75, 0.125, 1.0, 0.0, 2.0, 1.0]
+    # dropping a gate keeps the OR weight of the one that remains
+    net.and_gates = net.and_gates[1:]
+    assert net.buffer.tolist() == [1.5, 1.0, 0.0, 2.0, 0.125]
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +560,7 @@ def reference_forward(net, facts):
     x = np.asarray(facts, dtype=np.float64)
     and_pre = np.array([float(g.bias - g.weights @ (1.0 - x)) for g in net.and_gates])
     and_out = np.clip(and_pre, 0.0, 1.0)
-    or_pre = float(1.0 - net.or_root.bias + net.or_root.weights @ and_out)
+    or_pre = float(1.0 - net.or_root.bias + np.ascontiguousarray(net.or_root.weights) @ and_out)
     or_out = float(np.clip(or_pre, 0.0, 1.0))
     return or_out, (x, and_pre, and_out, or_pre, or_out)
 
@@ -670,7 +678,7 @@ def test_adam_equals_the_numpy_array_form_bit_for_bit(ops, learning_rate, bias, 
     net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take", gate_cap=gate_cap)
     net.and_gates = [LogicNode.create(AND, weights, bias)]
     ref_params = {name: p.copy() for name, p in net.parameters().items()}
-    opt = AdamOptimizer(learning_rate=learning_rate, relayout=LnnScorer({"money": net}).relayout)
+    opt = AdamOptimizer(learning_rate=learning_rate)
     ref = ReferenceAdam(learning_rate)
     for kind, values in ops:
         if kind == "grow":
@@ -683,8 +691,9 @@ def test_adam_equals_the_numpy_array_form_bit_for_bit(ops, learning_rate, bias, 
             continue
         grad = np.resize(np.array(values), net.buffer.size)
         # an induced gate gets the exact zero gradient `gradients` gives it
-        step = net.input_arity + 1
-        grad[step:len(net.and_gates) * step] = 0.0
+        named = net.named(grad)
+        for j in range(1, len(net.and_gates)):
+            named[f"money.and{j}.w"][...] = named[f"money.and{j}.b"][...] = 0.0
         ref_grads = {name: g.copy() for name, g in net.named(grad).items()}
         with np.errstate(all="ignore"):   # extreme gradients overflow on purpose
             opt.step({"money": net.buffer}, {"money": grad})
@@ -719,7 +728,7 @@ def test_an_induced_gate_gets_no_gradient_so_any_adam_count_leaves_it(
     assignments = category_assignments(category)
     net = LnnNetwork(category, CATEGORY_LITERALS[category], CATEGORY_VERBS[category],
                      gate_cap=len(assignments) + 1)
-    optimizer = AdamOptimizer(learning_rate, LnnScorer({category: net}).relayout)
+    optimizer = AdamOptimizer(learning_rate)
     optimizer.step({category: net.buffer}, {category: np.full(net.buffer.size, 0.5)})
     net.project()
     for facts in assignments:
@@ -729,13 +738,15 @@ def test_an_induced_gate_gets_no_gradient_so_any_adam_count_leaves_it(
     or_weights = data.draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]),
                                     min_size=n, max_size=n))
     net.or_root = LogicNode.create(OR, or_weights, or_bias)
-    step = net.input_arity + 1
-    induced = slice(step, n * step)
+    # the positions of every induced gate's weights and bias
+    positions = net.named(np.arange(net.buffer.size))
+    induced = np.concatenate([np.append(positions[f"{category}.and{j}.w"],
+                                        positions[f"{category}.and{j}.b"]) for j in range(1, n)])
     before, total = net.buffer.copy(), np.zeros(net.buffer.size)
     with np.errstate(all="ignore"):   # a huge upstream overflows the sum and the other moments
         for facts in assignments:
             grad = net.gradients(net.forward(facts)[1], upstream).vector
-            assert same_bits(grad[induced], np.zeros(n * step - step))
+            assert same_bits(grad[induced], np.zeros(induced.size))
             total += grad
         optimizer.step({category: net.buffer}, {category: total})
     assert same_bits(net.buffer[induced], before[induced])
