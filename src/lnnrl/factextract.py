@@ -13,10 +13,14 @@ already-visited room) is derived from them and only appears inside direction
 groundings. Facts are crisp, so each truth assignment has one shared,
 read-only PropositionSet and each grounding one shared Candidate.
 
-The parser is grammar-driven over the renderer's template family: it consumes
-the text sentence by sentence and rejects anything it cannot account for,
-reporting the unmatched span. An exit list must be one the renderer writes:
-distinct directions in NESW order, and a singular sentence for one exit.
+The parser reads through the renderer's sentence table. One regex reads the
+room sentence; the exit sentence is one lookup in the inverse of
+`worldsim.EXIT_SENTENCES`, so the parser recognises exactly the finite set of
+rendered exit sentences (distinct directions in NESW order, a singular
+sentence for one exit); the ending is one lookup among nothing and the three
+coin sentences. Anything else is rejected with an `ObservationParseError`
+that names the unmatched span; the regex and word checks that word it run
+only then.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .worldsim import DIRECTIONS, NOUNS, OPPOSITE, Action, RoomId, _join_directions
+from .worldsim import COIN_TEMPLATES, DIRECTIONS, EXIT_SENTENCES, NOUNS, OPPOSITE, Action, RoomId
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -57,86 +61,70 @@ _NO_OBJECTS: frozenset[str] = frozenset()
 _COIN_SEEN: frozenset[str] = frozenset({"coin"})
 
 
-_ROOM_RES = [
-    re.compile(r"You are in the (?P<name>[^.]+)\."),
-    re.compile(r"You have entered the (?P<name>[^.]+)\."),
-    re.compile(r"This is the (?P<name>[^.]+)\."),
-]
-#: exit sentence -> whether it names several exits; None where the singular
-#: and plural forms are one text
-_EXIT_RES = {
-    re.compile(r"There is an exit to the (?P<dirs>[a-z, ]+)\."): False,
-    re.compile(r"There are exits to the (?P<dirs>[a-z, ]+)\."): True,
-    re.compile(r"You can head (?P<dirs>[a-z, ]+) from here\."): None,
-    re.compile(r"A doorway leads (?P<dirs>[a-z, ]+)\."): False,
-    re.compile(r"Doorways lead (?P<dirs>[a-z, ]+)\."): True,
+_ROOM_RE = re.compile(r"(?:You are in the |You have entered the |This is the )(?P<name>[^.]+)\.")
+#: rendered exit sentence -> the exits it names, one shared set per exit tuple
+_EXIT_SETS = {dirs: frozenset(dirs) for dirs in EXIT_SENTENCES[0]}
+_EXIT_READINGS: dict[str, frozenset[str]] = {
+    sentence: _EXIT_SETS[dirs]
+    for sentences in EXIT_SENTENCES
+    for dirs, sentence in sentences.items()
 }
-#: the 15 exit lists the renderer writes (each nonempty set, in DIRECTIONS order)
-_DIRECTION_LISTS: dict[str, frozenset[str]] = {
-    _join_directions(dirs): frozenset(dirs)
-    for n in range(1, len(DIRECTIONS) + 1)
-    for dirs in itertools.combinations(DIRECTIONS, n)
+#: what may follow the exit sentence -> the objects it shows
+_ENDINGS: dict[str, frozenset[str]] = {
+    "": _NO_OBJECTS,
+    **{" " + coin: _COIN_SEEN for coin in COIN_TEMPLATES},
 }
-_COIN_RES = [
-    re.compile(r"There is a coin on the floor\."),
-    re.compile(r"A coin glitters in the corner\."),
-    re.compile(r"You spot a coin lying here\."),
-]
+#: the shape of any exit sentence, whatever its list; read only to word an error
+_EXIT_RE = re.compile(
+    r"(?:There is an exit to the |There are exits to the |A doorway leads |Doorways lead )"
+    r"(?P<dirs>[a-z, ]+)\.|You can head (?P<head>[a-z, ]+) from here\."
+)
 
 
-def _match_any(patterns, text: str, pos: int):
-    for pattern in patterns:
-        m = pattern.match(text, pos)
-        if m is not None:
-            return m
-    return None
-
-
-def _read_direction_list(m: re.Match, text: str, pos: int) -> frozenset[str]:
-    """The exits an exit sentence names, if the renderer could have written it:
-    a list from `_DIRECTION_LISTS` whose count agrees with the sentence's form."""
-    dirs = m.group("dirs")
-    exits = _DIRECTION_LISTS.get(dirs)
-    plural = _EXIT_RES[m.re]
-    if exits is not None and (plural is None or plural == (len(exits) > 1)):
-        return exits
-    for chunk in dirs.split(", "):
+def _exit_error(text: str, pos: int) -> ObservationParseError:
+    """Why the text at `pos` is no rendered exit sentence: no exit sentence at
+    all, a word that is no direction, or a list the renderer does not write
+    (order, repeats, separators, or a count that disagrees with the form)."""
+    m = _EXIT_RE.match(text, pos)
+    if m is None:
+        return ObservationParseError(f"no exit sentence at: {text[pos:pos + 60]!r}")
+    for chunk in (m["dirs"] or m["head"]).split(", "):
         for word in chunk.split(" and "):
             if word not in DIRECTIONS:
-                raise ObservationParseError(
+                return ObservationParseError(
                     f"unknown direction word {word!r} in exit list at: {text[pos:pos + 60]!r}"
                 )
-    raise ObservationParseError(f"exit list not in rendered order and form at: {text[pos:pos + 60]!r}")
+    return ObservationParseError(f"exit list not in rendered order and form at: {text[pos:pos + 60]!r}")
+
+
+def _ending_error(text: str, pos: int) -> ObservationParseError:
+    """The text after the exit sentence at `pos` is no ending: report what
+    follows the coin sentence if one starts there, else all of it."""
+    for ending in _ENDINGS:
+        if ending and text.startswith(ending, pos):
+            pos += len(ending)
+            break
+    return ObservationParseError(f"trailing text not in grammar: {text[pos:pos + 60]!r}")
 
 
 def parse_observation(text: str) -> ParsedObservation:
     """Recover room name, open exits, and visible objects from templated text."""
-    pos = 0
-    m = _match_any(_ROOM_RES, text, pos)
+    m = _ROOM_RE.match(text)
     if m is None:
-        raise ObservationParseError(f"no room sentence at: {text[pos:pos + 60]!r}")
-    room_name = m.group("name")
+        raise ObservationParseError(f"no room sentence at: {text[:60]!r}")
     pos = m.end()
-
     if not text.startswith(" ", pos):
         raise ObservationParseError(f"expected exit sentence after room sentence at: {text[pos:pos + 60]!r}")
     pos += 1
-    m = _match_any(_EXIT_RES, text, pos)
-    if m is None:
-        raise ObservationParseError(f"no exit sentence at: {text[pos:pos + 60]!r}")
-    open_exits = _read_direction_list(m, text, pos)
-    pos = m.end()
-
-    objects = _NO_OBJECTS
-    if pos < len(text) and text.startswith(" ", pos):
-        m = _match_any(_COIN_RES, text, pos + 1)
-        if m is not None:
-            objects = _COIN_SEEN
-            pos = m.end()
-
-    if pos != len(text):
-        raise ObservationParseError(f"trailing text not in grammar: {text[pos:pos + 60]!r}")
-    return ParsedObservation(room_name=room_name, open_exits=open_exits, objects_seen=objects)
+    # a rendered exit sentence holds one full stop, its last character
+    end = text.find(".", pos) + 1
+    open_exits = _EXIT_READINGS.get(text[pos:end])
+    if open_exits is None:
+        raise _exit_error(text, pos)
+    objects = _ENDINGS.get(text[end:])
+    if objects is None:
+        raise _ending_error(text, end)
+    return ParsedObservation(m["name"], open_exits, objects)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +239,8 @@ class PropositionSet:
 
 
 @functools.cache
-def _shared_propositions(find: tuple[bool, ...], visited: tuple[bool, ...],
-                         entry: str | None) -> PropositionSet:
+def _proposition_record(find: tuple[bool, ...], visited: tuple[bool, ...],
+                        entry: str | None) -> PropositionSet:
     # facts are crisp, so there are at most 2**5 * 2**4 * 5 = 2,560 keys
     find_map = dict(zip(NOUNS, find))
     visited_map = dict(zip(DIRECTIONS, visited))
@@ -266,16 +254,25 @@ def _shared_propositions(find: tuple[bool, ...], visited: tuple[bool, ...],
     return props
 
 
+@functools.cache
+def _shared_propositions(open_exits: frozenset[str], objects_seen: frozenset[str],
+                         visited: tuple[bool, ...], entry: str | None) -> PropositionSet:
+    # keyed on a reading's shared sets, whose hashes are cached, so the find
+    # bits are computed once per key; equal bits still share one record
+    find = tuple([noun in open_exits or noun in objects_seen for noun in NOUNS])
+    return _proposition_record(find, visited, entry)
+
+
 def extract_propositions(parsed: ParsedObservation, agent_map: AgentMap) -> PropositionSet:
     """Turn the current observation plus history into the 26 truth values.
 
     Equal truth assignments return the same read-only record.
     """
     room, adjacency, visited = agent_map.current, agent_map.adjacency, agent_map.visited
-    exits, objects = parsed.open_exits, parsed.objects_seen
     # an exit never traversed has no adjacency entry, and None is never visited
     return _shared_propositions(
-        tuple([noun in exits or noun in objects for noun in NOUNS]),
+        parsed.open_exits,
+        parsed.objects_seen,
         tuple([adjacency.get((room, d)) in visited for d in DIRECTIONS]),
         agent_map.entry_direction.get(room),
     )

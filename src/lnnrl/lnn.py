@@ -326,7 +326,7 @@ class LnnNetwork:
         """Gate induction on a rewarded step's forward pass: `add_and_gate`
         on `trace.facts` unless a gate already fires on them at alpha.
         Returns the new gate's index, or None when nothing was added."""
-        if trace.and_out.size and np.max(trace.and_out) >= self.config.alpha:
+        if trace.and_out.size and trace.and_out.max() >= self.config.alpha:
             return None
         return self.add_and_gate(trace.facts)
 

@@ -10,17 +10,22 @@ how many dead-end distractor rooms hang off each path room:
     hard    two distractors per path room (coin room excluded)
 
 Observations are templated English with three surface forms per sentence so a
-parser cannot get away with matching a single fixed string. Rendering and
-stepping are pure functions of the generated graph, which makes full-episode
-replays reproducible. `step` renders nothing: a `StepOutcome` renders its
-room's text only when its `observation` is read. A room's text, and so its
-reading, is a function of (graph, room) alone, so each `RoomGraph` keeps a
-memo of the readings made of its rooms, which lives and dies with the graph.
+parser cannot get away with matching a single fixed string. An exit sentence
+is a lookup in `EXIT_SENTENCES`, built at import from `EXIT_TEMPLATES`: one
+text per surface form and open-exit tuple, the table `factextract` inverts to
+parse. Generation finds doorsteps and edge directions by dict lookup.
+Rendering and stepping are pure functions of the generated graph, which makes
+full-episode replays reproducible. `step` renders nothing:
+a `StepOutcome` renders its room's text only when its `observation` is read.
+A room's text, and so its reading, is a function of (graph, room) alone, so
+each `RoomGraph` keeps a memo of the readings made of its rooms, which lives
+and dies with the graph.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -40,6 +45,9 @@ OPPOSITE = {"north": "south", "south": "north", "east": "west", "west": "east"}
 
 # grid offsets for the 2-D embedding (x grows east, y grows north)
 _OFFSET = {"north": (0, 1), "south": (0, -1), "east": (1, 0), "west": (-1, 0)}
+# the same offsets in DIRECTIONS order, and the direction of each offset
+_DIRECTION_OFFSETS = tuple(_OFFSET[d] for d in DIRECTIONS)
+_DIRECTION_OF = {offset: d for d, offset in _OFFSET.items()}
 
 DISTRACTORS_PER_ROOM = {"easy": 0, "medium": 1, "hard": 2}
 
@@ -207,7 +215,7 @@ class RoomGraph:
     template_seed: int
 
     def open_exits(self, room: RoomId) -> tuple[str, ...]:
-        return tuple(d for d in DIRECTIONS if (room, d) in self.exits)
+        return tuple([d for d in DIRECTIONS if (room, d) in self.exits])
 
     def degree(self, room: RoomId) -> int:
         return len(self.open_exits(room))
@@ -239,10 +247,11 @@ def _self_avoiding_walk(rng, length: int) -> list[tuple[int, int]] | None:
     while len(path) <= length:
         if len(choice_stack) < len(path):
             head = path[-1]
+            # the head is occupied and next to each option, so a stiff option
+            # has exactly one occupied neighbor
             options = [
                 c for c in _neighbors(head)
-                if c not in occupied
-                and all(n == head or n not in occupied for n in _neighbors(c))
+                if c not in occupied and len(occupied.intersection(_neighbors(c))) == 1
             ]
             rng.shuffle(options)
             choice_stack.append(options)
@@ -284,12 +293,14 @@ def _segmented_walk(rng, length: int) -> list[tuple[int, int]] | None:
     for d in headings:
         dx, dy = _OFFSET[d]
         path.append((path[-1][0] + dx, path[-1][1] + dy))
-    if len(set(path)) != len(path):
+    index = {cell: i for i, cell in enumerate(path)}
+    if len(index) != len(path):
         return None
     # keep non-consecutive rooms off each other's doorsteps
-    for i, cell in enumerate(path):
-        for n in _neighbors(cell):
-            if n in path and abs(path.index(n) - i) != 1:
+    for i, (x, y) in enumerate(path):
+        for dx, dy in _DIRECTION_OFFSETS:
+            j = index.get((x + dx, y + dy))
+            if j is not None and abs(j - i) != 1:
                 return None
     return path
 
@@ -308,11 +319,9 @@ def _attach_distractors(
     occupied = set(path)
     room_cells: list[list[tuple[int, int]]] = []
     for x, y in path[:-1]:
-        free = [
-            (x + _OFFSET[d][0], y + _OFFSET[d][1])
-            for d in DIRECTIONS
-            if (x + _OFFSET[d][0], y + _OFFSET[d][1]) not in occupied
-        ]
+        # listed in DIRECTIONS order: the shuffle below permutes this order
+        free = [cell for cell in [(x + dx, y + dy) for dx, dy in _DIRECTION_OFFSETS]
+                if cell not in occupied]
         if len(free) < per_room:
             return None
         rng.shuffle(free)
@@ -371,24 +380,17 @@ def generate_game(spec: GameSpec) -> RoomGraph:
 
     # room ids: path rooms first (start..coin), then distractors in attachment order
     cells: list[tuple[int, int]] = list(path) + [cell for _, cell in distractors]
-    cell_to_id = {cell: rid for rid, cell in enumerate(cells)}
     n = len(cells)
 
+    # path edges, then each distractor's edge to its path room, as room ids
+    edges = [(i, i + 1) for i in range(len(path) - 1)]
+    edges += [(parent_idx, len(path) + k) for k, (parent_idx, _) in enumerate(distractors)]
     exits: dict[tuple[RoomId, str], RoomId] = {}
-
-    def connect(a_cell: tuple[int, int], b_cell: tuple[int, int]) -> None:
-        a, b = cell_to_id[a_cell], cell_to_id[b_cell]
-        for d, (dx, dy) in _OFFSET.items():
-            if (a_cell[0] + dx, a_cell[1] + dy) == b_cell:
-                exits[(a, d)] = b
-                exits[(b, OPPOSITE[d])] = a
-                return
-        raise AssertionError("connect() called on non-adjacent cells")
-
-    for a_cell, b_cell in zip(path, path[1:]):
-        connect(a_cell, b_cell)
-    for parent_idx, cell in distractors:
-        connect(path[parent_idx], cell)
+    for a, b in edges:
+        (ax, ay), (bx, by) = cells[a], cells[b]
+        d = _DIRECTION_OF[bx - ax, by - ay]
+        exits[(a, d)] = b
+        exits[(b, OPPOSITE[d])] = a
 
     names = dict(enumerate(rng.sample(ROOM_NAME_BANK, n)))
 
@@ -442,18 +444,28 @@ def _join_directions(dirs: tuple[str, ...]) -> str:
     return ", ".join(dirs[:-1]) + " and " + dirs[-1]
 
 
+#: the exit sentence per surface form (index into EXIT_TEMPLATES) and open
+#: exits: for each form, the 15 nonempty direction tuples in DIRECTIONS order
+EXIT_SENTENCES: tuple[dict[tuple[str, ...], str], ...] = tuple(
+    {
+        dirs: (plural if len(dirs) > 1 else singular).format(dirs=_join_directions(dirs))
+        for n in range(1, len(DIRECTIONS) + 1)
+        for dirs in itertools.combinations(DIRECTIONS, n)
+    }
+    for singular, plural in EXIT_TEMPLATES
+)
+
+
 def render_observation(graph: RoomGraph, room: RoomId) -> str:
     """Templated English naming the room, its open exits, and the coin if present."""
     if room not in graph.names:
         raise WorldError(f"room {room} not in graph")
-    parts = [ROOM_TEMPLATES[_template_index(graph.template_seed, room, 0)].format(name=graph.names[room])]
-    dirs = graph.open_exits(room)
-    singular, plural = EXIT_TEMPLATES[_template_index(graph.template_seed, room, 1)]
-    form = singular if len(dirs) == 1 else plural
-    parts.append(form.format(dirs=_join_directions(dirs)))
+    seed = graph.template_seed
+    text = (ROOM_TEMPLATES[_template_index(seed, room, 0)].format(name=graph.names[room]) + " "
+            + EXIT_SENTENCES[_template_index(seed, room, 1)][graph.open_exits(room)])
     if room == graph.coin_room:
-        parts.append(COIN_TEMPLATES[_template_index(graph.template_seed, room, 2)])
-    return " ".join(parts)
+        text += " " + COIN_TEMPLATES[_template_index(seed, room, 2)]
+    return text
 
 
 # ---------------------------------------------------------------------------

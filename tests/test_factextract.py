@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,112 @@ def test_parser_inverts_the_renderer_and_rejects_mutations_with_a_typed_error(
         parse_observation(mutated)
     except ObservationParseError:
         pass
+
+
+# the regex parser that the sentence tables replaced: one pattern per sentence
+# template, tried in turn
+_REFERENCE_ROOM_RES = [
+    re.compile(r"You are in the (?P<name>[^.]+)\."),
+    re.compile(r"You have entered the (?P<name>[^.]+)\."),
+    re.compile(r"This is the (?P<name>[^.]+)\."),
+]
+# exit sentence -> whether it names several exits; None where both forms are one text
+_REFERENCE_EXIT_RES = {
+    re.compile(r"There is an exit to the (?P<dirs>[a-z, ]+)\."): False,
+    re.compile(r"There are exits to the (?P<dirs>[a-z, ]+)\."): True,
+    re.compile(r"You can head (?P<dirs>[a-z, ]+) from here\."): None,
+    re.compile(r"A doorway leads (?P<dirs>[a-z, ]+)\."): False,
+    re.compile(r"Doorways lead (?P<dirs>[a-z, ]+)\."): True,
+}
+_REFERENCE_DIRECTION_LISTS = {
+    _join_directions(dirs): frozenset(dirs)
+    for n in range(1, len(DIRECTIONS) + 1)
+    for dirs in itertools.combinations(DIRECTIONS, n)
+}
+_REFERENCE_COIN_RES = [
+    re.compile(r"There is a coin on the floor\."),
+    re.compile(r"A coin glitters in the corner\."),
+    re.compile(r"You spot a coin lying here\."),
+]
+
+
+def _reference_match(patterns, text, pos):
+    for pattern in patterns:
+        m = pattern.match(text, pos)
+        if m is not None:
+            return m
+    return None
+
+
+def reference_parse(text):
+    """`parse_observation` as a sentence-by-sentence regex parser."""
+    pos = 0
+    m = _reference_match(_REFERENCE_ROOM_RES, text, pos)
+    if m is None:
+        raise ObservationParseError(f"no room sentence at: {text[pos:pos + 60]!r}")
+    room_name = m.group("name")
+    pos = m.end()
+
+    if not text.startswith(" ", pos):
+        raise ObservationParseError(
+            f"expected exit sentence after room sentence at: {text[pos:pos + 60]!r}")
+    pos += 1
+    m = _reference_match(_REFERENCE_EXIT_RES, text, pos)
+    if m is None:
+        raise ObservationParseError(f"no exit sentence at: {text[pos:pos + 60]!r}")
+    dirs = m.group("dirs")
+    open_exits = _REFERENCE_DIRECTION_LISTS.get(dirs)
+    plural = _REFERENCE_EXIT_RES[m.re]
+    if open_exits is None or (plural is not None and plural != (len(open_exits) > 1)):
+        for chunk in dirs.split(", "):
+            for word in chunk.split(" and "):
+                if word not in DIRECTIONS:
+                    raise ObservationParseError(
+                        f"unknown direction word {word!r} in exit list at: {text[pos:pos + 60]!r}")
+        raise ObservationParseError(
+            f"exit list not in rendered order and form at: {text[pos:pos + 60]!r}")
+    pos = m.end()
+
+    objects = frozenset()
+    if pos < len(text) and text.startswith(" ", pos):
+        m = _reference_match(_REFERENCE_COIN_RES, text, pos + 1)
+        if m is not None:
+            objects = frozenset({"coin"})
+            pos = m.end()
+
+    if pos != len(text):
+        raise ObservationParseError(f"trailing text not in grammar: {text[pos:pos + 60]!r}")
+    return ParsedObservation(room_name=room_name, open_exits=open_exits, objects_seen=objects)
+
+
+def reading_or_error(parse, text):
+    try:
+        return parse(text)
+    except ObservationParseError as exc:
+        return str(exc)
+
+
+# a grammar word as an edit, so that edited exit lists stay near the grammar
+GRAMMAR_WORDS = st.sampled_from([*DIRECTIONS, ", ", " and ", "coin", ".", " from here"])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(difficulty=st.sampled_from(DIFFICULTIES), level=st.integers(1, 25),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_the_parser_reads_and_rejects_as_the_regex_parser(difficulty, level, seed, data):
+    graph = generate_game(GameSpec(difficulty, level, seed))
+    # the coin room and the text's end as often as any other, so that edits
+    # reach what follows a coin sentence
+    room = data.draw(st.one_of(st.just(graph.coin_room), st.sampled_from(graph.rooms)), label="room")
+    text = render_observation(graph, room)
+    assert parse_observation(text) == reference_parse(text)
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        pos = data.draw(st.one_of(st.integers(0, len(text)), st.just(len(text))), label="position")
+        piece = data.draw(st.one_of(GRAMMAR_CHARS, st.characters(), GRAMMAR_WORDS), label="piece")
+        edit = data.draw(st.sampled_from(["replace", "insert", "delete"]), label="edit")
+        resume = pos if edit == "insert" else pos + 1
+        text = text[:pos] + ("" if edit == "delete" else piece) + text[resume:]
+    assert reading_or_error(parse_observation, text) == reading_or_error(reference_parse, text)
 
 
 def test_all_template_variants_are_parseable():

@@ -1,5 +1,6 @@
 """World generation and step-engine behavior, checked against independent oracles."""
 
+import hashlib
 import random
 from collections import deque
 
@@ -12,6 +13,7 @@ from lnnrl.factextract import parse_observation
 from lnnrl.lexicon import default_lexicon
 from lnnrl.worldsim import (
     ALL_ACTIONS,
+    DIFFICULTIES,
     DIRECTIONS,
     DISTRACTORS_PER_ROOM,
     NOUNS,
@@ -20,6 +22,7 @@ from lnnrl.worldsim import (
     Action,
     EpisodeFinishedError,
     GameSpec,
+    GenerationError,
     InvalidSpecError,
     dump_graph,
     generate_game,
@@ -177,6 +180,27 @@ def test_generation_is_deterministic():
 def test_different_seeds_differ():
     dumps = {dump_graph(generate_game(GameSpec("medium", 6, s))) for s in range(8)}
     assert len(dumps) > 1
+
+
+#: sha256 of every map and room text over the grid below; any change to a
+#: draw, a graph or a text moves it
+WORLD_DIGEST = "f8f13d0d2f2c8fa02e4f8a6653a401509d09316ebe540efbd9411d252ca5a6e1"
+
+
+def test_generated_maps_and_texts_match_their_pin():
+    digest = hashlib.sha256()
+    for difficulty in DIFFICULTIES:
+        for level in range(1, 31):
+            for seed in range(12):
+                try:
+                    graph = generate_game(GameSpec(difficulty, level, seed))
+                except GenerationError as exc:
+                    digest.update(str(exc).encode() + b"\n")
+                    continue
+                digest.update(dump_graph(graph).encode())
+                for room in graph.rooms:
+                    digest.update(render_observation(graph, room).encode() + b"\n")
+    assert digest.hexdigest() == WORLD_DIGEST
 
 
 # ---------------------------------------------------------------------------
