@@ -85,9 +85,10 @@ def _cmd_train(args) -> int:
 def _load_run(run_dir: str, seed_index: int):
     """The run's config and logic networks; a run that trained another agent
     has no networks to read, and says so."""
-    config = ExperimentConfig.from_file(f"{run_dir}/config.txt")
+    config_path = f"{run_dir}/config.txt"
+    config = ExperimentConfig.from_file(config_path)
     if config.agent != "lnn":
-        raise ConfigError(f"{run_dir}: the run trained agent={config.agent}; "
+        raise ConfigError(f"{config_path}: the run trained agent={config.agent}; "
                           "eval, rules and play read logic-network checkpoints (agent=lnn)")
     nets = load_networks(f"{run_dir}/seed{seed_index}")
     return config, nets
@@ -98,9 +99,11 @@ def _cmd_eval(args) -> int:
     lexicon = default_lexicon()
     run_seed_value = derive_seed("run", config.base_seed, args.seed_index)
     _, test_specs = build_game_sets(config, run_seed_value)
-    test_graphs = [generate_game(s) for s in test_specs]
+    # each test game is played once: generated right before it, freed with
+    # its readings when it ends
+    test_graphs = map(generate_game, test_specs)
     reward, steps = evaluate(LnnAgent(config.trainer, nets=nets), test_graphs, lexicon)
-    print(f"test games: {len(test_graphs)}  mean_reward={reward:.6f}  mean_steps={steps:.6f}")
+    print(f"test games: {len(test_specs)}  mean_reward={reward:.6f}  mean_steps={steps:.6f}")
     return 0
 
 

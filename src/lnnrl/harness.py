@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -126,10 +127,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path, overrides: dict[str, str] | None = None) -> "ExperimentConfig":
-        pairs = parse_key_value_text(Path(path).read_text(encoding="utf-8"), source=str(path))
+        """The config `path` holds, with `overrides` on top; any fault in its
+        bytes, lines or values is a ConfigError naming the file."""
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from exc
+        pairs = parse_key_value_text(text, source=str(path))
         if overrides:
             pairs.update(overrides)
-        return cls.from_pairs(pairs)
+        try:
+            return cls.from_pairs(pairs)
+        except (ConfigError, ValueError) as exc:
+            # from_pairs names no file; a trainer value out of its domain is
+            # TrainerConfig's ValueError
+            where = f"{path} with its overrides" if overrides else path
+            raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_key_value_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -199,8 +212,11 @@ def build_game_sets(config: ExperimentConfig, run_seed: int) -> tuple[list[GameS
 # ---------------------------------------------------------------------------
 
 
-def evaluate(agent, test_graphs: list[RoomGraph], lexicon: LexiconTable) -> tuple[float, float]:
-    """Greedy rollout of every test game; mean quest reward and mean steps."""
+def evaluate(agent, test_graphs: Iterable[RoomGraph], lexicon: LexiconTable) -> tuple[float, float]:
+    """Greedy rollout of every test game; mean quest reward and mean steps.
+
+    The graphs are read once, in order, so a lazy iterable lets each game be
+    generated right before it is played and freed after it."""
     rewards = []
     steps = []
     for graph in test_graphs:

@@ -81,8 +81,15 @@ def parse_lexicon(text: str, source: str = "<string>") -> LexiconTable:
 def load_lexicon(path: str | Path) -> LexiconTable:
     """Load and validate a lexicon file (UTF-8, word<TAB>category per line)."""
     path = Path(path)
-    table = parse_lexicon(path.read_text(encoding="utf-8"), source=str(path))
-    table.validate()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise LexiconFormatError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from exc
+    table = parse_lexicon(text, source=str(path))
+    try:
+        table.validate()
+    except LexiconValidationError as exc:
+        raise LexiconValidationError(f"{path}: {exc}") from exc
     return table
 
 

@@ -7,11 +7,11 @@ forms
     AND:  clamp01( b - sum_i w_i * (1 - x_i) )
     OR:   clamp01( 1 - b + sum_i w_i * x_i )
 
-with all weights and biases nonnegative and OR weights at most 1, a domain
-`project` restores after each optimizer step. Negation is materialized in
-the input layer (each fact arrives with its complement), so there are no
-trainable NOT nodes. With unit weights and biases these reduce exactly to
-classical conjunction/disjunction on boolean inputs.
+with all weights and biases nonnegative, OR weights at most 1 and the OR bias
+above 1, a domain `project` restores after each optimizer step. Negation is
+materialized in the input layer (each fact arrives with its complement), so
+there are no trainable NOT nodes. With unit weights and biases these reduce
+exactly to classical conjunction/disjunction on boolean inputs.
 
 Gradients use a pass-through derivative of 1 strictly inside (0, 1) and 0 at
 or beyond the clamp, chained through OR -> AND.
@@ -32,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import enum
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -47,6 +48,14 @@ DEFAULT_RULE_WEIGHT_THRESHOLD = 0.55
 #: matching AND gate with a unit OR weight activates strictly below the upper
 #: clamp and stays trainable / comparable instead of saturating at 1.0.
 DEFAULT_OR_BIAS = 1.25
+
+#: the lowest OR bias `LnnNetwork.project` keeps: one ulp above 1. With every
+#: input false the OR reads `1 - b`, so a bias above 1 clamps it to 0. A
+#: bias that drifted below 1 lets a firing gate pin its score to the upper
+#: clamp, where it ties every other full score, and lifts an OR of false
+#: inputs off 0. One ulp is the least that bars both; a wider floor would
+#: move trained values that stay above it today.
+OR_BIAS_FLOOR = math.nextafter(1.0, 2.0)
 
 AND = "and"
 OR = "or"
@@ -351,7 +360,9 @@ class LnnNetwork:
     def project(self) -> None:
         """Put every parameter back into its domain, in place, as `np.clip`
         would: weights and biases nonnegative, OR weights also at most 1, so
-        a lone matching gate cannot pin its score to the upper clamp."""
+        a lone matching gate cannot pin its score to the upper clamp, and the
+        OR bias at least `OR_BIAS_FLOOR`, so an OR of false inputs reads
+        false."""
         # `np.maximum` is what `np.clip` runs for a lower bound alone, but it
         # turns an OR weight of -0.0 into +0.0, so the OR weights are clipped
         # from their values before it
@@ -359,6 +370,8 @@ class LnnNetwork:
         before = weights.copy()
         np.maximum(self.buffer, 0.0, out=self.buffer)
         before.clip(0.0, 1.0, out=weights)
+        if self.buffer[0] < OR_BIAS_FLOOR:     # buffer[0] is the OR bias
+            self.buffer[0] = OR_BIAS_FLOOR
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from lnnrl.factextract import (
 )
 from lnnrl.harness import evaluate
 from lnnrl.lexicon import default_lexicon, parse_lexicon
-from lnnrl.lnn import AND, OR, LnnNetwork, LogicNode
+from lnnrl.lnn import AND, OR, OR_BIAS_FLOOR, LnnNetwork, LogicNode
 from lnnrl.optim import AdamOptimizer
 from lnnrl.worldsim import (
     ALL_ACTIONS,
@@ -798,7 +798,8 @@ def test_projection_equals_np_clip_bit_for_bit(induced, data):
     # the projection as `np.clip` on every named parameter: kept as reference
     for category in stepped:
         for name, p in reference.nets[category].parameters().items():
-            np.clip(p, 0.0, 1.0 if name.endswith(".or.w") else None, out=p)
+            np.clip(p, OR_BIAS_FLOOR if name.endswith(".or.b") else 0.0,
+                    1.0 if name.endswith(".or.w") else None, out=p)
     for category, net in scorer.nets.items():
         want = reference.nets[category].parameters()
         for name, p in net.parameters().items():

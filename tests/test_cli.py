@@ -1,11 +1,22 @@
 """CLI subcommands exercised through main()."""
 
+import contextlib
+import io
 import shutil
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_harness import NUMBER_BYTES, byte_edits
 
+from lnnrl import cli, harness
+from lnnrl.agent import LnnAgent, run_episode, scripted_rule_networks
 from lnnrl.cli import _parse_overrides, main
-from lnnrl.harness import ExperimentConfig
+from lnnrl.harness import ExperimentConfig, build_game_sets, evaluate, load_networks
+from lnnrl.lnn import save_network
+from lnnrl.rng import derive_seed
+from lnnrl.worldsim import generate_game
 
 
 def test_generate_prints_spec_and_adjacency(capsys):
@@ -125,6 +136,47 @@ def test_eval_reports_test_metrics(tiny_run, capsys):
     out = capsys.readouterr().out
     assert "mean_reward=" in out and "mean_steps=" in out
 
+
+ORACLE_CONFIG = ExperimentConfig(difficulty="hard", test_levels=(5, 10, 15), n_test_per_level=4,
+                                 n_seeds=1, base_seed=3)
+
+
+@pytest.fixture(scope="module")
+def oracle_run(tmp_path_factory):
+    """A hard run directory holding the hand-wired rule networks."""
+    run_dir = tmp_path_factory.mktemp("oracle")
+    (run_dir / "config.txt").write_text(ORACLE_CONFIG.to_text(), encoding="utf-8")
+    (run_dir / "seed0").mkdir()
+    for category, net in scripted_rule_networks().items():
+        save_network(net, run_dir / "seed0" / f"{category}.lnn")
+    return run_dir
+
+
+def test_eval_plays_each_game_as_it_is_generated_and_drops_it(oracle_run, lexicon, monkeypatch,
+                                                               capsys):
+    _, specs = build_game_sets(ORACLE_CONFIG, derive_seed("run", ORACLE_CONFIG.base_seed, 0))
+    agent = LnnAgent(ORACLE_CONFIG.trainer, nets=load_networks(oracle_run / "seed0"))
+    reward, steps = evaluate(agent, [generate_game(spec) for spec in specs], lexicon)
+
+    generated = []          # a weak reference to every graph eval generated
+    alive_at_start = []     # how many of them were alive as each episode began
+
+    def generate(spec):
+        graph = generate_game(spec)
+        generated.append(weakref.ref(graph))
+        return graph
+
+    def play(*args, **kwargs):
+        alive_at_start.append(sum(ref() is not None for ref in generated))
+        return run_episode(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_game", generate)
+    monkeypatch.setattr(harness, "run_episode", play)
+    assert main(["eval", "--run-dir", str(oracle_run)]) == 0
+    assert capsys.readouterr().out == (
+        f"test games: {len(specs)}  mean_reward={reward:.6f}  mean_steps={steps:.6f}\n")
+    # the game about to be played, and no other
+    assert alive_at_start == [1] * len(specs)
 
 
 def test_eval_on_truncated_checkpoint_is_a_typed_error(tiny_run, tmp_path, capsys):
@@ -267,6 +319,31 @@ def test_non_finite_thresholds_are_rejected(tiny_run, capsys, command, value):
             "compare": ["compare", metrics, metrics]}[command]
     assert main(args + ["--threshold", value]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def mutable_run(tiny_run, tmp_path_factory):
+    """A copy of `tiny_run` whose config.txt a test may overwrite."""
+    run_dir = tmp_path_factory.mktemp("mutable") / "run"
+    shutil.copytree(tiny_run, run_dir)
+    return run_dir
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_eval_on_a_mutated_config_exits_0_or_names_the_file(tiny_run, mutable_run, data):
+    original = (tiny_run / "config.txt").read_bytes()
+    config = mutable_run / "config.txt"
+    config.write_bytes(data.draw(byte_edits(original, NUMBER_BYTES)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", "--run-dir", str(mutable_run)])
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue().startswith("test games: ")
+    else:
+        assert code == 2 and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {config}:"), lines
 
 
 @pytest.fixture(scope="module")

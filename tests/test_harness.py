@@ -170,6 +170,65 @@ def test_config_text_round_trips(config):
     assert ExperimentConfig.from_pairs(parse_key_value_text(config.to_text())) == config
 
 
+def byte_edits(original: bytes, extra: bytes = b"") -> st.SearchStrategy:
+    """`original` after 1-3 byte-level edits (a deletion, an insertion or an
+    overwrite) at positions drawn evenly. Each new byte is one of `extra`
+    half the time, else one of the file's own bytes, `extra`, 0xC3 (a UTF-8
+    lead byte that no ASCII byte may follow) and 0xFF (never UTF-8)."""
+    alphabet = sorted(set(original) | set(extra) | {0xC3, 0xFF})
+    byte = st.sampled_from(alphabet)
+    if extra:
+        byte = st.sampled_from(sorted(set(extra))) | byte
+    edit = st.tuples(st.sampled_from(("delete", "insert", "overwrite")),
+                     st.sampled_from(range(len(original) + 1)), byte)
+
+    def apply(edits) -> bytes:
+        data = bytearray(original)
+        for kind, at, byte in edits:
+            if kind == "insert" or not data:
+                data.insert(min(at, len(data)), byte)
+            elif kind == "delete":
+                del data[at % len(data)]
+            else:
+                data[at % len(data)] = byte
+        return bytes(data)
+
+    return st.lists(edit, min_size=1, max_size=3).map(apply)
+
+
+CONFIG_BYTES = tiny_config().to_text().encode("utf-8")
+NUMBER_BYTES = b"0123456789.,+-_e"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=byte_edits(CONFIG_BYTES, NUMBER_BYTES))
+def test_a_mutated_config_file_reads_to_a_config_or_a_config_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutated_config.txt"
+    path.write_bytes(data)
+    try:
+        config = ExperimentConfig.from_file(path)
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{path}:"), str(exc)
+        return
+    assert ExperimentConfig.from_pairs(parse_key_value_text(config.to_text())) == config
+    if data == CONFIG_BYTES:
+        assert config == tiny_config()
+
+
+def test_config_file_faults_are_config_errors_naming_the_file(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_bytes(b"epochs=8\nn_seeds=\xff\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: byte 17 is not UTF-8"):
+        ExperimentConfig.from_file(path)
+    # TrainerConfig checks its own domain with a ValueError
+    path.write_text("epsilon_start=71.0\n", encoding="utf-8")
+    message = f"{path}: epsilon_start must lie in [0, 1], got 71.0"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig.from_file(path)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))} with its overrides: "):
+        ExperimentConfig.from_file(path, {"epsilon_start": "0.5", "gamma": "2"})
+
+
 def test_default_epochs_follow_difficulty():
     assert ExperimentConfig(difficulty="easy").resolved_epochs() == 200
     assert ExperimentConfig(difficulty="medium").resolved_epochs() == 500

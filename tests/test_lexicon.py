@@ -1,12 +1,17 @@
 """Lexicon loading, lookup totality, and validation."""
 
 import dataclasses
+import re
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
 from test_agent import DIRECTION_ONLY_LEXICON, EXTRA_CATEGORY_LEXICON, MISASSIGNED_LEXICON
+from test_harness import byte_edits
 
 from lnnrl.factextract import CATEGORY_NOUNS
 from lnnrl.lexicon import (
+    LexiconError,
     LexiconFormatError,
     LexiconValidationError,
     default_lexicon,
@@ -74,6 +79,32 @@ def test_load_valid_file(tmp_path):
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     table = load_lexicon(path)
     assert table.lookup("coin") == {"money", "metal"}
+
+
+LEXICON_BYTES = resources.files("lnnrl").joinpath("data/lexicon.tsv").read_bytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=byte_edits(LEXICON_BYTES))
+def test_a_mutated_lexicon_file_loads_to_a_table_or_a_lexicon_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutated_lexicon.tsv"
+    path.write_bytes(data)
+    try:
+        table = load_lexicon(path)
+    except LexiconError as exc:
+        assert str(exc).startswith(f"{path}:"), str(exc)
+        return
+    assert table == parse_lexicon(data.decode("utf-8"))
+    table.validate()
+    if data == LEXICON_BYTES:
+        assert table == default_lexicon()
+
+
+def test_a_lexicon_file_that_is_not_utf8_is_a_format_error(tmp_path):
+    path = tmp_path / "latin1.tsv"
+    path.write_bytes(LEXICON_BYTES.replace(b"coin\tmoney", b"co\xefn\tmoney"))
+    with pytest.raises(LexiconFormatError, match=f"^{re.escape(str(path))}: byte \\d+ is not UTF-8"):
+        load_lexicon(path)
 
 
 def test_default_lexicon_is_idempotent():
