@@ -6,8 +6,10 @@ epsilon-greedily: an exploring step draws a uniform candidate and scores
 nothing; a greedy step in a state not yet scored since the parameters last
 changed scores every candidate with its category's network, and one in a
 state already scored reads that choice back from the scorer's `Memo`.
-Rewards are shaped with an episodic discovery bonus and, on medium/hard
-maps, a bonus for backing out of a fully explored room the way it came in.
+Rewards are shaped from the step's facts, in the literals the direction
+rules read: a discovery bonus on ¬⟨visited x⟩ and, on medium/hard maps, a
+bonus on ⟨initial x⟩ ∧ ⟨all are visited⟩ for backing out of a fully
+explored room the way it came in.
 
 `DqnAgent` is the one trainer: Q-regression against a periodically
 refreshed target snapshot, one Adam over every named parameter, and a
@@ -27,7 +29,7 @@ import copy
 import math
 import random
 from collections import deque
-from collections.abc import Callable, Set
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -166,26 +168,26 @@ def select_action(
 def shape_reward(
     outcome: StepOutcome,
     props_before: PropositionSet,
-    visited_before: Set[int],
-    entry_direction_before: str | None,
     action: Action,
     difficulty: str,
     bonus_coefficient: float,
 ) -> float:
-    """Quest reward plus exploration shaping. Invalid actions earn exactly 0."""
+    """Quest reward plus exploration shaping, read from the facts before the
+    step. Invalid actions earn exactly 0. A valid `go x` earns the bonus on
+    ¬⟨visited x⟩, and on medium/hard maps again on ⟨initial x⟩ ∧ ⟨all are
+    visited⟩: backing out of a fully explored room the way it came in.
+
+    Every map is a tree, so the agent has visited the room behind x exactly
+    when it walked that edge, which the facts record."""
     if not outcome.action_valid:
         return 0.0
     reward = outcome.quest_reward
-    if action.verb == "go" and outcome.room_id not in visited_before:
-        reward += bonus_coefficient
-    if (
-        difficulty in ("medium", "hard")
-        and action.verb == "go"
-        and entry_direction_before is not None
-        and action.noun == entry_direction_before
-        and props_before.all_visited
-    ):
-        reward += bonus_coefficient
+    if action.verb == "go":
+        if not props_before.visited_dir[action.noun]:
+            reward += bonus_coefficient
+        if (difficulty in ("medium", "hard") and props_before.initial_dir[action.noun]
+                and props_before.all_visited):
+            reward += bonus_coefficient
     return reward
 
 
@@ -204,7 +206,6 @@ class Transition:
     None for one that reads actions (the MLP)."""
 
     props: PropositionSet
-    candidates: tuple[Candidate, ...]
     action: Action
     reward: float                            # shaped
     terminal: bool
@@ -277,7 +278,7 @@ def fresh_networks(config: TrainerConfig) -> dict[str, LnnNetwork]:
     }
 
 
-def scripted_rule_networks(alpha: float = DEFAULT_ALPHA) -> dict[str, LnnNetwork]:
+def scripted_rule_networks() -> dict[str, LnnNetwork]:
     """Networks wired by hand to the known-good policy, for oracle play.
 
     Take when the coin is in sight; go toward a not-yet-visited exit; and
@@ -285,7 +286,7 @@ def scripted_rule_networks(alpha: float = DEFAULT_ALPHA) -> dict[str, LnnNetwork
     direction OR bias sits above 1 so direction scores stay strictly below
     the take score when both fire in the coin room.
     """
-    truth = TruthConfig(alpha=alpha)
+    truth = TruthConfig()
 
     def wired(category: str, or_bias: float, *gates: tuple[str, ...]) -> LnnNetwork:
         net = LnnNetwork(category, CATEGORY_LITERALS[category], CATEGORY_VERBS[category], truth)
@@ -554,12 +555,7 @@ def run_episode(
 
         outcome = step(state, action)
         if shaped:
-            # the map still holds the state before the step: no move is recorded yet
-            reward = shape_reward(
-                outcome, props, agent_map.visited,
-                agent_map.entry_direction.get(agent_map.current),
-                action, graph.difficulty, bonus,
-            )
+            reward = shape_reward(outcome, props, action, graph.difficulty, bonus)
         quest_total += outcome.quest_reward
 
         next_props, next_candidates = props, candidates
@@ -579,7 +575,7 @@ def run_episode(
             )
 
         if mode == "train":
-            agent.observe(Transition(props, candidates, action, reward, outcome.done,
+            agent.observe(Transition(props, action, reward, outcome.done,
                                      next_props, next_candidates,
                                      agent.chosen(candidates, action)))
 

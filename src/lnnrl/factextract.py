@@ -18,9 +18,10 @@ room sentence; the exit sentence is one lookup in the inverse of
 `worldsim.EXIT_SENTENCES`, so the parser recognises exactly the finite set of
 rendered exit sentences (distinct directions in NESW order, a singular
 sentence for one exit); the ending is one lookup among nothing and the three
-coin sentences. Anything else is rejected with an `ObservationParseError`
-that names the unmatched span; the regex and word checks that word it run
-only then.
+coin sentences. Anything else is rejected with one `ObservationParseError`
+that names where reading stopped: the room sentence, the exit sentence or
+the text after it. The tables decide alone; no second reading words the
+error.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ _COIN_SEEN: frozenset[str] = frozenset({"coin"})
 _ROOM_RE = re.compile(r"(?:You are in the |You have entered the |This is the )(?P<name>[^.]+)\.")
 #: rendered exit sentence -> the exits it names, one shared set per exit tuple
 _EXIT_SETS = {dirs: frozenset(dirs) for dirs in EXIT_SENTENCES[0]}
-_EXIT_READINGS: dict[str, frozenset[str]] = {
+_EXIT_SENTENCE_READINGS: dict[str, frozenset[str]] = {
     sentence: _EXIT_SETS[dirs]
     for sentences in EXIT_SENTENCES
     for dirs, sentence in sentences.items()
@@ -74,37 +75,6 @@ _ENDINGS: dict[str, frozenset[str]] = {
     "": _NO_OBJECTS,
     **{" " + coin: _COIN_SEEN for coin in COIN_TEMPLATES},
 }
-#: the shape of any exit sentence, whatever its list; read only to word an error
-_EXIT_RE = re.compile(
-    r"(?:There is an exit to the |There are exits to the |A doorway leads |Doorways lead )"
-    r"(?P<dirs>[a-z, ]+)\.|You can head (?P<head>[a-z, ]+) from here\."
-)
-
-
-def _exit_error(text: str, pos: int) -> ObservationParseError:
-    """Why the text at `pos` is no rendered exit sentence: no exit sentence at
-    all, a word that is no direction, or a list the renderer does not write
-    (order, repeats, separators, or a count that disagrees with the form)."""
-    m = _EXIT_RE.match(text, pos)
-    if m is None:
-        return ObservationParseError(f"no exit sentence at: {text[pos:pos + 60]!r}")
-    for chunk in (m["dirs"] or m["head"]).split(", "):
-        for word in chunk.split(" and "):
-            if word not in DIRECTIONS:
-                return ObservationParseError(
-                    f"unknown direction word {word!r} in exit list at: {text[pos:pos + 60]!r}"
-                )
-    return ObservationParseError(f"exit list not in rendered order and form at: {text[pos:pos + 60]!r}")
-
-
-def _ending_error(text: str, pos: int) -> ObservationParseError:
-    """The text after the exit sentence at `pos` is no ending: report what
-    follows the coin sentence if one starts there, else all of it."""
-    for ending in _ENDINGS:
-        if ending and text.startswith(ending, pos):
-            pos += len(ending)
-            break
-    return ObservationParseError(f"trailing text not in grammar: {text[pos:pos + 60]!r}")
 
 
 def parse_observation(text: str) -> ParsedObservation:
@@ -118,12 +88,12 @@ def parse_observation(text: str) -> ParsedObservation:
     pos += 1
     # a rendered exit sentence holds one full stop, its last character
     end = text.find(".", pos) + 1
-    open_exits = _EXIT_READINGS.get(text[pos:end])
+    open_exits = _EXIT_SENTENCE_READINGS.get(text[pos:end])
     if open_exits is None:
-        raise _exit_error(text, pos)
+        raise ObservationParseError(f"no exit sentence at: {text[pos:pos + 60]!r}")
     objects = _ENDINGS.get(text[end:])
     if objects is None:
-        raise _ending_error(text, end)
+        raise ObservationParseError(f"trailing text not in grammar: {text[end:end + 60]!r}")
     return ParsedObservation(m["name"], open_exits, objects)
 
 

@@ -124,13 +124,14 @@ class LogicNode:
 
 @dataclass(frozen=True)
 class ForwardTrace:
-    """Pre- and post-clamp activations from one forward pass."""
+    """What `gradients` and `induce` read of one forward pass: the facts,
+    each gate's pre- and post-clamp value and the OR's pre-clamp value (its
+    clamped value is the q `forward` returns)."""
 
     facts: np.ndarray
     and_pre: np.ndarray
     and_out: np.ndarray
     or_pre: float
-    or_out: float
 
 
 def _named(category: str, arity: int, n_gates: int, vector: np.ndarray) -> dict[str, np.ndarray]:
@@ -298,8 +299,7 @@ class LnnNetwork:
         and_out = np.array([clamp01(v) for v in pre], dtype=np.float64)
         or_weights = np.ascontiguousarray(self._or_root.weights)
         or_pre = 1.0 - float(self._or_root.bias) + float(or_weights.dot(and_out))
-        or_out = clamp01(or_pre)
-        return or_out, ForwardTrace(x, and_pre, and_out, or_pre, or_out)
+        return clamp01(or_pre), ForwardTrace(x, and_pre, and_out, or_pre)
 
     # ---------------------------------------------------------------- gradients
 

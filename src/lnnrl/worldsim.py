@@ -217,9 +217,6 @@ class RoomGraph:
     def open_exits(self, room: RoomId) -> tuple[str, ...]:
         return tuple([d for d in DIRECTIONS if (room, d) in self.exits])
 
-    def degree(self, room: RoomId) -> int:
-        return len(self.open_exits(room))
-
     @functools.cached_property
     def readings(self) -> dict[RoomId, "ParsedObservation"]:
         """Room id -> `parse_observation(render_observation(self, room))`,

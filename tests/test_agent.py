@@ -85,7 +85,7 @@ def make_transition(category, facts, reward, terminal, next_candidates=(),
     chosen = candidate(category, facts)
     props = as_props(np.zeros(26))
     return Transition(
-        props=props, candidates=(chosen,), action=chosen.action,
+        props=props, action=chosen.action,
         reward=reward, terminal=terminal, next_props=props,
         next_candidates=tuple(candidate(c, f) for c, f in next_candidates),
         chosen=chosen,
@@ -337,8 +337,7 @@ def test_first_entry_pays_discovery_bonus():
     state, agent_map, props = drive(graph, [])
     forward = next(d for d in DIRECTIONS if (graph.start, d) in graph.exits)
     outcome = step(state, Action("go", forward))
-    reward = shape_reward(outcome, props, frozenset(agent_map.visited), None,
-                          Action("go", forward), "easy", 1.0)
+    reward = shape_reward(outcome, props, Action("go", forward), "easy", 1.0)
     assert reward == 1.0
 
 
@@ -348,9 +347,7 @@ def test_revisit_on_easy_pays_nothing():
     state, agent_map, props = drive(graph, [forward])
     back = OPPOSITE[forward]
     outcome = step(state, Action("go", back))
-    reward = shape_reward(outcome, props, frozenset(agent_map.visited),
-                          agent_map.entry_direction.get(agent_map.current),
-                          Action("go", back), "easy", 1.0)
+    reward = shape_reward(outcome, props, Action("go", back), "easy", 1.0)
     assert reward == 0.0
 
 
@@ -365,9 +362,7 @@ def test_medium_dead_end_return_pays_bonus():
     back = OPPOSITE[distractor_dir]
     assert props.all_visited and agent_map.entry_direction[agent_map.current] == back
     outcome = step(state, Action("go", back))
-    reward = shape_reward(outcome, props, frozenset(agent_map.visited),
-                          agent_map.entry_direction[agent_map.current],
-                          Action("go", back), "medium", 1.0)
+    reward = shape_reward(outcome, props, Action("go", back), "medium", 1.0)
     assert reward == 1.0  # room already visited, so this is purely the return bonus
 
 
@@ -378,9 +373,7 @@ def test_easy_never_pays_return_bonus():
     back = OPPOSITE[forward]
     assert props.all_visited
     outcome = step(state, Action("go", back))
-    reward = shape_reward(outcome, props, frozenset(agent_map.visited),
-                          agent_map.entry_direction[agent_map.current],
-                          Action("go", back), "easy", 1.0)
+    reward = shape_reward(outcome, props, Action("go", back), "easy", 1.0)
     assert reward == 0.0
 
 
@@ -389,8 +382,7 @@ def test_invalid_action_rewards_zero_even_with_quest_conditions():
     state, agent_map, props = drive(graph, [])
     outcome = step(state, Action("go", "coin"))
     assert not outcome.action_valid
-    reward = shape_reward(outcome, props, frozenset(agent_map.visited), None,
-                          Action("go", "coin"), "easy", 1.0)
+    reward = shape_reward(outcome, props, Action("go", "coin"), "easy", 1.0)
     assert reward == 0.0
 
 
@@ -399,10 +391,63 @@ def test_taking_coin_pays_quest_reward_only():
     forward = next(d for d in DIRECTIONS if (graph.start, d) in graph.exits)
     state, agent_map, props = drive(graph, [forward])
     outcome = step(state, Action("take", "coin"))
-    reward = shape_reward(outcome, props, frozenset(agent_map.visited),
-                          agent_map.entry_direction.get(agent_map.current),
-                          Action("take", "coin"), "easy", 1.0)
+    reward = shape_reward(outcome, props, Action("take", "coin"), "easy", 1.0)
     assert reward == 1.0 and outcome.done
+
+
+def reference_shaping(outcome, props_before, visited_before, entry_direction_before,
+                      action, difficulty, bonus_coefficient):
+    """The shaped reward as it was first written, read from the agent's map
+    before the step (its visited rooms and the current room's entry
+    direction): kept as reference."""
+    if not outcome.action_valid:
+        return 0.0
+    reward = outcome.quest_reward
+    if action.verb == "go" and outcome.room_id not in visited_before:
+        reward += bonus_coefficient
+    if (
+        difficulty in ("medium", "hard")
+        and action.verb == "go"
+        and entry_direction_before is not None
+        and action.noun == entry_direction_before
+        and props_before.all_visited
+    ):
+        reward += bonus_coefficient
+    return reward
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(difficulty=st.sampled_from(DIFFICULTIES), level=st.integers(1, 8),
+       seed=st.integers(0, 2**16), rng_seed=st.integers(0, 2**16),
+       make_agent=st.sampled_from([LnnAgent, MlpAgent]),
+       bonus=st.sampled_from([1.0, 0.5, 0.25]))
+def test_shaping_from_the_facts_equals_shaping_from_the_map(
+        lexicon, difficulty, level, seed, rng_seed, make_agent, bonus):
+    # an exploring episode stores every step's shaped reward; the MLP also
+    # explores actions no candidate proposes, which are invalid
+    graph = generate_game(GameSpec(difficulty, level, seed))
+    agent = make_agent(TrainerConfig(bonus_coefficient=bonus), run_seed=seed)
+    stored, observe = [], agent.observe
+
+    def record(transition):
+        stored.append(transition)
+        observe(transition)
+
+    agent.observe = record
+    report = run_episode(graph, agent, lexicon, mode="train", epsilon=1.0,
+                         rng=random.Random(rng_seed))
+    assert len(stored) == report.steps
+
+    state, _ = reset(graph)
+    agent_map = AgentMap.start(state.room)
+    for t in stored:
+        outcome = step(state, t.action)
+        want = reference_shaping(outcome, t.props, agent_map.visited,
+                                 agent_map.entry_direction.get(agent_map.current),
+                                 t.action, difficulty, bonus)
+        assert t.reward == want
+        if outcome.action_valid and t.action.verb == "go":
+            agent_map.record_move(t.action.noun, outcome.room_id)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +741,7 @@ def assert_memo_is_exact(scorer, upstream):
         assert np.array_equal(trace.facts, fresh.facts)
         assert np.array_equal(trace.and_pre, fresh.and_pre)
         assert np.array_equal(trace.and_out, fresh.and_out)
-        assert (trace.or_pre, trace.or_out) == (fresh.or_pre, fresh.or_out)
+        assert trace.or_pre == fresh.or_pre
         cached_grads = net.gradients(trace, upstream)
         fresh_grads = net.gradients(fresh, upstream)
         assert cached_grads.keys() == fresh_grads.keys()
@@ -896,7 +941,8 @@ def test_a_traced_exploring_episode_writes_fresh_greedy_scores(lexicon, make_age
 
     def record(transition):
         # the trace line of this step is written; training has not run yet
-        fresh.append(reference_choose(agent, transition.props, transition.candidates,
+        candidates = enumerate_candidates(transition.props, lexicon)
+        fresh.append(reference_choose(agent, transition.props, candidates,
                                       0.0, random.Random(0))[1])
         assert sink.getvalue().count("\n") == len(fresh)
         observe(transition)
@@ -1020,8 +1066,6 @@ def test_train_mode_stores_the_shared_records_choose_saw(lexicon, make_agent):
     for t, following in zip(stored, stored[1:] + [None]):
         assert t.props is props
         candidates = enumerate_candidates(props, lexicon)
-        assert isinstance(t.candidates, tuple) and len(t.candidates) == len(candidates)
-        assert all(c is expected for c, expected in zip(t.candidates, candidates))
         outcome = step(state, t.action)
         if outcome.action_valid and t.action.verb == "go":
             agent_map.record_move(t.action.noun, outcome.room_id)
@@ -1029,20 +1073,21 @@ def test_train_mode_stores_the_shared_records_choose_saw(lexicon, make_agent):
         assert t.next_props is props
         assert t.terminal == outcome.done
         if following is not None:
-            assert t.next_candidates is following.candidates
+            assert t.next_candidates is enumerate_candidates(following.props, lexicon)
             assert t.next_props is following.props
 
         if make_agent is LnnAgent:
             # the candidate the action came from, recorded when the step was stored
-            assert t.chosen in t.candidates and t.chosen.action is t.action
-            assert t.chosen is next(c for c in t.candidates if c.action == t.action)
+            assert t.chosen in candidates and t.chosen.action is t.action
+            assert t.chosen is next(c for c in candidates if c.action == t.action)
         else:
             # the MLP reads actions only, and explores all ten, some of which
             # no candidate proposes
             assert t.chosen is None
     assert stored[-1].terminal
     if make_agent is MlpAgent:
-        assert any(t.action not in [c.action for c in t.candidates] for t in stored)
+        assert any(t.action not in [c.action for c in enumerate_candidates(t.props, lexicon)]
+                   for t in stored)
 
 
 def same_records(a, b):
@@ -1128,7 +1173,7 @@ def test_each_observation_is_read_once_and_equals_a_fresh_reading(
                 parse_observation(render_observation(graph, replayed.room_id)), agent_map)
             if mode == "train":
                 t = stored[k]
-                assert t.props is props and same_records(t.candidates, candidates)
+                assert t.props is props
                 assert t.action == action and t.terminal == replayed.done
                 assert t.next_props is next_props
                 assert same_records(t.next_candidates, enumerate_candidates(next_props, lexicon))

@@ -79,7 +79,7 @@ def test_regression_loss_decreases_on_fixed_transition():
     vec[0] = 1.0
     props = as_props(vec)
     transition = Transition(
-        props=props, candidates=(), action=ALL_ACTIONS[9], reward=1.0,
+        props=props, action=ALL_ACTIONS[9], reward=1.0,
         terminal=True, next_props=props, next_candidates=(),
     )
     agent.buffer.push(transition)
@@ -157,7 +157,7 @@ def test_target_network_refresh():
     agent = MlpAgent(config, run_seed=4)
     props = as_props(np.zeros(N_INPUTS))
     transition = Transition(
-        props=props, candidates=(), action=ALL_ACTIONS[0], reward=1.0,
+        props=props, action=ALL_ACTIONS[0], reward=1.0,
         terminal=True, next_props=props, next_candidates=(),
     )
     agent.buffer.push(transition)
@@ -280,7 +280,7 @@ def test_mlp_memo_entries_equal_a_fresh_forward(ops, seed, learning_rate, action
             assert (action, q_values) == (kept_action, kept_q) and q_values is not kept_q
         elif op[0] == "train":
             vec, action, reward, next_vec, terminal = op[1:]
-            agent.buffer.push(Transition(props=as_props(vec), candidates=(), action=action,
+            agent.buffer.push(Transition(props=as_props(vec), action=action,
                                          reward=reward, terminal=terminal,
                                          next_props=as_props(next_vec), next_candidates=()))
             agent.train_step()

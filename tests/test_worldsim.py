@@ -152,9 +152,9 @@ def test_difficulty_invariants_over_levels_and_seeds(difficulty):
             path = set(graph.optimal_path)
             for room in graph.rooms:
                 if room not in path:
-                    assert graph.degree(room) == 1
+                    assert len(graph.open_exits(room)) == 1
             if difficulty == "easy":
-                assert all(graph.degree(r) <= 2 for r in graph.rooms)
+                assert all(len(graph.open_exits(r)) <= 2 for r in graph.rooms)
 
 
 def test_exits_are_symmetric():
@@ -201,6 +201,32 @@ def test_generated_maps_and_texts_match_their_pin():
                 for room in graph.rooms:
                     digest.update(render_observation(graph, room).encode() + b"\n")
     assert digest.hexdigest() == WORLD_DIGEST
+
+
+def test_every_generated_map_is_a_tree():
+    # reward shaping reads ⟨visited x⟩ as "the room behind x was visited",
+    # which holds only if the one way there is the exit x: each map over the
+    # pin grid has symmetric exits, one edge fewer than rooms, and is connected
+    for difficulty in DIFFICULTIES:
+        for level in range(1, 31):
+            for seed in range(12):
+                try:
+                    graph = generate_game(GameSpec(difficulty, level, seed))
+                except GenerationError:
+                    continue
+                for (room, d), target in graph.exits.items():
+                    assert graph.exits[(target, OPPOSITE[d])] == room
+                assert len(graph.exits) == 2 * (len(graph.rooms) - 1)
+                reached = {graph.start}
+                frontier = [graph.start]
+                while frontier:
+                    room = frontier.pop()
+                    for d in graph.open_exits(room):
+                        target = graph.exits[(room, d)]
+                        if target not in reached:
+                            reached.add(target)
+                            frontier.append(target)
+                assert reached == set(graph.rooms), (difficulty, level, seed)
 
 
 # ---------------------------------------------------------------------------
