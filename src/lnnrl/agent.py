@@ -351,8 +351,6 @@ class DqnAgent:
     def train_step(self) -> float:
         """One sampled batch: every TD error in batch order, then one gradient
         call for the batch, one optimizer step and the target refresh."""
-        if len(self.buffer) == 0:
-            raise ValueError("train_step requires a non-empty replay buffer")
         batch = self.buffer.sample(self.config.batch_size, self.replay_rng)
         self.scorer.before_batch(batch)
 

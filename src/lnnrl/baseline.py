@@ -16,7 +16,7 @@ import numpy as np
 from .agent import DqnAgent, Memo, TrainerConfig, Transition, explore, greedy
 from .factextract import PROPOSITION_NAMES, Candidate, PropositionSet
 from .lnn import CheckpointError, reading_checkpoint
-from .numtext import parse_float, parse_int
+from .numtext import parse_float
 from .rng import substream
 from .worldsim import ALL_ACTIONS, Action
 
@@ -26,17 +26,21 @@ N_HIDDEN = 64
 
 ACTION_INDEX: dict[Action, int] = {a: i for i, a in enumerate(ALL_ACTIONS)}
 
+#: line 2 of every MLP checkpoint, and the size of each row after it, in order
+SHAPE_LINE = f"shape {N_INPUTS} {N_HIDDEN} {N_ACTIONS}"
+ROW_SIZES = {"w1": N_INPUTS * N_HIDDEN, "b1": N_HIDDEN, "w2": N_HIDDEN * N_ACTIONS, "b2": N_ACTIONS}
 
-def _views(flat: np.ndarray, n_hidden: int) -> tuple[np.ndarray, ...]:
+
+def _views(flat: np.ndarray) -> tuple[np.ndarray, ...]:
     """`w1`, `b1`, `w2`, `b2` as views into the last axis of `flat`, laid out
-    as the buffer is for `n_hidden` hidden units."""
-    w1_end = N_INPUTS * n_hidden
-    w2_start = w1_end + n_hidden
-    b2_start = w2_start + n_hidden * N_ACTIONS
+    as the buffer is."""
+    w1_end = N_INPUTS * N_HIDDEN
+    w2_start = w1_end + N_HIDDEN
+    b2_start = w2_start + N_HIDDEN * N_ACTIONS
     lead = flat.shape[:-1]
-    return (flat[..., :w1_end].reshape(lead + (N_INPUTS, n_hidden)),
+    return (flat[..., :w1_end].reshape(lead + (N_INPUTS, N_HIDDEN)),
             flat[..., w1_end:w2_start],
-            flat[..., w2_start:b2_start].reshape(lead + (n_hidden, N_ACTIONS)),
+            flat[..., w2_start:b2_start].reshape(lead + (N_HIDDEN, N_ACTIONS)),
             flat[..., b2_start:])
 
 
@@ -60,17 +64,17 @@ class MlpScorer:
         w1 = rng.normal(0.0, np.sqrt(2.0 / N_INPUTS), size=(N_INPUTS, N_HIDDEN))
         w2 = rng.normal(0.0, np.sqrt(1.0 / N_HIDDEN), size=(N_HIDDEN, N_ACTIONS))
         self._point_into(np.concatenate(
-            [w1.ravel(), np.zeros(N_HIDDEN), w2.ravel(), np.zeros(N_ACTIONS)]), N_HIDDEN)
+            [w1.ravel(), np.zeros(N_HIDDEN), w2.ravel(), np.zeros(N_ACTIONS)]))
         self.memo = Memo()
 
-    def _point_into(self, buffer: np.ndarray, n_hidden: int) -> None:
+    def _point_into(self, buffer: np.ndarray) -> None:
         """Make `buffer` the parameters, with `w1`, `b1`, `w2`, `b2` views into it."""
         self.buffer = buffer
-        self.w1, self.b1, self.w2, self.b2 = _views(buffer, n_hidden)
+        self.w1, self.b1, self.w2, self.b2 = _views(buffer)
 
     def __deepcopy__(self, memo) -> "MlpScorer":
         scorer = type(self).__new__(type(self))
-        scorer._point_into(self.buffer.copy(), self.b1.size)
+        scorer._point_into(self.buffer.copy())
         scorer.memo = copy.deepcopy(self.memo, memo)
         return scorer
 
@@ -96,7 +100,7 @@ class MlpScorer:
         rows = np.arange(len(action_indices))
         u = upstreams[:, None]
         terms = np.zeros((rows.size, self.buffer.size))
-        w1, b1, w2, b2 = _views(terms, self.b1.size)
+        w1, b1, w2, b2 = _views(terms)
         np.multiply(u * self.w2.T[action_indices], hiddens > 0.0, out=b1)
         np.multiply(xs[:, :, None], b1[:, None, :], out=w1)
         w2[rows, :, action_indices] = u * hiddens
@@ -146,8 +150,8 @@ class MlpScorer:
     # ------------------------------------------------------------ checkpoints
 
     def save(self, path) -> None:
-        lines = ["mlp-checkpoint v1", f"shape {N_INPUTS} {self.w1.shape[1]} {N_ACTIONS}"]
-        for name in ("w1", "b1", "w2", "b2"):
+        lines = ["mlp-checkpoint v1", SHAPE_LINE]
+        for name in ROW_SIZES:
             arr = getattr(self, name)
             lines.append(f"{name} " + " ".join(format(v, ".17g") for v in arr.ravel()))
         with open(path, "w", encoding="utf-8") as fh:
@@ -155,36 +159,30 @@ class MlpScorer:
 
     @classmethod
     def load(cls, path) -> "MlpScorer":
-        """Read a checkpoint written by `save`; every row `w1`, `b1`, `w2`, `b2`
-        must appear once, finite and with the header's shape, or CheckpointError
-        is raised."""
+        """Read a checkpoint written by `save`; line 2 must be `SHAPE_LINE`, the
+        scorer's one shape, and every row `w1`, `b1`, `w2`, `b2` must appear
+        once, finite and of its `ROW_SIZES` size, or CheckpointError is raised."""
         with reading_checkpoint(path):
             with open(path, encoding="utf-8") as fh:
                 lines = fh.read().splitlines()
             if not lines or lines[0] != "mlp-checkpoint v1":
                 raise CheckpointError(f"{path}: not an MLP checkpoint")
-            head = lines[1].split() if len(lines) > 1 else []
-            if (len(head) != 4 or head[0] != "shape" or head[1] != str(N_INPUTS)
-                    or head[3] != str(N_ACTIONS) or not head[2].isdigit() or int(head[2]) == 0):
-                raise CheckpointError(f"{path}: expected 'shape {N_INPUTS} <hidden> {N_ACTIONS}' on line 2")
-            n_hidden = parse_int(head[2])
-            # each row's size, in the buffer's order
-            sizes = {"w1": N_INPUTS * n_hidden, "b1": n_hidden,
-                     "w2": n_hidden * N_ACTIONS, "b2": N_ACTIONS}
+            if lines[1:2] != [SHAPE_LINE]:
+                raise CheckpointError(f"{path}: expected {SHAPE_LINE!r} on line 2")
             rows: dict[str, np.ndarray] = {}
             for line in lines[2:]:
                 name, _, rest = line.partition(" ")
-                if name not in sizes or name in rows:
+                if name not in ROW_SIZES or name in rows:
                     raise CheckpointError(f"{path}: unexpected or repeated row {name!r}")
                 values = np.array([parse_float(t) for t in rest.split()])
-                if values.size != sizes[name] or not np.all(np.isfinite(values)):
-                    raise CheckpointError(f"{path}: row {name} needs {sizes[name]} finite values")
+                if values.size != ROW_SIZES[name] or not np.all(np.isfinite(values)):
+                    raise CheckpointError(f"{path}: row {name} needs {ROW_SIZES[name]} finite values")
                 rows[name] = values
-            missing = [name for name in sizes if name not in rows]
+            missing = [name for name in ROW_SIZES if name not in rows]
             if missing:
                 raise CheckpointError(f"{path}: missing rows {', '.join(missing)}")
         scorer = cls.__new__(cls)
-        scorer._point_into(np.concatenate([rows[name] for name in sizes]), n_hidden)
+        scorer._point_into(np.concatenate([rows[name] for name in ROW_SIZES]))
         scorer.memo = Memo()
         return scorer
 

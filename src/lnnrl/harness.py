@@ -31,7 +31,6 @@ from .numtext import parse_float, parse_int
 from .rng import derive_seed, substream
 from .worldsim import (
     DEFAULT_MAX_EPISODE_STEPS,
-    DIFFICULTIES,
     GameSpec,
     InvalidSpecError,
     RoomGraph,
@@ -49,6 +48,9 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's settings, checked when made (a fault raises ConfigError);
+    `test_levels` is kept as the tuple `to_text` writes, so the text reads back."""
+
     difficulty: str = "easy"
     agent: str = "lnn"
     n_train_games: int = 50
@@ -67,9 +69,8 @@ class ExperimentConfig:
     def resolved_epochs(self) -> int:
         return self.epochs if self.epochs > 0 else DEFAULT_EPOCHS[self.difficulty]
 
-    def validate(self) -> None:
-        if self.difficulty not in DIFFICULTIES:
-            raise ConfigError(f"difficulty must be one of {DIFFICULTIES}")
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "test_levels", tuple(self.test_levels))
         if self.agent not in AGENT_KINDS:
             raise ConfigError(f"agent must be one of {AGENT_KINDS}")
         for name in ("n_train_games", "n_test_per_level", "eval_interval", "n_seeds",
@@ -85,11 +86,11 @@ class ExperimentConfig:
             raise ConfigError(f"epochs must be nonnegative (0 means the default), got {self.epochs}")
         if not math.isfinite(self.rule_weight_threshold):
             raise ConfigError(f"rule_weight_threshold must be finite, got {self.rule_weight_threshold}")
-        # the games' own check (level >= 1, room for an optimal episode), run
-        # now so a bad level or step cap fails before any output
+        # the games' own rules (a known difficulty, level >= 1, room for an
+        # optimal episode), checked now so a bad one fails before any output
         for level in (self.train_level, *self.test_levels):
             try:
-                GameSpec(self.difficulty, level, 0, self.max_episode_steps).validate()
+                GameSpec(self.difficulty, level, 0, self.max_episode_steps)
             except InvalidSpecError as exc:
                 raise ConfigError(str(exc)) from exc
 
@@ -121,9 +122,7 @@ class ExperimentConfig:
                 trainer_kwargs[key] = _coerce(raw, trainer_fields[key].default, key)
             else:
                 raise ConfigError(f"unknown config key {key!r}")
-        config = cls(trainer=TrainerConfig(**trainer_kwargs), **own_kwargs)
-        config.validate()
-        return config
+        return cls(trainer=TrainerConfig(**trainer_kwargs), **own_kwargs)
 
     @classmethod
     def from_file(cls, path, overrides: dict[str, str] | None = None) -> "ExperimentConfig":
@@ -326,7 +325,6 @@ def run_experiment(
     trace: bool = False,
 ) -> ExperimentResult:
     """Train every seed, then write metrics CSV, checkpoints, and rule dumps."""
-    config.validate()
     lexicon = lexicon or default_lexicon()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -226,15 +226,17 @@ class LnnNetwork:
 
     @or_root.setter
     def or_root(self, node: LogicNode) -> None:
-        weights = np.reshape(node.weights, -1)
-        if weights.size != len(self._and_gates):
-            raise ValueError(f"an OR root over {len(self._and_gates)} gates needs "
-                             f"{len(self._and_gates)} weights, got {weights.size}")
-        self._lay_out(self._and_gates, node.bias, weights)
+        self._lay_out(self._and_gates, node.bias, np.reshape(node.weights, -1))
 
     def _lay_out(self, gates, or_bias, or_weights) -> None:
         """A new buffer holding the values of `gates` and of an OR root with
-        `or_bias` and `or_weights`, one per gate."""
+        `or_bias` and `or_weights`; more than `gate_cap` gates, or other than
+        one OR weight per gate, raise ValueError before any buffer is built."""
+        if len(gates) > self.gate_cap:
+            raise ValueError(f"{len(gates)} gates exceed gate_cap {self.gate_cap}")
+        if len(or_weights) != len(gates):
+            raise ValueError(f"an OR root over {len(gates)} gates needs "
+                             f"{len(gates)} weights, got {len(or_weights)}")
         arity = self.input_arity
         step = arity + 2
         buffer = np.empty(1 + len(gates) * step)
@@ -459,7 +461,18 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _check_domain(what: str, values, or_weights) -> None:
+    """The domain `LnnNetwork.project` keeps and a checkpoint holds: `values`
+    finite and nonnegative, `or_weights` among them at most 1; else ValueError."""
+    if not all(np.isfinite(v) and v >= 0 for v in values):
+        raise ValueError(f"{what} holds a negative or non-finite value")
+    if any(w > 1.0 for w in or_weights):
+        raise ValueError(f"{what} holds a weight above 1")
+
+
 def save_network(net: LnnNetwork, path) -> None:
+    """Write `net`; a value `load_network` would refuse raises ValueError first."""
+    _check_domain(f"{net.category} network", net.buffer, net.or_root.weights)
     lines = [
         _CHECKPOINT_HEADER,
         f"category {net.category}",
@@ -487,8 +500,8 @@ class CheckpointError(ValueError):
 @contextlib.contextmanager
 def reading_checkpoint(path):
     """Re-raise any other ValueError met while parsing `path` (a number that
-    does not parse, an alpha out of range, bytes that are not UTF-8) as a
-    CheckpointError naming the file."""
+    does not parse, an alpha out of range, more gates than the gate cap,
+    bytes that are not UTF-8) as a CheckpointError naming the file."""
     try:
         yield
     except CheckpointError:
@@ -498,7 +511,7 @@ def reading_checkpoint(path):
 
 
 def _row(path, line: str, head: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(bias, weights) of a `<head> bias B weights w1 .. w<width>` row."""
+    """(weights, bias) of a `<head> bias B weights w1 .. w<width>` row."""
     tokens = line.split()
     n = len(head)
     if tokens[:n] != head or tokens[n:n + 1] != ["bias"] or tokens[n + 2:n + 3] != ["weights"]:
@@ -507,19 +520,16 @@ def _row(path, line: str, head: list[str], width: int) -> tuple[np.ndarray, np.n
     weights = np.array([parse_float(t) for t in tokens[n + 3:]], dtype=np.float64)
     if weights.size != width:
         raise CheckpointError(f"{path}: {' '.join(head)} row has {weights.size} weights, expected {width}")
-    if not all(np.isfinite(v) and v >= 0 for v in (bias, *weights)):
-        raise CheckpointError(f"{path}: {' '.join(head)} row holds a negative or non-finite value")
-    # the domain `LnnNetwork.project` keeps: an OR weight above 1 scores off it
-    if head == ["or"] and any(w > 1.0 for w in weights):
-        raise CheckpointError(f"{path}: or row holds a weight above 1")
-    return np.array(bias, dtype=np.float64), weights
+    # `reading_checkpoint` names the file
+    _check_domain(f"{' '.join(head)} row", (bias, *weights), weights if head == ["or"] else ())
+    return weights, np.array(bias, dtype=np.float64)
 
 
 def load_network(path) -> LnnNetwork:
-    """Read a checkpoint written by `save_network`; a truncated, malformed or
-    out-of-domain file (short row, non-finite or negative value, an OR weight
-    above 1, a gate_cap below 1, more gates than its gate_cap) raises
-    CheckpointError."""
+    """Read a checkpoint written by `save_network`, laying its rows out once;
+    a truncated, malformed or out-of-domain file (short row, non-finite or
+    negative value, an OR weight above 1, a gate_cap below 1, more gates than
+    the gate_cap `LnnNetwork` keeps) raises CheckpointError."""
     with reading_checkpoint(path):
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -542,17 +552,12 @@ def load_network(path) -> LnnNetwork:
             raise CheckpointError(f"{path}: arity does not match literal list")
 
         n_gates = parse_int(fields["gates"])
-        if n_gates > net.gate_cap:
-            raise CheckpointError(f"{path}: {n_gates} gates exceed gate_cap {net.gate_cap}")
         body = lines[1 + len(_HEADER_KEYS):]
         if n_gates < 0 or len(body) != n_gates + 1:
             raise CheckpointError(
                 f"{path}: expected {n_gates} gate rows and an or row, found {len(body)} rows")
-        gates = []
-        for j, line in enumerate(body[:n_gates]):
-            bias, weights = _row(path, line, ["and", str(j)], net.input_arity)
-            gates.append(LogicNode(AND, weights, bias))
-        bias, weights = _row(path, body[n_gates], ["or"], n_gates)
-        net.and_gates = gates
-        net.or_root = LogicNode(OR, weights, bias)
+        gates = [LogicNode(AND, *_row(path, line, ["and", str(j)], net.input_arity))
+                 for j, line in enumerate(body[:n_gates])]
+        weights, bias = _row(path, body[n_gates], ["or"], n_gates)
+        net._lay_out(gates, bias, weights)
     return net

@@ -107,12 +107,15 @@ _SPEC_LINE_KEYS = ("difficulty", "level", "seed", "max_steps")
 
 @dataclass(frozen=True)
 class GameSpec:
+    """What a game is generated from, checked when made: a known difficulty,
+    level >= 1 and a step cap that fits an optimal episode, or InvalidSpecError."""
+
     difficulty: str
     level: int
     seed: int
     max_episode_steps: int = DEFAULT_MAX_EPISODE_STEPS
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.difficulty not in DIFFICULTIES:
             raise InvalidSpecError(f"difficulty must be one of {DIFFICULTIES}, got {self.difficulty!r}")
         if self.level < 1:
@@ -147,14 +150,12 @@ class GameSpec:
         for key in _SPEC_LINE_KEYS:
             if key not in fields:
                 raise InvalidSpecError(f"missing field {key!r} in spec line {line!r}")
-        spec = cls(
+        return cls(
             difficulty=fields["difficulty"],
             level=_spec_int(fields, "level", line),
             seed=_spec_int(fields, "seed", line),
             max_episode_steps=_spec_int(fields, "max_steps", line),
         )
-        spec.validate()
-        return spec
 
 
 def _spec_int(fields: dict[str, str], key: str, line: str) -> int:
@@ -351,7 +352,6 @@ _GENERATION_ATTEMPTS = 100
 
 def generate_game(spec: GameSpec) -> RoomGraph:
     """Build the room graph for a spec. Deterministic in (difficulty, level, seed)."""
-    spec.validate()
     rng = substream("game-gen", spec.difficulty, spec.level, spec.seed)
     per_room = DISTRACTORS_PER_ROOM[spec.difficulty]
 

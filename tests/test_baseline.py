@@ -140,6 +140,11 @@ MLP_DAMAGE = {
     "padded_hidden_width": lambda lines: [lines[0], f"shape {N_INPUTS} 064 {N_ACTIONS}"] + lines[2:],
     "underscored_value": lambda lines: with_first_b1_value(lines, "1_0"),
     "non_ascii_value": lambda lines: with_first_b1_value(lines, "\u0661"),
+    # consistent in itself, but of a width the scorer does not have
+    "narrower_hidden_layer": lambda lines: [
+        lines[0], f"shape {N_INPUTS} 32 {N_ACTIONS}",
+        *(f"{name} " + " ".join(["0.5"] * size) for name, size in
+          (("w1", N_INPUTS * 32), ("b1", 32), ("w2", 32 * N_ACTIONS), ("b2", N_ACTIONS)))],
 }
 
 

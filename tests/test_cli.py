@@ -137,6 +137,14 @@ def test_eval_reports_test_metrics(tiny_run, capsys):
     assert "mean_reward=" in out and "mean_steps=" in out
 
 
+def test_a_run_configured_with_a_list_evaluates_from_its_own_config(tmp_path, capsys):
+    config = ExperimentConfig(difficulty="easy", epochs=2, eval_interval=2, n_train_games=2,
+                              n_test_per_level=1, test_levels=[1, 2], n_seeds=1)
+    harness.run_experiment(config, tmp_path)
+    assert main(["eval", "--run-dir", str(tmp_path)]) == 0
+    assert "test games: 2 " in capsys.readouterr().out
+
+
 ORACLE_CONFIG = ExperimentConfig(difficulty="hard", test_levels=(5, 10, 15), n_test_per_level=4,
                                  n_seeds=1, base_seed=3)
 

@@ -1,12 +1,15 @@
 """Experiment config parsing, seeding, metrics emission, and run comparison."""
 
+import math
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lnnrl.harness import (
+    AGENT_KINDS,
     ConfigError,
     ExperimentConfig,
     build_game_sets,
@@ -18,6 +21,7 @@ from lnnrl.harness import (
     run_experiment,
 )
 from lnnrl.agent import TrainerConfig
+from lnnrl.worldsim import DIFFICULTIES, GameSpec, InvalidSpecError
 
 
 TINY = dict(
@@ -120,7 +124,7 @@ def test_repeated_test_levels_are_rejected():
     with pytest.raises(ConfigError, match="distinct"):
         ExperimentConfig.from_pairs({"test_levels": "5,5"})
     with pytest.raises(ConfigError, match="distinct"):
-        tiny_config(test_levels=(1, 2, 1)).validate()
+        tiny_config(test_levels=(1, 2, 1))
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -150,7 +154,8 @@ def valid_configs(draw):
         agent=draw(st.sampled_from(["lnn", "nn"])),
         n_train_games=draw(st.integers(1, 10**4)),
         train_level=train_level,
-        test_levels=tuple(levels),
+        # a list is kept as the tuple a config file reads back
+        test_levels=draw(st.sampled_from([list, tuple]))(levels),
         n_test_per_level=draw(st.integers(1, 10**4)),
         epochs=draw(st.integers(0, 10**6)),
         eval_interval=draw(st.integers(1, 10**4)),
@@ -166,8 +171,118 @@ def valid_configs(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(config=valid_configs())
 def test_config_text_round_trips(config):
-    config.validate()
     assert ExperimentConfig.from_pairs(parse_key_value_text(config.to_text())) == config
+
+
+# ---------------------------------------------------------------------------
+# checks made when a record is made, against the checks callers used to run
+# ---------------------------------------------------------------------------
+
+
+def reference_validate_spec(spec) -> None:
+    """`GameSpec`'s rules as a separate check on its fields, the one its
+    callers used to run: the reference a spec's own check must agree with."""
+    if spec.difficulty not in DIFFICULTIES:
+        raise InvalidSpecError(f"difficulty must be one of {DIFFICULTIES}, got {spec.difficulty!r}")
+    if spec.level < 1:
+        raise InvalidSpecError(f"level must be >= 1, got {spec.level}")
+    if spec.max_episode_steps < spec.level + 1:
+        raise InvalidSpecError(
+            f"max_episode_steps={spec.max_episode_steps} cannot fit an optimal "
+            f"episode of level {spec.level}"
+        )
+
+
+def reference_validate(config) -> None:
+    """`ExperimentConfig`'s rules as a separate check on its fields, the one
+    its callers used to run: the reference a config's own check must agree
+    with, but for the difficulty text."""
+    if config.difficulty not in DIFFICULTIES:
+        raise ConfigError(f"difficulty must be one of {DIFFICULTIES}")
+    if config.agent not in AGENT_KINDS:
+        raise ConfigError(f"agent must be one of {AGENT_KINDS}")
+    for name in ("n_train_games", "n_test_per_level", "eval_interval", "n_seeds",
+                 "moving_average_window"):
+        if getattr(config, name) <= 0:
+            raise ConfigError(f"{name} must be positive")
+    if not config.test_levels:
+        raise ConfigError("test_levels must not be empty")
+    if len(set(config.test_levels)) != len(config.test_levels):
+        raise ConfigError(f"test_levels must be distinct, got {config.test_levels}")
+    if config.epochs < 0:
+        raise ConfigError(f"epochs must be nonnegative (0 means the default), got {config.epochs}")
+    if not math.isfinite(config.rule_weight_threshold):
+        raise ConfigError(f"rule_weight_threshold must be finite, got {config.rule_weight_threshold}")
+    for level in (config.train_level, *config.test_levels):
+        try:
+            reference_validate_spec(SimpleNamespace(difficulty=config.difficulty, level=level,
+                                                    max_episode_steps=config.max_episode_steps))
+        except InvalidSpecError as exc:
+            raise ConfigError(str(exc)) from exc
+
+
+def fault(make, fields: dict):
+    """The type and message of what `make(**fields)` raises, or None."""
+    try:
+        make(**fields)
+    except (ConfigError, InvalidSpecError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+SMALL = st.integers(-1, 3)
+LEVEL_LISTS = st.lists(st.integers(-1, 8), max_size=4)
+
+SPEC_FIELDS = st.fixed_dictionaries({
+    "difficulty": st.sampled_from([*DIFFICULTIES, "nightmare", ""]),
+    "level": st.integers(-1, 8),
+    "seed": st.integers(-(2**63), 2**63),
+    "max_episode_steps": st.integers(-1, 10),
+})
+
+CONFIG_FIELDS = st.fixed_dictionaries({
+    "difficulty": st.sampled_from([*DIFFICULTIES, "nightmare"]),
+    "agent": st.sampled_from([*AGENT_KINDS, "cnn"]),
+    "n_train_games": SMALL,
+    "train_level": st.integers(-1, 8),
+    "test_levels": st.one_of(LEVEL_LISTS, LEVEL_LISTS.map(tuple)),
+    "n_test_per_level": SMALL,
+    "epochs": SMALL,
+    "eval_interval": SMALL,
+    "n_seeds": SMALL,
+    "max_episode_steps": st.integers(-1, 10),
+    "moving_average_window": SMALL,
+    "rule_weight_threshold": st.floats() | st.sampled_from([0.55, math.inf, math.nan]),
+})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(fields=SPEC_FIELDS)
+def test_a_spec_is_refused_when_made_exactly_as_its_old_check_refused_it(fields):
+    made = fault(GameSpec, fields)
+    assert made == fault(lambda **f: reference_validate_spec(SimpleNamespace(**f)), fields)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(fields=CONFIG_FIELDS)
+def test_a_config_is_refused_when_made_exactly_as_its_old_check_refused_it(fields):
+    made = fault(ExperimentConfig, fields)
+    # a config keeps its levels as a tuple, so its messages show one
+    reference = fault(lambda **f: reference_validate(SimpleNamespace(**f)),
+                      {**fields, "test_levels": tuple(fields["test_levels"])})
+    assert (made is None) == (reference is None)
+    if made is not None:
+        assert made[0] is reference[0] is ConfigError
+        if fields["difficulty"] in DIFFICULTIES:
+            assert made[1] == reference[1]
+        else:
+            # the difficulty rule is now the games' own, checked after every
+            # other field, and its text names the value
+            allowed = {reference[1] + f", got {fields['difficulty']!r}"}
+            other = fault(ExperimentConfig, {**fields, "difficulty": "easy"})
+            if other is not None:
+                allowed.add(other[1])
+            assert made[1] in allowed
 
 
 def byte_edits(original: bytes, extra: bytes = b"") -> st.SearchStrategy:

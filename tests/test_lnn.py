@@ -3,6 +3,7 @@
 import copy
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -220,6 +221,17 @@ def test_gate_cap_signals():
     assert len(net.and_gates) == 2
 
 
+def test_assigning_more_gates_than_the_cap_is_refused():
+    net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take", gate_cap=2)
+    buffer = net.buffer
+    gates = [LogicNode.create(AND, [1.0, 0.0], 1.0)] * 3
+    with pytest.raises(ValueError, match="^3 gates exceed gate_cap 2$"):
+        net.and_gates = gates
+    assert net.buffer is buffer
+    net.and_gates = gates[:2]
+    assert len(net.and_gates) == 2
+
+
 def structure(net):
     gates = [(g.weights.tolist(), float(g.bias)) for g in net.and_gates]
     return gates, net.or_root.weights.tolist(), float(net.or_root.bias)
@@ -366,6 +378,23 @@ def grown_networks(draw):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(net=grown_networks(), data=st.data())
+def test_a_saved_network_loads_back_or_is_not_written(tmp_path_factory, net, data):
+    """OR weights drawn past the loader's domain: `save_network` refuses them
+    before writing anything; whatever it writes loads to the same bytes."""
+    n = net.or_root.weights.size
+    net.or_root.weights[...] = data.draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))
+    path = tmp_path_factory.mktemp("checkpoint") / f"{net.category}.lnn"
+    try:
+        save_network(net, path)
+    except ValueError:
+        assert np.any(net.or_root.weights > 1.0)
+        assert not path.exists()
+        return
+    assert load_network(path).buffer.tobytes() == net.buffer.tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(net=grown_networks())
 def test_checkpoint_round_trip_is_exact(tmp_path_factory, net):
     path = tmp_path_factory.mktemp("checkpoint") / f"{net.category}.lnn"
@@ -413,6 +442,15 @@ def test_checkpoint_rejects_damaged_files(tmp_path, damage):
     assert damaged != lines
     path.write_text("\n".join(damaged) + "\n", encoding="utf-8")
     with pytest.raises(CheckpointError, match="direction.lnn"):
+        load_network(path)
+
+
+def test_a_checkpoint_over_its_gate_cap_names_the_file_and_the_cap(tmp_path):
+    path = tmp_path / "direction.lnn"
+    save_network(make_net(np.full((3, 8), 0.5), np.ones(3)), path)
+    path.write_text(path.read_text(encoding="utf-8").replace("gate_cap 16", "gate_cap 2"),
+                    encoding="utf-8")
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: 3 gates exceed gate_cap 2$"):
         load_network(path)
 
 

@@ -77,18 +77,18 @@ def test_action_rejects_unknown_words():
 
 def test_level_zero_is_invalid():
     with pytest.raises(InvalidSpecError):
-        GameSpec("easy", 0, 0).validate()
+        GameSpec("easy", 0, 0)
 
 
 def test_max_steps_must_fit_optimal_episode():
     with pytest.raises(InvalidSpecError):
-        GameSpec("easy", 5, 0, max_episode_steps=5).validate()
-    GameSpec("easy", 5, 0, max_episode_steps=6).validate()
+        GameSpec("easy", 5, 0, max_episode_steps=5)
+    GameSpec("easy", 5, 0, max_episode_steps=6)
 
 
 def test_bad_difficulty_is_invalid():
     with pytest.raises(InvalidSpecError):
-        GameSpec("nightmare", 5, 0).validate()
+        GameSpec("nightmare", 5, 0)
 
 
 def test_spec_line_round_trip():
