@@ -47,7 +47,7 @@ from .factextract import (
     parse_observation,
 )
 from .lexicon import LexiconTable
-from .lnn import DEFAULT_ALPHA, DEFAULT_GATE_CAP, OR, LnnNetwork, LogicNode, TruthConfig, clamp01
+from .lnn import AND, DEFAULT_ALPHA, DEFAULT_GATE_CAP, OR, LnnNetwork, LogicNode, TruthConfig, clamp01
 from .optim import AdamOptimizer
 from .rng import substream
 from .worldsim import (
@@ -282,19 +282,18 @@ def scripted_rule_networks() -> dict[str, LnnNetwork]:
     """Networks wired by hand to the known-good policy, for oracle play.
 
     Take when the coin is in sight; go toward a not-yet-visited exit; and
-    from a fully explored room, go back the way you first came in. The
-    direction OR bias sits above 1 so direction scores stay strictly below
-    the take score when both fire in the coin room.
+    from a fully explored room, go back the way you first came in: one gate
+    per rule, laid out once. The direction OR bias sits above 1 so direction
+    scores stay strictly below the take score when both fire in the coin room.
     """
     truth = TruthConfig()
 
-    def wired(category: str, or_bias: float, *gates: tuple[str, ...]) -> LnnNetwork:
-        net = LnnNetwork(category, CATEGORY_LITERALS[category], CATEGORY_VERBS[category], truth)
-        net.and_gates = []
-        net.or_root = LogicNode.create(OR, [], or_bias)
-        for literals in gates:
-            net.add_and_gate([1.0 if name in literals else 0.0 for name in net.literals])
-        return net
+    def wired(category: str, or_bias: float, *rules: tuple[str, ...]) -> LnnNetwork:
+        literals = CATEGORY_LITERALS[category]
+        gates = [LogicNode.create(AND, [1.0 if name in rule else 0.0 for name in literals], 1.0)
+                 for rule in rules]
+        return LnnNetwork(category, literals, CATEGORY_VERBS[category], truth,
+                          gates=gates, or_root=LogicNode.create(OR, np.ones(len(rules)), or_bias))
 
     return {
         "money": wired("money", 1.0, ("find_x",)),
@@ -518,12 +517,13 @@ def run_episode(
 ) -> EpisodeReport:
     """Full observe/parse/ground/select/step loop for one episode.
 
-    mode="train" stores transitions with the agent (the agent trains itself
-    on its update period); mode="eval" is read-only and always greedy.
+    mode="train" stores transitions through the agent's `chosen` and
+    `observe` (it trains itself on its update period); mode="eval" is
+    read-only, always greedy and, untraced, reads only the agent's `choose`.
     Given a text sink as `trace`, each step writes one line to it (epoch,
     step, facts, action, q values, shaped reward) before the agent observes
-    the step. The shaped reward is computed only when a transition or a
-    trace line reads it.
+    the step. The shaped reward, and `agent.config.bonus_coefficient`, are
+    read only when a transition or a trace line reads them.
 
     Each room is read once per graph. A step that records no move (an
     invalid action, or `take coin`) changes neither the room nor the
@@ -544,8 +544,8 @@ def run_episode(
     props = extract_propositions(read_room(graph, state.room), agent_map)
     candidates = enumerate_candidates(props, lexicon)
 
-    bonus = agent.config.bonus_coefficient
     shaped = mode == "train" or trace is not None
+    bonus = agent.config.bonus_coefficient if shaped else None
     quest_total = 0.0
 
     while not state.done:

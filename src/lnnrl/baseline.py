@@ -150,6 +150,10 @@ class MlpScorer:
     # ------------------------------------------------------------ checkpoints
 
     def save(self, path) -> None:
+        """Write the scorer; a non-finite value, which `load` would refuse,
+        raises ValueError before the file is opened."""
+        if not np.all(np.isfinite(self.buffer)):
+            raise ValueError("MLP scorer holds a non-finite value")
         lines = ["mlp-checkpoint v1", SHAPE_LINE]
         for name in ROW_SIZES:
             arr = getattr(self, name)

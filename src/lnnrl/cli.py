@@ -14,7 +14,7 @@ import argparse
 import random
 import sys
 
-from .agent import LnnAgent, LnnScorer, enumerate_candidates, scripted_rule_networks
+from .agent import LnnScorer, enumerate_candidates, scripted_rule_networks
 from .factextract import AgentMap, extract_propositions, parse_observation
 from .harness import (
     ConfigError,
@@ -102,7 +102,7 @@ def _cmd_eval(args) -> int:
     # each test game is played once: generated right before it, freed with
     # its readings when it ends
     test_graphs = map(generate_game, test_specs)
-    reward, steps = evaluate(LnnAgent(config.trainer, nets=nets), test_graphs, lexicon)
+    reward, steps = evaluate(LnnScorer(nets), test_graphs, lexicon)
     print(f"test games: {len(test_specs)}  mean_reward={reward:.6f}  mean_steps={steps:.6f}")
     return 0
 

@@ -211,15 +211,15 @@ def build_game_sets(config: ExperimentConfig, run_seed: int) -> tuple[list[GameS
 # ---------------------------------------------------------------------------
 
 
-def evaluate(agent, test_graphs: Iterable[RoomGraph], lexicon: LexiconTable) -> tuple[float, float]:
-    """Greedy rollout of every test game; mean quest reward and mean steps.
-
-    The graphs are read once, in order, so a lazy iterable lets each game be
-    generated right before it is played and freed after it."""
+def evaluate(player, test_graphs: Iterable[RoomGraph], lexicon: LexiconTable) -> tuple[float, float]:
+    """Greedy rollout of every test game by `player`, any object with a
+    scorer's `choose`; mean quest reward and mean steps. The graphs are read
+    once, in order, so a lazy iterable lets each game be generated right
+    before it is played and freed after it."""
     rewards = []
     steps = []
     for graph in test_graphs:
-        report = run_episode(graph, agent, lexicon, mode="eval")
+        report = run_episode(graph, player, lexicon, mode="eval")
         rewards.append(report.quest_reward)
         steps.append(report.steps)
     return sum(rewards) / len(rewards), sum(steps) / len(steps)
@@ -284,7 +284,7 @@ def run_seed(
         run_episode(graph, agent, lexicon, mode="train", epsilon=eps, rng=explore_rng,
                     trace=trace_sink, epoch=epoch)
         if epoch % config.eval_interval == 0:
-            mean_reward, mean_steps = evaluate(agent, test_graphs, lexicon)
+            mean_reward, mean_steps = evaluate(agent.scorer, test_graphs, lexicon)
             epochs.append(epoch)
             rewards.append(mean_reward)
             steps.append(mean_steps)

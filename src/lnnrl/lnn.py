@@ -180,10 +180,12 @@ class LnnNetwork:
     Every parameter lives in one float64 vector, `buffer`: the OR bias, then
     one block per gate, its weights, its bias and the OR weight that reads
     it. `and_gates`, `or_root` and `parameters()` are views into it; the OR
-    weights are a strided view. Assigning `and_gates` copies the given
-    gates' values into a new buffer and keeps the OR weight of each gate
-    that remains (0 for a new one); assigning `or_root` copies its values in
-    and needs one weight per gate. `add_and_gate` appends a block, so no
+    weights are a strided view. It is laid out once, from `gates` (default:
+    one seed gate, weights 0.5, bias 1) under `or_root` (default: bias
+    `DEFAULT_OR_BIAS`, a unit weight per gate). Assigning `and_gates` copies
+    the given gates' values into a new buffer and keeps the OR weight of each
+    gate that remains (0 for a new one); assigning `or_root` copies its values
+    in and needs one weight per gate. `add_and_gate` appends a block, so no
     element moves. A deep copy gets its own buffer and views into it.
     """
 
@@ -194,6 +196,7 @@ class LnnNetwork:
         verb: str,
         config: TruthConfig | None = None,
         gate_cap: int = DEFAULT_GATE_CAP,
+        gates=None, or_root: LogicNode | None = None,
     ):
         if gate_cap < 1:
             raise ValueError(f"gate_cap must be at least 1, got {gate_cap}")
@@ -202,8 +205,10 @@ class LnnNetwork:
         self.verb = verb
         self.config = config or TruthConfig()
         self.gate_cap = gate_cap
-        self._lay_out([LogicNode.create(AND, np.full(self.input_arity, 0.5), 1.0)],
-                      DEFAULT_OR_BIAS, [1.0])
+        if gates is None:
+            gates = [LogicNode.create(AND, np.full(self.input_arity, 0.5), 1.0)]
+        or_root = or_root or LogicNode.create(OR, np.ones(len(gates)), DEFAULT_OR_BIAS)
+        self._lay_out(gates, or_root.bias, np.reshape(or_root.weights, -1))
 
     @property
     def input_arity(self) -> int:
@@ -526,10 +531,10 @@ def _row(path, line: str, head: list[str], width: int) -> tuple[np.ndarray, np.n
 
 
 def load_network(path) -> LnnNetwork:
-    """Read a checkpoint written by `save_network`, laying its rows out once;
-    a truncated, malformed or out-of-domain file (short row, non-finite or
-    negative value, an OR weight above 1, a gate_cap below 1, more gates than
-    the gate_cap `LnnNetwork` keeps) raises CheckpointError."""
+    """Read a checkpoint written by `save_network`, built once from its parsed
+    rows; a truncated, malformed or out-of-domain file (short row, non-finite
+    or negative value, an OR weight above 1, a gate_cap below 1, more gates
+    than the gate_cap `LnnNetwork` keeps) raises CheckpointError."""
     with reading_checkpoint(path):
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -541,14 +546,8 @@ def load_network(path) -> LnnNetwork:
             raise CheckpointError(f"{path}: header rows must be {', '.join(_HEADER_KEYS)}")
         fields = {key: value for key, _, value in header}
 
-        net = LnnNetwork(
-            category=fields["category"],
-            literals=tuple(fields["literals"].split()),
-            verb=fields["verb"],
-            config=TruthConfig(alpha=parse_float(fields["alpha"])),
-            gate_cap=parse_int(fields["gate_cap"]),
-        )
-        if net.input_arity != parse_int(fields["arity"]):
+        literals = tuple(fields["literals"].split())
+        if len(literals) != parse_int(fields["arity"]):
             raise CheckpointError(f"{path}: arity does not match literal list")
 
         n_gates = parse_int(fields["gates"])
@@ -556,8 +555,9 @@ def load_network(path) -> LnnNetwork:
         if n_gates < 0 or len(body) != n_gates + 1:
             raise CheckpointError(
                 f"{path}: expected {n_gates} gate rows and an or row, found {len(body)} rows")
-        gates = [LogicNode(AND, *_row(path, line, ["and", str(j)], net.input_arity))
+        gates = [LogicNode(AND, *_row(path, line, ["and", str(j)], len(literals)))
                  for j, line in enumerate(body[:n_gates])]
-        weights, bias = _row(path, body[n_gates], ["or"], n_gates)
-        net._lay_out(gates, bias, weights)
-    return net
+        or_root = LogicNode(OR, *_row(path, body[n_gates], ["or"], n_gates))
+        return LnnNetwork(fields["category"], literals, fields["verb"],
+                          TruthConfig(alpha=parse_float(fields["alpha"])),
+                          parse_int(fields["gate_cap"]), gates, or_root)

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import random
+import types
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_baseline import SHARED_STATES, as_props, float_bits
+from test_lnn import counting_lay_outs
 
 import lnnrl.agent as agent_module
 from lnnrl.agent import (
@@ -978,6 +980,52 @@ def test_scripted_networks_solve_easy_level5_in_six_steps(lexicon):
         report = run_episode(graph, policy, lexicon, mode="eval")
         assert report.quest_reward == 1.0
         assert report.steps == 6
+
+
+def reference_scripted_networks():
+    """The hand-wired networks built as they once were: a seed network, its
+    rows emptied through the setters, then one `add_and_gate` per rule."""
+    def wired(category, or_bias, *rules):
+        net = LnnNetwork(category, CATEGORY_LITERALS[category], CATEGORY_VERBS[category])
+        net.and_gates = []
+        net.or_root = LogicNode.create(OR, [], or_bias)
+        for rule in rules:
+            net.add_and_gate([1.0 if name in rule else 0.0 for name in net.literals])
+        return net
+
+    return {
+        "money": wired("money", 1.0, ("find_x",)),
+        "direction": wired("direction", 1.25, ("find_x", "not_visited_x", "not_initial_x"),
+                           ("find_x", "all_visited", "initial_x")),
+    }
+
+
+def test_scripted_networks_are_laid_out_once_each_as_the_setters_built_them():
+    with counting_lay_outs() as calls:
+        nets = scripted_rule_networks()
+    assert sorted(map(id, calls)) == sorted(map(id, nets.values()))
+    reference = reference_scripted_networks()
+    assert nets.keys() == reference.keys()
+    for category, net in nets.items():
+        want = reference[category]
+        assert (net.category, net.literals, net.verb, net.config, net.gate_cap) == (
+            want.category, want.literals, want.verb, want.config, want.gate_cap)
+        assert net.buffer.tobytes() == want.buffer.tobytes()
+
+
+@pytest.mark.parametrize("make_agent", [
+    lambda: LnnAgent(TrainerConfig(), nets=scripted_rule_networks()),
+    lambda: MlpAgent(TrainerConfig(), run_seed=4),
+], ids=["lnn", "mlp"])
+def test_an_eval_plays_any_object_with_choose(lexicon, make_agent):
+    """An untraced evaluation reads nothing of its player but `choose`, so a
+    bare scorer plays it as the agent around it does."""
+    agent = make_agent()
+    graphs = [generate_game(GameSpec("hard", level, seed)) for level in (5, 25) for seed in range(3)]
+    choose_only = types.SimpleNamespace(choose=agent.scorer.choose)
+    reports = [run_episode(graph, choose_only, lexicon, mode="eval") for graph in graphs]
+    assert reports == [run_episode(graph, agent, lexicon, mode="eval") for graph in graphs]
+    assert evaluate(choose_only, graphs, lexicon) == evaluate(agent, graphs, lexicon)
 
 
 def test_untrained_networks_stall_near_the_step_cap(lexicon):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lnnrl.agent import TrainerConfig, Transition, greedy
-from lnnrl.baseline import MlpAgent, MlpScorer, N_ACTIONS, N_HIDDEN, N_INPUTS
+from lnnrl.baseline import ROW_SIZES, MlpAgent, MlpScorer, N_ACTIONS, N_HIDDEN, N_INPUTS
 from lnnrl.factextract import (
     AgentMap,
     ParsedObservation,
@@ -384,3 +384,21 @@ def test_load_of_save_gives_a_bit_identical_buffer(tmp_path):
     assert loaded.buffer.tobytes() == scorer.buffer.tobytes()
     for name in ("w1", "b1", "w2", "b2"):
         assert np.shares_memory(getattr(loaded, name), loaded.buffer)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("row", list(ROW_SIZES))
+def test_a_non_finite_scorer_is_not_written_and_a_finite_one_loads_back(tmp_path, row, value):
+    """`load` refuses a non-finite value, so `save` refuses it first and
+    writes nothing; the same scorer made finite loads back byte-equal."""
+    scorer = MlpScorer(seed=9)
+    view = getattr(scorer, row).reshape(-1)   # a view into the buffer
+    view[len(view) // 2] = value
+    path = tmp_path / "mlp.txt"
+    with pytest.raises(ValueError, match="non-finite"):
+        scorer.save(path)
+    assert not path.exists()
+    view[len(view) // 2] = 5e-324
+    scorer.save(path)
+    assert MlpScorer.load(path).buffer.tobytes() == scorer.buffer.tobytes()

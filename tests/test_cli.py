@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from test_harness import NUMBER_BYTES, byte_edits
 
 from lnnrl import cli, harness
-from lnnrl.agent import LnnAgent, run_episode, scripted_rule_networks
+from lnnrl.agent import DqnAgent, LnnAgent, run_episode, scripted_rule_networks
 from lnnrl.cli import _parse_overrides, main
 from lnnrl.harness import ExperimentConfig, build_game_sets, evaluate, load_networks
 from lnnrl.lnn import save_network
@@ -185,6 +185,28 @@ def test_eval_plays_each_game_as_it_is_generated_and_drops_it(oracle_run, lexico
         f"test games: {len(specs)}  mean_reward={reward:.6f}  mean_steps={steps:.6f}\n")
     # the game about to be played, and no other
     assert alive_at_start == [1] * len(specs)
+
+
+def test_eval_builds_no_trainer(oracle_run, monkeypatch, capsys):
+    """`eval` plays a bare scorer: no optimizer, replay buffer or target."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("eval built a trainer")
+
+    monkeypatch.setattr(DqnAgent, "__init__", refuse)
+    assert main(["eval", "--run-dir", str(oracle_run)]) == 0
+    assert capsys.readouterr().out.startswith(f"test games: {3 * 4}  mean_reward=")
+
+
+# an overflowing learning rate is a legal setting; its nan is the test's subject
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_refuses_a_checkpoint_that_would_not_load_back(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["train", "--out", str(out), "--set", "difficulty=easy", "--set", "agent=nn",
+                 "--set", "epochs=20", "--set", "eval_interval=10", "--set", "n_seeds=1",
+                 "--set", "n_test_per_level=1", "--set", "learning_rate=1e300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite" in err
+    assert not (out / "seed0" / "mlp.txt").exists()
 
 
 def test_eval_on_truncated_checkpoint_is_a_typed_error(tiny_run, tmp_path, capsys):

@@ -6,9 +6,16 @@ A refactor that moves a single bit of the learning dynamics (summation
 order, an extra random draw, a changed clamp) fails here even when every
 convergence criterion still holds. Change a pin only for an intended change
 of behaviour, and say why in CHANGES.md.
+
+The small artifacts are also kept as files under `tests/golden/<agent>/`,
+each the file its digest pins, so a failure prints a unified diff of what
+moved. Traces and `mlp.txt` are pinned by digest alone.
 """
 
+import difflib
 import hashlib
+from fnmatch import fnmatch
+from pathlib import Path
 
 import pytest
 
@@ -45,12 +52,47 @@ GOLDEN = {
 
 ORACLE_HARD_EVAL = "test games: 20  mean_reward=0.900000  mean_steps=44.250000\n"
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+#: pinned by digest alone: 300-420 KB traces and a 49 KB checkpoint
+DIGEST_ONLY = ("trace_seed*.txt", "seed*/mlp.txt")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def kept_files(agent):
+    """Each pinned artifact of `agent` kept as a file, by name: the file."""
+    return {name: GOLDEN_DIR / agent / name for name in GOLDEN[agent]
+            if not any(fnmatch(name, pattern) for pattern in DIGEST_ONLY)}
+
+
+def moved(agent, name, want: bytes, got: bytes | None) -> str:
+    """What moved in `name`, as a unified diff of the kept file and the run's."""
+    if got is None:
+        return f"{name}: the run wrote no such file"
+    diff = difflib.unified_diff(want.decode("utf-8").splitlines(keepends=True),
+                                got.decode("utf-8", "replace").splitlines(keepends=True),
+                                f"tests/golden/{agent}/{name}", f"run/{name}")
+    return f"{name} moved:\n" + "".join(diff)
+
 
 @pytest.mark.parametrize("agent", sorted(GOLDEN))
 def test_training_artifacts_match_pins(agent, tmp_path):
     run_experiment(ExperimentConfig(agent=agent, **RUN), tmp_path, trace=True)
+    moves = []
+    for name, path in kept_files(agent).items():
+        # the kept file is the pinned one, so a diff against it is a diff against the pin
+        want, produced = path.read_bytes(), tmp_path / name
+        assert sha256(want) == GOLDEN[agent][name], f"{path} is not the pinned file"
+        got = produced.read_bytes() if produced.is_file() else None
+        if got != want:
+            moves.append(moved(agent, name, want, got))
+    if moves:
+        pytest.fail("\n".join(moves), pytrace=False)
     digests = {
-        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        path.relative_to(tmp_path).as_posix(): sha256(path.read_bytes())
         for pattern in PATTERNS
         for path in sorted(tmp_path.glob(pattern))
     }

@@ -1,9 +1,11 @@
 """Logic-node semantics, gradients vs finite differences, induction, rules, checkpoints."""
 
+import contextlib
 import copy
 import itertools
 import random
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -581,6 +583,55 @@ def test_assigning_nodes_lays_out_a_new_buffer():
     # dropping a gate keeps the OR weight of the one that remains
     net.and_gates = net.and_gates[1:]
     assert net.buffer.tolist() == [1.5, 1.0, 0.0, 2.0, 0.125]
+
+
+@contextlib.contextmanager
+def counting_lay_outs():
+    """The networks `LnnNetwork._lay_out` is called on, one entry a call."""
+    calls = []
+    lay_out = LnnNetwork._lay_out
+
+    def counted(net, *args):
+        calls.append(net)
+        return lay_out(net, *args)
+
+    with mock.patch.object(LnnNetwork, "_lay_out", counted):
+        yield calls
+
+
+def test_the_constructor_lays_out_the_rows_it_is_given_once():
+    gates = [LogicNode.create(AND, [0.25, 0.5], 0.75), LogicNode.create(AND, [1.0, 0.0], 2.0)]
+    with counting_lay_outs() as calls:
+        net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take", gates=gates,
+                         or_root=LogicNode.create(OR, [0.125, 1.0], 1.5))
+        seed = LnnNetwork("money", CATEGORY_LITERALS["money"], "take")
+        unit = LnnNetwork("money", CATEGORY_LITERALS["money"], "take", gates=gates)
+    assert calls == [net, seed, unit]
+    assert net.buffer.tolist() == [1.5, 0.25, 0.5, 0.75, 0.125, 1.0, 0.0, 2.0, 1.0]
+    # no rows: the seed gate under the default OR root; no OR root: a unit weight per gate
+    assert seed.buffer.tolist() == [1.25, 0.5, 0.5, 1.0, 1.0]
+    assert unit.buffer.tolist() == [1.25, 0.25, 0.5, 0.75, 1.0, 1.0, 0.0, 2.0, 1.0]
+    with pytest.raises(ValueError, match="3 gates exceed gate_cap 2"):
+        LnnNetwork("money", CATEGORY_LITERALS["money"], "take", gate_cap=2,
+                   gates=[*gates, gates[0]])
+    with pytest.raises(ValueError, match="2 weights, got 1"):
+        LnnNetwork("money", CATEGORY_LITERALS["money"], "take", gates=gates,
+                   or_root=LogicNode.create(OR, [1.0], 1.5))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(net=grown_networks())
+def test_a_checkpoint_is_laid_out_once_as_the_setters_laid_it_out(tmp_path_factory, net):
+    path = tmp_path_factory.mktemp("checkpoint") / f"{net.category}.lnn"
+    save_network(net, path)
+    with counting_lay_outs() as calls:
+        loaded = load_network(path)
+    assert calls == [loaded]
+    # the reference: a seed network whose rows are replaced through the setters
+    reference = LnnNetwork(net.category, net.literals, net.verb, net.config, net.gate_cap)
+    reference.and_gates = [LogicNode(AND, g.weights.copy(), g.bias.copy()) for g in net.and_gates]
+    reference.or_root = LogicNode(OR, net.or_root.weights.copy(), net.or_root.bias.copy())
+    assert loaded.buffer.tobytes() == reference.buffer.tobytes()
 
 
 # ---------------------------------------------------------------------------
