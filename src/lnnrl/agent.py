@@ -349,7 +349,10 @@ class DqnAgent:
 
     def train_step(self) -> float:
         """One sampled batch: every TD error in batch order, then one gradient
-        call for the batch, one optimizer step and the target refresh."""
+        call for the batch, one optimizer step and the target refresh.
+
+        A non-finite TD loss means the run has diverged: ValueError, naming
+        the optimizer step (counted from 1), before any gradient or step."""
         batch = self.buffer.sample(self.config.batch_size, self.replay_rng)
         self.scorer.before_batch(batch)
 
@@ -359,6 +362,8 @@ class DqnAgent:
             error = self.scorer.q(transition) - td_target(transition, self.target, self.config.gamma)
             total_loss += error * error
             upstreams.append(2.0 * error / len(batch))
+        if not math.isfinite(total_loss):
+            raise ValueError(f"TD loss is non-finite at optimizer step {self.optimizer_steps + 1}")
         grads = self.scorer.batch_gradients(batch, upstreams)
 
         self.optimizer.step(self.scorer.parameters(), grads)

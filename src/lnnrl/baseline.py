@@ -9,6 +9,7 @@ black-box scorer in the middle.
 from __future__ import annotations
 
 import copy
+import math
 import random
 
 import numpy as np
@@ -53,6 +54,12 @@ class MlpScorer:
     buffer under the key "mlp". A deep copy (the target) copies the buffer and
     points its own views into the copy.
 
+    A fresh scorer draws `w1` and then `w2`, row-major, from the stream
+    `substream("mlp-init", seed)` with `random.Random.normalvariate` (standard
+    deviations sqrt(2/26) and sqrt(1/64)); both biases start at zero. Python
+    keeps that stream stable across releases, which `numpy.random` does not
+    promise, and a run never imports `numpy.random`.
+
     All scoring goes through `memo`: a forward pass per state's shared
     26-vector, a greedy choice per props record. It is emptied after every
     optimizer step. Replay reads the records' 26-vectors; one gradient call
@@ -60,11 +67,10 @@ class MlpScorer:
     """
 
     def __init__(self, seed: int = 0):
-        rng = np.random.default_rng(seed)
-        w1 = rng.normal(0.0, np.sqrt(2.0 / N_INPUTS), size=(N_INPUTS, N_HIDDEN))
-        w2 = rng.normal(0.0, np.sqrt(1.0 / N_HIDDEN), size=(N_HIDDEN, N_ACTIONS))
-        self._point_into(np.concatenate(
-            [w1.ravel(), np.zeros(N_HIDDEN), w2.ravel(), np.zeros(N_ACTIONS)]))
+        rng = substream("mlp-init", seed)
+        w1 = [rng.normalvariate(0.0, math.sqrt(2.0 / N_INPUTS)) for _ in range(ROW_SIZES["w1"])]
+        w2 = [rng.normalvariate(0.0, math.sqrt(1.0 / N_HIDDEN)) for _ in range(ROW_SIZES["w2"])]
+        self._point_into(np.array(w1 + [0.0] * N_HIDDEN + w2 + [0.0] * N_ACTIONS))
         self.memo = Memo()
 
     def _point_into(self, buffer: np.ndarray) -> None:

@@ -2,13 +2,18 @@
 
 import copy
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lnnrl
 from lnnrl.agent import TrainerConfig, Transition, greedy
 from lnnrl.baseline import ROW_SIZES, MlpAgent, MlpScorer, N_ACTIONS, N_HIDDEN, N_INPUTS
 from lnnrl.factextract import (
@@ -402,3 +407,27 @@ def test_a_non_finite_scorer_is_not_written_and_a_finite_one_loads_back(tmp_path
     view[len(view) // 2] = 5e-324
     scorer.save(path)
     assert MlpScorer.load(path).buffer.tobytes() == scorer.buffer.tobytes()
+
+
+#: a tiny MLP run, then whether anything it ran imported numpy.random
+NO_NUMPY_RANDOM = """
+import sys, tempfile
+from lnnrl.harness import ExperimentConfig, run_experiment
+config = ExperimentConfig.from_pairs({"agent": "nn", "difficulty": "easy", "epochs": "2",
+                                      "eval_interval": "1", "n_seeds": "1", "n_train_games": "2",
+                                      "n_test_per_level": "1"})
+with tempfile.TemporaryDirectory() as out:
+    run_experiment(config, out)
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_an_mlp_run_never_imports_numpy_random():
+    """The initial weights come from the run's seeded Python streams. This
+    test process has imported numpy.random itself, so the run gets a fresh
+    interpreter."""
+    path = os.pathsep.join(filter(None, [str(Path(lnnrl.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", NO_NUMPY_RANDOM], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert done.stdout == "False\n"

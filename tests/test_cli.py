@@ -209,6 +209,18 @@ def test_train_refuses_a_checkpoint_that_would_not_load_back(tmp_path, capsys):
     assert not (out / "seed0" / "mlp.txt").exists()
 
 
+# the first step's Adam update is about 1e300, so the second step's forward
+# overflows: the run stops there instead of training every epoch on nan
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_stops_at_the_first_non_finite_td_loss(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["train", "--out", str(out), "--set", "difficulty=easy", "--set", "agent=nn",
+                 "--set", "epochs=20", "--set", "eval_interval=10", "--set", "n_seeds=1",
+                 "--set", "n_test_per_level=1", "--set", "learning_rate=1e300"]) == 2
+    assert capsys.readouterr().err == "error: TD loss is non-finite at optimizer step 2\n"
+    assert not (out / "seed0").exists()
+
+
 def test_eval_on_truncated_checkpoint_is_a_typed_error(tiny_run, tmp_path, capsys):
     run_dir = tmp_path / "damaged"
     shutil.copytree(tiny_run, run_dir)

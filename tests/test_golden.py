@@ -43,10 +43,10 @@ GOLDEN = {
     },
     "nn": {
         "metrics.csv": "c78afa6b25a648cc8fb570168e0347b6a08db984d7c8da1f758cc766f49dd4bc",
-        "trace_seed0.txt": "cddef8d6e9814098e0b8f1c2022aadecc22cdce0318c46c1a56fae2a8bbb2646",
-        "trace_seed1.txt": "4c52203c7b70a33b41fe8ad3b569e3ae765f7b95bdfeac356853f5ef52c56192",
-        "seed0/mlp.txt": "aa54e7499c238f7997a4027dc79e2b7f813002399c7dbb56b92dd0eff618ff8d",
-        "seed1/mlp.txt": "36eb993ab3b01bcd349c02e06d9ad9b0c7c27722c9c9b180e715ce615e4710c1",
+        "trace_seed0.txt": "de03b6c2bc619ff5ce0ee686c3d4b45a1196851a00c127c491b3045e5a117f22",
+        "trace_seed1.txt": "5f271746366c02d9eac9176c0d4bd704ee42380ee3c7a0201aa1aa7e0d09d909",
+        "seed0/mlp.txt": "70f5babefc62e6e02b83082c7dd15385aac0d0db86c349b34bbab370d4f4c816",
+        "seed1/mlp.txt": "7272af0facb3f6a19c914f8d0331f89141dd54d567ee357d66cb38c33e6f02d1",
     },
 }
 

@@ -198,11 +198,16 @@ class LnnModel:
 
 class MlpModel:
     def __init__(self, run_seed):
-        rng = np.random.default_rng(run_seed)
+        # w1 then w2, each row by row, from the "mlp-init" stream
+        rng = random.Random(derive_seed("mlp-init", run_seed))
+
+        def normal(sd, rows, cols):
+            return np.array([[rng.normalvariate(0.0, sd) for _ in range(cols)] for _ in range(rows)])
+
         self.params = {
-            "w1": rng.normal(0.0, np.sqrt(2.0 / N_INPUTS), size=(N_INPUTS, N_HIDDEN)),
+            "w1": normal(math.sqrt(2.0 / N_INPUTS), N_INPUTS, N_HIDDEN),
             "b1": np.zeros(N_HIDDEN),
-            "w2": rng.normal(0.0, np.sqrt(1.0 / N_HIDDEN), size=(N_HIDDEN, N_ACTIONS)),
+            "w2": normal(math.sqrt(1.0 / N_HIDDEN), N_HIDDEN, N_ACTIONS),
             "b2": np.zeros(N_ACTIONS),
         }
 
