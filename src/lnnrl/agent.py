@@ -33,8 +33,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TextIO
 
-import numpy as np
-
 from .factextract import (
     CATEGORY_LITERALS,
     CATEGORY_VERBS,
@@ -293,7 +291,7 @@ def scripted_rule_networks() -> dict[str, LnnNetwork]:
         gates = [LogicNode.create(AND, [1.0 if name in rule else 0.0 for name in literals], 1.0)
                  for rule in rules]
         return LnnNetwork(category, literals, CATEGORY_VERBS[category], truth,
-                          gates=gates, or_root=LogicNode.create(OR, np.ones(len(rules)), or_bias))
+                          gates=gates, or_root=LogicNode.create(OR, [1.0] * len(rules), or_bias))
 
     return {
         "money": wired("money", 1.0, ("find_x",)),
@@ -316,12 +314,12 @@ class DqnAgent:
     `q(transition)`, a float for every transition its `choose` produced;
     `best_next(transition)`; `batch_gradients(batch, upstreams)`, the
     gradient of `sum_i upstreams[i] * q(batch[i])` as one vector per key,
-    from the passes its memo kept; `parameters()`, the arrays one optimizer
-    steps, keyed as the gradients are, each a vector that may grow only at
-    its end; and hooks `before_batch(batch)` and `after_step(stepped)`, given
-    the keys that were stepped. Each reads its own inputs from the shared
-    `Transition`. The target, a deep copy of the scorer, is retaken every
-    `target_update_period` optimizer steps.
+    from the passes its memo kept; `parameters()`, the vectors one optimizer
+    steps (lists of floats, or float64 arrays), keyed as the gradients are,
+    each of which may grow only at its end; and hooks `before_batch(batch)`
+    and `after_step(stepped)`, given the keys that were stepped. Each reads
+    its own inputs from the shared `Transition`. The target, a deep copy of
+    the scorer, is retaken every `target_update_period` optimizer steps.
     """
 
     def __init__(self, config: TrainerConfig, scorer, replay_rng: random.Random):
@@ -378,13 +376,14 @@ class Memo(dict):
     """A scorer's values per shared, read-only record, `id(record) ->
     (record, value)`, each computed once while the parameters stand.
 
-    The records are the ones every step shares: a candidate's `values` or a
-    state's 26-vector (value: `forward`'s `(q, trace)`), and a candidate tuple
-    or props record (value: the greedy `(action, q_values)`). Records are keyed
-    by identity, never hashed by value (arrays cannot be), and each entry holds
-    its record, so an id cannot be reused while its entry stands. Whoever
-    changes the parameters calls `clear`, so an entry equals a fresh pass bit
-    for bit. Callers must not write into a value, which later lookups share.
+    The records are the ones every step shares: a candidate's `values` tuple
+    or a state's 26-vector (value: `forward`'s `(q, trace)`), and a candidate
+    tuple or props record (value: the greedy `(action, q_values)`). Records
+    are keyed by identity, never hashed by value (an array cannot be, and a
+    tuple's hash would read every value), and each entry holds its record, so
+    an id cannot be reused while its entry stands. Whoever changes the
+    parameters calls `clear`, so an entry equals a fresh pass bit for bit.
+    Callers must not write into a value, which later lookups share.
 
     A deep copy shares the entries: they are exact for the copied parameters,
     and a record is never deep-copied.
@@ -406,14 +405,14 @@ class LnnScorer:
     buffer, keyed by its category.
 
     All scoring goes through `memo`: a forward pass per candidate `values`
-    array (facts are crisp, so one shared array per category and truth
+    tuple (facts are crisp, so one shared tuple per category and truth
     assignment), a greedy choice per candidate tuple. It is emptied after
     every optimizer step and whenever induction adds a gate. Replay reads the
     next candidates and the chosen one, which `choose` always acted through;
     the target's memo keeps each next state's greedy choice until the next
     refresh, since the target's parameters stand until then. A batch's
-    gradient is each transition's network gradient, one vector in its
-    buffer's layout, summed per category in batch order.
+    gradient is each transition's network gradient, one list in its
+    buffer's layout, summed element by element per category in batch order.
     """
 
     def __init__(self, nets: dict[str, LnnNetwork]):
@@ -451,17 +450,18 @@ class LnnScorer:
             return 0.0       # nothing to bootstrap from
         return max(self.memo.of(candidates, self._greedy)[1])
 
-    def batch_gradients(self, batch: list[Transition], upstreams: list[float]) -> dict[str, np.ndarray]:
-        # one vector per transition (its network's whole gradient), summed per
+    def batch_gradients(self, batch: list[Transition], upstreams: list[float]) -> dict[str, list[float]]:
+        # one list per transition (its network's whole gradient), summed per
         # category in batch order
-        grads: dict[str, np.ndarray] = {}
+        grads: dict[str, list[float]] = {}
         for transition, upstream in zip(batch, upstreams):
             chosen = transition.chosen
-            g = self.nets[chosen.category].gradients(self._forward(chosen)[1], upstream).vector
-            grads[chosen.category] = grads[chosen.category] + g if chosen.category in grads else g
+            g = self.nets[chosen.category].gradients(self._forward(chosen)[1], upstream)
+            total = grads.get(chosen.category)
+            grads[chosen.category] = g if total is None else [a + b for a, b in zip(total, g)]
         return grads
 
-    def parameters(self) -> dict[str, np.ndarray]:
+    def parameters(self) -> dict[str, list[float]]:
         return {category: net.buffer for category, net in self.nets.items()}
 
     def before_batch(self, batch: list[Transition]) -> None:

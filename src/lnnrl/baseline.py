@@ -32,6 +32,24 @@ SHAPE_LINE = f"shape {N_INPUTS} {N_HIDDEN} {N_ACTIONS}"
 ROW_SIZES = {"w1": N_INPUTS * N_HIDDEN, "b1": N_HIDDEN, "w2": N_HIDDEN * N_ACTIONS, "b2": N_ACTIONS}
 
 
+#: one read-only float64 26-vector per props record, built on first use and
+#: kept with its record, so every step that shares the record shares it; the
+#: shared records number at most 2,560, one per truth assignment
+_INPUTS = Memo()
+
+
+def _as_array(props: PropositionSet) -> np.ndarray:
+    vector = np.array(props.as_vector())
+    vector.flags.writeable = False
+    return vector
+
+
+def inputs(props: PropositionSet) -> np.ndarray:
+    """The scorer's input for `props`: its 26 values as one shared, read-only
+    float64 vector."""
+    return _INPUTS.of(props, _as_array)
+
+
 def _views(flat: np.ndarray) -> tuple[np.ndarray, ...]:
     """`w1`, `b1`, `w2`, `b2` as views into the last axis of `flat`, laid out
     as the buffer is."""
@@ -117,7 +135,7 @@ class MlpScorer:
     # ------------------------------------------------------ scorer contract
 
     def _forward(self, props: PropositionSet) -> tuple[np.ndarray, np.ndarray]:
-        return self.memo.of(props.as_vector(), self.forward)
+        return self.memo.of(inputs(props), self.forward)
 
     def _greedy(self, props: PropositionSet) -> tuple[Action, list[float]]:
         q_values = self._forward(props)[0].tolist()
@@ -142,7 +160,7 @@ class MlpScorer:
         return float(self._forward(transition.next_props)[0].max())
 
     def batch_gradients(self, batch: list[Transition], upstreams: list[float]) -> dict[str, np.ndarray]:
-        xs = np.array([t.props.as_vector() for t in batch])
+        xs = np.array([inputs(t.props) for t in batch])
         hiddens = np.array([self._forward(t.props)[1] for t in batch])
         return {"mlp": self.gradients(xs, hiddens, [ACTION_INDEX[t.action] for t in batch],
                                       np.array(upstreams))}

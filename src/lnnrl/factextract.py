@@ -33,8 +33,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-import numpy as np
-
 from .worldsim import COIN_TEMPLATES, DIRECTIONS, EXIT_SENTENCES, NOUNS, OPPOSITE, Action, RoomId
 
 # ---------------------------------------------------------------------------
@@ -166,15 +164,15 @@ class PropositionSet:
     initial_dir: Mapping[str, bool]   # one per direction
     all_visited: bool                 # derived, quantified over open exits only
 
-    def as_vector(self) -> np.ndarray:
+    def as_vector(self) -> tuple[float, ...]:
         """The 26 values (positives interleaved with their negations) as floats.
 
-        Built on the first call; every call returns that one read-only array.
+        Built on the first call; every call returns that one tuple.
         """
         return self._vector
 
     @functools.cached_property
-    def _vector(self) -> np.ndarray:
+    def _vector(self) -> tuple[float, ...]:
         bits: list[float] = []
         for noun in NOUNS:
             v = self.find[noun]
@@ -185,9 +183,7 @@ class PropositionSet:
         for d in DIRECTIONS:
             v = self.initial_dir[d]
             bits += [float(v), float(not v)]
-        vector = np.array(bits, dtype=np.float64)
-        vector.flags.writeable = False
-        return vector
+        return tuple(bits)
 
     @functools.cached_property
     def candidates_memo(self) -> dict:
@@ -281,22 +277,21 @@ CATEGORY_NOUNS: dict[str, tuple[str, ...]] = {
 @dataclass(frozen=True)
 class Candidate:
     """Variable x of a category bound to one noun: the action it proposes and
-    the category's literal values under that binding."""
+    the category's literal values under that binding, a tuple of floats."""
 
     category: str
     noun: str
     action: Action
-    values: np.ndarray
+    values: tuple[float, ...]
 
 
 def _build_groundings() -> dict[tuple[str, str, tuple[bool, ...]], Candidate]:
     # every literal arrives with its complement, in the frozen layout order;
-    # one values array per (category, truth assignment), shared across nouns
+    # one values tuple per (category, truth assignment), shared across nouns
     groundings = {}
     for category, literals in CATEGORY_LITERALS.items():
         for bits in itertools.product((False, True), repeat=len(literals) // 2):
-            values = np.array([float(v) for b in bits for v in (b, not b)], dtype=np.float64)
-            values.flags.writeable = False
+            values = tuple([float(v) for b in bits for v in (b, not b)])
             for noun in CATEGORY_NOUNS[category]:
                 action = Action(CATEGORY_VERBS[category], noun)
                 groundings[category, noun, bits] = Candidate(category, noun, action, values)
@@ -305,8 +300,8 @@ def _build_groundings() -> dict[tuple[str, str, tuple[bool, ...]], Candidate]:
 
 #: every grounded candidate there can be: facts are crisp, so a direction has
 #: 2**4 truth assignments and the coin 2. Built once; the records and their
-#: read-only values are shared by every caller, replay included, and equal
-#: values are one array, so a scorer keyed on identity scores each once.
+#: values tuples are shared by every caller, replay included, and equal
+#: values are one tuple, so a scorer keyed on identity scores each once.
 GROUNDINGS: dict[tuple[str, str, tuple[bool, ...]], Candidate] = _build_groundings()
 
 

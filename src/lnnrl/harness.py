@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .agent import LnnAgent, TrainerConfig, epsilon_at, run_episode
-from .baseline import MlpAgent
 from .factextract import CATEGORY_LITERALS, CATEGORY_VERBS
 from .lexicon import LexiconTable, default_lexicon
 from .lnn import (
@@ -270,7 +269,11 @@ def run_seed(
     train_graphs = [generate_game(s) for s in train_specs]
     test_graphs = [generate_game(s) for s in test_specs]
 
-    agent = (LnnAgent if config.agent == "lnn" else MlpAgent)(config.trainer, run_seed=run_seed_value)
+    if config.agent == "lnn":
+        agent = LnnAgent(config.trainer, run_seed=run_seed_value)
+    else:
+        from .baseline import MlpAgent   # numpy loads only for the MLP baseline
+        agent = MlpAgent(config.trainer, run_seed=run_seed_value)
     order_rng = substream("train-order", run_seed_value)
 
     epochs: list[int] = []

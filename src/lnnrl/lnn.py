@@ -16,10 +16,12 @@ exactly to classical conjunction/disjunction on boolean inputs.
 Gradients use a pass-through derivative of 1 strictly inside (0, 1) and 0 at
 or beyond the clamp, chained through OR -> AND.
 
-A network keeps all its parameters in one float64 buffer, so a gradient is
-one vector in the same layout and an optimizer step or a projection is a few
-whole-buffer numpy operations. The nodes and the named parameters are views
-into that buffer.
+A network keeps all its parameters in one list of Python floats, so a
+gradient is one list in the same layout, and the forward pass, the gradient,
+the projection and an optimizer step are per-element arithmetic on floats.
+The vectors are short (at most 8 facts, at most `gate_cap` gates), so no
+array library is needed: each dot product is summed left to right from 0.0,
+and every clamp and projection agrees with `np.clip` bit for bit.
 
 Gate induction appends a new AND gate seeded from a fact vector (weight 1
 on every literal true at threshold alpha) when no gate fires on it. Conjunctive
@@ -33,10 +35,7 @@ import contextlib
 import copy
 import enum
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
-
-import numpy as np
 
 from .numtext import parse_float, parse_int
 
@@ -90,35 +89,44 @@ def classify_truth(value: float, config: TruthConfig) -> TruthValue:
 
 def clamp01(v: float) -> float:
     """`np.clip(v, 0.0, 1.0)` of one float, bit for bit (NaN stays NaN, -0.0
-    stays -0.0), without the cost of a numpy call."""
+    stays -0.0)."""
     return min(max(v, 0.0), 1.0)
+
+
+def _dot(weights, values) -> float:
+    """sum_i weights[i] * values[i], added left to right from 0.0. Not the
+    builtin `sum`, which adds floats with compensation from Python 3.12."""
+    total = 0.0
+    for w, v in zip(weights, values):
+        total += w * v
+    return total
 
 
 @dataclass(frozen=True)
 class LogicNode:
-    """One weighted connective. Bias is a 0-d array so it can be updated in
-    place. A network's nodes are views into its parameter buffer, so writing
-    into `weights` or `bias` writes the network's parameters."""
+    """One weighted connective: a tuple of weights and a bias, as floats. A
+    network's `and_gates` and `or_root` are read from its buffer, so they
+    hold the values that stood when they were read."""
 
     kind: str
-    weights: np.ndarray
-    bias: np.ndarray
+    weights: tuple[float, ...]
+    bias: float
 
     @classmethod
     def create(cls, kind: str, weights, bias: float) -> "LogicNode":
         if kind not in (AND, OR):
             raise ValueError(f"node kind must be '{AND}' or '{OR}', got {kind!r}")
-        w = np.asarray(weights, dtype=np.float64).copy()
-        if np.any(w < 0) or bias < 0:
+        w = tuple(map(float, weights))
+        if any(v < 0 for v in w) or bias < 0:
             raise ValueError("weights and bias must be nonnegative")
-        return cls(kind=kind, weights=w, bias=np.array(bias, dtype=np.float64))
+        return cls(kind=kind, weights=w, bias=float(bias))
 
-    def pre_activation(self, x: np.ndarray) -> float:
+    def pre_activation(self, x) -> float:
         if self.kind == AND:
-            return float(self.bias - self.weights @ (1.0 - x))
-        return float(1.0 - self.bias + self.weights @ x)
+            return self.bias - _dot(self.weights, [1.0 - v for v in x])
+        return 1.0 - self.bias + _dot(self.weights, x)
 
-    def value(self, x: np.ndarray) -> float:
+    def value(self, x) -> float:
         return clamp01(self.pre_activation(x))
 
 
@@ -128,65 +136,25 @@ class ForwardTrace:
     each gate's pre- and post-clamp value and the OR's pre-clamp value (its
     clamped value is the q `forward` returns)."""
 
-    facts: np.ndarray
-    and_pre: np.ndarray
-    and_out: np.ndarray
+    facts: tuple[float, ...]
+    and_pre: tuple[float, ...]
+    and_out: tuple[float, ...]
     or_pre: float
-
-
-def _named(category: str, arity: int, n_gates: int, vector: np.ndarray) -> dict[str, np.ndarray]:
-    """Views into `vector`, laid out as a buffer of `n_gates` gates of
-    `arity` weights, named `<category>.and<j>.w|b` and `<category>.or.w|b`."""
-    views: dict[str, np.ndarray] = {}
-    step = arity + 2
-    for j in range(n_gates):
-        k = 1 + j * step
-        views[f"{category}.and{j}.w"] = vector[k:k + arity]
-        views[f"{category}.and{j}.b"] = vector[k + arity:k + arity + 1].reshape(())
-    # the OR weight at the end of each gate's block: a strided view
-    views[f"{category}.or.w"] = vector[step::step]
-    views[f"{category}.or.b"] = vector[0:1].reshape(())
-    return views
-
-
-class Gradient(Mapping):
-    """What `LnnNetwork.gradients` returns: one vector laid out like the
-    network's buffer, `vector`, which reads by parameter name as
-    `LnnNetwork.parameters` reads the buffer. The views are built only when
-    a name is read."""
-
-    __slots__ = ("vector", "_layout")
-
-    def __init__(self, vector: np.ndarray, layout: tuple[str, int, int]):
-        self.vector = vector
-        self._layout = layout
-
-    def _views(self) -> dict[str, np.ndarray]:
-        return _named(*self._layout, self.vector)
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._views()[name]
-
-    def __iter__(self):
-        return iter(self._views())
-
-    def __len__(self) -> int:
-        return 2 * self._layout[2] + 2
 
 
 class LnnNetwork:
     """Fact inputs -> AND bank -> OR root, for one word category.
 
-    Every parameter lives in one float64 vector, `buffer`: the OR bias, then
+    Every parameter lives in one list of floats, `buffer`: the OR bias, then
     one block per gate, its weights, its bias and the OR weight that reads
-    it. `and_gates`, `or_root` and `parameters()` are views into it; the OR
-    weights are a strided view. It is laid out once, from `gates` (default:
-    one seed gate, weights 0.5, bias 1) under `or_root` (default: bias
-    `DEFAULT_OR_BIAS`, a unit weight per gate). Assigning `and_gates` copies
-    the given gates' values into a new buffer and keeps the OR weight of each
-    gate that remains (0 for a new one); assigning `or_root` copies its values
-    in and needs one weight per gate. `add_and_gate` appends a block, so no
-    element moves. A deep copy gets its own buffer and views into it.
+    it. It is laid out once, from `gates` (default: one seed gate, weights
+    0.5, bias 1) under `or_root` (default: bias `DEFAULT_OR_BIAS`, a unit
+    weight per gate). `and_gates` and `or_root` read their values from the
+    buffer. Assigning `and_gates` copies the given gates' values into a new
+    buffer and keeps the OR weight of each gate that remains (0 for a new
+    one); assigning `or_root` copies its values in and needs one weight per
+    gate. `add_and_gate` extends the buffer at its end, so no element moves.
+    A deep copy gets its own buffer.
     """
 
     def __init__(
@@ -206,9 +174,9 @@ class LnnNetwork:
         self.config = config or TruthConfig()
         self.gate_cap = gate_cap
         if gates is None:
-            gates = [LogicNode.create(AND, np.full(self.input_arity, 0.5), 1.0)]
-        or_root = or_root or LogicNode.create(OR, np.ones(len(gates)), DEFAULT_OR_BIAS)
-        self._lay_out(gates, or_root.bias, np.reshape(or_root.weights, -1))
+            gates = [LogicNode.create(AND, [0.5] * self.input_arity, 1.0)]
+        or_root = or_root or LogicNode.create(OR, [1.0] * len(gates), DEFAULT_OR_BIAS)
+        self._lay_out(gates, or_root.bias, or_root.weights)
 
     @property
     def input_arity(self) -> int:
@@ -216,22 +184,28 @@ class LnnNetwork:
 
     # ------------------------------------------------------------------ buffer
 
+    def _blocks(self) -> range:
+        """The index of each gate's first weight in `buffer`, in gate order."""
+        return range(1, len(self.buffer), self.input_arity + 2)
+
     @property
     def and_gates(self) -> tuple[LogicNode, ...]:
-        return self._and_gates
+        b, arity = self.buffer, self.input_arity
+        return tuple(LogicNode(AND, tuple(b[k:k + arity]), b[k + arity]) for k in self._blocks())
 
     @and_gates.setter
     def and_gates(self, gates) -> None:
-        kept = self._or_root.weights[:len(gates)]
-        self._lay_out(gates, self._or_root.bias, np.append(kept, np.zeros(len(gates) - kept.size)))
+        kept = self.or_root.weights[:len(gates)]
+        self._lay_out(gates, self.buffer[0], kept + (0.0,) * (len(gates) - len(kept)))
 
     @property
     def or_root(self) -> LogicNode:
-        return self._or_root
+        step = self.input_arity + 2
+        return LogicNode(OR, tuple(self.buffer[step::step]), self.buffer[0])
 
     @or_root.setter
     def or_root(self, node: LogicNode) -> None:
-        self._lay_out(self._and_gates, node.bias, np.reshape(node.weights, -1))
+        self._lay_out(self.and_gates, node.bias, node.weights)
 
     def _lay_out(self, gates, or_bias, or_weights) -> None:
         """A new buffer holding the values of `gates` and of an OR root with
@@ -243,98 +217,72 @@ class LnnNetwork:
             raise ValueError(f"an OR root over {len(gates)} gates needs "
                              f"{len(gates)} weights, got {len(or_weights)}")
         arity = self.input_arity
-        step = arity + 2
-        buffer = np.empty(1 + len(gates) * step)
-        buffer[0] = or_bias
-        for j, gate in enumerate(gates):
-            weights = np.asarray(gate.weights, dtype=np.float64)
-            if weights.shape != (arity,):
-                raise ValueError(f"gate weights must have shape ({arity},)")
-            k = 1 + j * step
-            buffer[k:k + arity] = weights
-            buffer[k + arity] = gate.bias
-        buffer[step::step] = or_weights
-        self._point(buffer, len(gates))
-
-    def _point(self, buffer: np.ndarray, n_gates: int) -> None:
-        """Make `buffer` the network's, with `n_gates` gates, and point the
-        nodes into it."""
+        buffer = [float(or_bias)]
+        for gate, or_weight in zip(gates, or_weights):
+            if len(gate.weights) != arity:
+                raise ValueError(f"gate weights must number {arity}, got {len(gate.weights)}")
+            buffer += map(float, gate.weights)
+            buffer += (float(gate.bias), float(or_weight))
         self.buffer = buffer
-        # weights then bias for each gate, then the OR root's
-        views = list(_named(self.category, self.input_arity, n_gates, buffer).values())
-        self._and_gates = tuple(LogicNode(AND, w, b) for w, b in zip(views[:-2:2], views[1:-2:2]))
-        self._or_root = LogicNode(OR, *views[-2:])
 
     def __deepcopy__(self, memo) -> "LnnNetwork":
         copied = copy.copy(self)
-        copied._point(self.buffer.copy(), len(self._and_gates))
+        copied.buffer = self.buffer.copy()
         memo[id(self)] = copied
         return copied
-
-    def named(self, vector: np.ndarray) -> dict[str, np.ndarray]:
-        """Views into `vector`, laid out like `buffer`, by parameter name:
-        `<category>.and<j>.w|b` and `<category>.or.w|b`."""
-        return _named(self.category, self.input_arity, len(self._and_gates), vector)
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        """Every parameter, as a named view into `buffer`."""
-        return self.named(self.buffer)
 
     # ------------------------------------------------------------------ forward
 
     def forward(self, facts) -> tuple[float, ForwardTrace]:
         """q and the trace `gradients` differentiates, for one fact vector.
 
-        The vectors are short (at most 8 facts, at most `gate_cap` gates), so
-        numpy's per-call cost outweighs the arithmetic: `1 - x` is formed
-        once, and biases and clamps work on Python floats, which give the
-        same IEEE results as numpy scalars. The dot products stay numpy
-        `dot` calls (BLAS `ddot`, the same routine `@` calls on 1-D
-        vectors): a Python sum matches them on crisp facts but not on the OR
-        layer's real-valued inputs, where `ddot` fuses multiply and add. The
-        OR weights are dotted as a contiguous copy: `ddot` sums a strided
-        vector in another order.
+        A tuple of floats is kept in the trace as it is; any other sequence
+        is read into one. Each gate's dot product, and the OR's over the
+        gates' clamped values, is summed left to right from 0.0.
         """
-        x = np.asarray(facts, dtype=np.float64)
-        if x.shape != (self.input_arity,):
-            raise ValueError(
-                f"{self.category} network expects {self.input_arity} facts, got shape {x.shape}"
-            )
-        y = 1.0 - x
-        pre = [float(g.bias) - float(g.weights.dot(y)) for g in self._and_gates]
-        and_pre = np.array(pre, dtype=np.float64)
-        and_out = np.array([clamp01(v) for v in pre], dtype=np.float64)
-        or_weights = np.ascontiguousarray(self._or_root.weights)
-        or_pre = 1.0 - float(self._or_root.bias) + float(or_weights.dot(and_out))
-        return clamp01(or_pre), ForwardTrace(x, and_pre, and_out, or_pre)
+        x = facts if type(facts) is tuple else tuple(map(float, facts))
+        arity = self.input_arity
+        if len(x) != arity:
+            raise ValueError(f"{self.category} network expects {arity} facts, got {len(x)}")
+        y = [1.0 - v for v in x]
+        b = self.buffer
+        and_pre, and_out = [], []
+        or_dot = 0.0
+        for k in self._blocks():
+            pre = b[k + arity] - _dot(b[k:k + arity], y)
+            out = clamp01(pre)
+            and_pre.append(pre)
+            and_out.append(out)
+            or_dot += b[k + arity + 1] * out
+        or_pre = 1.0 - b[0] + or_dot
+        return clamp01(or_pre), ForwardTrace(x, tuple(and_pre), tuple(and_out), or_pre)
 
     # ---------------------------------------------------------------- gradients
 
-    def gradients(self, trace: ForwardTrace, upstream: float) -> Gradient:
+    def gradients(self, trace: ForwardTrace, upstream: float) -> list[float]:
         """d(upstream * q)/d(param) for every parameter, exact for the clamped
-        forms: one fresh vector laid out like `buffer`, zero where a gate gets
+        forms: one fresh list laid out like `buffer`, +0.0 where a gate gets
         no gradient.
 
         `trace` is what `forward` returned on the current parameters; no
         second forward pass runs.
         """
-        arity, n = self.input_arity, len(self._and_gates)
-        step = arity + 2
-        grad = np.zeros(1 + n * step)
+        arity = self.input_arity
+        b = self.buffer
+        grad = [0.0] * len(b)
 
         g_or = upstream if 0.0 < trace.or_pre < 1.0 else 0.0
         grad[0] = -g_or
-        np.multiply(trace.and_out, g_or, out=grad[step::step])
-
-        y = 1.0 - trace.facts
-        for j, (or_w, pre) in enumerate(zip(self._or_root.weights.tolist(),
-                                            trace.and_pre.tolist())):
-            g_out = g_or * or_w
+        y = [1.0 - v for v in trace.facts]
+        for k, pre, out in zip(self._blocks(), trace.and_pre, trace.and_out):
+            grad[k + arity + 1] = out * g_or
+            g_out = g_or * b[k + arity + 1]
             if g_out != 0.0 and 0.0 < pre < 1.0:
-                k = 1 + j * step
-                np.multiply(y, -g_out, out=grad[k:k + arity])
+                neg = -g_out
+                for i, v in enumerate(y, k):
+                    grad[i] = v * neg
                 grad[k + arity] = g_out
-        return Gradient(grad, (self.category, arity, n))
+        return grad
 
     # ------------------------------------------------------ structure and domain
 
@@ -342,43 +290,46 @@ class LnnNetwork:
         """Gate induction on a rewarded step's forward pass: `add_and_gate`
         on `trace.facts` unless a gate already fires on them at alpha.
         Returns the new gate's index, or None when nothing was added."""
-        if trace.and_out.size and trace.and_out.max() >= self.config.alpha:
+        alpha = self.config.alpha
+        if any(out >= alpha for out in trace.and_out):
             return None
         return self.add_and_gate(trace.facts)
 
     def add_and_gate(self, facts) -> int | None:
         """Append a gate seeded from `facts`: unit weight on every true literal.
 
-        The OR root gains one unit-weight input. The new block goes at the
-        end of the buffer, so every other element keeps its index. Returns
-        the new gate's index, or None, adding nothing, when the bank is full.
+        The OR root gains one unit-weight input. The buffer is extended at
+        its end, so every other element keeps its index. Returns the new
+        gate's index, or None, adding nothing, when the bank is full.
         """
-        n = len(self._and_gates)
+        n = len(self._blocks())
         if n >= self.gate_cap:
             return None
-        x = np.asarray(facts, dtype=np.float64)
-        if x.shape != (self.input_arity,):
+        if len(facts) != self.input_arity:
             raise ValueError(f"seed facts must have arity {self.input_arity}")
+        alpha = self.config.alpha
         # the gate's weights, then its bias 1 and its OR weight 1
-        weights = np.where(x >= self.config.alpha, 1.0, 0.0)
-        self._point(np.concatenate((self.buffer, weights, (1.0, 1.0))), n + 1)
+        self.buffer += [1.0 if v >= alpha else 0.0 for v in facts]
+        self.buffer += (1.0, 1.0)
         return n
 
     def project(self) -> None:
         """Put every parameter back into its domain, in place, as `np.clip`
-        would: weights and biases nonnegative, OR weights also at most 1, so
-        a lone matching gate cannot pin its score to the upper clamp, and the
-        OR bias at least `OR_BIAS_FLOOR`, so an OR of false inputs reads
-        false."""
-        # `np.maximum` is what `np.clip` runs for a lower bound alone, but it
-        # turns an OR weight of -0.0 into +0.0, so the OR weights are clipped
-        # from their values before it
-        weights = self._or_root.weights
-        before = weights.copy()
-        np.maximum(self.buffer, 0.0, out=self.buffer)
-        before.clip(0.0, 1.0, out=weights)
-        if self.buffer[0] < OR_BIAS_FLOOR:     # buffer[0] is the OR bias
-            self.buffer[0] = OR_BIAS_FLOOR
+        would, bit for bit: weights and biases nonnegative, OR weights also
+        at most 1, so a lone matching gate cannot pin its score to the upper
+        clamp, and the OR bias at least `OR_BIAS_FLOOR`, so an OR of false
+        inputs reads false. NaN stays NaN."""
+        b = self.buffer
+        arity = self.input_arity
+        for k in self._blocks():
+            # as `np.clip` with a lower bound alone: -0.0 becomes +0.0
+            for i in range(k, k + arity + 1):
+                if b[i] <= 0.0:
+                    b[i] = 0.0
+            # with both bounds, `np.clip` keeps an OR weight of -0.0
+            b[k + arity + 1] = clamp01(b[k + arity + 1])
+        if b[0] < OR_BIAS_FLOOR:     # b[0] is the OR bias
+            b[0] = OR_BIAS_FLOOR
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +374,10 @@ def extract_rules(
     and at least one of its literal weights does; rules come back ordered by
     OR weight descending. A non-finite threshold raises ValueError.
     """
-    if not np.isfinite(weight_threshold):
+    if not math.isfinite(weight_threshold):
         raise ValueError(f"rule weight threshold must be finite, got {weight_threshold}")
     rules: list[Rule] = []
-    for j, gate in enumerate(net.and_gates):
-        or_w = float(net.or_root.weights[j])
+    for j, (gate, or_w) in enumerate(zip(net.and_gates, net.or_root.weights)):
         if or_w < weight_threshold:
             continue
         literals = tuple(
@@ -469,7 +419,7 @@ def _fmt(x: float) -> str:
 def _check_domain(what: str, values, or_weights) -> None:
     """The domain `LnnNetwork.project` keeps and a checkpoint holds: `values`
     finite and nonnegative, `or_weights` among them at most 1; else ValueError."""
-    if not all(np.isfinite(v) and v >= 0 for v in values):
+    if not all(math.isfinite(v) and v >= 0 for v in values):
         raise ValueError(f"{what} holds a negative or non-finite value")
     if any(w > 1.0 for w in or_weights):
         raise ValueError(f"{what} holds a weight above 1")
@@ -515,19 +465,19 @@ def reading_checkpoint(path):
         raise CheckpointError(f"{path}: {exc}") from exc
 
 
-def _row(path, line: str, head: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
+def _row(path, line: str, head: list[str], width: int) -> tuple[tuple[float, ...], float]:
     """(weights, bias) of a `<head> bias B weights w1 .. w<width>` row."""
     tokens = line.split()
     n = len(head)
     if tokens[:n] != head or tokens[n:n + 1] != ["bias"] or tokens[n + 2:n + 3] != ["weights"]:
         raise CheckpointError(f"{path}: expected a {' '.join(head)!r} row, got {line!r}")
     bias = parse_float(tokens[n + 1])
-    weights = np.array([parse_float(t) for t in tokens[n + 3:]], dtype=np.float64)
-    if weights.size != width:
-        raise CheckpointError(f"{path}: {' '.join(head)} row has {weights.size} weights, expected {width}")
+    weights = tuple([parse_float(t) for t in tokens[n + 3:]])
+    if len(weights) != width:
+        raise CheckpointError(f"{path}: {' '.join(head)} row has {len(weights)} weights, expected {width}")
     # `reading_checkpoint` names the file
     _check_domain(f"{' '.join(head)} row", (bias, *weights), weights if head == ["or"] else ())
-    return weights, np.array(bias, dtype=np.float64)
+    return weights, bias
 
 
 def load_network(path) -> LnnNetwork:

@@ -12,7 +12,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from lnnrl.agent import LnnAgent, TrainerConfig, run_episode, scripted_rule_networks
+from lnnrl.agent import LnnScorer, run_episode, scripted_rule_networks
 from lnnrl.factextract import (
     AgentMap,
     extract_propositions,
@@ -135,19 +135,16 @@ def test_criterion_2_gradient_correctness():
         checked_networks += 1
         upstream = float(rng.uniform(0.5, 2.0))
         grads = net.gradients(trace, upstream)
-        params = net.parameters()
-        for name, grad in grads.items():
-            flat_p = params[name].reshape(-1)
-            flat_g = np.atleast_1d(grad).reshape(-1)
-            for i in range(flat_p.size):
-                original = flat_p[i]
-                flat_p[i] = original + 1e-6
-                q_plus, _ = net.forward(x)
-                flat_p[i] = original - 1e-6
-                q_minus, _ = net.forward(x)
-                flat_p[i] = original
-                fd = upstream * (q_plus - q_minus) / 2e-6
-                assert flat_g[i] == pytest.approx(fd, rel=1e-5, abs=1e-9), (name, i)
+        params = net.buffer
+        for i, grad in enumerate(grads):
+            original = params[i]
+            params[i] = original + 1e-6
+            q_plus, _ = net.forward(x)
+            params[i] = original - 1e-6
+            q_minus, _ = net.forward(x)
+            params[i] = original
+            fd = upstream * (q_plus - q_minus) / 2e-6
+            assert grad == pytest.approx(fd, rel=1e-5, abs=1e-9), i
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     report(2, f"analytic gradients match central differences (rel 1e-5) on "
@@ -246,7 +243,7 @@ def test_criterion_5_fact_count_and_complements():
         agent_map = AgentMap.start(state.room)
         while not state.done and produced < 1000:
             props = extract_propositions(parse_observation(obs), agent_map)
-            vec = props.as_vector()
+            vec = np.array(props.as_vector())
             assert vec.shape == (26,)
             pairs = vec.reshape(13, 2)
             assert np.all(pairs.sum(axis=1) == 1.0), "negation complement broken"
@@ -271,7 +268,7 @@ def test_criterion_5_fact_count_and_complements():
 def test_criterion_6_oracle_rule_networks():
     t0 = time.perf_counter()
     lexicon = __import__("lnnrl.lexicon", fromlist=["default_lexicon"]).default_lexicon()
-    policy = LnnAgent(TrainerConfig(), nets=scripted_rule_networks())
+    policy = LnnScorer(scripted_rule_networks())
 
     for difficulty, step_bound in (("easy", lambda lvl: lvl + 1),
                                    ("medium", lambda lvl: 3 * (lvl + 1))):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_baseline import SHARED_STATES, as_props, float_bits
-from test_lnn import counting_lay_outs
+from test_lnn import counting_lay_outs, named, same_bits
 
 import lnnrl.agent as agent_module
 from lnnrl.agent import (
@@ -73,7 +73,7 @@ def start_props(graph):
 def make_candidate(category, facts):
     noun = "coin" if category == "money" else "north"
     return Candidate(category, noun, Action(CATEGORY_VERBS[category], noun),
-                     np.asarray(facts, dtype=float))
+                     tuple(map(float, facts)))
 
 
 def shared_candidate(category, facts):
@@ -96,7 +96,8 @@ def make_transition(category, facts, reward, terminal, next_candidates=(),
 
 def parameter_bytes(agent):
     """Every parameter's exact bits, by name."""
-    return {name: p.tobytes() for name, p in agent.scorer.parameters().items()}
+    return {name: np.asarray(p, dtype=np.float64).tobytes()
+            for name, p in agent.scorer.parameters().items()}
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +181,8 @@ def reference_vector(props):
 
 
 def assert_read_only(values):
-    with pytest.raises(ValueError):
+    assert type(values) is tuple and all(type(v) is float for v in values)
+    with pytest.raises(TypeError):
         values[0] = 0.5
 
 
@@ -198,7 +200,6 @@ def test_shared_groundings_and_candidates_match_the_per_step_construction(bits):
             grounded = ground_facts(props, category, noun)
             assert (grounded.category, grounded.noun) == (category, noun)
             assert np.array_equal(grounded.values, reference_facts(props, category, noun))
-            assert grounded.values.dtype == np.float64
             assert_read_only(grounded.values)
 
     lexicons = [default_lexicon()] + [parse_lexicon(text) for text in (
@@ -590,13 +591,10 @@ def test_train_step_on_empty_buffer_raises():
 def test_zero_learning_rate_leaves_parameters_bitwise():
     agent = LnnAgent(TrainerConfig(learning_rate=0.0), run_seed=1)
     agent.buffer.push(make_transition("money", [0.0, 1.0], 0.0, True))
-    before = {
-        c: {k: v.copy() for k, v in net.parameters().items()}
-        for c, net in agent.scorer.nets.items()
-    }
+    before = {c: named(net, net.buffer) for c, net in agent.scorer.nets.items()}
     agent.train_step()
     for c, net in agent.scorer.nets.items():
-        for k, v in net.parameters().items():
+        for k, v in named(net, net.buffer).items():
             assert np.array_equal(v, before[c][k]), (c, k)
 
 
@@ -729,23 +727,24 @@ def assert_memo_is_exact(scorer, upstream):
     # today's parameters, bit for bit
     for key, (record, value) in scorer.memo.items():
         assert key == id(record)
-        if isinstance(record, tuple):
+        # a candidate tuple's greedy choice, else a values tuple's forward pass
+        if isinstance(record[0], Candidate):
             action, q_values = value
             want_action, want_q = select_action(record, scorer.nets, 0.0, random.Random(0))
             assert action == want_action
             assert float_bits(q_values) == float_bits(want_q)
             continue
-        net = scorer.nets[CATEGORY_BY_ARITY[record.size]]
+        net = scorer.nets[CATEGORY_BY_ARITY[len(record)]]
         q, trace = value
         assert trace.facts is record
-        fresh_q, fresh = net.forward(record.copy())
+        fresh_q, fresh = net.forward(list(record))
         assert q == fresh_q
         assert np.array_equal(trace.facts, fresh.facts)
         assert np.array_equal(trace.and_pre, fresh.and_pre)
         assert np.array_equal(trace.and_out, fresh.and_out)
         assert trace.or_pre == fresh.or_pre
-        cached_grads = net.gradients(trace, upstream)
-        fresh_grads = net.gradients(fresh, upstream)
+        cached_grads = named(net, net.gradients(trace, upstream))
+        fresh_grads = named(net, net.gradients(fresh, upstream))
         assert cached_grads.keys() == fresh_grads.keys()
         for name, grad in cached_grads.items():
             assert np.array_equal(grad, fresh_grads[name]), (net.category, name)
@@ -754,10 +753,10 @@ def assert_memo_is_exact(scorer, upstream):
 def assert_parameters_in_domain(scorer):
     # the projection's invariant: finite and nonnegative, OR weights at most 1
     for net in scorer.nets.values():
-        for name, p in net.parameters().items():
-            assert np.all(np.isfinite(p)) and np.all(p >= 0.0), name
+        for name, p in named(net, net.buffer).items():
+            assert np.all(np.isfinite(p)) and np.all(np.asarray(p) >= 0.0), name
             if name.endswith(".or.w"):
-                assert np.all(p <= 1.0), name
+                assert np.all(np.asarray(p) <= 1.0), name
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -816,10 +815,10 @@ def test_projection_keeps_every_parameter_in_its_domain(seed, learning_rate, ind
         grads = {}
         for category, buffer in params.items():
             if sign == "mixed":
-                direction = rng.choice([-1.0, 1.0], size=buffer.shape)
+                direction = rng.choice([-1.0, 1.0], size=len(buffer))
             else:
                 direction = 1.0 if sign == "up" else -1.0
-            grads[category] = direction * rng.uniform(0.1, 10.0, size=buffer.shape)
+            grads[category] = (direction * rng.uniform(0.1, 10.0, size=len(buffer))).tolist()
         optimizer.step(params, grads)
         scorer.after_step(grads)
         assert_parameters_in_domain(scorer)
@@ -838,19 +837,21 @@ def test_projection_equals_np_clip_bit_for_bit(induced, data):
     for category, facts in induced:
         scorer.nets[category].add_and_gate(facts)
     for p in scorer.parameters().values():
-        p[...] = data.draw(st.lists(PROJECTION_VALUES, min_size=p.size, max_size=p.size))
+        p[:] = data.draw(st.lists(PROJECTION_VALUES, min_size=len(p), max_size=len(p)))
     reference = copy.deepcopy(scorer)
     stepped = data.draw(st.sets(st.sampled_from(sorted(scorer.nets))))
     scorer.after_step(stepped)
-    # the projection as `np.clip` on every named parameter: kept as reference
+    # the projection as `np.clip` on every named parameter, each held as its
+    # own array as the network once held it: kept as reference
+    want = {category: {name: np.array(p) for name, p in named(net, net.buffer).items()}
+            for category, net in reference.nets.items()}
     for category in stepped:
-        for name, p in reference.nets[category].parameters().items():
+        for name, p in want[category].items():
             np.clip(p, OR_BIAS_FLOOR if name.endswith(".or.b") else 0.0,
                     1.0 if name.endswith(".or.w") else None, out=p)
     for category, net in scorer.nets.items():
-        want = reference.nets[category].parameters()
-        for name, p in net.parameters().items():
-            assert p.shape == want[name].shape and p.tobytes() == want[name].tobytes(), name
+        for name, p in named(net, net.buffer).items():
+            assert same_bits(p, want[category][name]), name
 
 
 # ---------------------------------------------------------------------------
@@ -974,7 +975,7 @@ def test_a_traced_exploring_episode_writes_fresh_greedy_scores(lexicon, make_age
 
 
 def test_scripted_networks_solve_easy_level5_in_six_steps(lexicon):
-    policy = LnnAgent(TrainerConfig(), nets=scripted_rule_networks())
+    policy = LnnScorer(scripted_rule_networks())
     for seed in range(5):
         graph = generate_game(GameSpec("easy", 5, seed))
         report = run_episode(graph, policy, lexicon, mode="eval")
@@ -1010,7 +1011,7 @@ def test_scripted_networks_are_laid_out_once_each_as_the_setters_built_them():
         want = reference[category]
         assert (net.category, net.literals, net.verb, net.config, net.gate_cap) == (
             want.category, want.literals, want.verb, want.config, want.gate_cap)
-        assert net.buffer.tobytes() == want.buffer.tobytes()
+        assert same_bits(net.buffer, want.buffer)
 
 
 @pytest.mark.parametrize("make_agent", [
@@ -1029,8 +1030,7 @@ def test_an_eval_plays_any_object_with_choose(lexicon, make_agent):
 
 
 def test_untrained_networks_stall_near_the_step_cap(lexicon):
-    config = TrainerConfig()
-    policy = LnnAgent(config, nets=fresh_networks(config))
+    policy = LnnScorer(fresh_networks(TrainerConfig()))
     steps = []
     rewards = []
     for seed in range(10):
@@ -1044,9 +1044,9 @@ def test_untrained_networks_stall_near_the_step_cap(lexicon):
 
 def test_an_eval_scores_each_candidate_tuple_once(lexicon):
     # the scripted networks never change, so each state's greedy choice is
-    # scored once, and each shared values array runs one forward pass
-    agent = LnnAgent(TrainerConfig(), nets=scripted_rule_networks())
-    seen, choose, scored = {}, agent.choose, []
+    # scored once, and each shared values tuple runs one forward pass
+    scorer = LnnScorer(scripted_rule_networks())
+    seen, choose, scored = {}, scorer.choose, []
     score = LnnScorer._greedy
 
     def record_choose(props, candidates, epsilon, rng):
@@ -1057,16 +1057,16 @@ def test_an_eval_scores_each_candidate_tuple_once(lexicon):
         scored.append(candidates)
         return score(scorer, candidates)
 
-    agent.choose = record_choose
+    scorer.choose = record_choose
     graphs = [generate_game(GameSpec("hard", level, seed))
               for level in (5, 15, 25) for seed in range(4)]
     with mock.patch.object(LnnScorer, "_greedy", counted), \
             counting_forward(LnnAgent) as calls:
-        _, mean_steps = evaluate(agent, graphs, lexicon)
+        _, mean_steps = evaluate(scorer, graphs, lexicon)
     assert all(len(candidates) == 5 for candidates in seen.values())
     assert sorted(map(id, scored)) == sorted(seen)
     values = {id(c.values) for candidates in seen.values() for c in candidates}
-    # 16 direction arrays and 2 coin arrays at most
+    # 16 direction tuples and 2 coin tuples at most
     assert len(calls) == len(values) <= 18
     assert {id(x) for x in calls} == values
     # states recur, so scoring every step would have cost more

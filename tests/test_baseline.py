@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import lnnrl
 from lnnrl.agent import TrainerConfig, Transition, greedy
-from lnnrl.baseline import ROW_SIZES, MlpAgent, MlpScorer, N_ACTIONS, N_HIDDEN, N_INPUTS
+from lnnrl.baseline import ROW_SIZES, MlpAgent, MlpScorer, N_ACTIONS, N_HIDDEN, N_INPUTS, inputs
 from lnnrl.factextract import (
     AgentMap,
     ParsedObservation,
@@ -200,6 +200,15 @@ SHARED_STATES = [shared_props(find, visited, entry) for find, visited, entry in 
     ((True, False, False, True, False), (True, True, True, True, True)),
     ((False,) * 4, (True, False, True, False)),
     (None, "north"))]
+
+
+def test_the_mlp_reads_one_shared_read_only_vector_per_props_record():
+    for props in SHARED_STATES:
+        x = inputs(props)
+        assert x is inputs(props) and x.dtype == np.float64 and x.shape == (N_INPUTS,)
+        assert x.tolist() == list(props.as_vector())
+        with pytest.raises(ValueError):
+            x[0] = 0.5
 
 
 def float_bits(values):

@@ -2,16 +2,21 @@
 
 import contextlib
 import io
+import os
 import shutil
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_harness import NUMBER_BYTES, byte_edits
 
+import lnnrl
 from lnnrl import cli, harness
-from lnnrl.agent import DqnAgent, LnnAgent, run_episode, scripted_rule_networks
+from lnnrl.agent import DqnAgent, LnnScorer, run_episode, scripted_rule_networks
 from lnnrl.cli import _parse_overrides, main
 from lnnrl.harness import ExperimentConfig, build_game_sets, evaluate, load_networks
 from lnnrl.lnn import save_network
@@ -163,8 +168,8 @@ def oracle_run(tmp_path_factory):
 def test_eval_plays_each_game_as_it_is_generated_and_drops_it(oracle_run, lexicon, monkeypatch,
                                                                capsys):
     _, specs = build_game_sets(ORACLE_CONFIG, derive_seed("run", ORACLE_CONFIG.base_seed, 0))
-    agent = LnnAgent(ORACLE_CONFIG.trainer, nets=load_networks(oracle_run / "seed0"))
-    reward, steps = evaluate(agent, [generate_game(spec) for spec in specs], lexicon)
+    scorer = LnnScorer(load_networks(oracle_run / "seed0"))
+    reward, steps = evaluate(scorer, [generate_game(spec) for spec in specs], lexicon)
 
     generated = []          # a weak reference to every graph eval generated
     alive_at_start = []     # how many of them were alive as each episode began
@@ -413,3 +418,32 @@ def test_play_session(monkeypatch, capsys):
     assert out.count(" = ") >= 26
     assert "commands: go <direction>" in out          # help text twice
     assert "invalid action: go coin" in out           # invalid action notice
+
+
+#: a tiny logic run and `lnnrl eval` on its run dir, with numpy made
+#: unimportable first, so an import of it anywhere on the path raises at the
+#: importing line; then the exit code and whatever numpy modules were loaded
+NO_NUMPY = """
+import sys, tempfile
+sys.modules["numpy"] = None
+from lnnrl import cli
+from lnnrl.harness import ExperimentConfig, run_experiment
+config = ExperimentConfig.from_pairs({"agent": "lnn", "difficulty": "easy", "epochs": "4",
+                                      "eval_interval": "2", "n_seeds": "1", "n_train_games": "2",
+                                      "n_test_per_level": "1"})
+with tempfile.TemporaryDirectory() as out:
+    run_experiment(config, out)
+    code = cli.main(["eval", "--run-dir", out])
+print(code, sys.modules["numpy"], sorted(name for name in sys.modules if name.startswith("numpy.")))
+"""
+
+
+def test_a_logic_run_and_its_eval_never_import_numpy():
+    """The logic networks, Adam's list form and the groundings are Python
+    floats; only `agent=nn` loads numpy. This test process has imported
+    numpy itself, so the run gets a fresh interpreter."""
+    path = os.pathsep.join(filter(None, [str(Path(lnnrl.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", NO_NUMPY], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert done.stdout.splitlines()[-1] == "0 None []"

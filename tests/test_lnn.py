@@ -40,6 +40,28 @@ def make_net(weights_list, or_weights, or_bias=1.25, literals=None, verb="go"):
     return net
 
 
+def named_positions(net):
+    """Each parameter's indices in `net.buffer`, and in any vector laid out
+    like it, by name: `<category>.and<j>.w|b` and `<category>.or.w|b`."""
+    arity, category = net.input_arity, net.category
+    step = arity + 2
+    positions = {}
+    for j in range(len(net.and_gates)):
+        k = 1 + j * step
+        positions[f"{category}.and{j}.w"] = list(range(k, k + arity))
+        positions[f"{category}.and{j}.b"] = [k + arity]
+    positions[f"{category}.or.w"] = list(range(step, len(net.buffer), step))
+    positions[f"{category}.or.b"] = [0]
+    return positions
+
+
+def named(net, vector):
+    """`vector`, laid out like `net.buffer`, read by parameter name: a list
+    of values for each weight vector, one value for each bias."""
+    return {name: [vector[i] for i in where] if name.endswith(".w") else vector[where[0]]
+            for name, where in named_positions(net).items()}
+
+
 # ---------------------------------------------------------------------------
 # node semantics
 # ---------------------------------------------------------------------------
@@ -76,7 +98,7 @@ def test_forward_stays_in_unit_interval():
                        or_bias=rng.uniform(0, 2))
         q, trace = net.forward(rng.uniform(0, 1, size=8))
         assert 0.0 <= q <= 1.0
-        assert np.all(trace.and_out >= 0.0) and np.all(trace.and_out <= 1.0)
+        assert all(0.0 <= out <= 1.0 for out in trace.and_out)
 
 
 def test_monotonicity_in_inputs():
@@ -110,15 +132,13 @@ def test_arity_mismatch_raises():
 # ---------------------------------------------------------------------------
 
 
-def finite_difference(net, x, upstream, name, index, step=1e-6):
-    params = net.parameters()
-    flat = params[name].reshape(-1)
-    original = flat[index]
-    flat[index] = original + step
+def finite_difference(net, x, upstream, index, step=1e-6):
+    original = net.buffer[index]
+    net.buffer[index] = original + step
     q_plus, _ = net.forward(x)
-    flat[index] = original - step
+    net.buffer[index] = original - step
     q_minus, _ = net.forward(x)
-    flat[index] = original
+    net.buffer[index] = original
     return upstream * (q_plus - q_minus) / (2 * step)
 
 
@@ -142,11 +162,10 @@ def test_gradients_match_finite_differences_in_open_region():
         net, x = random_open_region_case(rng)
         upstream = float(rng.uniform(0.5, 2.0))
         grads = net.gradients(net.forward(x)[1], upstream)
-        for name, grad in grads.items():
-            flat = np.atleast_1d(grad).reshape(-1)
-            for index in range(flat.size):
-                expected = finite_difference(net, x, upstream, name, index)
-                assert flat[index] == pytest.approx(expected, rel=1e-5, abs=1e-9), name
+        for name, where in named_positions(net).items():
+            for index in where:
+                expected = finite_difference(net, x, upstream, index)
+                assert grads[index] == pytest.approx(expected, rel=1e-5, abs=1e-9), name
 
 
 def test_clamped_activation_has_zero_gradient():
@@ -155,37 +174,33 @@ def test_clamped_activation_has_zero_gradient():
     x = np.array([0.0, 0.0, 0.0, 0.0])
     _, trace = net.forward(x)
     assert trace.and_pre[0] < 0.0
-    grads = net.gradients(trace, 1.0)
-    assert np.all(grads["direction.and0.w"] == 0.0) and float(grads["direction.and0.b"]) == 0.0
+    grads = named(net, net.gradients(trace, 1.0))
+    assert all(g == 0.0 for g in grads["direction.and0.w"]) and grads["direction.and0.b"] == 0.0
 
 
 def test_gradients_are_one_fresh_vector_laid_out_like_the_buffer():
     # gate 0 saturates at 0 and gate 1 is open, so only gate 0 gets no gradient
     net = make_net([[1.0, 1.0, 1.0, 1.0], [0.1, 0.1, 0.1, 0.1]], [1.0, 0.5], or_bias=1.0)
     x = np.zeros(4)
-    first = net.gradients(net.forward(x)[1], 1.0)
-    vector = first.vector
-    assert vector.shape == net.buffer.shape and vector.dtype == np.float64
-    assert vector.flags.writeable and not np.shares_memory(vector, net.buffer)
-    # read by name, the gradient is views into that one vector, named as the parameters
-    assert list(first) == list(net.parameters())
-    for name, view in first.items():
-        assert np.shares_memory(view, vector) and view.shape == net.parameters()[name].shape
-    # a gate with no gradient reads +0.0; gate 1's gradient is its own
+    vector = net.gradients(net.forward(x)[1], 1.0)
+    assert type(vector) is list and len(vector) == len(net.buffer)
+    assert all(type(g) is float for g in vector) and vector is not net.buffer
+    # read by name, in the buffer's layout: a gate with no gradient reads
+    # +0.0; gate 1's gradient is its own
+    first = named(net, vector)
     w, b = first["direction.and0.w"], first["direction.and0.b"]
     assert same_bits(w, np.zeros(4)) and same_bits(b, 0.0)
-    assert np.all(first["direction.and1.w"] < 0.0) and float(first["direction.and1.b"]) > 0.0
-    # every call writes a fresh vector
+    assert all(g < 0.0 for g in first["direction.and1.w"]) and first["direction.and1.b"] > 0.0
+    # every call makes a fresh list
     second = net.gradients(net.forward(x)[1], 1.0)
-    assert not np.shares_memory(second.vector, vector) and same_bits(second.vector, vector)
+    assert second is not vector and same_bits(second, vector)
 
 
 def test_zero_upstream_zeroes_all_gradients():
     rng = np.random.default_rng(3)
     net, x = random_open_region_case(rng)
     grads = net.gradients(net.forward(x)[1], 0.0)
-    for grad in grads.values():
-        assert np.all(np.asarray(grad) == 0.0)
+    assert all(grad == 0.0 for grad in grads)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +213,8 @@ def test_add_and_gate_seeds_unit_weights_on_true_literals():
     facts = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
     index = net.add_and_gate(facts)
     gate = net.and_gates[index]
-    assert gate.weights.tolist() == [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
-    assert float(gate.bias) == 1.0
+    assert gate.weights == (1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
+    assert gate.bias == 1.0
     assert net.or_root.weights[index] == 1.0
     # fires exactly on its seed pattern
     assert gate.value(facts) == 1.0
@@ -235,8 +250,8 @@ def test_assigning_more_gates_than_the_cap_is_refused():
 
 
 def structure(net):
-    gates = [(g.weights.tolist(), float(g.bias)) for g in net.and_gates]
-    return gates, net.or_root.weights.tolist(), float(net.or_root.bias)
+    gates = [(g.weights, g.bias) for g in net.and_gates]
+    return gates, net.or_root.weights, net.or_root.bias
 
 
 SEED_FACTS = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
@@ -257,7 +272,7 @@ def test_induce_adds_nothing_when_the_bank_is_full():
     net.add_and_gate(SEED_FACTS)
     before = structure(net)
     _, trace = net.forward(1.0 - SEED_FACTS)
-    assert np.all(trace.and_out < net.config.alpha)
+    assert all(out < net.config.alpha for out in trace.and_out)
     assert net.induce(trace) is None
     assert structure(net) == before
 
@@ -266,22 +281,25 @@ def test_induce_seeds_a_gate_on_the_literals_true_at_alpha():
     net = LnnNetwork("direction", CATEGORY_LITERALS["direction"], "go")
     facts = np.array([0.8, 0.2, 0.7, 0.3, 1.0, 0.0, 0.75, 0.25])
     _, trace = net.forward(facts)
-    assert np.all(trace.and_out < net.config.alpha)
+    assert all(out < net.config.alpha for out in trace.and_out)
     assert net.induce(trace) == 1
     gate = net.and_gates[1]
-    assert gate.weights.tolist() == [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0]
-    assert float(gate.bias) == 1.0
-    assert net.or_root.weights.tolist() == [1.0, 1.0]
+    assert gate.weights == (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0)
+    assert gate.bias == 1.0
+    assert net.or_root.weights == (1.0, 1.0)
 
 
 def test_parameters_and_gradients_name_their_category():
+    # the names read every element of the buffer and of a gradient once
     net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take")
     net.add_and_gate(np.array([1.0, 0.0]))
     names = ["money.and0.w", "money.and0.b", "money.and1.w", "money.and1.b",
              "money.or.w", "money.or.b"]
-    assert sorted(net.parameters()) == sorted(names)
+    positions = named_positions(net)
+    assert sorted(positions) == sorted(names)
+    assert sorted(i for where in positions.values() for i in where) == list(range(len(net.buffer)))
     grads = net.gradients(net.forward(np.array([1.0, 0.0]))[1], 1.0)
-    assert sorted(grads) == sorted(names)
+    assert len(grads) == len(net.buffer)
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +389,11 @@ def grown_networks(draw):
     for _ in range(draw(st.integers(0, gate_cap - 1))):
         net.add_and_gate(draw(st.lists(st.sampled_from([0.0, 1.0]),
                                        min_size=len(literals), max_size=len(literals))))
-    for node in (*net.and_gates, net.or_root):
-        n = node.weights.size
-        weights = UNIT if node is net.or_root else NONNEGATIVE
-        node.weights[...] = draw(st.lists(weights, min_size=n, max_size=n))
-        node.bias[...] = draw(NONNEGATIVE)
+    arity, n = len(literals), len(net.and_gates)
+    net.and_gates = [LogicNode.create(AND, draw(st.lists(NONNEGATIVE, min_size=arity, max_size=arity)),
+                                      draw(NONNEGATIVE)) for _ in range(n)]
+    net.or_root = LogicNode.create(OR, draw(st.lists(UNIT, min_size=n, max_size=n)),
+                                   draw(NONNEGATIVE))
     return net
 
 
@@ -384,16 +402,17 @@ def grown_networks(draw):
 def test_a_saved_network_loads_back_or_is_not_written(tmp_path_factory, net, data):
     """OR weights drawn past the loader's domain: `save_network` refuses them
     before writing anything; whatever it writes loads to the same bytes."""
-    n = net.or_root.weights.size
-    net.or_root.weights[...] = data.draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))
+    n = len(net.or_root.weights)
+    net.or_root = LogicNode.create(OR, data.draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n)),
+                                   net.or_root.bias)
     path = tmp_path_factory.mktemp("checkpoint") / f"{net.category}.lnn"
     try:
         save_network(net, path)
     except ValueError:
-        assert np.any(net.or_root.weights > 1.0)
+        assert any(w > 1.0 for w in net.or_root.weights)
         assert not path.exists()
         return
-    assert load_network(path).buffer.tobytes() == net.buffer.tobytes()
+    assert same_bits(load_network(path).buffer, net.buffer)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -410,8 +429,8 @@ def test_checkpoint_round_trip_is_exact(tmp_path_factory, net):
     assert len(loaded.and_gates) == len(net.and_gates)
     for a, b in zip((*loaded.and_gates, loaded.or_root), (*net.and_gates, net.or_root)):
         assert a.kind == b.kind
-        assert a.weights.dtype == b.weights.dtype and a.weights.tobytes() == b.weights.tobytes()
-        assert a.bias.dtype == b.bias.dtype and a.bias.tobytes() == b.bias.tobytes()
+        assert all(type(w) is float for w in (*a.weights, a.bias, *b.weights, b.bias))
+        assert same_bits(a.weights, b.weights) and same_bits(a.bias, b.bias)
 
 
 # each damages the alpha row (line 3), the gate_cap row (line 4), the gates
@@ -495,25 +514,29 @@ def test_adam_pads_state_when_parameter_grows():
     net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take")
     rng = np.random.default_rng(2)
     grown, kept, fresh = (AdamOptimizer(learning_rate=0.01) for _ in range(3))
-    old = net.buffer.copy()
+    old = list(net.buffer)
     for _ in range(2):
-        grad = rng.normal(size=old.size)
+        grad = rng.normal(size=len(old)).tolist()
         grown.step({"money": net.buffer}, {"money": grad})
         kept.step({"money": old}, {"money": grad})
     net.add_and_gate(np.array([1.0, 0.0]))
-    tail = net.buffer[old.size:].copy()
-    grad = rng.normal(size=net.buffer.size)
+    tail = net.buffer[len(old):]
+    grad = rng.normal(size=len(net.buffer)).tolist()
     grown.step({"money": net.buffer}, {"money": grad})
-    kept.step({"money": old}, {"money": grad[:old.size]})
-    fresh.step({"money": tail}, {"money": grad[old.size:]})
+    kept.step({"money": old}, {"money": grad[:len(old)]})
+    fresh.step({"money": tail}, {"money": grad[len(old):]})
     m, v, t = grown._state["money"]
-    # one count for the whole array, moved on by every step
-    assert m.shape == v.shape == net.buffer.shape and type(t) is int and t == 3
-    assert same_bits(net.buffer[:old.size], old)
+    # one count for the whole vector, moved on by every step
+    assert len(m) == len(v) == len(net.buffer) and type(t) is int and t == 3
+    assert same_bits(net.buffer[:len(old)], old)
     for i in (0, 1):
-        assert same_bits(grown._state["money"][i][:old.size], kept._state["money"][i])
-        assert same_bits(grown._state["money"][i][old.size:], fresh._state["money"][i])
-    # an array that shrinks or changes rank is an error
+        assert same_bits(grown._state["money"][i][:len(old)], kept._state["money"][i])
+        assert same_bits(grown._state["money"][i][len(old):], fresh._state["money"][i])
+    # a list that shrinks, or an array that shrinks or changes rank, is an error
+    plain = AdamOptimizer(learning_rate=0.01)
+    plain.step({"w": [1.0] * 4}, {"w": [1.0] * 4})
+    with pytest.raises(ValueError, match="shrank"):
+        plain.step({"w": [1.0]}, {"w": [1.0]})
     for shape in ((1,), (2, 2)):
         plain = AdamOptimizer(learning_rate=0.01)
         plain.step({"w": np.ones(4)}, {"w": np.ones(4)})
@@ -523,19 +546,19 @@ def test_adam_pads_state_when_parameter_grows():
 
 def test_a_grown_buffer_keeps_every_value_and_memory_does_not_grow_with_the_cap():
     net = LnnNetwork("direction", CATEGORY_LITERALS["direction"], "go", gate_cap=10**9)
-    assert net.buffer.size == 1 + 8 + 1 + 1
+    assert len(net.buffer) == 1 + 8 + 1 + 1
     rng = np.random.default_rng(5)
     for n in range(1, 6):
-        net.buffer[...] = rng.uniform(0.0, 1.0, size=net.buffer.size)
-        before = {name: p.copy() for name, p in net.parameters().items()}
-        old = net.buffer
+        net.buffer[:] = rng.uniform(0.0, 1.0, size=len(net.buffer)).tolist()
+        before = named(net, net.buffer)
+        buffer, old = net.buffer, list(net.buffer)
         seed = (rng.uniform(size=8) > 0.5).astype(float)
         assert net.add_and_gate(seed) == n
-        assert net.buffer is not old and net.buffer.size == 1 + (n + 1) * 10
-        # the old buffer is a prefix of the new one: no element moved
-        assert same_bits(net.buffer[:old.size], old)
-        assert same_bits(net.buffer[old.size:], np.append(np.where(seed >= 0.75, 1.0, 0.0), [1.0, 1.0]))
-        after = net.parameters()
+        # the buffer is extended in place: no element moved
+        assert net.buffer is buffer and len(net.buffer) == 1 + (n + 1) * 10
+        assert same_bits(net.buffer[:len(old)], old)
+        assert same_bits(net.buffer[len(old):], np.append(np.where(seed >= 0.75, 1.0, 0.0), [1.0, 1.0]))
+        after = named(net, net.buffer)
         for name, value in before.items():
             if name.endswith(".or.w"):
                 assert same_bits(after[name][:n], value)
@@ -543,25 +566,23 @@ def test_a_grown_buffer_keeps_every_value_and_memory_does_not_grow_with_the_cap(
                 assert same_bits(after[name], value), name
         assert same_bits(after[f"direction.and{n}.w"], np.where(seed >= 0.75, 1.0, 0.0))
         assert same_bits(after[f"direction.and{n}.b"], 1.0) and after["direction.or.w"][n] == 1.0
-        # every node is a view into the new buffer
-        for node in (*net.and_gates, net.or_root):
-            assert np.shares_memory(node.weights, net.buffer)
-            assert np.shares_memory(node.bias, net.buffer)
+        # every node reads the grown buffer
+        for j, node in enumerate(net.and_gates):
+            assert same_bits(node.weights, after[f"direction.and{j}.w"])
+            assert same_bits(node.bias, after[f"direction.and{j}.b"])
+        assert same_bits(net.or_root.weights, after["direction.or.w"])
+        assert same_bits(net.or_root.bias, after["direction.or.b"])
 
 
 def test_a_deep_copy_points_into_its_own_buffer():
     net = make_net([[0.5, 0.25, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]], [0.75, 0.5])
     copied = copy.deepcopy(net)
-    assert same_bits(copied.buffer, net.buffer) and not np.shares_memory(copied.buffer, net.buffer)
+    assert same_bits(copied.buffer, net.buffer) and copied.buffer is not net.buffer
     for node, original in zip((*copied.and_gates, copied.or_root), (*net.and_gates, net.or_root)):
-        for view, other in ((node.weights, original.weights), (node.bias, original.bias)):
-            assert np.shares_memory(view, copied.buffer)
-            assert not np.shares_memory(view, net.buffer) and same_bits(view, other)
-    for view in copied.parameters().values():
-        assert np.shares_memory(view, copied.buffer)
+        assert same_bits(node.weights, original.weights) and same_bits(node.bias, original.bias)
     # writing the copy leaves the original as it was
-    copied.buffer[...] = 0.0
-    assert float(copied.and_gates[1].bias) == 0.0 and float(net.and_gates[1].bias) == 1.0
+    copied.buffer[:] = [0.0] * len(copied.buffer)
+    assert copied.and_gates[1].bias == 0.0 and net.and_gates[1].bias == 1.0
     copied.add_and_gate(np.ones(4))
     assert len(copied.and_gates) == 3 and len(net.and_gates) == 2
 
@@ -570,19 +591,19 @@ def test_assigning_nodes_lays_out_a_new_buffer():
     net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take")
     # the first gate keeps its OR weight (1); the new second gate reads 0
     net.and_gates = [LogicNode.create(AND, [0.25, 0.5], 0.75), LogicNode.create(AND, [1.0, 0.0], 2.0)]
-    assert net.buffer.tolist() == [1.25, 0.25, 0.5, 0.75, 1.0, 1.0, 0.0, 2.0, 0.0]
+    assert net.buffer == [1.25, 0.25, 0.5, 0.75, 1.0, 1.0, 0.0, 2.0, 0.0]
     net.or_root = LogicNode.create(OR, [0.125, 1.0], 1.5)
-    assert net.buffer.tolist() == [1.5, 0.25, 0.5, 0.75, 0.125, 1.0, 0.0, 2.0, 1.0]
+    assert net.buffer == [1.5, 0.25, 0.5, 0.75, 0.125, 1.0, 0.0, 2.0, 1.0]
     assert isinstance(net.and_gates, tuple)
     with pytest.raises(ValueError):
         net.and_gates = [LogicNode.create(AND, [1.0, 0.0, 1.0], 1.0)]
     # an OR root needs one weight per gate
     with pytest.raises(ValueError, match="2 weights, got 3"):
         net.or_root = LogicNode.create(OR, [0.125, 1.0, 1.0], 1.5)
-    assert net.buffer.tolist() == [1.5, 0.25, 0.5, 0.75, 0.125, 1.0, 0.0, 2.0, 1.0]
+    assert net.buffer == [1.5, 0.25, 0.5, 0.75, 0.125, 1.0, 0.0, 2.0, 1.0]
     # dropping a gate keeps the OR weight of the one that remains
     net.and_gates = net.and_gates[1:]
-    assert net.buffer.tolist() == [1.5, 1.0, 0.0, 2.0, 0.125]
+    assert net.buffer == [1.5, 1.0, 0.0, 2.0, 0.125]
 
 
 @contextlib.contextmanager
@@ -607,10 +628,10 @@ def test_the_constructor_lays_out_the_rows_it_is_given_once():
         seed = LnnNetwork("money", CATEGORY_LITERALS["money"], "take")
         unit = LnnNetwork("money", CATEGORY_LITERALS["money"], "take", gates=gates)
     assert calls == [net, seed, unit]
-    assert net.buffer.tolist() == [1.5, 0.25, 0.5, 0.75, 0.125, 1.0, 0.0, 2.0, 1.0]
+    assert net.buffer == [1.5, 0.25, 0.5, 0.75, 0.125, 1.0, 0.0, 2.0, 1.0]
     # no rows: the seed gate under the default OR root; no OR root: a unit weight per gate
-    assert seed.buffer.tolist() == [1.25, 0.5, 0.5, 1.0, 1.0]
-    assert unit.buffer.tolist() == [1.25, 0.25, 0.5, 0.75, 1.0, 1.0, 0.0, 2.0, 1.0]
+    assert seed.buffer == [1.25, 0.5, 0.5, 1.0, 1.0]
+    assert unit.buffer == [1.25, 0.25, 0.5, 0.75, 1.0, 1.0, 0.0, 2.0, 1.0]
     with pytest.raises(ValueError, match="3 gates exceed gate_cap 2"):
         LnnNetwork("money", CATEGORY_LITERALS["money"], "take", gate_cap=2,
                    gates=[*gates, gates[0]])
@@ -629,9 +650,9 @@ def test_a_checkpoint_is_laid_out_once_as_the_setters_laid_it_out(tmp_path_facto
     assert calls == [loaded]
     # the reference: a seed network whose rows are replaced through the setters
     reference = LnnNetwork(net.category, net.literals, net.verb, net.config, net.gate_cap)
-    reference.and_gates = [LogicNode(AND, g.weights.copy(), g.bias.copy()) for g in net.and_gates]
-    reference.or_root = LogicNode(OR, net.or_root.weights.copy(), net.or_root.bias.copy())
-    assert loaded.buffer.tobytes() == reference.buffer.tobytes()
+    reference.and_gates = net.and_gates
+    reference.or_root = net.or_root
+    assert same_bits(loaded.buffer, reference.buffer)
 
 
 # ---------------------------------------------------------------------------
@@ -644,12 +665,21 @@ def reference_clamp01(v):
     return float(np.clip(v, 0.0, 1.0))
 
 
+def reference_dot(weights, values):
+    """sum_i weights[i] * values[i], one product at a time, left to right from 0.0."""
+    total = 0.0
+    for i in range(len(weights)):
+        total = total + float(weights[i]) * float(values[i])
+    return total
+
+
 def reference_forward(net, facts):
-    """`LnnNetwork.forward` as it was written over numpy calls: kept as reference."""
+    """`LnnNetwork.forward` written over numpy arrays and `np.clip`, with each
+    dot product summed left to right: kept as reference."""
     x = np.asarray(facts, dtype=np.float64)
-    and_pre = np.array([float(g.bias - g.weights @ (1.0 - x)) for g in net.and_gates])
+    and_pre = np.array([float(g.bias) - reference_dot(g.weights, 1.0 - x) for g in net.and_gates])
     and_out = np.clip(and_pre, 0.0, 1.0)
-    or_pre = float(1.0 - net.or_root.bias + np.ascontiguousarray(net.or_root.weights) @ and_out)
+    or_pre = 1.0 - float(net.or_root.bias) + reference_dot(net.or_root.weights, and_out)
     or_out = float(np.clip(or_pre, 0.0, 1.0))
     return or_out, (x, and_pre, and_out, or_pre, or_out)
 
@@ -731,7 +761,19 @@ def test_forward_equals_the_numpy_call_form_bit_for_bit(net, data):
         for name, got, want in zip(("facts", "and_pre", "and_out", "or_pre"),
                                    fields, ref_trace):
             assert same_bits(got, want), (name, got, want)
-        assert trace.and_pre.dtype == trace.and_out.dtype == np.float64
+        assert all(type(v) is float for v in (*trace.facts, *trace.and_pre, *trace.and_out,
+                                              trace.or_pre))
+
+
+def test_each_dot_product_starts_from_plus_zero():
+    # as BLAS `ddot` did: a gate whose every product is -0.0 reads
+    # `bias - (+0.0)`, so -0.0 for a bias of -0.0
+    net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take",
+                     gates=[LogicNode.create(AND, [-0.0, -0.0], -0.0)],
+                     or_root=LogicNode.create(OR, [-0.0], 1.25))
+    _, trace = net.forward((0.0, 1.0))
+    assert same_bits(trace.and_pre, [-0.0])
+    assert same_bits(trace.and_pre, reference_forward(net, (0.0, 1.0))[1][1])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -763,46 +805,54 @@ def adam_runs(draw):
        bias=EDGE_FLOATS, weights=st.lists(WEIGHTS, min_size=2, max_size=2),
        gate_cap=st.integers(1, 16))
 def test_adam_equals_the_numpy_array_form_bit_for_bit(ops, learning_rate, bias, weights, gate_cap):
-    # one money network, stepped on its buffer; the reference keeps the same
-    # parameters as named arrays, as the network once held them
+    # one money network, stepped on its buffer in the list form; the numpy
+    # form steps the same values as one float64 array, and the reference
+    # keeps them as named arrays, as the network once held them
     net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take", gate_cap=gate_cap)
     net.and_gates = [LogicNode.create(AND, weights, bias)]
-    ref_params = {name: p.copy() for name, p in net.parameters().items()}
-    opt = AdamOptimizer(learning_rate=learning_rate)
+    array = np.array(net.buffer)
+    ref_params = {name: np.array(p) for name, p in named(net, net.buffer).items()}
+    opt, array_opt = AdamOptimizer(learning_rate=learning_rate), AdamOptimizer(learning_rate)
     ref = ReferenceAdam(learning_rate)
     for kind, values in ops:
         if kind == "grow":
             seed = np.array(values[:2]) if values else np.array([1.0, 0.0])
             j = net.add_and_gate(seed)
             if j is not None:
+                array = np.append(array, net.buffer[array.size:])
                 ref_params[f"money.and{j}.w"] = np.where(seed >= net.config.alpha, 1.0, 0.0)
                 ref_params[f"money.and{j}.b"] = np.array(1.0)
                 ref_params["money.or.w"] = np.append(ref_params["money.or.w"], 1.0)
             continue
-        grad = np.resize(np.array(values), net.buffer.size)
+        grad = np.resize(np.array(values), len(net.buffer))
         # an induced gate gets the exact zero gradient `gradients` gives it
-        named = net.named(grad)
+        positions = named_positions(net)
         for j in range(1, len(net.and_gates)):
-            named[f"money.and{j}.w"][...] = named[f"money.and{j}.b"][...] = 0.0
-        ref_grads = {name: g.copy() for name, g in net.named(grad).items()}
+            grad[positions[f"money.and{j}.w"] + positions[f"money.and{j}.b"]] = 0.0
+        ref_grads = {name: np.array(g) for name, g in named(net, grad).items()}
+        opt.step({"money": net.buffer}, {"money": grad.tolist()})
         with np.errstate(all="ignore"):   # extreme gradients overflow on purpose
-            opt.step({"money": net.buffer}, {"money": grad})
+            array_opt.step({"money": array}, {"money": grad.copy()})
             ref.step(ref_params, ref_grads)
         m, v, t = opt._state["money"]
-        moments = net.named(m), net.named(v)
-        for name, p in net.parameters().items():
+        array_m, array_v, array_t = array_opt._state["money"]
+        assert type(m) is type(v) is list and t == array_t
+        assert same_bits(net.buffer, array)
+        assert same_bits(m, array_m) and same_bits(v, array_v)
+        moments = named(net, m), named(net, v)
+        for name, p in named(net, net.buffer).items():
             assert same_bits(p, ref_params[name]), (name, p, ref_params[name])
             ref_m, ref_v, _ = ref.state[name]
             assert same_bits(moments[0][name], ref_m) and same_bits(moments[1][name], ref_v), name
-        # the array's one count is the count of every name there from the start
+        # the vector's one count is the count of every name there from the start
         for name in ("money.and0.w", "money.and0.b", "money.or.w", "money.or.b"):
             assert type(t) is int and t == ref.state[name][2], name
 
 
 def category_assignments(category):
     """The category's crisp fact vectors, one per truth assignment."""
-    arrays = {id(c.values): c.values for key, c in GROUNDINGS.items() if key[0] == category}
-    return list(arrays.values())
+    vectors = {id(c.values): c.values for key, c in GROUNDINGS.items() if key[0] == category}
+    return list(vectors.values())
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -819,7 +869,7 @@ def test_an_induced_gate_gets_no_gradient_so_any_adam_count_leaves_it(
     net = LnnNetwork(category, CATEGORY_LITERALS[category], CATEGORY_VERBS[category],
                      gate_cap=len(assignments) + 1)
     optimizer = AdamOptimizer(learning_rate)
-    optimizer.step({category: net.buffer}, {category: np.full(net.buffer.size, 0.5)})
+    optimizer.step({category: net.buffer}, {category: [0.5] * len(net.buffer)})
     net.project()
     for facts in assignments:
         net.induce(net.forward(facts)[1])
@@ -829,16 +879,16 @@ def test_an_induced_gate_gets_no_gradient_so_any_adam_count_leaves_it(
                                     min_size=n, max_size=n))
     net.or_root = LogicNode.create(OR, or_weights, or_bias)
     # the positions of every induced gate's weights and bias
-    positions = net.named(np.arange(net.buffer.size))
-    induced = np.concatenate([np.append(positions[f"{category}.and{j}.w"],
-                                        positions[f"{category}.and{j}.b"]) for j in range(1, n)])
-    before, total = net.buffer.copy(), np.zeros(net.buffer.size)
-    with np.errstate(all="ignore"):   # a huge upstream overflows the sum and the other moments
-        for facts in assignments:
-            grad = net.gradients(net.forward(facts)[1], upstream).vector
-            assert same_bits(grad[induced], np.zeros(induced.size))
-            total += grad
-        optimizer.step({category: net.buffer}, {category: total})
-    assert same_bits(net.buffer[induced], before[induced])
+    positions = named_positions(net)
+    induced = [i for j in range(1, n)
+               for i in positions[f"{category}.and{j}.w"] + positions[f"{category}.and{j}.b"]]
+    before, total = list(net.buffer), [0.0] * len(net.buffer)
+    # a huge upstream overflows the sum and the other moments
+    for facts in assignments:
+        grad = net.gradients(net.forward(facts)[1], upstream)
+        assert same_bits([grad[i] for i in induced], [0.0] * len(induced))
+        total = [a + b for a, b in zip(total, grad)]
+    optimizer.step({category: net.buffer}, {category: total})
+    assert same_bits([net.buffer[i] for i in induced], [before[i] for i in induced])
     m, v, t = optimizer._state[category]
-    assert t == 2 and not np.any(m[induced]) and not np.any(v[induced])
+    assert t == 2 and not any(m[i] for i in induced) and not any(v[i] for i in induced)
