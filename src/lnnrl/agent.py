@@ -28,6 +28,7 @@ from __future__ import annotations
 import copy
 import math
 import random
+import struct
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -201,7 +202,11 @@ class Transition:
 
     `chosen` is the candidate whose action was taken, for a scorer that reads
     candidates (the logic networks), recorded once when the step is stored;
-    None for one that reads actions (the MLP)."""
+    None for one that reads actions (the MLP).
+
+    A record is read-only and may stand for many steps: `ReplayBuffer.push`
+    keeps one record per distinct transition, and its pools hold references
+    to it."""
 
     props: PropositionSet
     action: Action
@@ -212,23 +217,47 @@ class Transition:
     chosen: Candidate | None = None
 
 
+_REWARD_BITS = struct.Struct("<d").pack
+
+
 class ReplayBuffer:
-    """Two FIFO pools; transitions with reward > 0 go to the prioritized pool."""
+    """Two FIFO pools; transitions with reward > 0 go to the prioritized pool.
+
+    A run keeps revisiting a few states, so most steps repeat an earlier
+    transition, and each pool holds a reference per step to one kept record
+    per distinct transition. `kept` finds it: `id(props) -> {(id(action),
+    id(next_props), id(next_candidates), id(chosen), terminal, reward's
+    bits): record}`. Records are keyed by identity, as in `Memo`, and each
+    entry holds its record, which holds every keyed object, so an id cannot
+    be reused while its entry stands. The reward is keyed by its bits, so
+    +0.0 and -0.0 stay apart. An equal key means an equal transition, so the
+    pools read exactly as if each step were its own record. `kept` lives as
+    long as the buffer and grows with the distinct transitions, which are
+    few: every state is one shared record per truth assignment.
+    """
 
     def __init__(self, capacity: int, priority_fraction: float):
         prioritized_cap = max(1, int(capacity * priority_fraction))
         self.priority_fraction = priority_fraction
         self.prioritized: deque[Transition] = deque(maxlen=prioritized_cap)
         self.ordinary: deque[Transition] = deque(maxlen=max(1, capacity - prioritized_cap))
+        self.kept: dict[int, dict[tuple, Transition]] = {}
 
     def __len__(self) -> int:
         return len(self.prioritized) + len(self.ordinary)
 
     def push(self, transition: Transition) -> None:
-        if transition.reward > 0:
-            self.prioritized.append(transition)
+        t = transition
+        key = (id(t.action), id(t.next_props), id(t.next_candidates), id(t.chosen),
+               t.terminal, _REWARD_BITS(t.reward))
+        by_props = self.kept.get(id(t.props))
+        if by_props is None:
+            by_props = self.kept[id(t.props)] = {}
+        record = by_props.setdefault(key, t)
+        if record.reward > 0:
+            self.prioritized.append(record)
         else:
-            self.ordinary.append(transition)
+            self.ordinary.append(record)
 
     def sample(self, batch_size: int, rng: random.Random) -> list[Transition]:
         if len(self) == 0:
@@ -320,6 +349,9 @@ class DqnAgent:
     and `after_step(stepped)`, given the keys that were stepped. Each reads
     its own inputs from the shared `Transition`. The target, a deep copy of
     the scorer, is retaken every `target_update_period` optimizer steps.
+
+    The replay, the target and the optimizer's moments serve training only;
+    a finished run keeps the trained `scorer` and drops the agent.
     """
 
     def __init__(self, config: TrainerConfig, scorer, replay_rng: random.Random):

@@ -241,11 +241,16 @@ def moving_average(values: list[float], window: int) -> list[float]:
 
 @dataclass
 class SeedResult:
+    """One replicate's eval curve and its trained scorer, which the
+    checkpoints and rules are written from. The trainer around it (replay,
+    target copy, optimizer moments) is not kept: it is freed when `run_seed`
+    returns."""
+
     seed_index: int
     epochs: list[int]
     rewards: list[float]
     steps: list[float]
-    agent: object                           # the trained agent, for checkpointing
+    scorer: object
 
 
 @dataclass
@@ -297,7 +302,7 @@ def run_seed(
         epochs=epochs,
         rewards=moving_average(rewards, config.moving_average_window),
         steps=moving_average(steps, config.moving_average_window),
-        agent=agent,
+        scorer=agent.scorer,
     )
 
 
@@ -348,17 +353,17 @@ def run_experiment(
 
         seed_dir = out / f"seed{k}"
         seed_dir.mkdir(exist_ok=True)
-        agent = result.agent
+        scorer = result.scorer
         if config.agent == "lnn":
-            for category, net in agent.scorer.nets.items():
+            for category, net in scorer.nets.items():
                 save_network(net, seed_dir / f"{category}.lnn")
             rules_path = out / f"rules_seed{k}.txt"
             rules_path.write_text(
-                render_ruleset(agent.scorer.nets, config.rule_weight_threshold), encoding="utf-8"
+                render_ruleset(scorer.nets, config.rule_weight_threshold), encoding="utf-8"
             )
             rules_paths.append(rules_path)
         else:
-            agent.scorer.save(seed_dir / "mlp.txt")
+            scorer.save(seed_dir / "mlp.txt")
 
     csv_path = out / "metrics.csv"
     write_metrics_csv(seeds, csv_path)

@@ -106,7 +106,8 @@ def _dot(weights, values) -> float:
 class LogicNode:
     """One weighted connective: a tuple of weights and a bias, as floats. A
     network's `and_gates` and `or_root` are read from its buffer, so they
-    hold the values that stood when they were read."""
+    hold the values that stood when they were read. A node computes
+    nothing; its value is read from `LnnNetwork.forward`."""
 
     kind: str
     weights: tuple[float, ...]
@@ -120,14 +121,6 @@ class LogicNode:
         if any(v < 0 for v in w) or bias < 0:
             raise ValueError("weights and bias must be nonnegative")
         return cls(kind=kind, weights=w, bias=float(bias))
-
-    def pre_activation(self, x) -> float:
-        if self.kind == AND:
-            return self.bias - _dot(self.weights, [1.0 - v for v in x])
-        return 1.0 - self.bias + _dot(self.weights, x)
-
-    def value(self, x) -> float:
-        return clamp01(self.pre_activation(x))
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from lnnrl.worldsim import (
     reset,
     step,
 )
+from test_lnn import and_value, or_value
 
 N_SEEDS = 3
 BASE_SEED = 2024
@@ -90,12 +91,10 @@ def test_criterion_1_crisp_logic_equivalence():
     t0 = time.perf_counter()
     cases = 0
     for arity in range(1, 5):
-        and_node = LogicNode.create(AND, np.ones(arity), 1.0)
-        or_node = LogicNode.create(OR, np.ones(arity), 1.0)
         for bits in itertools.product([0.0, 1.0], repeat=arity):
             x = np.array(bits)
-            assert and_node.value(x) == float(all(bits)), (arity, bits)
-            assert or_node.value(x) == float(any(bits)), (arity, bits)
+            assert and_value(np.ones(arity), 1.0, x) == float(all(bits)), (arity, bits)
+            assert or_value(np.ones(arity), 1.0, x) == float(any(bits)), (arity, bits)
             cases += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -348,15 +347,15 @@ def test_criterion_8_convergence_ordering(medium_lnn, medium_nn, run_clock):
 def test_criterion_9_rule_extraction(medium_lnn):
     threshold = medium_lnn.config.rule_weight_threshold
     for seed_result in medium_lnn.seeds:
-        money_rules = extract_rules(seed_result.agent.scorer.nets["money"], threshold)
+        money_rules = extract_rules(seed_result.scorer.nets["money"], threshold)
         assert any(set(r.literals) == {"find_x"} for r in money_rules), (
             seed_result.seed_index, [r.literals for r in money_rules])
 
-        direction_rules = extract_rules(seed_result.agent.scorer.nets["direction"], threshold)
+        direction_rules = extract_rules(seed_result.scorer.nets["direction"], threshold)
         literal_sets = [set(r.literals) for r in direction_rules]
         assert any({"find_x", "not_visited_x"} <= s for s in literal_sets), literal_sets
         assert any({"all_visited", "initial_x"} <= s for s in literal_sets), literal_sets
-    sample = extract_rules(medium_lnn.seeds[0].agent.scorer.nets["money"], threshold)[0].render()
+    sample = extract_rules(medium_lnn.seeds[0].scorer.nets["money"], threshold)[0].render()
     report(9, f"every seed extracts the take rule ({sample}) plus exploration and "
               f"dead-end-return go rules (literal-set containment, order-insensitive)")
 

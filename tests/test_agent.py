@@ -535,6 +535,45 @@ def test_sampling_falls_back_when_a_pool_is_empty():
         ReplayBuffer(capacity=10, priority_fraction=0.25).sample(4, random.Random(0))
 
 
+def replay_key(t):
+    """What makes two stored steps the same transition: the same records,
+    the same terminal flag and the same reward bits."""
+    return (id(t.props), id(t.action), id(t.next_props), id(t.next_candidates),
+            id(t.chosen), t.terminal, t.reward.hex())
+
+
+@pytest.mark.parametrize("make_agent", [LnnAgent, MlpAgent], ids=["lnn", "nn"])
+def test_replay_keeps_one_record_per_distinct_transition(make_agent, lexicon):
+    # a tiny medium run: most steps repeat an earlier transition
+    agent = make_agent(TrainerConfig(), run_seed=3)
+    graphs = [generate_game(GameSpec("medium", 5, seed)) for seed in range(3)]
+    for epoch in range(12):
+        run_episode(graphs[epoch % 3], agent, lexicon, mode="train", epsilon=0.5,
+                    rng=random.Random(epoch))
+    stored = [t for pool in (agent.buffer.prioritized, agent.buffer.ordinary) for t in pool]
+    assert len(agent.buffer) == len(stored) == agent.env_steps
+    records = {id(t): t for t in stored}
+    keys = {replay_key(t) for t in records.values()}
+    assert len(keys) == len(records) < len(stored)
+
+
+def test_replay_keeps_signed_zero_rewards_and_terminal_flags_apart():
+    chosen = make_candidate("money", [1, 0])
+    props = as_props(np.zeros(26))
+    steps = [Transition(props, chosen.action, reward, terminal, props, (), chosen)
+             for reward in (0.0, -0.0) for terminal in (False, True)]
+    buffer = ReplayBuffer(capacity=100, priority_fraction=0.0)
+    for transition in steps * 2:
+        buffer.push(transition)
+    # the second round reuses the first round's four records
+    assert [id(t) for t in buffer.ordinary] == [id(t) for t in steps] * 2
+    rng, reference_rng = random.Random(5), random.Random(5)
+    for _ in range(20):
+        for got in buffer.sample(4, rng):
+            want = (steps * 2)[reference_rng.randrange(8)]
+            assert (got.reward.hex(), got.terminal) == (want.reward.hex(), want.terminal)
+
+
 # ---------------------------------------------------------------------------
 # epsilon schedule
 # ---------------------------------------------------------------------------

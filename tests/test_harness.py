@@ -1,5 +1,6 @@
 """Experiment config parsing, seeding, metrics emission, and run comparison."""
 
+import gc
 import math
 import re
 from types import SimpleNamespace
@@ -20,7 +21,7 @@ from lnnrl.harness import (
     read_metrics_csv,
     run_experiment,
 )
-from lnnrl.agent import TrainerConfig
+from lnnrl.agent import DqnAgent, TrainerConfig
 from lnnrl.worldsim import DIFFICULTIES, GameSpec, InvalidSpecError
 
 
@@ -426,6 +427,15 @@ def test_nn_experiment_writes_mlp_checkpoint(tmp_path):
     result = run_experiment(tiny_config(agent="nn", n_seeds=1), tmp_path / "nn")
     assert (tmp_path / "nn" / "seed0" / "mlp.txt").exists()
     assert result.rules_paths == []
+
+
+@pytest.mark.parametrize("agent", AGENT_KINDS)
+def test_a_finished_seed_frees_its_trainer(agent, tmp_path):
+    result = run_experiment(tiny_config(agent=agent, n_seeds=2), tmp_path / agent)
+    gc.collect()
+    # nothing keeps a seed's trainer, and the results keep its scorer
+    assert not [obj for obj in gc.get_objects() if isinstance(obj, DqnAgent)]
+    assert all(seed.scorer is not None for seed in result.seeds)
 
 
 def test_trace_files_written_on_request(tmp_path):

@@ -67,28 +67,42 @@ def named(net, vector):
 # ---------------------------------------------------------------------------
 
 
+def and_value(weights, bias, x):
+    """An AND node's value on `x`, read through `LnnNetwork.forward`: the
+    one gate of a network, as its trace's `and_out`."""
+    literals = tuple(f"x{i}" for i in range(len(weights)))
+    net = LnnNetwork("and", literals, "go", gates=[LogicNode.create(AND, weights, bias)])
+    return net.forward(x)[1].and_out[0]
+
+
+def or_value(weights, bias, x):
+    """An OR node's value on `x`, read through `LnnNetwork.forward`: the
+    root over one identity gate per input (weight 1 on that literal, bias 1)."""
+    n = len(weights)
+    literals = tuple(f"x{i}" for i in range(n))
+    gates = [LogicNode.create(AND, [float(i == j) for i in range(n)], 1.0) for j in range(n)]
+    net = LnnNetwork("or", literals, "go", gates=gates, or_root=LogicNode.create(OR, weights, bias))
+    return net.forward(x)[0]
+
+
 def test_and_node_hand_values():
-    node = LogicNode.create(AND, [1.0, 1.0], 1.0)
-    assert node.value(np.array([1.0, 1.0])) == 1.0
-    assert node.value(np.array([1.0, 0.0])) == 0.0   # 1 - 1 clamped
-    assert node.value(np.array([0.5, 1.0])) == 0.5
+    assert and_value([1.0, 1.0], 1.0, np.array([1.0, 1.0])) == 1.0
+    assert and_value([1.0, 1.0], 1.0, np.array([1.0, 0.0])) == 0.0   # 1 - 1 clamped
+    assert and_value([1.0, 1.0], 1.0, np.array([0.5, 1.0])) == 0.5
 
 
 def test_or_node_hand_values():
-    node = LogicNode.create(OR, [1.0, 1.0], 1.0)
-    assert node.value(np.array([0.0, 0.0])) == 0.0
-    assert node.value(np.array([1.0, 0.0])) == 1.0
-    assert node.value(np.array([0.3, 0.0])) == pytest.approx(0.3)
+    assert or_value([1.0, 1.0], 1.0, np.array([0.0, 0.0])) == 0.0
+    assert or_value([1.0, 1.0], 1.0, np.array([1.0, 0.0])) == 1.0
+    assert or_value([1.0, 1.0], 1.0, np.array([0.3, 0.0])) == pytest.approx(0.3)
 
 
 @pytest.mark.parametrize("arity", [1, 2, 3, 4])
 def test_crisp_logic_matches_truth_tables(arity):
-    and_node = LogicNode.create(AND, np.ones(arity), 1.0)
-    or_node = LogicNode.create(OR, np.ones(arity), 1.0)
     for bits in itertools.product([0.0, 1.0], repeat=arity):
         x = np.array(bits)
-        assert and_node.value(x) == float(all(bits))
-        assert or_node.value(x) == float(any(bits))
+        assert and_value(np.ones(arity), 1.0, x) == float(all(bits))
+        assert or_value(np.ones(arity), 1.0, x) == float(any(bits))
 
 
 def test_forward_stays_in_unit_interval():
@@ -217,8 +231,8 @@ def test_add_and_gate_seeds_unit_weights_on_true_literals():
     assert gate.bias == 1.0
     assert net.or_root.weights[index] == 1.0
     # fires exactly on its seed pattern
-    assert gate.value(facts) == 1.0
-    assert gate.value(1.0 - facts) == 0.0
+    assert net.forward(facts)[1].and_out[index] == 1.0
+    assert net.forward(1.0 - facts)[1].and_out[index] == 0.0
 
 
 def test_or_value_never_decreases_after_gate_addition():

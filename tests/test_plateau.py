@@ -34,5 +34,5 @@ def test_a_default_medium_run_stays_on_its_plateau(lexicon, seed_index):
               if reward < THRESHOLD]
     assert not fallen, (f"seed {seed_index} fell below {THRESHOLD} after epoch "
                         f"{result.epochs[crossings[0]]}: (epoch, reward) {fallen}")
-    for category, net in result.agent.scorer.nets.items():
+    for category, net in result.scorer.nets.items():
         assert net.buffer[0] >= OR_BIAS_FLOOR, category
