@@ -22,7 +22,7 @@ from .factextract import (
 )
 from .harness import ExperimentConfig, compare_runs, run_experiment
 from .lexicon import LexiconTable, default_lexicon, load_lexicon
-from .lnn import LnnNetwork, TruthConfig, classify_truth, extract_rules
+from .lnn import LnnNetwork, classify_truth, extract_rules
 from .worldsim import Action, GameSpec, generate_game, render_observation, reset, step
 
 __version__ = "0.1.0"
@@ -37,7 +37,6 @@ __all__ = [
     "LnnNetwork",
     "PropositionSet",
     "TrainerConfig",
-    "TruthConfig",
     "classify_truth",
     "compare_runs",
     "default_lexicon",

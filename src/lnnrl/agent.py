@@ -12,9 +12,9 @@ bonus on ⟨initial x⟩ ∧ ⟨all are visited⟩ for backing out of a fully
 explored room the way it came in.
 
 `DqnAgent` is the one trainer: Q-regression against a periodically
-refreshed target snapshot, one Adam over every named parameter, and a
-two-pool replay buffer that keeps reward-bearing transitions sampled at a
-fixed fraction of every batch. It drives any scorer; `LnnScorer` holds the
+refreshed target snapshot, one Adam over the scorer's parameter buffers,
+and a two-pool replay buffer that keeps reward-bearing transitions sampled
+at a fixed fraction of every batch. It drives any scorer; `LnnScorer` holds the
 logic networks and the MLP baseline's scorer lives in `baseline.py`.
 
 Gate induction: every sampled transition that carried reward >= 1 hands the
@@ -46,7 +46,7 @@ from .factextract import (
     parse_observation,
 )
 from .lexicon import LexiconTable
-from .lnn import AND, DEFAULT_ALPHA, DEFAULT_GATE_CAP, OR, LnnNetwork, LogicNode, TruthConfig, clamp01
+from .lnn import DEFAULT_ALPHA, DEFAULT_GATE_CAP, LnnNetwork, check_alpha, clamp01
 from .optim import AdamOptimizer
 from .rng import substream
 from .worldsim import (
@@ -94,7 +94,7 @@ class TrainerConfig:
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         # the networks' own check, run now so a bad alpha fails before any output
-        TruthConfig(alpha=self.alpha)
+        check_alpha(self.alpha)
 
 
 def epsilon_at(epoch: int, config: TrainerConfig) -> float:
@@ -292,13 +292,12 @@ def td_target(transition: Transition, target, gamma: float) -> float:
 
 
 def fresh_networks(config: TrainerConfig) -> dict[str, LnnNetwork]:
-    truth = TruthConfig(alpha=config.alpha)
     return {
         category: LnnNetwork(
             category=category,
             literals=CATEGORY_LITERALS[category],
             verb=verb,
-            config=truth,
+            alpha=config.alpha,
             gate_cap=config.gate_cap,
         )
         for category, verb in CATEGORY_VERBS.items()
@@ -313,14 +312,10 @@ def scripted_rule_networks() -> dict[str, LnnNetwork]:
     per rule, laid out once. The direction OR bias sits above 1 so direction
     scores stay strictly below the take score when both fire in the coin room.
     """
-    truth = TruthConfig()
-
     def wired(category: str, or_bias: float, *rules: tuple[str, ...]) -> LnnNetwork:
         literals = CATEGORY_LITERALS[category]
-        gates = [LogicNode.create(AND, [1.0 if name in rule else 0.0 for name in literals], 1.0)
-                 for rule in rules]
-        return LnnNetwork(category, literals, CATEGORY_VERBS[category], truth,
-                          gates=gates, or_root=LogicNode.create(OR, [1.0] * len(rules), or_bias))
+        rows = [([1.0 if name in rule else 0.0 for name in literals], 1.0, 1.0) for rule in rules]
+        return LnnNetwork(category, literals, CATEGORY_VERBS[category], rows=rows, or_bias=or_bias)
 
     return {
         "money": wired("money", 1.0, ("find_x",)),

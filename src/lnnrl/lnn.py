@@ -16,7 +16,8 @@ exactly to classical conjunction/disjunction on boolean inputs.
 Gradients use a pass-through derivative of 1 strictly inside (0, 1) and 0 at
 or beyond the clamp, chained through OR -> AND.
 
-A network keeps all its parameters in one list of Python floats, so a
+A network keeps all its parameters in one list of Python floats, its only
+form (rows go in through the constructor and out through `rows()`), so a
 gradient is one list in the same layout, and the forward pass, the gradient,
 the projection and an optimizer step are per-element arithmetic on floats.
 The vectors are short (at most 8 facts, at most `gate_cap` gates), so no
@@ -56,9 +57,6 @@ DEFAULT_OR_BIAS = 1.25
 #: move trained values that stay above it today.
 OR_BIAS_FLOOR = math.nextafter(1.0, 2.0)
 
-AND = "and"
-OR = "or"
-
 
 class TruthValue(enum.Enum):
     TRUE = "true"
@@ -66,23 +64,20 @@ class TruthValue(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class TruthConfig:
-    """Threshold semantics: values >= alpha are True, <= 1 - alpha are False."""
-
-    alpha: float = DEFAULT_ALPHA
-
-    def __post_init__(self) -> None:
-        if not 0.5 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0.5, 1.0], got {self.alpha}")
+def check_alpha(alpha: float) -> None:
+    """The truth threshold's range: values >= alpha read True and values
+    <= 1 - alpha read False, so alpha must lie in [0.5, 1]; else ValueError."""
+    if not 0.5 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0.5, 1.0], got {alpha}")
 
 
-def classify_truth(value: float, config: TruthConfig) -> TruthValue:
+def classify_truth(value: float, alpha: float) -> TruthValue:
+    check_alpha(alpha)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"truth values live in [0, 1], got {value}")
-    if value >= config.alpha:
+    if value >= alpha:
         return TruthValue.TRUE
-    if value <= 1.0 - config.alpha:
+    if value <= 1.0 - alpha:
         return TruthValue.FALSE
     return TruthValue.UNKNOWN
 
@@ -103,27 +98,6 @@ def _dot(weights, values) -> float:
 
 
 @dataclass(frozen=True)
-class LogicNode:
-    """One weighted connective: a tuple of weights and a bias, as floats. A
-    network's `and_gates` and `or_root` are read from its buffer, so they
-    hold the values that stood when they were read. A node computes
-    nothing; its value is read from `LnnNetwork.forward`."""
-
-    kind: str
-    weights: tuple[float, ...]
-    bias: float
-
-    @classmethod
-    def create(cls, kind: str, weights, bias: float) -> "LogicNode":
-        if kind not in (AND, OR):
-            raise ValueError(f"node kind must be '{AND}' or '{OR}', got {kind!r}")
-        w = tuple(map(float, weights))
-        if any(v < 0 for v in w) or bias < 0:
-            raise ValueError("weights and bias must be nonnegative")
-        return cls(kind=kind, weights=w, bias=float(bias))
-
-
-@dataclass(frozen=True)
 class ForwardTrace:
     """What `gradients` and `induce` read of one forward pass: the facts,
     each gate's pre- and post-clamp value and the OR's pre-clamp value (its
@@ -138,16 +112,14 @@ class ForwardTrace:
 class LnnNetwork:
     """Fact inputs -> AND bank -> OR root, for one word category.
 
+    The fields are a checkpoint header's: the category, its literals, the
+    verb, the truth threshold `alpha` and the most gates the bank may hold.
     Every parameter lives in one list of floats, `buffer`: the OR bias, then
     one block per gate, its weights, its bias and the OR weight that reads
-    it. It is laid out once, from `gates` (default: one seed gate, weights
-    0.5, bias 1) under `or_root` (default: bias `DEFAULT_OR_BIAS`, a unit
-    weight per gate). `and_gates` and `or_root` read their values from the
-    buffer. Assigning `and_gates` copies the given gates' values into a new
-    buffer and keeps the OR weight of each gate that remains (0 for a new
-    one); assigning `or_root` copies its values in and needs one weight per
-    gate. `add_and_gate` extends the buffer at its end, so no element moves.
-    A deep copy gets its own buffer.
+    it. It is laid out once, from `rows`, one `(weights, bias, or_weight)`
+    per gate (default: one seed gate, weights 0.5, bias 1, OR weight 1), and
+    `or_bias`; `rows()` reads them back. `add_and_gate` extends the buffer
+    at its end, so no element moves. A deep copy gets its own buffer.
     """
 
     def __init__(
@@ -155,21 +127,33 @@ class LnnNetwork:
         category: str,
         literals: tuple[str, ...],
         verb: str,
-        config: TruthConfig | None = None,
+        alpha: float = DEFAULT_ALPHA,
         gate_cap: int = DEFAULT_GATE_CAP,
-        gates=None, or_root: LogicNode | None = None,
+        rows=None,
+        or_bias: float = DEFAULT_OR_BIAS,
     ):
+        check_alpha(alpha)
         if gate_cap < 1:
             raise ValueError(f"gate_cap must be at least 1, got {gate_cap}")
         self.category = category
         self.literals = tuple(literals)
         self.verb = verb
-        self.config = config or TruthConfig()
+        self.alpha = alpha
         self.gate_cap = gate_cap
-        if gates is None:
-            gates = [LogicNode.create(AND, [0.5] * self.input_arity, 1.0)]
-        or_root = or_root or LogicNode.create(OR, [1.0] * len(gates), DEFAULT_OR_BIAS)
-        self._lay_out(gates, or_root.bias, or_root.weights)
+        arity = self.input_arity
+        if rows is None:
+            rows = [([0.5] * arity, 1.0, 1.0)]
+        if len(rows) > gate_cap:
+            raise ValueError(f"{len(rows)} gates exceed gate_cap {gate_cap}")
+        buffer = [float(or_bias)]
+        for weights, bias, or_weight in rows:
+            if len(weights) != arity:
+                raise ValueError(f"gate weights must number {arity}, got {len(weights)}")
+            buffer += map(float, weights)
+            buffer += (float(bias), float(or_weight))
+        if any(v < 0 for v in buffer):
+            raise ValueError("weights and bias must be nonnegative")
+        self.buffer = buffer
 
     @property
     def input_arity(self) -> int:
@@ -181,42 +165,11 @@ class LnnNetwork:
         """The index of each gate's first weight in `buffer`, in gate order."""
         return range(1, len(self.buffer), self.input_arity + 2)
 
-    @property
-    def and_gates(self) -> tuple[LogicNode, ...]:
+    def rows(self) -> list[tuple[tuple[float, ...], float, float]]:
+        """`(weights, bias, or_weight)` of each gate, in gate order, as the
+        constructor takes them; the OR bias is `buffer[0]`."""
         b, arity = self.buffer, self.input_arity
-        return tuple(LogicNode(AND, tuple(b[k:k + arity]), b[k + arity]) for k in self._blocks())
-
-    @and_gates.setter
-    def and_gates(self, gates) -> None:
-        kept = self.or_root.weights[:len(gates)]
-        self._lay_out(gates, self.buffer[0], kept + (0.0,) * (len(gates) - len(kept)))
-
-    @property
-    def or_root(self) -> LogicNode:
-        step = self.input_arity + 2
-        return LogicNode(OR, tuple(self.buffer[step::step]), self.buffer[0])
-
-    @or_root.setter
-    def or_root(self, node: LogicNode) -> None:
-        self._lay_out(self.and_gates, node.bias, node.weights)
-
-    def _lay_out(self, gates, or_bias, or_weights) -> None:
-        """A new buffer holding the values of `gates` and of an OR root with
-        `or_bias` and `or_weights`; more than `gate_cap` gates, or other than
-        one OR weight per gate, raise ValueError before any buffer is built."""
-        if len(gates) > self.gate_cap:
-            raise ValueError(f"{len(gates)} gates exceed gate_cap {self.gate_cap}")
-        if len(or_weights) != len(gates):
-            raise ValueError(f"an OR root over {len(gates)} gates needs "
-                             f"{len(gates)} weights, got {len(or_weights)}")
-        arity = self.input_arity
-        buffer = [float(or_bias)]
-        for gate, or_weight in zip(gates, or_weights):
-            if len(gate.weights) != arity:
-                raise ValueError(f"gate weights must number {arity}, got {len(gate.weights)}")
-            buffer += map(float, gate.weights)
-            buffer += (float(gate.bias), float(or_weight))
-        self.buffer = buffer
+        return [(tuple(b[k:k + arity]), b[k + arity], b[k + arity + 1]) for k in self._blocks()]
 
     def __deepcopy__(self, memo) -> "LnnNetwork":
         copied = copy.copy(self)
@@ -283,7 +236,7 @@ class LnnNetwork:
         """Gate induction on a rewarded step's forward pass: `add_and_gate`
         on `trace.facts` unless a gate already fires on them at alpha.
         Returns the new gate's index, or None when nothing was added."""
-        alpha = self.config.alpha
+        alpha = self.alpha
         if any(out >= alpha for out in trace.and_out):
             return None
         return self.add_and_gate(trace.facts)
@@ -300,7 +253,7 @@ class LnnNetwork:
             return None
         if len(facts) != self.input_arity:
             raise ValueError(f"seed facts must have arity {self.input_arity}")
-        alpha = self.config.alpha
+        alpha = self.alpha
         # the gate's weights, then its bias 1 and its OR weight 1
         self.buffer += [1.0 if v >= alpha else 0.0 for v in facts]
         self.buffer += (1.0, 1.0)
@@ -370,11 +323,11 @@ def extract_rules(
     if not math.isfinite(weight_threshold):
         raise ValueError(f"rule weight threshold must be finite, got {weight_threshold}")
     rules: list[Rule] = []
-    for j, (gate, or_w) in enumerate(zip(net.and_gates, net.or_root.weights)):
+    for j, (weights, _, or_w) in enumerate(net.rows()):
         if or_w < weight_threshold:
             continue
         literals = tuple(
-            name for name, w in zip(net.literals, gate.weights) if w >= weight_threshold
+            name for name, w in zip(net.literals, weights) if w >= weight_threshold
         )
         if not literals:
             continue
@@ -420,20 +373,22 @@ def _check_domain(what: str, values, or_weights) -> None:
 
 def save_network(net: LnnNetwork, path) -> None:
     """Write `net`; a value `load_network` would refuse raises ValueError first."""
-    _check_domain(f"{net.category} network", net.buffer, net.or_root.weights)
+    rows = net.rows()
+    or_weights = [or_weight for _, _, or_weight in rows]
+    _check_domain(f"{net.category} network", net.buffer, or_weights)
     lines = [
         _CHECKPOINT_HEADER,
         f"category {net.category}",
         f"verb {net.verb}",
-        f"alpha {_fmt(net.config.alpha)}",
+        f"alpha {_fmt(net.alpha)}",
         f"gate_cap {net.gate_cap}",
         f"arity {net.input_arity}",
         "literals " + " ".join(net.literals),
-        f"gates {len(net.and_gates)}",
+        f"gates {len(rows)}",
     ]
-    for j, gate in enumerate(net.and_gates):
-        lines.append(f"and {j} bias {_fmt(gate.bias)} weights " + " ".join(_fmt(w) for w in gate.weights))
-    lines.append(f"or bias {_fmt(net.or_root.bias)} weights " + " ".join(_fmt(w) for w in net.or_root.weights))
+    for j, (weights, bias, _) in enumerate(rows):
+        lines.append(f"and {j} bias {_fmt(bias)} weights " + " ".join(_fmt(w) for w in weights))
+    lines.append(f"or bias {_fmt(net.buffer[0])} weights " + " ".join(_fmt(w) for w in or_weights))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -498,9 +453,9 @@ def load_network(path) -> LnnNetwork:
         if n_gates < 0 or len(body) != n_gates + 1:
             raise CheckpointError(
                 f"{path}: expected {n_gates} gate rows and an or row, found {len(body)} rows")
-        gates = [LogicNode(AND, *_row(path, line, ["and", str(j)], len(literals)))
+        gates = [_row(path, line, ["and", str(j)], len(literals))
                  for j, line in enumerate(body[:n_gates])]
-        or_root = LogicNode(OR, *_row(path, body[n_gates], ["or"], n_gates))
-        return LnnNetwork(fields["category"], literals, fields["verb"],
-                          TruthConfig(alpha=parse_float(fields["alpha"])),
-                          parse_int(fields["gate_cap"]), gates, or_root)
+        or_weights, or_bias = _row(path, body[n_gates], ["or"], n_gates)
+        rows = [(weights, bias, or_weight) for (weights, bias), or_weight in zip(gates, or_weights)]
+        return LnnNetwork(fields["category"], literals, fields["verb"], parse_float(fields["alpha"]),
+                          parse_int(fields["gate_cap"]), rows, or_bias)

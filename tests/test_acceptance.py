@@ -19,7 +19,7 @@ from lnnrl.factextract import (
     parse_observation,
 )
 from lnnrl.harness import ExperimentConfig, build_game_sets, first_crossing, run_experiment
-from lnnrl.lnn import AND, OR, LogicNode, extract_rules
+from lnnrl.lnn import extract_rules
 from lnnrl.rng import derive_seed
 from lnnrl.worldsim import (
     DIRECTIONS,
@@ -116,13 +116,12 @@ def test_criterion_2_gradient_correctness():
     checked_networks = 0
     while checked_networks < 100:
         n_gates = int(rng.integers(1, 4))
-        net = LnnNetwork("direction", CATEGORY_LITERALS["direction"], "go")
-        net.and_gates = [
-            LogicNode.create(AND, rng.uniform(0.05, 0.5, size=8), float(rng.uniform(0.8, 1.2)))
-            for _ in range(n_gates)
-        ]
-        net.or_root = LogicNode.create(OR, rng.uniform(0.2, 0.9, size=n_gates),
-                                       float(rng.uniform(0.9, 1.1)))
+        # gates, then OR weights, then the OR bias: this order fixes which 100 networks are checked
+        gates = [(rng.uniform(0.05, 0.5, size=8), float(rng.uniform(0.8, 1.2))) for _ in range(n_gates)]
+        or_weights = rng.uniform(0.2, 0.9, size=n_gates)
+        net = LnnNetwork("direction", CATEGORY_LITERALS["direction"], "go",
+                         rows=[(w, b, or_w) for (w, b), or_w in zip(gates, or_weights)],
+                         or_bias=float(rng.uniform(0.9, 1.1)))
         x = rng.uniform(0.1, 0.9, size=8)
         _, trace = net.forward(x)
         in_open = (

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_baseline import SHARED_STATES, as_props, float_bits
-from test_lnn import counting_lay_outs, named, same_bits
+from test_lnn import counting_constructions, named, same_bits
 
 import lnnrl.agent as agent_module
 from lnnrl.agent import (
@@ -47,7 +47,7 @@ from lnnrl.factextract import (
 )
 from lnnrl.harness import evaluate
 from lnnrl.lexicon import default_lexicon, parse_lexicon
-from lnnrl.lnn import AND, OR, OR_BIAS_FLOOR, LnnNetwork, LogicNode
+from lnnrl.lnn import OR_BIAS_FLOOR, LnnNetwork
 from lnnrl.optim import AdamOptimizer
 from lnnrl.worldsim import (
     ALL_ACTIONS,
@@ -240,13 +240,10 @@ def test_greedy_pick_and_index_tie_break(lexicon):
 
 def test_equal_q_values_resolve_to_lowest_index():
     # constant networks make every candidate tie exactly
-    flat_and = LogicNode.create(AND, np.zeros(8), 1.0)
-    direction = LnnNetwork("direction", CATEGORY_LITERALS["direction"], "go")
-    direction.and_gates = [flat_and]
-    direction.or_root = LogicNode.create(OR, np.array([0.5]), 1.0)
-    money = LnnNetwork("money", CATEGORY_LITERALS["money"], "take")
-    money.and_gates = [LogicNode.create(AND, np.zeros(2), 1.0)]
-    money.or_root = LogicNode.create(OR, np.array([0.5]), 1.0)
+    direction = LnnNetwork("direction", CATEGORY_LITERALS["direction"], "go",
+                           rows=[(np.zeros(8), 1.0, 0.5)], or_bias=1.0)
+    money = LnnNetwork("money", CATEGORY_LITERALS["money"], "take",
+                       rows=[(np.zeros(2), 1.0, 0.5)], or_bias=1.0)
     nets = {"direction": direction, "money": money}
 
     graph = generate_game(GameSpec("medium", 2, 0))
@@ -459,9 +456,8 @@ def test_shaping_from_the_facts_equals_shaping_from_the_map(
 
 
 def half_value_money_net():
-    net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take")
-    net.and_gates = [LogicNode.create(AND, np.zeros(2), 1.0)]
-    net.or_root = LogicNode.create(OR, np.array([0.5]), 1.0)   # q = 0.5 everywhere
+    net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take",
+                     rows=[(np.zeros(2), 1.0, 0.5)], or_bias=1.0)   # q = 0.5 everywhere
     return LnnScorer({"money": net})
 
 
@@ -640,9 +636,9 @@ def test_zero_learning_rate_leaves_parameters_bitwise():
 def zeroed_networks(config):
     """Networks whose q is exactly 0 on every crisp input."""
     nets = fresh_networks(config)
-    money = nets["money"]
-    money.and_gates = [LogicNode.create(AND, np.ones(2), 1.0)]
-    money.or_root = LogicNode.create(OR, np.array([1.0]), 1.25)
+    nets["money"] = LnnNetwork("money", CATEGORY_LITERALS["money"], CATEGORY_VERBS["money"],
+                               config.alpha, config.gate_cap,
+                               rows=[(np.ones(2), 1.0, 1.0)], or_bias=1.25)
     return nets
 
 
@@ -681,7 +677,7 @@ def test_induction_respects_gate_cap():
         agent.buffer.push(make_transition("direction", facts, 1.0, True))
     for _ in range(60):
         agent.train_step()
-    assert len(agent.scorer.nets["direction"].and_gates) <= 3
+    assert len(agent.scorer.nets["direction"].rows()) <= 3
 
 
 def test_induction_does_not_duplicate_matching_patterns():
@@ -691,7 +687,7 @@ def test_induction_does_not_duplicate_matching_patterns():
         agent.buffer.push(make_transition("direction", facts, 1.0, True))
     for _ in range(30):
         agent.train_step()
-    assert len(agent.scorer.nets["direction"].and_gates) == 2  # initial gate + one induced
+    assert len(agent.scorer.nets["direction"].rows()) == 2  # initial gate + one induced
 
 
 def test_target_networks_refresh_on_schedule():
@@ -699,10 +695,10 @@ def test_target_networks_refresh_on_schedule():
     agent = LnnAgent(config, run_seed=6)
     agent.buffer.push(make_transition("money", [1.0, 0.0], 1.0, True))
     agent.train_step()  # induces a gate on the online net only
-    assert len(agent.scorer.nets["money"].and_gates) != len(agent.target.nets["money"].and_gates)
+    assert len(agent.scorer.nets["money"].rows()) != len(agent.target.nets["money"].rows())
     for _ in range(4):
         agent.train_step()
-    assert len(agent.scorer.nets["money"].and_gates) == len(agent.target.nets["money"].and_gates)
+    assert len(agent.scorer.nets["money"].rows()) == len(agent.target.nets["money"].rows())
 
 
 # ---------------------------------------------------------------------------
@@ -1023,12 +1019,11 @@ def test_scripted_networks_solve_easy_level5_in_six_steps(lexicon):
 
 
 def reference_scripted_networks():
-    """The hand-wired networks built as they once were: a seed network, its
-    rows emptied through the setters, then one `add_and_gate` per rule."""
+    """The hand-wired networks built as they once were: a network with no
+    rows, then one `add_and_gate` per rule."""
     def wired(category, or_bias, *rules):
-        net = LnnNetwork(category, CATEGORY_LITERALS[category], CATEGORY_VERBS[category])
-        net.and_gates = []
-        net.or_root = LogicNode.create(OR, [], or_bias)
+        net = LnnNetwork(category, CATEGORY_LITERALS[category], CATEGORY_VERBS[category],
+                         rows=[], or_bias=or_bias)
         for rule in rules:
             net.add_and_gate([1.0 if name in rule else 0.0 for name in net.literals])
         return net
@@ -1040,16 +1035,16 @@ def reference_scripted_networks():
     }
 
 
-def test_scripted_networks_are_laid_out_once_each_as_the_setters_built_them():
-    with counting_lay_outs() as calls:
+def test_scripted_networks_are_built_once_each_as_add_and_gate_builds_them():
+    with counting_constructions() as calls:
         nets = scripted_rule_networks()
     assert sorted(map(id, calls)) == sorted(map(id, nets.values()))
     reference = reference_scripted_networks()
     assert nets.keys() == reference.keys()
     for category, net in nets.items():
         want = reference[category]
-        assert (net.category, net.literals, net.verb, net.config, net.gate_cap) == (
-            want.category, want.literals, want.verb, want.config, want.gate_cap)
+        assert (net.category, net.literals, net.verb, net.alpha, net.gate_cap) == (
+            want.category, want.literals, want.verb, want.alpha, want.gate_cap)
         assert same_bits(net.buffer, want.buffer)
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -16,12 +17,14 @@ from test_harness import NUMBER_BYTES, byte_edits
 
 import lnnrl
 from lnnrl import cli, harness
-from lnnrl.agent import DqnAgent, LnnScorer, run_episode, scripted_rule_networks
+from lnnrl.agent import DqnAgent, LnnScorer, enumerate_candidates, run_episode, scripted_rule_networks
 from lnnrl.cli import _parse_overrides, main
+from lnnrl.factextract import AgentMap, extract_propositions, parse_observation
 from lnnrl.harness import ExperimentConfig, build_game_sets, evaluate, load_networks
+from lnnrl.lexicon import default_lexicon
 from lnnrl.lnn import save_network
 from lnnrl.rng import derive_seed
-from lnnrl.worldsim import generate_game
+from lnnrl.worldsim import GameSpec, generate_game, reset
 
 
 def test_generate_prints_spec_and_adjacency(capsys):
@@ -418,6 +421,27 @@ def test_play_session(monkeypatch, capsys):
     assert out.count(" = ") >= 26
     assert "commands: go <direction>" in out          # help text twice
     assert "invalid action: go coin" in out           # invalid action notice
+
+
+def test_play_with_a_run_dir_scores_with_the_run_networks(tiny_run, monkeypatch, capsys):
+    commands = iter(["take coin", "quit"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(commands))
+    assert main(["play", "--difficulty", "easy", "--level", "2", "--seed", "1",
+                 "--run-dir", str(tiny_run)]) == 0
+    scored = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[q] ")]
+
+    # the start state's candidates, scored by the run's seed-0 networks
+    state, observation = reset(generate_game(GameSpec("easy", 2, 1)))
+    props = extract_propositions(parse_observation(observation), AgentMap.start(state.room))
+    candidates = enumerate_candidates(props, default_lexicon())
+
+    def q_line(nets):
+        _, q_values = LnnScorer(nets).choose(props, candidates, 0.0, random.Random(0))
+        return "[q] " + "  ".join(f"{c.action}:{q:.2f}" for c, q in zip(candidates, q_values))
+
+    assert scored == [q_line(load_networks(tiny_run / "seed0"))]
+    # the run's networks, not the hand-wired ones `play` reads without a run
+    assert scored != [q_line(scripted_rule_networks())]
 
 
 #: a tiny logic run and `lnnrl eval` on its run dir, with numpy made

@@ -14,12 +14,8 @@ from hypothesis import strategies as st
 
 from lnnrl.factextract import CATEGORY_LITERALS, CATEGORY_VERBS, GROUNDINGS
 from lnnrl.lnn import (
-    AND,
-    OR,
     CheckpointError,
     LnnNetwork,
-    LogicNode,
-    TruthConfig,
     TruthValue,
     clamp01,
     classify_truth,
@@ -32,12 +28,14 @@ from lnnrl.optim import AdamOptimizer
 
 def make_net(weights_list, or_weights, or_bias=1.25, literals=None, verb="go"):
     literals = literals or CATEGORY_LITERALS["direction"][: len(weights_list[0])]
-    net = LnnNetwork("direction", literals, verb)
-    net.and_gates = [
-        LogicNode.create(AND, np.asarray(w, dtype=float), 1.0) for w in weights_list
-    ]
-    net.or_root = LogicNode.create(OR, np.asarray(or_weights, dtype=float), or_bias)
-    return net
+    rows = [(w, 1.0, or_w) for w, or_w in zip(weights_list, or_weights, strict=True)]
+    return LnnNetwork("direction", literals, verb, rows=rows, or_bias=or_bias)
+
+
+def with_or_root(net, or_weights, or_bias):
+    """`net`'s fields and gates under an OR root of `or_weights` and `or_bias`."""
+    rows = [(w, b, or_w) for (w, b, _), or_w in zip(net.rows(), or_weights, strict=True)]
+    return LnnNetwork(net.category, net.literals, net.verb, net.alpha, net.gate_cap, rows, or_bias)
 
 
 def named_positions(net):
@@ -46,7 +44,7 @@ def named_positions(net):
     arity, category = net.input_arity, net.category
     step = arity + 2
     positions = {}
-    for j in range(len(net.and_gates)):
+    for j in range(len(net.rows())):
         k = 1 + j * step
         positions[f"{category}.and{j}.w"] = list(range(k, k + arity))
         positions[f"{category}.and{j}.b"] = [k + arity]
@@ -71,7 +69,7 @@ def and_value(weights, bias, x):
     """An AND node's value on `x`, read through `LnnNetwork.forward`: the
     one gate of a network, as its trace's `and_out`."""
     literals = tuple(f"x{i}" for i in range(len(weights)))
-    net = LnnNetwork("and", literals, "go", gates=[LogicNode.create(AND, weights, bias)])
+    net = LnnNetwork("and", literals, "go", rows=[(weights, bias, 1.0)])
     return net.forward(x)[1].and_out[0]
 
 
@@ -80,8 +78,8 @@ def or_value(weights, bias, x):
     root over one identity gate per input (weight 1 on that literal, bias 1)."""
     n = len(weights)
     literals = tuple(f"x{i}" for i in range(n))
-    gates = [LogicNode.create(AND, [float(i == j) for i in range(n)], 1.0) for j in range(n)]
-    net = LnnNetwork("or", literals, "go", gates=gates, or_root=LogicNode.create(OR, weights, bias))
+    rows = [([float(i == j) for i in range(n)], 1.0, weights[j]) for j in range(n)]
+    net = LnnNetwork("or", literals, "go", rows=rows, or_bias=bias)
     return net.forward(x)[0]
 
 
@@ -129,10 +127,11 @@ def test_monotonicity_in_inputs():
 
 
 def test_nonnegativity_enforced_at_construction():
-    with pytest.raises(ValueError):
-        LogicNode.create(AND, [-0.1, 1.0], 1.0)
-    with pytest.raises(ValueError):
-        LogicNode.create(OR, [1.0], -0.5)
+    money = CATEGORY_LITERALS["money"]
+    with pytest.raises(ValueError, match="nonnegative"):
+        LnnNetwork("money", money, "take", rows=[([-0.1, 1.0], 1.0, 1.0)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        LnnNetwork("money", money, "take", rows=[([1.0, 1.0], 1.0, 1.0)], or_bias=-0.5)
 
 
 def test_arity_mismatch_raises():
@@ -226,10 +225,10 @@ def test_add_and_gate_seeds_unit_weights_on_true_literals():
     net = LnnNetwork("direction", CATEGORY_LITERALS["direction"], "go")
     facts = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
     index = net.add_and_gate(facts)
-    gate = net.and_gates[index]
-    assert gate.weights == (1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
-    assert gate.bias == 1.0
-    assert net.or_root.weights[index] == 1.0
+    weights, bias, or_weight = net.rows()[index]
+    assert weights == (1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
+    assert bias == 1.0
+    assert or_weight == 1.0
     # fires exactly on its seed pattern
     assert net.forward(facts)[1].and_out[index] == 1.0
     assert net.forward(1.0 - facts)[1].and_out[index] == 0.0
@@ -249,23 +248,19 @@ def test_gate_cap_signals():
     net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take", gate_cap=2)
     net.add_and_gate(np.array([1.0, 0.0]))
     assert net.add_and_gate(np.array([0.0, 1.0])) is None
-    assert len(net.and_gates) == 2
+    assert len(net.rows()) == 2
 
 
 def test_assigning_more_gates_than_the_cap_is_refused():
-    net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take", gate_cap=2)
-    buffer = net.buffer
-    gates = [LogicNode.create(AND, [1.0, 0.0], 1.0)] * 3
+    rows = [([1.0, 0.0], 1.0, 1.0)] * 3
     with pytest.raises(ValueError, match="^3 gates exceed gate_cap 2$"):
-        net.and_gates = gates
-    assert net.buffer is buffer
-    net.and_gates = gates[:2]
-    assert len(net.and_gates) == 2
+        LnnNetwork("money", CATEGORY_LITERALS["money"], "take", gate_cap=2, rows=rows)
+    net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take", gate_cap=2, rows=rows[:2])
+    assert len(net.rows()) == 2
 
 
 def structure(net):
-    gates = [(g.weights, g.bias) for g in net.and_gates]
-    return gates, net.or_root.weights, net.or_root.bias
+    return net.rows(), net.buffer[0]
 
 
 SEED_FACTS = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
@@ -276,7 +271,7 @@ def test_induce_adds_nothing_when_a_gate_fires():
     net.add_and_gate(SEED_FACTS)
     before = structure(net)
     _, trace = net.forward(SEED_FACTS)
-    assert trace.and_out[1] >= net.config.alpha
+    assert trace.and_out[1] >= net.alpha
     assert net.induce(trace) is None
     assert structure(net) == before
 
@@ -286,7 +281,7 @@ def test_induce_adds_nothing_when_the_bank_is_full():
     net.add_and_gate(SEED_FACTS)
     before = structure(net)
     _, trace = net.forward(1.0 - SEED_FACTS)
-    assert all(out < net.config.alpha for out in trace.and_out)
+    assert all(out < net.alpha for out in trace.and_out)
     assert net.induce(trace) is None
     assert structure(net) == before
 
@@ -295,12 +290,12 @@ def test_induce_seeds_a_gate_on_the_literals_true_at_alpha():
     net = LnnNetwork("direction", CATEGORY_LITERALS["direction"], "go")
     facts = np.array([0.8, 0.2, 0.7, 0.3, 1.0, 0.0, 0.75, 0.25])
     _, trace = net.forward(facts)
-    assert all(out < net.config.alpha for out in trace.and_out)
+    assert all(out < net.alpha for out in trace.and_out)
     assert net.induce(trace) == 1
-    gate = net.and_gates[1]
-    assert gate.weights == (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0)
-    assert gate.bias == 1.0
-    assert net.or_root.weights == (1.0, 1.0)
+    weights, bias, _ = net.rows()[1]
+    assert weights == (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0)
+    assert bias == 1.0
+    assert [or_weight for _, _, or_weight in net.rows()] == [1.0, 1.0]
 
 
 def test_parameters_and_gradients_name_their_category():
@@ -322,23 +317,25 @@ def test_parameters_and_gradients_name_their_category():
 
 
 def test_classify_truth_regions():
-    config = TruthConfig(alpha=0.75)
-    assert classify_truth(1.0, config) is TruthValue.TRUE
-    assert classify_truth(0.75, config) is TruthValue.TRUE
-    assert classify_truth(0.1, config) is TruthValue.FALSE
-    assert classify_truth(0.25, config) is TruthValue.FALSE
-    assert classify_truth(0.5, config) is TruthValue.UNKNOWN
+    alpha = 0.75
+    assert classify_truth(1.0, alpha) is TruthValue.TRUE
+    assert classify_truth(0.75, alpha) is TruthValue.TRUE
+    assert classify_truth(0.1, alpha) is TruthValue.FALSE
+    assert classify_truth(0.25, alpha) is TruthValue.FALSE
+    assert classify_truth(0.5, alpha) is TruthValue.UNKNOWN
     with pytest.raises(ValueError):
-        classify_truth(1.5, config)
+        classify_truth(1.5, alpha)
 
 
-def test_truth_config_validates_alpha():
-    with pytest.raises(ValueError):
-        TruthConfig(alpha=0.4)
-    with pytest.raises(ValueError):
-        TruthConfig(alpha=1.01)
-    TruthConfig(alpha=0.5)
-    TruthConfig(alpha=1.0)
+def test_alpha_outside_its_range_is_refused():
+    money = CATEGORY_LITERALS["money"]
+    for alpha in (0.4, 1.01):
+        with pytest.raises(ValueError, match="^alpha must lie in"):
+            LnnNetwork("money", money, "take", alpha=alpha)
+        with pytest.raises(ValueError, match="^alpha must lie in"):
+            classify_truth(0.5, alpha)
+    for alpha in (0.5, 1.0):
+        assert LnnNetwork("money", money, "take", alpha=alpha).alpha == alpha
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +369,8 @@ def test_rules_keep_only_heavy_literals_and_sort_by_or_weight():
 
 
 def test_money_rule_renders_in_take_notation():
-    net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take")
-    net.and_gates = [LogicNode.create(AND, np.array([1.0, 0.0]), 1.0)]
-    net.or_root = LogicNode.create(OR, np.array([1.0]), 1.0)
+    net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take",
+                     rows=[(np.array([1.0, 0.0]), 1.0, 1.0)], or_bias=1.0)
     rules = extract_rules(net, weight_threshold=0.5)
     assert len(rules) == 1
     assert rules[0].render() == "⟨find x⟩ → ⟪take x⟫"
@@ -398,17 +394,17 @@ def grown_networks(draw):
     category = draw(st.sampled_from(sorted(CATEGORY_LITERALS)))
     literals = CATEGORY_LITERALS[category]
     gate_cap = draw(st.integers(1, 16))
-    net = LnnNetwork(category, literals, CATEGORY_VERBS[category],
-                     TruthConfig(alpha=draw(st.floats(0.5, 1.0))), gate_cap=gate_cap)
+    alpha = draw(st.floats(0.5, 1.0))
+    net = LnnNetwork(category, literals, CATEGORY_VERBS[category], alpha, gate_cap)
     for _ in range(draw(st.integers(0, gate_cap - 1))):
         net.add_and_gate(draw(st.lists(st.sampled_from([0.0, 1.0]),
                                        min_size=len(literals), max_size=len(literals))))
-    arity, n = len(literals), len(net.and_gates)
-    net.and_gates = [LogicNode.create(AND, draw(st.lists(NONNEGATIVE, min_size=arity, max_size=arity)),
-                                      draw(NONNEGATIVE)) for _ in range(n)]
-    net.or_root = LogicNode.create(OR, draw(st.lists(UNIT, min_size=n, max_size=n)),
-                                   draw(NONNEGATIVE))
-    return net
+    arity, n = len(literals), len(net.rows())
+    gates = [(draw(st.lists(NONNEGATIVE, min_size=arity, max_size=arity)), draw(NONNEGATIVE))
+             for _ in range(n)]
+    rows = [(w, b, or_w) for (w, b), or_w in zip(gates, draw(st.lists(UNIT, min_size=n, max_size=n)))]
+    return LnnNetwork(category, literals, CATEGORY_VERBS[category], alpha, gate_cap, rows,
+                      draw(NONNEGATIVE))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -416,14 +412,14 @@ def grown_networks(draw):
 def test_a_saved_network_loads_back_or_is_not_written(tmp_path_factory, net, data):
     """OR weights drawn past the loader's domain: `save_network` refuses them
     before writing anything; whatever it writes loads to the same bytes."""
-    n = len(net.or_root.weights)
-    net.or_root = LogicNode.create(OR, data.draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n)),
-                                   net.or_root.bias)
+    n = len(net.rows())
+    or_weights = data.draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))
+    net = with_or_root(net, or_weights, net.buffer[0])
     path = tmp_path_factory.mktemp("checkpoint") / f"{net.category}.lnn"
     try:
         save_network(net, path)
     except ValueError:
-        assert any(w > 1.0 for w in net.or_root.weights)
+        assert any(w > 1.0 for w in or_weights)
         assert not path.exists()
         return
     assert same_bits(load_network(path).buffer, net.buffer)
@@ -438,13 +434,13 @@ def test_checkpoint_round_trip_is_exact(tmp_path_factory, net):
     assert loaded.category == net.category
     assert loaded.verb == net.verb
     assert loaded.literals == net.literals
-    assert loaded.config.alpha == net.config.alpha
+    assert loaded.alpha == net.alpha
     assert loaded.gate_cap == net.gate_cap
-    assert len(loaded.and_gates) == len(net.and_gates)
-    for a, b in zip((*loaded.and_gates, loaded.or_root), (*net.and_gates, net.or_root)):
-        assert a.kind == b.kind
-        assert all(type(w) is float for w in (*a.weights, a.bias, *b.weights, b.bias))
-        assert same_bits(a.weights, b.weights) and same_bits(a.bias, b.bias)
+    assert len(loaded.rows()) == len(net.rows())
+    for a, b in zip(loaded.rows(), net.rows()):
+        assert all(type(w) is float for w in (*a[0], *a[1:], *b[0], *b[1:]))
+        assert same_bits(a[0], b[0]) and same_bits(a[1:], b[1:])
+    assert type(loaded.buffer[0]) is float and same_bits(loaded.buffer[0], net.buffer[0])
 
 
 # each damages the alpha row (line 3), the gate_cap row (line 4), the gates
@@ -580,93 +576,95 @@ def test_a_grown_buffer_keeps_every_value_and_memory_does_not_grow_with_the_cap(
                 assert same_bits(after[name], value), name
         assert same_bits(after[f"direction.and{n}.w"], np.where(seed >= 0.75, 1.0, 0.0))
         assert same_bits(after[f"direction.and{n}.b"], 1.0) and after["direction.or.w"][n] == 1.0
-        # every node reads the grown buffer
-        for j, node in enumerate(net.and_gates):
-            assert same_bits(node.weights, after[f"direction.and{j}.w"])
-            assert same_bits(node.bias, after[f"direction.and{j}.b"])
-        assert same_bits(net.or_root.weights, after["direction.or.w"])
-        assert same_bits(net.or_root.bias, after["direction.or.b"])
+        # every row reads the grown buffer
+        for j, (weights, bias, _) in enumerate(net.rows()):
+            assert same_bits(weights, after[f"direction.and{j}.w"])
+            assert same_bits(bias, after[f"direction.and{j}.b"])
+        assert same_bits([or_weight for _, _, or_weight in net.rows()], after["direction.or.w"])
 
 
 def test_a_deep_copy_points_into_its_own_buffer():
     net = make_net([[0.5, 0.25, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]], [0.75, 0.5])
     copied = copy.deepcopy(net)
     assert same_bits(copied.buffer, net.buffer) and copied.buffer is not net.buffer
-    for node, original in zip((*copied.and_gates, copied.or_root), (*net.and_gates, net.or_root)):
-        assert same_bits(node.weights, original.weights) and same_bits(node.bias, original.bias)
+    for row, original in zip(copied.rows(), net.rows()):
+        assert same_bits(row[0], original[0]) and same_bits(row[1:], original[1:])
     # writing the copy leaves the original as it was
     copied.buffer[:] = [0.0] * len(copied.buffer)
-    assert copied.and_gates[1].bias == 0.0 and net.and_gates[1].bias == 1.0
+    assert copied.rows()[1][1] == 0.0 and net.rows()[1][1] == 1.0
     copied.add_and_gate(np.ones(4))
-    assert len(copied.and_gates) == 3 and len(net.and_gates) == 2
-
-
-def test_assigning_nodes_lays_out_a_new_buffer():
-    net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take")
-    # the first gate keeps its OR weight (1); the new second gate reads 0
-    net.and_gates = [LogicNode.create(AND, [0.25, 0.5], 0.75), LogicNode.create(AND, [1.0, 0.0], 2.0)]
-    assert net.buffer == [1.25, 0.25, 0.5, 0.75, 1.0, 1.0, 0.0, 2.0, 0.0]
-    net.or_root = LogicNode.create(OR, [0.125, 1.0], 1.5)
-    assert net.buffer == [1.5, 0.25, 0.5, 0.75, 0.125, 1.0, 0.0, 2.0, 1.0]
-    assert isinstance(net.and_gates, tuple)
-    with pytest.raises(ValueError):
-        net.and_gates = [LogicNode.create(AND, [1.0, 0.0, 1.0], 1.0)]
-    # an OR root needs one weight per gate
-    with pytest.raises(ValueError, match="2 weights, got 3"):
-        net.or_root = LogicNode.create(OR, [0.125, 1.0, 1.0], 1.5)
-    assert net.buffer == [1.5, 0.25, 0.5, 0.75, 0.125, 1.0, 0.0, 2.0, 1.0]
-    # dropping a gate keeps the OR weight of the one that remains
-    net.and_gates = net.and_gates[1:]
-    assert net.buffer == [1.5, 1.0, 0.0, 2.0, 0.125]
+    assert len(copied.rows()) == 3 and len(net.rows()) == 2
 
 
 @contextlib.contextmanager
-def counting_lay_outs():
-    """The networks `LnnNetwork._lay_out` is called on, one entry a call."""
+def counting_constructions():
+    """The networks `LnnNetwork.__init__` builds, one entry a call."""
     calls = []
-    lay_out = LnnNetwork._lay_out
+    init = LnnNetwork.__init__
 
-    def counted(net, *args):
+    def counted(net, *args, **kwargs):
         calls.append(net)
-        return lay_out(net, *args)
+        return init(net, *args, **kwargs)
 
-    with mock.patch.object(LnnNetwork, "_lay_out", counted):
+    with mock.patch.object(LnnNetwork, "__init__", counted):
         yield calls
 
 
 def test_the_constructor_lays_out_the_rows_it_is_given_once():
-    gates = [LogicNode.create(AND, [0.25, 0.5], 0.75), LogicNode.create(AND, [1.0, 0.0], 2.0)]
-    with counting_lay_outs() as calls:
-        net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take", gates=gates,
-                         or_root=LogicNode.create(OR, [0.125, 1.0], 1.5))
+    rows = [([0.25, 0.5], 0.75, 0.125), ([1.0, 0.0], 2.0, 1.0)]
+    with counting_constructions() as calls:
+        net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take", rows=rows, or_bias=1.5)
         seed = LnnNetwork("money", CATEGORY_LITERALS["money"], "take")
-        unit = LnnNetwork("money", CATEGORY_LITERALS["money"], "take", gates=gates)
+        unit = LnnNetwork("money", CATEGORY_LITERALS["money"], "take",
+                          rows=[(w, b, 1.0) for w, b, _ in rows])
     assert calls == [net, seed, unit]
     assert net.buffer == [1.5, 0.25, 0.5, 0.75, 0.125, 1.0, 0.0, 2.0, 1.0]
-    # no rows: the seed gate under the default OR root; no OR root: a unit weight per gate
+    # no rows: the seed gate under the default OR bias; no OR bias: the default
     assert seed.buffer == [1.25, 0.5, 0.5, 1.0, 1.0]
     assert unit.buffer == [1.25, 0.25, 0.5, 0.75, 1.0, 1.0, 0.0, 2.0, 1.0]
     with pytest.raises(ValueError, match="3 gates exceed gate_cap 2"):
         LnnNetwork("money", CATEGORY_LITERALS["money"], "take", gate_cap=2,
-                   gates=[*gates, gates[0]])
-    with pytest.raises(ValueError, match="2 weights, got 1"):
-        LnnNetwork("money", CATEGORY_LITERALS["money"], "take", gates=gates,
-                   or_root=LogicNode.create(OR, [1.0], 1.5))
+                   rows=[*rows, rows[0]])
+    # a row is as wide as the literals
+    with pytest.raises(ValueError, match="^gate weights must number 2, got 3$"):
+        LnnNetwork("money", CATEGORY_LITERALS["money"], "take", rows=[([1.0, 0.0, 1.0], 1.0, 1.0)])
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@given(net=grown_networks())
-def test_a_checkpoint_is_laid_out_once_as_the_setters_laid_it_out(tmp_path_factory, net):
+# signed zeros, the least subnormal and values needing all 17 digits
+ROW_VALUES = st.sampled_from([0.0, -0.0, 5e-324, 1.0]) | NONNEGATIVE
+ROW_OR_WEIGHTS = st.sampled_from([0.0, -0.0, 5e-324, 1.0]) | UNIT
+
+
+@st.composite
+def grown_banks(draw):
+    """A network built from 0..gate_cap random rows, then grown by induction
+    up to 0..gate_cap gates more, never past the cap."""
+    category = draw(st.sampled_from(sorted(CATEGORY_LITERALS)))
+    literals = CATEGORY_LITERALS[category]
+    arity = len(literals)
+    gate_cap = draw(st.integers(1, 16))
+    rows = [(draw(st.lists(ROW_VALUES, min_size=arity, max_size=arity)), draw(ROW_VALUES),
+             draw(ROW_OR_WEIGHTS)) for _ in range(draw(st.integers(0, gate_cap)))]
+    net = LnnNetwork(category, literals, CATEGORY_VERBS[category], draw(st.floats(0.5, 1.0)),
+                     gate_cap, rows, draw(ROW_VALUES))
+    for _ in range(draw(st.integers(0, gate_cap - len(rows)))):
+        net.add_and_gate(draw(st.lists(st.floats(0.0, 1.0), min_size=arity, max_size=arity)))
+    return net
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(net=grown_banks())
+def test_rows_rebuild_the_buffer_and_a_checkpoint_reads_them_back(tmp_path_factory, net):
+    rebuilt = LnnNetwork(net.category, net.literals, net.verb, net.alpha, net.gate_cap,
+                         rows=net.rows(), or_bias=net.buffer[0])
+    assert all(type(v) is float for v in rebuilt.buffer) and same_bits(rebuilt.buffer, net.buffer)
     path = tmp_path_factory.mktemp("checkpoint") / f"{net.category}.lnn"
     save_network(net, path)
-    with counting_lay_outs() as calls:
+    # the loader builds one network, from the rows it parsed
+    with counting_constructions() as calls:
         loaded = load_network(path)
     assert calls == [loaded]
-    # the reference: a seed network whose rows are replaced through the setters
-    reference = LnnNetwork(net.category, net.literals, net.verb, net.config, net.gate_cap)
-    reference.and_gates = net.and_gates
-    reference.or_root = net.or_root
-    assert same_bits(loaded.buffer, reference.buffer)
+    assert loaded.rows() == net.rows() and same_bits(loaded.buffer, net.buffer)
 
 
 # ---------------------------------------------------------------------------
@@ -687,13 +685,14 @@ def reference_dot(weights, values):
     return total
 
 
-def reference_forward(net, facts):
-    """`LnnNetwork.forward` written over numpy arrays and `np.clip`, with each
-    dot product summed left to right: kept as reference."""
+def reference_forward(rows, or_bias, facts):
+    """`LnnNetwork.forward` of a network with `rows` and `or_bias`, written
+    over numpy arrays and `np.clip`, with each dot product summed left to
+    right: kept as reference."""
     x = np.asarray(facts, dtype=np.float64)
-    and_pre = np.array([float(g.bias) - reference_dot(g.weights, 1.0 - x) for g in net.and_gates])
+    and_pre = np.array([float(b) - reference_dot(w, 1.0 - x) for w, b, _ in rows])
     and_out = np.clip(and_pre, 0.0, 1.0)
-    or_pre = 1.0 - float(net.or_root.bias) + reference_dot(net.or_root.weights, and_out)
+    or_pre = 1.0 - float(or_bias) + reference_dot([or_w for _, _, or_w in rows], and_out)
     or_out = float(np.clip(or_pre, 0.0, 1.0))
     return or_out, (x, and_pre, and_out, or_pre, or_out)
 
@@ -741,17 +740,14 @@ WEIGHTS = EDGE_FLOATS | st.floats(0.0, 1e3, allow_nan=False, allow_infinity=Fals
 def gate_banks(draw):
     """A network of 0..16 gates with arbitrary nonnegative weights and biases."""
     category = draw(st.sampled_from(sorted(CATEGORY_LITERALS)))
-    net = LnnNetwork(category, CATEGORY_LITERALS[category], CATEGORY_VERBS[category])
-    arity = net.input_arity
+    arity = len(CATEGORY_LITERALS[category])
     n_gates = draw(st.integers(0, 16))
-    net.and_gates = [
-        LogicNode.create(AND, draw(st.lists(WEIGHTS, min_size=arity, max_size=arity)),
-                         draw(WEIGHTS))
-        for _ in range(n_gates)
-    ]
-    net.or_root = LogicNode.create(OR, draw(st.lists(WEIGHTS, min_size=n_gates, max_size=n_gates)),
-                                   draw(WEIGHTS))
-    return net
+    gates = [(draw(st.lists(WEIGHTS, min_size=arity, max_size=arity)), draw(WEIGHTS))
+             for _ in range(n_gates)]
+    or_weights = draw(st.lists(WEIGHTS, min_size=n_gates, max_size=n_gates))
+    return LnnNetwork(category, CATEGORY_LITERALS[category], CATEGORY_VERBS[category],
+                      rows=[(w, b, or_w) for (w, b), or_w in zip(gates, or_weights)],
+                      or_bias=draw(WEIGHTS))
 
 
 @st.composite
@@ -768,7 +764,7 @@ def test_forward_equals_the_numpy_call_form_bit_for_bit(net, data):
     for _ in range(3):
         facts = data.draw(fact_vectors(net.input_arity))
         q, trace = net.forward(facts)
-        ref_q, ref_trace = reference_forward(net, facts)
+        ref_q, ref_trace = reference_forward(net.rows(), net.buffer[0], facts)
         assert type(q) is float and same_bits(q, ref_q)
         # the reference's clamped OR value is its q, checked above
         fields = (trace.facts, trace.and_pre, trace.and_out, trace.or_pre)
@@ -783,11 +779,10 @@ def test_each_dot_product_starts_from_plus_zero():
     # as BLAS `ddot` did: a gate whose every product is -0.0 reads
     # `bias - (+0.0)`, so -0.0 for a bias of -0.0
     net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take",
-                     gates=[LogicNode.create(AND, [-0.0, -0.0], -0.0)],
-                     or_root=LogicNode.create(OR, [-0.0], 1.25))
+                     rows=[([-0.0, -0.0], -0.0, -0.0)], or_bias=1.25)
     _, trace = net.forward((0.0, 1.0))
     assert same_bits(trace.and_pre, [-0.0])
-    assert same_bits(trace.and_pre, reference_forward(net, (0.0, 1.0))[1][1])
+    assert same_bits(trace.and_pre, reference_forward(net.rows(), net.buffer[0], (0.0, 1.0))[1][1])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -822,8 +817,8 @@ def test_adam_equals_the_numpy_array_form_bit_for_bit(ops, learning_rate, bias, 
     # one money network, stepped on its buffer in the list form; the numpy
     # form steps the same values as one float64 array, and the reference
     # keeps them as named arrays, as the network once held them
-    net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take", gate_cap=gate_cap)
-    net.and_gates = [LogicNode.create(AND, weights, bias)]
+    net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take", gate_cap=gate_cap,
+                     rows=[(weights, bias, 1.0)])
     array = np.array(net.buffer)
     ref_params = {name: np.array(p) for name, p in named(net, net.buffer).items()}
     opt, array_opt = AdamOptimizer(learning_rate=learning_rate), AdamOptimizer(learning_rate)
@@ -834,14 +829,14 @@ def test_adam_equals_the_numpy_array_form_bit_for_bit(ops, learning_rate, bias, 
             j = net.add_and_gate(seed)
             if j is not None:
                 array = np.append(array, net.buffer[array.size:])
-                ref_params[f"money.and{j}.w"] = np.where(seed >= net.config.alpha, 1.0, 0.0)
+                ref_params[f"money.and{j}.w"] = np.where(seed >= net.alpha, 1.0, 0.0)
                 ref_params[f"money.and{j}.b"] = np.array(1.0)
                 ref_params["money.or.w"] = np.append(ref_params["money.or.w"], 1.0)
             continue
         grad = np.resize(np.array(values), len(net.buffer))
         # an induced gate gets the exact zero gradient `gradients` gives it
         positions = named_positions(net)
-        for j in range(1, len(net.and_gates)):
+        for j in range(1, len(net.rows())):
             grad[positions[f"money.and{j}.w"] + positions[f"money.and{j}.b"]] = 0.0
         ref_grads = {name: np.array(g) for name, g in named(net, grad).items()}
         opt.step({"money": net.buffer}, {"money": grad.tolist()})
@@ -887,11 +882,11 @@ def test_an_induced_gate_gets_no_gradient_so_any_adam_count_leaves_it(
     net.project()
     for facts in assignments:
         net.induce(net.forward(facts)[1])
-    n = len(net.and_gates)
+    n = len(net.rows())
     assert n == len(assignments) + 1
     or_weights = data.draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]),
                                     min_size=n, max_size=n))
-    net.or_root = LogicNode.create(OR, or_weights, or_bias)
+    net = with_or_root(net, or_weights, or_bias)
     # the positions of every induced gate's weights and bias
     positions = named_positions(net)
     induced = [i for j in range(1, n)

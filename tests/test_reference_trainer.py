@@ -65,7 +65,7 @@ class Node:
 @dataclasses.dataclass
 class ReferenceNet:
     """One category's network as a list of gates and an OR root, each its own
-    arrays; `reference_forward` reads it as it reads an `LnnNetwork`."""
+    arrays; `forward` is `reference_forward` over its rows."""
 
     category: str
     alpha: float
@@ -78,6 +78,10 @@ class ReferenceNet:
         arity = len(CATEGORY_LITERALS[category])
         return cls(category, alpha, gate_cap, [Node(np.full(arity, 0.5), np.array(1.0))],
                    Node(np.array([1.0]), np.array(DEFAULT_OR_BIAS)))
+
+    def forward(self, facts):
+        rows = [(g.weights, g.bias, w) for g, w in zip(self.and_gates, self.or_root.weights)]
+        return reference_forward(rows, self.or_root.bias, facts)
 
     def parameters(self):
         params = {}
@@ -157,23 +161,23 @@ class LnnModel:
                      for category in CATEGORY_VERBS}
 
     def choose(self, props, candidates, epsilon, rng):
-        q_values = [reference_forward(self.nets[category], facts)[0]
+        q_values = [self.nets[category].forward(facts)[0]
                     for category, _, _, facts in candidates]
         category, _, action, facts = candidates[loop_index(q_values, epsilon, rng)]
         return action, (category, facts)
 
     def q(self, t):
         category, facts = t.chosen
-        return reference_forward(self.nets[category], facts)[0]
+        return self.nets[category].forward(facts)[0]
 
     def best_next(self, t):
-        return max((reference_forward(self.nets[category], facts)[0]
+        return max((self.nets[category].forward(facts)[0]
                     for category, _, _, facts in t.next_candidates), default=0.0)
 
     def gradients(self, t, upstream):
         category, facts = t.chosen
         net = self.nets[category]
-        return net.gradients(reference_forward(net, facts)[1], upstream)
+        return net.gradients(net.forward(facts)[1], upstream)
 
     def parameters(self):
         return {name: p for net in self.nets.values() for name, p in net.parameters().items()}
@@ -183,7 +187,7 @@ class LnnModel:
             if t.reward >= 1.0:
                 category, facts = t.chosen
                 net = self.nets[category]
-                net.induce(reference_forward(net, facts)[1])
+                net.induce(net.forward(facts)[1])
 
     def after_step(self):
         for net in self.nets.values():
