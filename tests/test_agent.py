@@ -16,6 +16,7 @@ from test_lnn import counting_constructions, named, same_bits
 
 import lnnrl.agent as agent_module
 from lnnrl.agent import (
+    DqnAgent,
     LnnAgent,
     LnnScorer,
     Memo,
@@ -49,6 +50,7 @@ from lnnrl.harness import evaluate
 from lnnrl.lexicon import default_lexicon, parse_lexicon
 from lnnrl.lnn import OR_BIAS_FLOOR, LnnNetwork
 from lnnrl.optim import AdamOptimizer
+from lnnrl.rng import substream
 from lnnrl.worldsim import (
     ALL_ACTIONS,
     DIFFICULTIES,
@@ -92,6 +94,12 @@ def make_transition(category, facts, reward, terminal, next_candidates=(),
         next_candidates=tuple(candidate(c, f) for c, f in next_candidates),
         chosen=chosen,
     )
+
+
+def trainer(config, nets, run_seed=0):
+    """The trainer `LnnAgent(config, run_seed)` builds, over the given
+    networks in place of fresh ones."""
+    return DqnAgent(config, LnnScorer(nets), substream("replay-sampling", run_seed))
 
 
 def parameter_bytes(agent):
@@ -356,7 +364,7 @@ def test_medium_dead_end_return_pays_bonus():
     distractor_dir = next(
         d for d in DIRECTIONS
         if (graph.start, d) in graph.exits
-        and graph.exits[(graph.start, d)] not in graph.optimal_path
+        and graph.exits[(graph.start, d)] not in range(graph.level + 1)
     )
     state, agent_map, props = drive(graph, [distractor_dir])
     back = OPPOSITE[distractor_dir]
@@ -644,7 +652,7 @@ def zeroed_networks(config):
 
 def test_zero_rewards_and_zero_q_leave_argmax_unchanged(lexicon):
     config = TrainerConfig()
-    agent = LnnAgent(config, run_seed=2, nets=zeroed_networks(config))
+    agent = trainer(config, zeroed_networks(config), run_seed=2)
     graph = generate_game(GameSpec("medium", 3, 5))
     candidates = enumerate_candidates(start_props(graph), lexicon)
 
@@ -1049,18 +1057,32 @@ def test_scripted_networks_are_built_once_each_as_add_and_gate_builds_them():
 
 
 @pytest.mark.parametrize("make_agent", [
-    lambda: LnnAgent(TrainerConfig(), nets=scripted_rule_networks()),
+    lambda: trainer(TrainerConfig(), scripted_rule_networks()),
     lambda: MlpAgent(TrainerConfig(), run_seed=4),
 ], ids=["lnn", "mlp"])
 def test_an_eval_plays_any_object_with_choose(lexicon, make_agent):
-    """An untraced evaluation reads nothing of its player but `choose`, so a
-    bare scorer plays it as the agent around it does."""
+    """An evaluation reads nothing of its player but `choose`, so a bare
+    scorer plays it as the agent around it does."""
     agent = make_agent()
     graphs = [generate_game(GameSpec("hard", level, seed)) for level in (5, 25) for seed in range(3)]
     choose_only = types.SimpleNamespace(choose=agent.scorer.choose)
-    reports = [run_episode(graph, choose_only, lexicon, mode="eval") for graph in graphs]
-    assert reports == [run_episode(graph, agent, lexicon, mode="eval") for graph in graphs]
+    with mock.patch.object(agent_module, "shape_reward", wraps=shape_reward) as shaping:
+        reports = [run_episode(graph, choose_only, lexicon, mode="eval") for graph in graphs]
+        assert reports == [run_episode(graph, agent, lexicon, mode="eval") for graph in graphs]
+    # nothing reads an eval step's shaped reward, so none is computed
+    assert shaping.call_count == 0
     assert evaluate(choose_only, graphs, lexicon) == evaluate(agent, graphs, lexicon)
+
+
+def test_an_eval_episode_refuses_a_trace_before_its_first_step(lexicon):
+    """Only a training episode shapes rewards, so only it writes a trace; a
+    bare scorer, as `lnnrl eval` plays, is refused before any step."""
+    graph = generate_game(GameSpec("easy", 2, 0))
+    sink = io.StringIO()
+    with mock.patch.object(agent_module, "step", wraps=step) as steps, \
+            pytest.raises(ValueError, match="training episode"):
+        run_episode(graph, LnnScorer(scripted_rule_networks()), lexicon, mode="eval", trace=sink)
+    assert steps.call_count == 0 and sink.getvalue() == ""
 
 
 def test_untrained_networks_stall_near_the_step_cap(lexicon):
@@ -1177,7 +1199,7 @@ def same_records(a, b):
 
 
 def oracle_agent(config, run_seed):
-    return LnnAgent(config, run_seed, nets=scripted_rule_networks())
+    return trainer(config, scripted_rule_networks(), run_seed)
 
 
 def recording(fn, log):
@@ -1276,26 +1298,11 @@ def test_each_observation_is_read_once_and_equals_a_fresh_reading(
         assert props2 is props and candidates2 is candidates and action2 == action
 
 
-@pytest.mark.parametrize("make_agent", [LnnAgent, MlpAgent, oracle_agent],
-                         ids=["lnn", "mlp", "oracle"])
-def test_an_eval_episode_reports_the_same_with_and_without_a_trace(lexicon, make_agent):
-    for seed in range(3):
-        graph = generate_game(GameSpec("medium", 4, seed))
-        agent = make_agent(TrainerConfig(), run_seed=seed)
-        with mock.patch.object(agent_module, "shape_reward", wraps=shape_reward) as shaping:
-            untraced = run_episode(graph, agent, lexicon, mode="eval")
-            # nothing reads an untraced eval step's shaped reward, so none is computed
-            assert shaping.call_count == 0
-            traced = run_episode(graph, agent, lexicon, mode="eval", trace=io.StringIO())
-            assert shaping.call_count == traced.steps
-        assert traced == untraced
-
-
 def test_trace_lines_carry_facts_and_q_values(lexicon):
-    policy = LnnAgent(TrainerConfig(), nets=scripted_rule_networks())
+    policy = trainer(TrainerConfig(), scripted_rule_networks())
     graph = generate_game(GameSpec("easy", 2, 0))
     sink = io.StringIO()
-    report = run_episode(graph, policy, lexicon, mode="eval", trace=sink, epoch=7)
+    report = run_episode(graph, policy, lexicon, mode="train", trace=sink, epoch=7)
     trace = sink.getvalue().splitlines()
     assert len(trace) == report.steps
     for line in trace:

@@ -353,11 +353,10 @@ def test_all_visited_in_dead_end_and_after_full_exploration():
     start = graph.start
     distractor_dir = next(
         d for d in DIRECTIONS
-        if (start, d) in graph.exits and graph.exits[(start, d)] not in graph.optimal_path
+        if (start, d) in graph.exits and graph.exits[(start, d)] not in range(graph.level + 1)
     )
-    path_dir = next(
-        d for d in DIRECTIONS if graph.exits.get((start, d)) == graph.optimal_path[1]
-    )
+    # the path's rooms are ids 0..level, so room 1 is the path's second room
+    path_dir = next(d for d in DIRECTIONS if graph.exits.get((start, d)) == 1)
     back = {"north": "south", "south": "north", "east": "west", "west": "east"}
 
     # inside the dead-end distractor: single exit, already traversed

@@ -15,7 +15,6 @@ from lnnrl.harness import (
     ExperimentConfig,
     build_game_sets,
     compare_runs,
-    first_crossing,
     moving_average,
     parse_key_value_text,
     read_metrics_csv,
@@ -482,7 +481,7 @@ def test_schema_mismatch_is_an_error(tmp_path):
     with pytest.raises(ValueError, match="schema"):
         compare_runs(a, b)
     with pytest.raises(ValueError, match="schema"):
-        first_crossing(b, 0.9)
+        compare_runs(b, b)
 
 
 @pytest.mark.parametrize("row", ["30,0.95", "30,0.95,20.0,7", "30,0.95,x",

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import itertools
+import math
 import random
 import re
 from unittest import mock
@@ -27,9 +28,19 @@ from lnnrl.optim import AdamOptimizer
 
 
 def make_net(weights_list, or_weights, or_bias=1.25, literals=None, verb="go"):
+    """A direction network of gates with bias 1 under the given OR root."""
     literals = literals or CATEGORY_LITERALS["direction"][: len(weights_list[0])]
-    rows = [(w, 1.0, or_w) for w, or_w in zip(weights_list, or_weights, strict=True)]
-    return LnnNetwork("direction", literals, verb, rows=rows, or_bias=or_bias)
+    net = LnnNetwork("direction", literals, verb, rows=[(w, 1.0, 1.0) for w in weights_list],
+                     or_bias=or_bias)
+    return with_or_weights(net, or_weights)
+
+
+def with_or_weights(net, or_weights):
+    """`net` with its OR weights set to `or_weights` in its buffer, where an
+    OR weight above 1, which the constructor refuses, may go."""
+    for i, or_weight in zip(named_positions(net)[f"{net.category}.or.w"], or_weights, strict=True):
+        net.buffer[i] = float(or_weight)
+    return net
 
 
 def with_or_root(net, or_weights, or_bias):
@@ -132,6 +143,16 @@ def test_nonnegativity_enforced_at_construction():
         LnnNetwork("money", money, "take", rows=[([-0.1, 1.0], 1.0, 1.0)])
     with pytest.raises(ValueError, match="nonnegative"):
         LnnNetwork("money", money, "take", rows=[([1.0, 1.0], 1.0, 1.0)], or_bias=-0.5)
+
+
+@pytest.mark.parametrize("rows, or_bias, message", [
+    ([([math.nan, 1.0], 1.0, 2.5)], 1.25, "finite and nonnegative"),
+    ([([1.0, 0.0], 1.0, 1.0)], math.inf, "finite and nonnegative"),
+    ([([1.0, 0.0], 1.0, 1.5)], 1.25, "above 1"),
+], ids=["nan_weight", "infinite_or_bias", "or_weight_above_one"])
+def test_the_constructor_refuses_what_a_checkpoint_refuses(rows, or_bias, message):
+    with pytest.raises(ValueError, match=f"^money network.*{message}"):
+        LnnNetwork("money", CATEGORY_LITERALS["money"], "take", rows=rows, or_bias=or_bias)
 
 
 def test_arity_mismatch_raises():
@@ -414,7 +435,7 @@ def test_a_saved_network_loads_back_or_is_not_written(tmp_path_factory, net, dat
     before writing anything; whatever it writes loads to the same bytes."""
     n = len(net.rows())
     or_weights = data.draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))
-    net = with_or_root(net, or_weights, net.buffer[0])
+    net = with_or_weights(net, or_weights)
     path = tmp_path_factory.mktemp("checkpoint") / f"{net.category}.lnn"
     try:
         save_network(net, path)
@@ -745,9 +766,9 @@ def gate_banks(draw):
     gates = [(draw(st.lists(WEIGHTS, min_size=arity, max_size=arity)), draw(WEIGHTS))
              for _ in range(n_gates)]
     or_weights = draw(st.lists(WEIGHTS, min_size=n_gates, max_size=n_gates))
-    return LnnNetwork(category, CATEGORY_LITERALS[category], CATEGORY_VERBS[category],
-                      rows=[(w, b, or_w) for (w, b), or_w in zip(gates, or_weights)],
-                      or_bias=draw(WEIGHTS))
+    net = LnnNetwork(category, CATEGORY_LITERALS[category], CATEGORY_VERBS[category],
+                     rows=[(w, b, 1.0) for w, b in gates], or_bias=draw(WEIGHTS))
+    return with_or_weights(net, or_weights)
 
 
 @st.composite
