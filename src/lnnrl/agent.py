@@ -31,7 +31,6 @@ import random
 import struct
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import TextIO
 
 from .factextract import (
@@ -48,6 +47,7 @@ from .factextract import (
 from .lexicon import LexiconTable
 from .lnn import DEFAULT_ALPHA, DEFAULT_GATE_CAP, LnnNetwork, check_alpha, clamp01
 from .optim import AdamOptimizer
+from .records import Frozen, parameters, same_fields, set_fields
 from .rng import substream
 from .worldsim import (
     Action,
@@ -60,23 +60,28 @@ from .worldsim import (
 )
 
 
-@dataclass(frozen=True)
-class TrainerConfig:
-    gamma: float = 0.9
-    batch_size: int = 4
-    update_period: int = 4              # environment steps between gradient updates
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.2
-    epsilon_anneal_epochs: int = 1000
-    bonus_coefficient: float = 1.0
-    learning_rate: float = 1e-3
-    replay_capacity: int = 500_000
-    priority_fraction: float = 0.25
-    target_update_period: int = 100     # optimizer steps between target refreshes
-    alpha: float = DEFAULT_ALPHA
-    gate_cap: int = DEFAULT_GATE_CAP
+class TrainerConfig(Frozen):
+    """The trainer's settings, checked when made (a fault raises ValueError).
+    The parameters of `__init__` are the fields, in the order and with the
+    defaults `config.txt` writes; configs are equal when every field is."""
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        gamma: float = 0.9,
+        batch_size: int = 4,
+        update_period: int = 4,              # environment steps between gradient updates
+        epsilon_start: float = 1.0,
+        epsilon_end: float = 0.2,
+        epsilon_anneal_epochs: int = 1000,
+        bonus_coefficient: float = 1.0,
+        learning_rate: float = 1e-3,
+        replay_capacity: int = 500_000,
+        priority_fraction: float = 0.25,
+        target_update_period: int = 100,     # optimizer steps between target refreshes
+        alpha: float = DEFAULT_ALPHA,
+        gate_cap: int = DEFAULT_GATE_CAP,
+    ) -> None:
+        set_fields(self, locals())
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         for name in ("batch_size", "update_period", "epsilon_anneal_epochs",
@@ -95,6 +100,9 @@ class TrainerConfig:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         # the networks' own check, run now so a bad alpha fails before any output
         check_alpha(self.alpha)
+
+    __slots__ = parameters(__init__)
+    __eq__ = same_fields
 
 
 def epsilon_at(epoch: int, config: TrainerConfig) -> float:
@@ -195,8 +203,7 @@ def shape_reward(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Transition:
+class Transition(Frozen):
     """One stored step: the shared, read-only records `choose` saw before and
     after it. Each scorer reads its own inputs from them.
 
@@ -208,13 +215,18 @@ class Transition:
     keeps one record per distinct transition, and its pools hold references
     to it."""
 
-    props: PropositionSet
-    action: Action
-    reward: float                            # shaped
-    terminal: bool
-    next_props: PropositionSet
-    next_candidates: tuple[Candidate, ...]
-    chosen: Candidate | None = None
+    __slots__ = ("props", "action", "reward", "terminal", "next_props", "next_candidates", "chosen")
+
+    def __init__(self, props: PropositionSet, action: Action, reward: float, terminal: bool,
+                 next_props: PropositionSet, next_candidates: tuple[Candidate, ...],
+                 chosen: Candidate | None = None) -> None:
+        object.__setattr__(self, "props", props)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "reward", reward)   # shaped
+        object.__setattr__(self, "terminal", terminal)
+        object.__setattr__(self, "next_props", next_props)
+        object.__setattr__(self, "next_candidates", next_candidates)
+        object.__setattr__(self, "chosen", chosen)
 
 
 _REWARD_BITS = struct.Struct("<d").pack
@@ -529,10 +541,16 @@ def read_room(graph: RoomGraph, room: RoomId) -> ParsedObservation:
     return parsed
 
 
-@dataclass
 class EpisodeReport:
-    quest_reward: float
-    steps: int
+    """One episode's quest reward and step count; reports are equal when both are."""
+
+    __slots__ = ("quest_reward", "steps")
+
+    def __init__(self, quest_reward: float, steps: int) -> None:
+        self.quest_reward = quest_reward
+        self.steps = steps
+
+    __eq__ = same_fields
 
 
 def run_episode(

@@ -30,9 +30,9 @@ import functools
 import itertools
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
+from .records import Frozen, same_fields
 from .worldsim import COIN_TEMPLATES, DIRECTIONS, EXIT_SENTENCES, NOUNS, OPPOSITE, Action, RoomId
 
 # ---------------------------------------------------------------------------
@@ -44,15 +44,20 @@ class ObservationParseError(Exception):
     """Input text falls outside the observation grammar."""
 
 
-@dataclass(frozen=True, slots=True)
-class ParsedObservation:
-    """What one observation says. A graph keeps one per room it has read
-    (`RoomGraph.readings`), so a reading is kept small: no `__dict__`, and its
-    frozensets are shared module constants."""
+class ParsedObservation(Frozen):
+    """What one observation says; readings are equal when their fields are.
+    A graph keeps one per room it has read (`RoomGraph.readings`), so a
+    reading is kept small: no `__dict__`, and its frozensets are shared
+    module constants."""
 
-    room_name: str
-    open_exits: frozenset[str]
-    objects_seen: frozenset[str]
+    __slots__ = ("room_name", "open_exits", "objects_seen")
+
+    def __init__(self, room_name: str, open_exits: frozenset[str], objects_seen: frozenset[str]) -> None:
+        object.__setattr__(self, "room_name", room_name)
+        object.__setattr__(self, "open_exits", open_exits)
+        object.__setattr__(self, "objects_seen", objects_seen)
+
+    __eq__ = same_fields
 
 
 #: the two `objects_seen` values there are, shared by every reading
@@ -100,19 +105,24 @@ def parse_observation(text: str) -> ParsedObservation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class AgentMap:
     """What the agent has seen of the map this episode.
 
     Adjacency holds only edges the agent actually traversed (both directions
     of each traversal). ``entry_direction[room]`` points back the way the
-    agent first came into that room and is never overwritten.
+    agent first came into that room and is never overwritten. Each
+    collection not given is a fresh empty one.
     """
 
-    current: RoomId
-    visited: set[RoomId] = field(default_factory=set)
-    adjacency: dict[tuple[RoomId, str], RoomId] = field(default_factory=dict)
-    entry_direction: dict[RoomId, str] = field(default_factory=dict)
+    __slots__ = ("current", "visited", "adjacency", "entry_direction")
+
+    def __init__(self, current: RoomId, visited: set[RoomId] | None = None,
+                 adjacency: dict[tuple[RoomId, str], RoomId] | None = None,
+                 entry_direction: dict[RoomId, str] | None = None) -> None:
+        self.current = current
+        self.visited = set() if visited is None else visited
+        self.adjacency = {} if adjacency is None else adjacency
+        self.entry_direction = {} if entry_direction is None else entry_direction
 
     @classmethod
     def start(cls, room: RoomId) -> "AgentMap":
@@ -151,46 +161,45 @@ PROPOSITION_NAMES: tuple[str, ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
-class PropositionSet:
-    """One truth assignment of the 26 values.
+class PropositionSet(Frozen):
+    """One truth assignment of the 26 values; sets are equal when the four
+    fields are.
 
     `extract_propositions` returns a shared record per assignment, whose
     mappings are read-only; one built directly holds whatever it was given.
+    `candidates_memo` holds `agent.enumerate_candidates`' tuple for this
+    record per `LexiconTable.pairs`, filled on first use. A shared record
+    never changes, so neither does a tuple grounded from it.
     """
 
-    find: Mapping[str, bool]          # one per noun
-    visited_dir: Mapping[str, bool]   # one per direction
-    initial_dir: Mapping[str, bool]   # one per direction
-    all_visited: bool                 # derived, quantified over open exits only
+    __slots__ = ("find", "visited_dir", "initial_dir", "all_visited", "_vector", "candidates_memo")
+
+    def __init__(
+        self,
+        find: Mapping[str, bool],          # one per noun
+        visited_dir: Mapping[str, bool],   # one per direction
+        initial_dir: Mapping[str, bool],   # one per direction
+        all_visited: bool,                 # derived, quantified over open exits only
+    ) -> None:
+        object.__setattr__(self, "find", find)
+        object.__setattr__(self, "visited_dir", visited_dir)
+        object.__setattr__(self, "initial_dir", initial_dir)
+        object.__setattr__(self, "all_visited", all_visited)
+        bits: list[float] = []
+        for values, names in ((find, NOUNS), (visited_dir, DIRECTIONS), (initial_dir, DIRECTIONS)):
+            for name in names:
+                v = values[name]
+                bits += [float(v), float(not v)]
+        object.__setattr__(self, "_vector", tuple(bits))
+        object.__setattr__(self, "candidates_memo", {})
+
+    __eq__ = same_fields
 
     def as_vector(self) -> tuple[float, ...]:
-        """The 26 values (positives interleaved with their negations) as floats.
-
-        Built on the first call; every call returns that one tuple.
-        """
+        """The 26 values (positives interleaved with their negations) as
+        floats, built when the record is made; every call returns that one
+        tuple."""
         return self._vector
-
-    @functools.cached_property
-    def _vector(self) -> tuple[float, ...]:
-        bits: list[float] = []
-        for noun in NOUNS:
-            v = self.find[noun]
-            bits += [float(v), float(not v)]
-        for d in DIRECTIONS:
-            v = self.visited_dir[d]
-            bits += [float(v), float(not v)]
-        for d in DIRECTIONS:
-            v = self.initial_dir[d]
-            bits += [float(v), float(not v)]
-        return tuple(bits)
-
-    @functools.cached_property
-    def candidates_memo(self) -> dict:
-        """`agent.enumerate_candidates`' tuple for this record per
-        `LexiconTable.pairs`, filled on first use. A shared record never
-        changes, so neither does a tuple grounded from it."""
-        return {}
 
     def bitstring(self) -> str:
         return "".join(str(int(b)) for b in self.as_vector())
@@ -210,14 +219,12 @@ def _proposition_record(find: tuple[bool, ...], visited: tuple[bool, ...],
     # facts are crisp, so there are at most 2**5 * 2**4 * 5 = 2,560 keys
     find_map = dict(zip(NOUNS, find))
     visited_map = dict(zip(DIRECTIONS, visited))
-    props = PropositionSet(
+    return PropositionSet(
         find=MappingProxyType(find_map),
         visited_dir=MappingProxyType(visited_map),
         initial_dir=MappingProxyType({d: d == entry for d in DIRECTIONS}),
         all_visited=all(visited_map[d] for d in DIRECTIONS if find_map[d]),
     )
-    props.as_vector()   # built here, once, for every step that shares the record
-    return props
 
 
 @functools.cache
@@ -274,15 +281,17 @@ CATEGORY_NOUNS: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(Frozen):
     """Variable x of a category bound to one noun: the action it proposes and
     the category's literal values under that binding, a tuple of floats."""
 
-    category: str
-    noun: str
-    action: Action
-    values: tuple[float, ...]
+    __slots__ = ("category", "noun", "action", "values")
+
+    def __init__(self, category: str, noun: str, action: Action, values: tuple[float, ...]) -> None:
+        object.__setattr__(self, "category", category)
+        object.__setattr__(self, "noun", noun)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "values", values)
 
 
 def _build_groundings() -> dict[tuple[str, str, tuple[bool, ...]], Candidate]:

@@ -9,10 +9,8 @@ and per-seed columns), per-seed network checkpoints, and a rule dump.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .agent import LnnAgent, TrainerConfig, epsilon_at, run_episode
@@ -27,6 +25,7 @@ from .lnn import (
     save_network,
 )
 from .numtext import parse_float, parse_int
+from .records import Frozen, parameters, same_fields, set_fields
 from .rng import derive_seed, substream
 from .worldsim import (
     DEFAULT_MAX_EPISODE_STEPS,
@@ -45,31 +44,33 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Frozen):
     """One experiment's settings, checked when made (a fault raises ConfigError);
-    `test_levels` is kept as the tuple `to_text` writes, so the text reads back."""
+    `test_levels` is kept as the tuple `to_text` writes, so the text reads back.
+    The parameters of `__init__` are the fields, in the order and with the
+    defaults `to_text` writes; no `trainer` means a fresh default one.
+    Configs are equal when every field is."""
 
-    difficulty: str = "easy"
-    agent: str = "lnn"
-    n_train_games: int = 50
-    train_level: int = 5
-    test_levels: tuple[int, ...] = (5, 10, 15, 20, 25)
-    n_test_per_level: int = 10
-    epochs: int = 0                      # 0 means the per-difficulty default
-    eval_interval: int = 10
-    n_seeds: int = 5
-    base_seed: int = 0
-    max_episode_steps: int = DEFAULT_MAX_EPISODE_STEPS
-    moving_average_window: int = 1
-    rule_weight_threshold: float = DEFAULT_RULE_WEIGHT_THRESHOLD
-    trainer: TrainerConfig = field(default_factory=TrainerConfig)
-
-    def resolved_epochs(self) -> int:
-        return self.epochs if self.epochs > 0 else DEFAULT_EPOCHS[self.difficulty]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "test_levels", tuple(self.test_levels))
+    def __init__(
+        self,
+        difficulty: str = "easy",
+        agent: str = "lnn",
+        n_train_games: int = 50,
+        train_level: int = 5,
+        test_levels: tuple[int, ...] = (5, 10, 15, 20, 25),
+        n_test_per_level: int = 10,
+        epochs: int = 0,                      # 0 means the per-difficulty default
+        eval_interval: int = 10,
+        n_seeds: int = 5,
+        base_seed: int = 0,
+        max_episode_steps: int = DEFAULT_MAX_EPISODE_STEPS,
+        moving_average_window: int = 1,
+        rule_weight_threshold: float = DEFAULT_RULE_WEIGHT_THRESHOLD,
+        trainer: TrainerConfig | None = None,
+    ) -> None:
+        test_levels = tuple(test_levels)
+        trainer = TrainerConfig() if trainer is None else trainer
+        set_fields(self, locals())
         if self.agent not in AGENT_KINDS:
             raise ConfigError(f"agent must be one of {AGENT_KINDS}")
         for name in ("n_train_games", "n_test_per_level", "eval_interval", "n_seeds",
@@ -93,32 +94,36 @@ class ExperimentConfig:
             except InvalidSpecError as exc:
                 raise ConfigError(str(exc)) from exc
 
+    __slots__ = parameters(__init__)
+    __eq__ = same_fields
+
+    def resolved_epochs(self) -> int:
+        return self.epochs if self.epochs > 0 else DEFAULT_EPOCHS[self.difficulty]
+
     # ------------------------------------------------------------- key=value IO
 
     def to_text(self) -> str:
         lines = []
-        for f in dataclasses.fields(self):
-            if f.name == "trainer":
-                continue
-            value = getattr(self, f.name)
+        for name in self.__slots__[:-1]:      # every field but `trainer`, the last
+            value = getattr(self, name)
             if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
-            lines.append(f"{f.name}={value}")
-        for f in dataclasses.fields(self.trainer):
-            lines.append(f"{f.name}={getattr(self.trainer, f.name)}")
+            lines.append(f"{name}={value}")
+        for name in self.trainer.__slots__:
+            lines.append(f"{name}={getattr(self.trainer, name)}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_pairs(cls, pairs: dict[str, str]) -> "ExperimentConfig":
-        own_fields = {f.name: f for f in dataclasses.fields(cls) if f.name != "trainer"}
-        trainer_fields = {f.name: f for f in dataclasses.fields(TrainerConfig)}
+        own_defaults = dict(zip(cls.__slots__[:-1], cls.__init__.__defaults__))
+        trainer_defaults = dict(zip(TrainerConfig.__slots__, TrainerConfig.__init__.__defaults__))
         own_kwargs: dict = {}
         trainer_kwargs: dict = {}
         for key, raw in pairs.items():
-            if key in own_fields:
-                own_kwargs[key] = _coerce(raw, own_fields[key].default, key)
-            elif key in trainer_fields:
-                trainer_kwargs[key] = _coerce(raw, trainer_fields[key].default, key)
+            if key in own_defaults:
+                own_kwargs[key] = _coerce(raw, own_defaults[key], key)
+            elif key in trainer_defaults:
+                trainer_kwargs[key] = _coerce(raw, trainer_defaults[key], key)
             else:
                 raise ConfigError(f"unknown config key {key!r}")
         return cls(trainer=TrainerConfig(**trainer_kwargs), **own_kwargs)
@@ -239,26 +244,31 @@ def moving_average(values: list[float], window: int) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SeedResult:
     """One replicate's eval curve and its trained scorer, which the
     checkpoints and rules are written from. The trainer around it (replay,
     target copy, optimizer moments) is not kept: it is freed when `run_seed`
     returns."""
 
-    seed_index: int
-    epochs: list[int]
-    rewards: list[float]
-    steps: list[float]
-    scorer: object
+    def __init__(self, seed_index: int, epochs: list[int], rewards: list[float],
+                 steps: list[float], scorer: object) -> None:
+        set_fields(self, locals())
+
+    __slots__ = parameters(__init__)
 
 
-@dataclass
 class ExperimentResult:
-    config: ExperimentConfig
-    seeds: list[SeedResult]
-    csv_path: Path | None = None
-    rules_paths: list[Path] = field(default_factory=list)
+    """A run's config, its seeds' results and the files it wrote; no
+    `rules_paths` means a fresh empty list."""
+
+    __slots__ = ("config", "seeds", "csv_path", "rules_paths")
+
+    def __init__(self, config: ExperimentConfig, seeds: list[SeedResult],
+                 csv_path: Path | None = None, rules_paths: list[Path] | None = None) -> None:
+        self.config = config
+        self.seeds = seeds
+        self.csv_path = csv_path
+        self.rules_paths = [] if rules_paths is None else rules_paths
 
 
 def run_seed(
@@ -397,11 +407,13 @@ def load_networks(seed_dir: str | Path) -> dict[str, LnnNetwork]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CrossingReport:
-    threshold: float
-    first_epoch_a: int | None
-    first_epoch_b: int | None
+class CrossingReport(Frozen):
+    """The first epoch at which each of two runs reaches a reward threshold."""
+
+    def __init__(self, threshold: float, first_epoch_a: int | None, first_epoch_b: int | None) -> None:
+        set_fields(self, locals())
+
+    __slots__ = parameters(__init__)
 
     def render(self, name_a: str = "A", name_b: str = "B") -> str:
         def show(epoch):

@@ -7,12 +7,11 @@ bundled tab-separated file, standing in for a remote word-knowledge service.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 
 from .factextract import CATEGORY_NOUNS
+from .records import Frozen, same_fields
 from .worldsim import NOUNS
 
 # the game vocabulary every usable lexicon must cover
@@ -32,24 +31,27 @@ class LexiconValidationError(LexiconError):
     """The lexicon is missing required vocabulary."""
 
 
-@dataclass(frozen=True)
-class LexiconTable:
-    """In-memory word -> categories table. Lookup is pure and total."""
+class LexiconTable(Frozen):
+    """In-memory word -> categories table. Lookup is pure and total; tables
+    are equal when their entries are.
 
-    entries: Mapping[str, frozenset[str]] = field(default_factory=dict)
-    #: the (category, noun) pairs that ground a candidate, in candidate order:
-    #: nouns in `NOUNS` order, each noun's categories sorted
-    pairs: tuple[tuple[str, str], ...] = field(init=False, repr=False)
+    `pairs` holds the (category, noun) pairs that ground a candidate, in
+    candidate order: nouns in `NOUNS` order, each noun's categories sorted.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("entries", "pairs")
+
+    def __init__(self, entries: Mapping[str, frozenset[str]] = MappingProxyType({})) -> None:
         # a read-only copy, so `pairs` cannot go stale
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        object.__setattr__(self, "entries", MappingProxyType(dict(entries)))
         object.__setattr__(self, "pairs", tuple(
             (category, noun)
             for noun in NOUNS
             for category in sorted(self.lookup(noun))
             if noun in CATEGORY_NOUNS.get(category, ())
         ))
+
+    __eq__ = same_fields
 
     def lookup(self, word: str) -> frozenset[str]:
         return self.entries.get(word, frozenset())
@@ -95,6 +97,8 @@ def load_lexicon(path: str | Path) -> LexiconTable:
 
 def default_lexicon() -> LexiconTable:
     """The lexicon bundled with the package."""
+    # imported here: on Python 3.12 `importlib.resources` imports `inspect`
+    from importlib import resources
     text = resources.files(__package__).joinpath("data/lexicon.tsv").read_text("utf-8")
     table = parse_lexicon(text, source="data/lexicon.tsv")
     table.validate()

@@ -36,9 +36,9 @@ import contextlib
 import copy
 import enum
 import math
-from dataclasses import dataclass
 
 from .numtext import parse_float, parse_int
+from .records import Frozen, parameters, set_fields
 
 DEFAULT_ALPHA = 0.75
 DEFAULT_GATE_CAP = 16
@@ -106,16 +106,19 @@ def _check_domain(what: str, values, or_weights) -> None:
         raise ValueError(f"{what} holds a weight above 1")
 
 
-@dataclass(frozen=True)
-class ForwardTrace:
+class ForwardTrace(Frozen):
     """What `gradients` and `induce` read of one forward pass: the facts,
     each gate's pre- and post-clamp value and the OR's pre-clamp value (its
     clamped value is the q `forward` returns)."""
 
-    facts: tuple[float, ...]
-    and_pre: tuple[float, ...]
-    and_out: tuple[float, ...]
-    or_pre: float
+    __slots__ = ("facts", "and_pre", "and_out", "or_pre")
+
+    def __init__(self, facts: tuple[float, ...], and_pre: tuple[float, ...],
+                 and_out: tuple[float, ...], or_pre: float) -> None:
+        object.__setattr__(self, "facts", facts)
+        object.__setattr__(self, "and_pre", and_pre)
+        object.__setattr__(self, "and_out", and_out)
+        object.__setattr__(self, "or_pre", or_pre)
 
 
 class LnnNetwork:
@@ -309,13 +312,14 @@ def _display_literal(literal: str) -> str:
     return _LITERAL_DISPLAY.get(literal, f"⟨{literal}⟩")
 
 
-@dataclass(frozen=True)
-class Rule:
-    category: str
-    verb: str
-    literals: tuple[str, ...]
-    or_weight: float
-    gate_index: int
+class Rule(Frozen):
+    """One conjunctive rule read off a gate: its literals and OR weight."""
+
+    def __init__(self, category: str, verb: str, literals: tuple[str, ...], or_weight: float,
+                 gate_index: int) -> None:
+        set_fields(self, locals())
+
+    __slots__ = parameters(__init__)
 
     def render(self) -> str:
         body = " ∧ ".join(_display_literal(l) for l in self.literals)

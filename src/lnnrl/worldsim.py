@@ -24,11 +24,10 @@ and dies with the graph.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
+from .records import Frozen, parameters, same_fields, set_fields
 from .rng import derive_seed, substream
 
 # ---------------------------------------------------------------------------
@@ -58,18 +57,24 @@ if TYPE_CHECKING:
     from .factextract import ParsedObservation
 
 
-@dataclass(frozen=True)
-class Action:
-    """A two-word command: verb in {go, take}, noun in {coin, north, east, south, west}."""
+class Action(Frozen):
+    """A two-word command: verb in {go, take}, noun in {coin, north, east, south, west}.
+    Equal and hashed by value."""
 
-    verb: str
-    noun: str
+    __slots__ = ("verb", "noun")
 
-    def __post_init__(self) -> None:
-        if self.verb not in VERBS:
-            raise ValueError(f"unknown verb {self.verb!r}")
-        if self.noun not in NOUNS:
-            raise ValueError(f"unknown noun {self.noun!r}")
+    def __init__(self, verb: str, noun: str) -> None:
+        if verb not in VERBS:
+            raise ValueError(f"unknown verb {verb!r}")
+        if noun not in NOUNS:
+            raise ValueError(f"unknown noun {noun!r}")
+        object.__setattr__(self, "verb", verb)
+        object.__setattr__(self, "noun", noun)
+
+    __eq__ = same_fields
+
+    def __hash__(self) -> int:
+        return hash((self.verb, self.noun))
 
     def __str__(self) -> str:
         return f"{self.verb} {self.noun}"
@@ -100,26 +105,24 @@ class EpisodeFinishedError(WorldError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GameSpec:
+class GameSpec(Frozen):
     """What a game is generated from, checked when made: a known difficulty,
     level >= 1 and a step cap that fits an optimal episode, or InvalidSpecError."""
 
-    difficulty: str
-    level: int
-    seed: int
-    max_episode_steps: int = DEFAULT_MAX_EPISODE_STEPS
-
-    def __post_init__(self) -> None:
-        if self.difficulty not in DIFFICULTIES:
-            raise InvalidSpecError(f"difficulty must be one of {DIFFICULTIES}, got {self.difficulty!r}")
-        if self.level < 1:
-            raise InvalidSpecError(f"level must be >= 1, got {self.level}")
-        if self.max_episode_steps < self.level + 1:
+    def __init__(self, difficulty: str, level: int, seed: int,
+                 max_episode_steps: int = DEFAULT_MAX_EPISODE_STEPS) -> None:
+        if difficulty not in DIFFICULTIES:
+            raise InvalidSpecError(f"difficulty must be one of {DIFFICULTIES}, got {difficulty!r}")
+        if level < 1:
+            raise InvalidSpecError(f"level must be >= 1, got {level}")
+        if max_episode_steps < level + 1:
             raise InvalidSpecError(
-                f"max_episode_steps={self.max_episode_steps} cannot fit an optimal "
-                f"episode of level {self.level}"
+                f"max_episode_steps={max_episode_steps} cannot fit an optimal "
+                f"episode of level {level}"
             )
+        set_fields(self, locals())
+
+    __slots__ = parameters(__init__)
 
     def to_line(self) -> str:
         return (
@@ -155,36 +158,35 @@ ROOM_NAME_BANK: tuple[str, ...] = tuple(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RoomGraph:
+class RoomGraph(Frozen):
     """Immutable generated map plus the spec metadata the engine needs.
 
     The optimal path's rooms are ids `0..level`, start to coin, in order;
-    distractor rooms follow. `readings` is the graph's one piece of state: a
-    memo of parsed room texts that every episode on this graph shares.
+    distractor rooms follow. Graphs are equal when their fields are.
+
+    `readings` is the graph's one piece of state: a memo of parsed room
+    texts that every episode on this graph shares, room id ->
+    `parse_observation(render_observation(self, room))`, filled by
+    `agent.run_episode` on a room's first entry in any episode on this
+    graph. A room's text never changes, so neither does its reading; the
+    memo is this graph's alone, even among equal graphs.
     """
 
-    difficulty: str
-    level: int
-    seed: int
-    max_episode_steps: int
-    rooms: tuple[RoomId, ...]
-    names: dict[RoomId, str]
-    exits: dict[tuple[RoomId, str], RoomId]
-    start: RoomId
-    coin_room: RoomId
-    template_seed: int
+    def __init__(self, difficulty: str, level: int, seed: int, max_episode_steps: int,
+                 rooms: tuple[RoomId, ...], names: dict[RoomId, str],
+                 exits: dict[tuple[RoomId, str], RoomId], start: RoomId, coin_room: RoomId,
+                 template_seed: int) -> None:
+        set_fields(self, locals())
+        object.__setattr__(self, "readings", {})
+
+    # a weak reference shows when a graph is freed
+    __slots__ = (*parameters(__init__), "readings", "__weakref__")
+    readings: dict[RoomId, ParsedObservation]
+
+    __eq__ = same_fields
 
     def open_exits(self, room: RoomId) -> tuple[str, ...]:
         return tuple([d for d in DIRECTIONS if (room, d) in self.exits])
-
-    @functools.cached_property
-    def readings(self) -> dict[RoomId, "ParsedObservation"]:
-        """Room id -> `parse_observation(render_observation(self, room))`,
-        filled by `agent.run_episode` on a room's first entry in any episode
-        on this graph. A room's text never changes, so neither does its
-        reading; the memo is this graph's alone, even among equal graphs."""
-        return {}
 
 
 def _neighbors(cell: tuple[int, int]):
@@ -429,14 +431,16 @@ def render_observation(graph: RoomGraph, room: RoomId) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class EpisodeState:
     """One episode in progress: where the agent is and the step count."""
 
-    graph: RoomGraph
-    room: RoomId
-    steps: int = 0
-    done: bool = False
+    __slots__ = ("graph", "room", "steps", "done")
+
+    def __init__(self, graph: RoomGraph, room: RoomId, steps: int = 0, done: bool = False) -> None:
+        self.graph = graph
+        self.room = room
+        self.steps = steps
+        self.done = done
 
 
 class StepOutcome(NamedTuple):

@@ -111,6 +111,17 @@ MUTANTS = (
            "",
            ("tests/test_agent.py::test_an_eval_episode_refuses_a_trace_before_its_first_step",)),
     # --- world, baseline, CLI ------------------------------------------------
+    # the logic agent's candidate order follows the hash seed (the MLP scores
+    # all ten actions, so `nn` runs do not move); criterion 10 misses this,
+    # since its two runs share one process and so one hash seed
+    Mutant("candidates-follow-a-frozenset", "src/lnnrl/lexicon.py",
+           "            for noun in NOUNS\n",
+           "            for noun in frozenset(NOUNS)\n",
+           ("tests/test_acceptance.py::test_reruns_are_byte_identical_across_processes_and_hash_seeds[lnn]",)),
+    Mutant("world-imports-dataclasses", "src/lnnrl/worldsim.py",
+           "import itertools\n",
+           "import itertools\nfrom dataclasses import dataclass\n",
+           ("tests/test_cli.py::test_importing_the_cli_loads_neither_dataclasses_nor_inspect",)),
     Mutant("distractor-cells-in-offset-order", "src/lnnrl/worldsim.py",
            "for cell in [(x + dx, y + dy) for dx, dy in _DIRECTION_OFFSETS]",
            "for cell in [(x + dx, y + dy) for dx, dy in _OFFSET.values()]",

@@ -6,12 +6,17 @@ once; expect a few minutes of wall time for the full module.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 import time
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lnnrl
 from lnnrl.agent import LnnScorer, run_episode, scripted_rule_networks
 from lnnrl.factextract import (
     AgentMap,
@@ -371,11 +376,13 @@ def test_criterion_9_rule_extraction(medium_lnn):
 # ---------------------------------------------------------------------------
 
 
+#: criterion 10's config
+CRITERION_10 = dict(difficulty="medium", epochs=30, eval_interval=10, n_seeds=2,
+                    n_train_games=8, n_test_per_level=2, base_seed=31)
+
+
 def test_criterion_10_byte_identical_reruns(tmp_path):
-    config = ExperimentConfig(
-        difficulty="medium", epochs=30, eval_interval=10, n_seeds=2,
-        n_train_games=8, n_test_per_level=2, base_seed=31,
-    )
+    config = ExperimentConfig(**CRITERION_10)
     a = run_experiment(config, tmp_path / "a", trace=True)
     b = run_experiment(config, tmp_path / "b", trace=True)
     compared = 0
@@ -392,3 +399,27 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
         assert dump_graph(generate_game(spec)) == dump_graph(generate_game(spec))
     report(10, f"two executions produced byte-identical outputs for {compared} "
                f"artifacts (CSV, rules, traces, checkpoints)")
+
+
+@pytest.mark.parametrize("agent", ["lnn", "nn"])
+def test_reruns_are_byte_identical_across_processes_and_hash_seeds(tmp_path, agent):
+    """Criterion 10 reruns in one process, under one hash seed, so an output
+    that follows a set's iteration order or an object's address passes it.
+    Here each run of its config is its own interpreter, one under
+    PYTHONHASHSEED=0 and one under 12345, and every file each writes must
+    match the other's byte for byte."""
+    path = os.pathsep.join(filter(None, [str(Path(lnnrl.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "lnnrl.cli", "train", "--trace", "--set", f"agent={agent}"]
+    for key, value in CRITERION_10.items():
+        command += ["--set", f"{key}={value}"]
+    runs = {hash_seed: tmp_path / hash_seed for hash_seed in ("0", "12345")}
+    workers = [subprocess.Popen([*command, "--out", str(out)], stdout=subprocess.DEVNULL,
+                                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed})
+               for hash_seed, out in runs.items()]
+    assert [worker.wait(timeout=120) for worker in workers] == [0, 0]
+    written = [{file.relative_to(out).as_posix(): file.read_bytes()
+                for file in sorted(out.rglob("*")) if file.is_file()} for out in runs.values()]
+    assert written[0].keys() == written[1].keys()
+    assert len(written[0]) == (10 if agent == "lnn" else 6)   # with config.txt
+    assert [name for name in written[0] if written[0][name] != written[1][name]] == []

@@ -462,12 +462,36 @@ print(code, sys.modules["numpy"], sorted(name for name in sys.modules if name.st
 """
 
 
+def run_fresh(code: str) -> str:
+    """The last line `code` prints in a fresh interpreter that imports this
+    `lnnrl`."""
+    path = os.pathsep.join(filter(None, [str(Path(lnnrl.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    return done.stdout.splitlines()[-1]
+
+
 def test_a_logic_run_and_its_eval_never_import_numpy():
     """The logic networks, Adam's list form and the groundings are Python
     floats; only `agent=nn` loads numpy. This test process has imported
     numpy itself, so the run gets a fresh interpreter."""
-    path = os.pathsep.join(filter(None, [str(Path(lnnrl.__file__).parents[1]),
-                                         os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", NO_NUMPY], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert done.stdout.splitlines()[-1] == "0 None []"
+    assert run_fresh(NO_NUMPY) == "0 None []"
+
+
+#: which of the modules a generated record class would load `import
+#: lnnrl.cli` adds to a fresh interpreter
+IMPORT_FOOTPRINT = """
+import sys
+before = set(sys.modules)
+import lnnrl.cli
+print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
+"""
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Every run pays for the package's import. The records are plain
+    slotted classes, so no class is built by code generation and the
+    import pulls in neither `dataclasses` nor the `inspect`, `ast` and
+    `dis` it loads (about 16 ms of a 46 ms import on Python 3.11)."""
+    assert run_fresh(IMPORT_FOOTPRINT) == "[]"

@@ -7,13 +7,19 @@ order, an extra random draw, a changed clamp) fails here even when every
 convergence criterion still holds. Change a pin only for an intended change
 of behaviour, and say why in CHANGES.md.
 
-The small artifacts are also kept as files under `tests/golden/<agent>/`,
-each the file its digest pins, so a failure prints a unified diff of what
-moved. Traces and `mlp.txt` are pinned by digest alone.
+Every pinned artifact is also kept as a file under `tests/golden/<agent>/`,
+the file its digest pins, so a failure says what moved: a unified diff of a
+small artifact, the first differing line of a trace or `mlp.txt` (kept
+xz-compressed), and for `mlp.txt` how many of its values moved and by how
+many ulps at most.
 """
 
 import difflib
 import hashlib
+import itertools
+import lzma
+import math
+import struct
 from fnmatch import fnmatch
 from pathlib import Path
 
@@ -54,26 +60,80 @@ ORACLE_HARD_EVAL = "test games: 20  mean_reward=0.900000  mean_steps=44.250000\n
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-#: pinned by digest alone: 300-420 KB traces and a 49 KB checkpoint
-DIGEST_ONLY = ("trace_seed*.txt", "seed*/mlp.txt")
+#: kept as `<name>.xz`: 300-420 KB traces and a 49 KB checkpoint of 2,378 values
+COMPRESSED = ("trace_seed*.txt", "seed*/mlp.txt")
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def kept_files(agent):
-    """Each pinned artifact of `agent` kept as a file, by name: the file."""
-    return {name: GOLDEN_DIR / agent / name for name in GOLDEN[agent]
-            if not any(fnmatch(name, pattern) for pattern in DIGEST_ONLY)}
+def compressed(name: str) -> bool:
+    return any(fnmatch(name, pattern) for pattern in COMPRESSED)
+
+
+def kept(agent, name) -> bytes:
+    """The bytes of the kept copy of `agent`'s pinned artifact `name`."""
+    path = GOLDEN_DIR / agent / name
+    if compressed(name):
+        return lzma.decompress(path.with_name(path.name + ".xz").read_bytes())
+    return path.read_bytes()
+
+
+#: how much of a differing line is shown, around its first differing character
+WINDOW = 100
+
+
+def first_difference(want: str, got: str) -> str:
+    lines = itertools.zip_longest(want.splitlines(), got.splitlines(), fillvalue="")
+    for number, (a, b) in enumerate(lines, 1):
+        if a != b:
+            column = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+            start = max(0, column - WINDOW // 2)
+            return (f"first differing line {number}, from column {start + 1}:\n"
+                    f"  kept: {a[start:start + WINDOW]}\n  run:  {b[start:start + WINDOW]}")
+    return "every line matches; the line endings differ"
+
+
+def ulps(a: float, b: float) -> int:
+    """How many steps apart `a` and `b` lie among the doubles."""
+    def ordered(x):
+        bits = struct.unpack("<q", struct.pack("<d", x))[0]
+        return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+    return abs(ordered(a) - ordered(b))
+
+
+def value_moves(want: str, got: str) -> str:
+    """How many of an `mlp.txt`'s values moved, and by how many ulps at most.
+    Its first two lines are the header and the shape; each row after them
+    is a name and its values."""
+    def values(text):
+        return [float(v) for row in text.splitlines()[2:] for v in row.split()[1:]]
+    try:
+        kept_values, run_values = values(want), values(got)
+    except ValueError:
+        return "the run's values do not parse"
+    if len(kept_values) != len(run_values):
+        return f"the run holds {len(run_values)} values where the pin holds {len(kept_values)}"
+    steps = [ulps(a, b) for a, b in zip(kept_values, run_values)]
+    return (f"{sum(1 for n in steps if n)} of {len(steps)} values differ, "
+            f"the largest by {max(steps)} ulp")
 
 
 def moved(agent, name, want: bytes, got: bytes | None) -> str:
-    """What moved in `name`, as a unified diff of the kept file and the run's."""
+    """What moved in `name`: a unified diff of the kept file and the run's,
+    or for a compressed one the first differing line, and for `mlp.txt` its
+    values that moved."""
     if got is None:
         return f"{name}: the run wrote no such file"
-    diff = difflib.unified_diff(want.decode("utf-8").splitlines(keepends=True),
-                                got.decode("utf-8", "replace").splitlines(keepends=True),
+    kept_text, run_text = want.decode("utf-8"), got.decode("utf-8", "replace")
+    if compressed(name):
+        lines = f"{name} moved, {first_difference(kept_text, run_text)}"
+        if fnmatch(name, "seed*/mlp.txt"):
+            lines += "\n  " + value_moves(kept_text, run_text)
+        return lines
+    diff = difflib.unified_diff(kept_text.splitlines(keepends=True),
+                                run_text.splitlines(keepends=True),
                                 f"tests/golden/{agent}/{name}", f"run/{name}")
     return f"{name} moved:\n" + "".join(diff)
 
@@ -82,10 +142,10 @@ def moved(agent, name, want: bytes, got: bytes | None) -> str:
 def test_training_artifacts_match_pins(agent, tmp_path):
     run_experiment(ExperimentConfig(agent=agent, **RUN), tmp_path, trace=True)
     moves = []
-    for name, path in kept_files(agent).items():
-        # the kept file is the pinned one, so a diff against it is a diff against the pin
-        want, produced = path.read_bytes(), tmp_path / name
-        assert sha256(want) == GOLDEN[agent][name], f"{path} is not the pinned file"
+    for name, pin in GOLDEN[agent].items():
+        # the kept file is the pinned one, so a difference from it is one from the pin
+        want, produced = kept(agent, name), tmp_path / name
+        assert sha256(want) == pin, f"the kept copy of {agent}/{name} is not the pinned file"
         got = produced.read_bytes() if produced.is_file() else None
         if got != want:
             moves.append(moved(agent, name, want, got))
@@ -97,6 +157,22 @@ def test_training_artifacts_match_pins(agent, tmp_path):
         for path in sorted(tmp_path.glob(pattern))
     }
     assert digests == GOLDEN[agent]
+
+
+def test_a_moved_trace_or_checkpoint_names_its_first_line_and_its_values():
+    trace = kept("lnn", "trace_seed0.txt")
+    lines = trace.splitlines(keepends=True)
+    lines[6] = lines[6].replace(b"reward=", b"reward=-")
+    report = moved("lnn", "trace_seed0.txt", trace, b"".join(lines))
+    assert report.startswith("trace_seed0.txt moved, first differing line 7, from column ")
+    assert " reward=0.00\n  run:  " in report and report.endswith(" reward=-0.00")
+    checkpoint = kept("nn", "seed0/mlp.txt")
+    rows = checkpoint.decode("utf-8").splitlines(keepends=True)
+    name, first, rest = rows[3].split(" ", 2)
+    rows[3] = f"{name} {math.nextafter(float(first), math.inf)!r} {rest}"
+    report = moved("nn", "seed0/mlp.txt", checkpoint, "".join(rows).encode("utf-8"))
+    assert report.startswith("seed0/mlp.txt moved, first differing line 4, from column 1:\n")
+    assert report.endswith("\n  1 of 2378 values differ, the largest by 1 ulp")
 
 
 def test_oracle_eval_line_on_hard_maps_matches_pin(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Lexicon loading, lookup totality, and validation."""
 
-import dataclasses
 import re
 from importlib import resources
 
@@ -122,9 +121,9 @@ def test_frozen_table_holds_the_candidate_pairs(text):
                 for category in sorted(table.lookup(noun))
                 if noun in CATEGORY_NOUNS.get(category, ())]
     assert list(table.pairs) == expected
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         table.pairs = ()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         table.entries = {}
     with pytest.raises(TypeError):
         table.entries["coin"] = frozenset({"direction"})
