@@ -3,8 +3,8 @@
 One experiment trains an agent on games of a single small level and evaluates
 it, at a fixed epoch cadence, on a disjoint test set spanning several levels.
 Every random decision flows from the config's base seed through named
-sub-streams, so a config maps to byte-identical outputs: a metrics CSV (mean
-and per-seed columns), per-seed network checkpoints, and a rule dump.
+sub-streams, so a config maps to byte-identical outputs: the files `RUN_FILES`
+lists (config, metrics CSV, per-seed checkpoints, rule dumps and traces).
 """
 
 from __future__ import annotations
@@ -334,6 +334,15 @@ def write_metrics_csv(seeds: list[SeedResult], path: Path) -> None:
             cells += [f"{s.rewards[row]:.6f}", f"{s.steps[row]:.6f}"]
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+#: every file a run directory holds, as `Path.glob` patterns under it, per
+#: agent kind; `run_experiment` writes these and nothing else (the traces only
+#: with `trace`)
+RUN_FILES = {
+    "lnn": ("config.txt", "metrics.csv", "rules_seed*.txt", "trace_seed*.txt", "seed*/*.lnn"),
+    "nn": ("config.txt", "metrics.csv", "trace_seed*.txt", "seed*/mlp.txt"),
+}
 
 
 def run_experiment(

@@ -97,9 +97,4 @@ def load_lexicon(path: str | Path) -> LexiconTable:
 
 def default_lexicon() -> LexiconTable:
     """The lexicon bundled with the package."""
-    # imported here: on Python 3.12 `importlib.resources` imports `inspect`
-    from importlib import resources
-    text = resources.files(__package__).joinpath("data/lexicon.tsv").read_text("utf-8")
-    table = parse_lexicon(text, source="data/lexicon.tsv")
-    table.validate()
-    return table
+    return load_lexicon(Path(__file__).with_name("data") / "lexicon.tsv")

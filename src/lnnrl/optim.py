@@ -9,10 +9,11 @@ the vector is, so one int count serves them all; `1 - beta ** t` is computed
 on Python floats, as `np.power` rounds some powers differently. numpy is
 imported only when an array is stepped, so a logic run never loads it.
 
-A vector may grow at its end (induction appends a gate to its network's
+A list may grow at its end (induction appends a gate to its network's
 buffer): its elements keep their places and moments, and the new tail starts
 with zero moments at the vector's count. The induced gate's gradient is an
-exact zero, so any count gives it a zero update.
+exact zero, so any count gives it a zero update. An array keeps its shape
+(the MLP's buffer never grows); one that changes fails in numpy's broadcast.
 """
 
 from __future__ import annotations
@@ -72,12 +73,6 @@ class AdamOptimizer:
         state = self._state.get(name)
         if state is None:
             state = self._state[name] = [np.zeros(param.shape), np.zeros(param.shape), 0]
-        elif state[0].shape != param.shape:
-            grown = param.size - state[0].size
-            if param.ndim != 1 or state[0].ndim != 1 or grown < 0:
-                raise ValueError(f"{name} changed shape from {state[0].shape} to "
-                                 f"{param.shape}; only a vector may grow, at its end")
-            state[:2] = [np.append(moment, np.zeros(grown)) for moment in state[:2]]
         m, v = state[0], state[1]
         c1, c2 = self._count(state)
         m *= BETA1

@@ -136,6 +136,12 @@ MUTANTS = (
            "    if args.run_dir:\n        _, nets = _load_run(args.run_dir, args.seed_index)",
            "    if False:\n        _, nets = _load_run(args.run_dir, args.seed_index)",
            ("tests/test_cli.py::test_play_with_a_run_dir_scores_with_the_run_networks",)),
+    # criterion 10 compares whole run directories, so an unlisted file fails it
+    Mutant("a-run-writes-an-unlisted-file", "src/lnnrl/harness.py",
+           '    (out / "config.txt").write_text(config.to_text(), encoding="utf-8")\n',
+           '    (out / "config.txt").write_text(config.to_text(), encoding="utf-8")\n'
+           '    (out / "timing.txt").write_text(repr(__import__("time").time()), encoding="utf-8")\n',
+           ("tests/test_acceptance.py::test_criterion_10_byte_identical_reruns",)),
     # --- what a deletion leaves behind ----------------------------------------
     Mutant("an-unread-import", "src/lnnrl/lnn.py",
            "import contextlib\n",

@@ -37,6 +37,7 @@ from lnnrl.worldsim import (
     reset,
     step,
 )
+from test_golden import run_files
 from test_lnn import and_value, or_value
 
 N_SEEDS = 3
@@ -381,24 +382,27 @@ CRITERION_10 = dict(difficulty="medium", epochs=30, eval_interval=10, n_seeds=2,
                     n_train_games=8, n_test_per_level=2, base_seed=31)
 
 
+def same_run_directories(root_a: Path, root_b: Path, agent: str) -> int:
+    """Each traced run directory holds the files `RUN_FILES[agent]` lists, the
+    two with the same names and bytes; how many files each holds."""
+    a, b = run_files(root_a, agent), run_files(root_b, agent)
+    assert sorted(a) == sorted(b)
+    assert [name for name in a if a[name] != b[name]] == []
+    return len(a)
+
+
 def test_criterion_10_byte_identical_reruns(tmp_path):
     config = ExperimentConfig(**CRITERION_10)
-    a = run_experiment(config, tmp_path / "a", trace=True)
-    b = run_experiment(config, tmp_path / "b", trace=True)
-    compared = 0
-    for name in ["metrics.csv", "config.txt", "rules_seed0.txt", "rules_seed1.txt",
-                 "trace_seed0.txt", "trace_seed1.txt",
-                 "seed0/direction.lnn", "seed0/money.lnn",
-                 "seed1/direction.lnn", "seed1/money.lnn"]:
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
-        compared += 1
+    for name in "ab":
+        run_experiment(config, tmp_path / name, trace=True)
+    compared = same_run_directories(tmp_path / "a", tmp_path / "b", config.agent)
 
     # adjacency dumps from the generate path are equally reproducible
     for seed in range(5):
         spec = GameSpec("hard", 7, seed)
         assert dump_graph(generate_game(spec)) == dump_graph(generate_game(spec))
-    report(10, f"two executions produced byte-identical outputs for {compared} "
-               f"artifacts (CSV, rules, traces, checkpoints)")
+    report(10, f"two executions produced byte-identical run directories of {compared} "
+               f"files (config, CSV, rules, traces, checkpoints)")
 
 
 @pytest.mark.parametrize("agent", ["lnn", "nn"])
@@ -418,8 +422,4 @@ def test_reruns_are_byte_identical_across_processes_and_hash_seeds(tmp_path, age
                                 env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed})
                for hash_seed, out in runs.items()]
     assert [worker.wait(timeout=120) for worker in workers] == [0, 0]
-    written = [{file.relative_to(out).as_posix(): file.read_bytes()
-                for file in sorted(out.rglob("*")) if file.is_file()} for out in runs.values()]
-    assert written[0].keys() == written[1].keys()
-    assert len(written[0]) == (10 if agent == "lnn" else 6)   # with config.txt
-    assert [name for name in written[0] if written[0][name] != written[1][name]] == []
+    same_run_directories(*runs.values(), agent)

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden import run_files
 from test_harness import NUMBER_BYTES, byte_edits
 
 import lnnrl
@@ -97,9 +98,7 @@ def tiny_run(tmp_path_factory):
 
 
 def test_train_writes_metrics_and_rules(tiny_run, capsys):
-    assert (tiny_run / "metrics.csv").exists()
-    assert (tiny_run / "rules_seed0.txt").exists()
-    assert (tiny_run / "seed0" / "direction.lnn").exists()
+    run_files(tiny_run, "lnn", traced=False)
 
 
 def test_train_onto_an_existing_file_is_a_typed_error(tmp_path, capsys):

@@ -1,6 +1,6 @@
-"""Golden pins: the sha256 of every deterministic artifact of two small
-training runs, one per agent kind, and the exact `lnnrl eval` line of the
-hand-wired rule networks on hard maps.
+"""Golden pins: the sha256 of every file of two small training runs, one per
+agent kind, each a file `harness.RUN_FILES` lists, and the exact `lnnrl eval`
+line of the hand-wired rule networks on hard maps.
 
 A refactor that moves a single bit of the learning dynamics (summation
 order, an extra random draw, a changed clamp) fails here even when every
@@ -27,16 +27,15 @@ import pytest
 
 from lnnrl.agent import scripted_rule_networks
 from lnnrl.cli import main
-from lnnrl.harness import ExperimentConfig, run_experiment
+from lnnrl.harness import RUN_FILES, ExperimentConfig, run_experiment
 from lnnrl.lnn import save_network
 
 RUN = dict(difficulty="medium", epochs=30, eval_interval=10, n_seeds=2,
            n_train_games=8, n_test_per_level=2, base_seed=31)
 
-PATTERNS = ("metrics.csv", "rules_seed*.txt", "trace_seed*.txt", "seed*/*.lnn", "seed*/mlp.txt")
-
 GOLDEN = {
     "lnn": {
+        "config.txt": "19e620154cfda2e823c8800d8e567e8c3371acfcb1974bf57054a3c58522f225",
         "metrics.csv": "ce02e342bfa19e41e6b5e2e86423e3efc4860aa9986c9ba1bfa678605329997a",
         "rules_seed0.txt": "7ae256ccf54c5f6805292278cac20417b15bde70d29543692c3a6156e2f2c1bd",
         "rules_seed1.txt": "7ae256ccf54c5f6805292278cac20417b15bde70d29543692c3a6156e2f2c1bd",
@@ -48,6 +47,7 @@ GOLDEN = {
         "seed1/money.lnn": "3df08a1fa8b608f0e5c4943d91b14e6bea36e54516cdd4ca75295945209f3561",
     },
     "nn": {
+        "config.txt": "6ad8e9c232cd1c6f327adaf110c5ea257b823ad3f9d20ca9398591b1098a301c",
         "metrics.csv": "c78afa6b25a648cc8fb570168e0347b6a08db984d7c8da1f758cc766f49dd4bc",
         "trace_seed0.txt": "de03b6c2bc619ff5ce0ee686c3d4b45a1196851a00c127c491b3045e5a117f22",
         "trace_seed1.txt": "5f271746366c02d9eac9176c0d4bd704ee42380ee3c7a0201aa1aa7e0d09d909",
@@ -66,6 +66,18 @@ COMPRESSED = ("trace_seed*.txt", "seed*/mlp.txt")
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def run_files(root: Path, agent: str, traced: bool = True) -> dict[str, bytes]:
+    """The bytes of every file in the run directory `root`, by its path
+    relative to it. Each pattern of `RUN_FILES[agent]` must name a file, and
+    each file must match a pattern; a run writes traces only when `traced`."""
+    patterns = [p for p in RUN_FILES[agent] if traced or not p.startswith("trace")]
+    listed = {path for pattern in patterns for path in root.glob(pattern)}
+    unlisted = [path for path in root.rglob("*") if path.is_file() and path not in listed]
+    unmatched = [pattern for pattern in patterns if not any(root.glob(pattern))]
+    assert (unlisted, unmatched) == ([], []), f"{root}: unlisted files, patterns naming no file"
+    return {path.relative_to(root).as_posix(): path.read_bytes() for path in sorted(listed)}
 
 
 def compressed(name: str) -> bool:
@@ -141,22 +153,17 @@ def moved(agent, name, want: bytes, got: bytes | None) -> str:
 @pytest.mark.parametrize("agent", sorted(GOLDEN))
 def test_training_artifacts_match_pins(agent, tmp_path):
     run_experiment(ExperimentConfig(agent=agent, **RUN), tmp_path, trace=True)
+    files = run_files(tmp_path, agent)
     moves = []
     for name, pin in GOLDEN[agent].items():
         # the kept file is the pinned one, so a difference from it is one from the pin
-        want, produced = kept(agent, name), tmp_path / name
+        want = kept(agent, name)
         assert sha256(want) == pin, f"the kept copy of {agent}/{name} is not the pinned file"
-        got = produced.read_bytes() if produced.is_file() else None
-        if got != want:
-            moves.append(moved(agent, name, want, got))
+        if files.get(name) != want:
+            moves.append(moved(agent, name, want, files.get(name)))
     if moves:
         pytest.fail("\n".join(moves), pytrace=False)
-    digests = {
-        path.relative_to(tmp_path).as_posix(): sha256(path.read_bytes())
-        for pattern in PATTERNS
-        for path in sorted(tmp_path.glob(pattern))
-    }
-    assert digests == GOLDEN[agent]
+    assert sorted(files) == sorted(GOLDEN[agent])
 
 
 def test_a_moved_trace_or_checkpoint_names_its_first_line_and_its_values():

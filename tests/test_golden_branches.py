@@ -8,13 +8,11 @@ inductions are then refused. Change a pin only for an intended change of
 behaviour, and say why in CHANGES.md.
 """
 
-import hashlib
-
 import pytest
 
 from lnnrl.agent import TrainerConfig
 from lnnrl.harness import ExperimentConfig, run_experiment
-from test_golden import PATTERNS, RUN
+from test_golden import RUN, run_files, sha256
 
 BRANCHES = {
     "easy": dict(difficulty="easy"),
@@ -23,6 +21,7 @@ BRANCHES = {
 
 GOLDEN = {
     "easy": {
+        "config.txt": "c711b9db11e56577447773144182be981c022ba07f4d59506c6a0aeef848eefb",
         "metrics.csv": "8601192ec7e1c81b84754edfe3b84d1c228bbd83c6d4e6dec398f8b266196862",
         "rules_seed0.txt": "178c1c3afc0b2dbdd4af049b047dd92b2a4b5646ba384c11089cd09c598c2660",
         "rules_seed1.txt": "178c1c3afc0b2dbdd4af049b047dd92b2a4b5646ba384c11089cd09c598c2660",
@@ -34,6 +33,7 @@ GOLDEN = {
         "seed1/money.lnn": "1f6fb6241b1a72c7a553a0d411a44d9ca9467fd62aa156f7f60178d00a32039a",
     },
     "hard-gate-cap-2": {
+        "config.txt": "a304d386d6accb06d9bdfaf529a303fcf55535d2ff9392a0d99fcc54fd133f12",
         "metrics.csv": "e0ef698927413cb7af41cc288215b4bf07c334c7af864551d409f1fc78dec3e7",
         "rules_seed0.txt": "178c1c3afc0b2dbdd4af049b047dd92b2a4b5646ba384c11089cd09c598c2660",
         "rules_seed1.txt": "178c1c3afc0b2dbdd4af049b047dd92b2a4b5646ba384c11089cd09c598c2660",
@@ -51,9 +51,4 @@ GOLDEN = {
 def test_branch_artifacts_match_pins(branch, tmp_path):
     config = ExperimentConfig(agent="lnn", **{**RUN, **BRANCHES[branch]})
     run_experiment(config, tmp_path, trace=True)
-    digests = {
-        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for pattern in PATTERNS
-        for path in sorted(tmp_path.glob(pattern))
-    }
-    assert digests == GOLDEN[branch]
+    assert {name: sha256(data) for name, data in run_files(tmp_path, "lnn").items()} == GOLDEN[branch]

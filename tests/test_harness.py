@@ -22,6 +22,7 @@ from lnnrl.harness import (
 )
 from lnnrl.agent import DqnAgent, TrainerConfig
 from lnnrl.worldsim import DIFFICULTIES, GameSpec, InvalidSpecError
+from test_golden import run_files
 
 
 TINY = dict(
@@ -394,7 +395,7 @@ def test_moving_average_matches_hand_computation():
 
 
 def test_tiny_experiment_writes_all_artifacts(tmp_path):
-    result = run_experiment(tiny_config(), tmp_path / "run")
+    result = run_experiment(tiny_config(), tmp_path / "run", trace=True)
     assert result.csv_path.exists()
     lines = result.csv_path.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
@@ -402,29 +403,20 @@ def test_tiny_experiment_writes_all_artifacts(tmp_path):
     assert "reward_seed0" in header and "steps_seed1" in header
     epochs = [int(float(line.split(",")[0])) for line in lines[1:]]
     assert epochs == sorted(epochs) == [4, 8]
-    for k in range(2):
-        assert (tmp_path / "run" / f"seed{k}" / "direction.lnn").exists()
-        assert (tmp_path / "run" / f"seed{k}" / "money.lnn").exists()
-        assert (tmp_path / "run" / f"rules_seed{k}.txt").exists()
-    assert (tmp_path / "run" / "config.txt").exists()
+    run_files(tmp_path / "run", "lnn")
+    assert result.rules_paths == [tmp_path / "run" / f"rules_seed{k}.txt" for k in range(2)]
 
 
 def test_experiment_is_byte_identical_across_runs(tmp_path):
     config = tiny_config(base_seed=5)
-    a = run_experiment(config, tmp_path / "a")
-    b = run_experiment(config, tmp_path / "b")
-    assert a.csv_path.read_bytes() == b.csv_path.read_bytes()
-    for k in range(config.n_seeds):
-        assert (tmp_path / "a" / f"rules_seed{k}.txt").read_bytes() == \
-            (tmp_path / "b" / f"rules_seed{k}.txt").read_bytes()
-        for name in ("direction.lnn", "money.lnn"):
-            assert (tmp_path / "a" / f"seed{k}" / name).read_bytes() == \
-                (tmp_path / "b" / f"seed{k}" / name).read_bytes()
+    for name in "ab":
+        run_experiment(config, tmp_path / name, trace=True)
+    assert run_files(tmp_path / "a", "lnn") == run_files(tmp_path / "b", "lnn")
 
 
 def test_nn_experiment_writes_mlp_checkpoint(tmp_path):
-    result = run_experiment(tiny_config(agent="nn", n_seeds=1), tmp_path / "nn")
-    assert (tmp_path / "nn" / "seed0" / "mlp.txt").exists()
+    result = run_experiment(tiny_config(agent="nn", n_seeds=1), tmp_path / "nn", trace=True)
+    run_files(tmp_path / "nn", "nn")
     assert result.rules_paths == []
 
 

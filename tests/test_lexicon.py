@@ -1,13 +1,14 @@
 """Lexicon loading, lookup totality, and validation."""
 
 import re
-from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from test_agent import DIRECTION_ONLY_LEXICON, EXTRA_CATEGORY_LEXICON, MISASSIGNED_LEXICON
 from test_harness import byte_edits
 
+import lnnrl
 from lnnrl.factextract import CATEGORY_NOUNS
 from lnnrl.lexicon import (
     LexiconError,
@@ -80,7 +81,7 @@ def test_load_valid_file(tmp_path):
     assert table.lookup("coin") == {"money", "metal"}
 
 
-LEXICON_BYTES = resources.files("lnnrl").joinpath("data/lexicon.tsv").read_bytes()
+LEXICON_BYTES = (Path(lnnrl.__file__).with_name("data") / "lexicon.tsv").read_bytes()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -563,15 +563,16 @@ def test_adam_pads_state_when_parameter_grows():
     for i in (0, 1):
         assert same_bits(grown._state["money"][i][:len(old)], kept._state["money"][i])
         assert same_bits(grown._state["money"][i][len(old):], fresh._state["money"][i])
-    # a list that shrinks, or an array that shrinks or changes rank, is an error
+    # a list that shrinks is an error, and so is an array whose shape changes
+    # at all: numpy cannot broadcast its moments onto the new shape
     plain = AdamOptimizer(learning_rate=0.01)
     plain.step({"w": [1.0] * 4}, {"w": [1.0] * 4})
     with pytest.raises(ValueError, match="shrank"):
         plain.step({"w": [1.0]}, {"w": [1.0]})
-    for shape in ((1,), (2, 2)):
+    for shape in ((1,), (5,), (2, 2)):
         plain = AdamOptimizer(learning_rate=0.01)
         plain.step({"w": np.ones(4)}, {"w": np.ones(4)})
-        with pytest.raises(ValueError, match="changed shape"):
+        with pytest.raises(ValueError, match="broadcast"):
             plain.step({"w": np.ones(shape)}, {"w": np.ones(shape)})
 
 
@@ -836,8 +837,9 @@ def adam_runs(draw):
        gate_cap=st.integers(1, 16))
 def test_adam_equals_the_numpy_array_form_bit_for_bit(ops, learning_rate, bias, weights, gate_cap):
     # one money network, stepped on its buffer in the list form; the numpy
-    # form steps the same values as one float64 array, and the reference
-    # keeps them as named arrays, as the network once held them
+    # form steps the same values as one float64 array until the first gate is
+    # added (an array keeps its shape), and the reference keeps them as named
+    # arrays, as the network once held them
     net = LnnNetwork("money", CATEGORY_LITERALS["money"], "take", gate_cap=gate_cap,
                      rows=[(weights, bias, 1.0)])
     array = np.array(net.buffer)
@@ -849,7 +851,7 @@ def test_adam_equals_the_numpy_array_form_bit_for_bit(ops, learning_rate, bias, 
             seed = np.array(values[:2]) if values else np.array([1.0, 0.0])
             j = net.add_and_gate(seed)
             if j is not None:
-                array = np.append(array, net.buffer[array.size:])
+                array = None
                 ref_params[f"money.and{j}.w"] = np.where(seed >= net.alpha, 1.0, 0.0)
                 ref_params[f"money.and{j}.b"] = np.array(1.0)
                 ref_params["money.or.w"] = np.append(ref_params["money.or.w"], 1.0)
@@ -862,13 +864,14 @@ def test_adam_equals_the_numpy_array_form_bit_for_bit(ops, learning_rate, bias, 
         ref_grads = {name: np.array(g) for name, g in named(net, grad).items()}
         opt.step({"money": net.buffer}, {"money": grad.tolist()})
         with np.errstate(all="ignore"):   # extreme gradients overflow on purpose
-            array_opt.step({"money": array}, {"money": grad.copy()})
             ref.step(ref_params, ref_grads)
+            if array is not None:
+                array_opt.step({"money": array}, {"money": grad.copy()})
         m, v, t = opt._state["money"]
-        array_m, array_v, array_t = array_opt._state["money"]
-        assert type(m) is type(v) is list and t == array_t
-        assert same_bits(net.buffer, array)
-        assert same_bits(m, array_m) and same_bits(v, array_v)
+        assert type(m) is type(v) is list
+        if array is not None:   # equal values, moments and count
+            assert same_bits(net.buffer, array)
+            assert all(map(same_bits, opt._state["money"], array_opt._state["money"]))
         moments = named(net, m), named(net, v)
         for name, p in named(net, net.buffer).items():
             assert same_bits(p, ref_params[name]), (name, p, ref_params[name])

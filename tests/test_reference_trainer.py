@@ -9,7 +9,8 @@ records), keeps each logic network as named arrays, steps them with
 `ReferenceAdam`, projects with `np.clip`, and takes a deep-copied target every
 `target_update_period` optimizer steps. It draws from the same named random
 substreams as `run_experiment`, so on any config the two must write the same
-`metrics.csv`, rule dumps and checkpoints.
+files, `config.txt`, `metrics.csv`, rule dumps and checkpoints, and none that
+`harness.RUN_FILES` does not list.
 """
 
 import copy
@@ -22,6 +23,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_agent import loop_index, reference_candidates, reference_shaping, reference_vector
+from test_golden import run_files
 from test_lnn import ReferenceAdam, reference_forward
 
 from lnnrl.agent import TrainerConfig, epsilon_at
@@ -349,6 +351,7 @@ def reference_run(config: ExperimentConfig, out: Path):
     artifacts `run_experiment` writes."""
     lexicon = default_lexicon()
     out.mkdir(parents=True, exist_ok=True)
+    (out / "config.txt").write_text(config.to_text(), encoding="utf-8")
     columns = []
     for k in range(config.n_seeds):
         run_seed = derive_seed("run", config.base_seed, k)
@@ -397,14 +400,6 @@ def reference_run(config: ExperimentConfig, out: Path):
 # ---------------------------------------------------------------------------
 
 
-ARTIFACTS = ("metrics.csv", "rules_seed*.txt", "seed*/*")
-
-
-def artifacts(root: Path) -> dict[str, bytes]:
-    return {path.relative_to(root).as_posix(): path.read_bytes()
-            for pattern in ARTIFACTS for path in sorted(root.glob(pattern))}
-
-
 @st.composite
 def small_configs(draw):
     epochs = draw(st.integers(2, 20))
@@ -450,7 +445,7 @@ def test_the_trainer_writes_what_the_reference_loop_writes(tmp_path_factory, con
     root = tmp_path_factory.mktemp("run")
     run_experiment(config, root / "fast")
     reference_run(config, root / "reference")
-    fast, reference = artifacts(root / "fast"), artifacts(root / "reference")
+    fast = run_files(root / "fast", config.agent, traced=False)
+    reference = run_files(root / "reference", config.agent, traced=False)
     assert sorted(fast) == sorted(reference)
-    for name, data in reference.items():
-        assert fast[name] == data, name
+    assert [name for name in reference if fast[name] != reference[name]] == []
