@@ -574,6 +574,15 @@ def run_episode(
     reads only the agent's `choose`, shapes nothing and writes no trace: a
     `trace` with it raises ValueError before the first step.
 
+    An evaluation asks `choose` once per state it enters: at the start, and
+    after each step whose next `props` or `candidates` are not the very
+    records it chose on. Its epsilon is 0 and its parameters are fixed, so
+    `choose` draws nothing and returns a function of those two records; a
+    step that records no move, or a move into a room with the same shared
+    truth assignment, keeps the action. Every step still runs through `step`.
+    Training asks on every step: epsilon draws from `rng`, and the parameters
+    move every `update_period` steps.
+
     Each room is read once per graph. A step that records no move (an
     invalid action, or `take coin`) changes neither the room nor the
     `AgentMap`, so the current `props` and `candidates` stand as the next
@@ -596,9 +605,11 @@ def run_episode(
     candidates = enumerate_candidates(props, lexicon)
 
     quest_total = 0.0
+    keep = False
 
     while not state.done:
-        action, q_values = agent.choose(props, candidates, eps, rng)
+        if not keep:
+            action, q_values = agent.choose(props, candidates, eps, rng)
 
         outcome = step(state, action)
         quest_total += outcome.quest_reward
@@ -625,6 +636,9 @@ def run_episode(
                                      next_props, next_candidates,
                                      agent.chosen(candidates, action)))
 
+        # a greedy choice with fixed parameters is a function of the records
+        # it was made on, so an eval keeps it while they stand
+        keep = mode == "eval" and next_props is props and next_candidates is candidates
         props = next_props
         candidates = next_candidates
 

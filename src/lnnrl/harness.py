@@ -351,9 +351,18 @@ def run_experiment(
     lexicon: LexiconTable | None = None,
     trace: bool = False,
 ) -> ExperimentResult:
-    """Train every seed, then write metrics CSV, checkpoints, and rule dumps."""
+    """Train every seed, then write metrics CSV, checkpoints, and rule dumps.
+
+    A directory that already holds a file `RUN_FILES` lists, for either
+    agent, is refused with a ConfigError naming it, before anything is
+    written: a second run there would leave the first run's files beside
+    its own."""
     lexicon = lexicon or default_lexicon()
     out = Path(out_dir)
+    held = sorted(path for patterns in RUN_FILES.values() for pattern in patterns
+                  for path in out.glob(pattern))
+    if held:
+        raise ConfigError(f"{held[0]} is a file of an earlier run; train into a new directory")
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(config.to_text(), encoding="utf-8")
 

@@ -105,6 +105,21 @@ MUTANTS = (
            "parsed = parse_observation(render_observation(graph, room))",
            ("tests/test_agent.py::test_each_observation_is_read_once_and_equals_a_fresh_reading",
             "tests/test_worldsim.py::test_a_game_renders_and_parses_each_room_once_across_episodes")),
+    # an eval keeps its choice only while the records it chose on stand;
+    # training asks on every step, since it explores and learns
+    Mutant("eval-keeps-its-choice-in-a-new-state", "src/lnnrl/agent.py",
+           'keep = mode == "eval" and next_props is props and next_candidates is candidates',
+           'keep = mode == "eval"',
+           ("tests/test_agent.py::test_an_evaluation_asks_its_player_once_per_state[oracle]",
+            "tests/test_agent.py::test_each_observation_is_read_once_and_equals_a_fresh_reading",
+            "tests/test_golden.py::test_training_artifacts_match_pins[lnn]",
+            "tests/test_golden.py::test_oracle_eval_line_on_hard_maps_matches_pin")),
+    Mutant("training-keeps-its-choice", "src/lnnrl/agent.py",
+           'keep = mode == "eval" and next_props is props and next_candidates is candidates',
+           "keep = next_props is props and next_candidates is candidates",
+           ("tests/test_agent.py::test_each_observation_is_read_once_and_equals_a_fresh_reading",
+            "tests/test_golden.py::test_training_artifacts_match_pins[lnn]",
+            "tests/test_golden.py::test_training_artifacts_match_pins[nn]")),
     Mutant("eval-accepts-a-trace", "src/lnnrl/agent.py",
            '    if trace is not None and mode != "train":\n'
            '        raise ValueError("only a training episode writes a trace")\n',
@@ -142,6 +157,13 @@ MUTANTS = (
            '    (out / "config.txt").write_text(config.to_text(), encoding="utf-8")\n'
            '    (out / "timing.txt").write_text(repr(__import__("time").time()), encoding="utf-8")\n',
            ("tests/test_acceptance.py::test_criterion_10_byte_identical_reruns",)),
+    # a second run into a run directory would leave the first run's files
+    Mutant("train-into-a-run-directory", "src/lnnrl/harness.py",
+           "    if held:\n        raise ConfigError(",
+           "    if False:\n        raise ConfigError(",
+           ("tests/test_cli.py::test_train_into_a_run_directory_exits_2_and_leaves_the_run_as_it_was",
+            "tests/test_harness.py::test_a_directory_holding_a_run_file_is_refused_before_anything_is_written[config.txt]",
+            "tests/test_harness.py::test_a_directory_holding_a_run_file_is_refused_before_anything_is_written[seed*/mlp.txt]")),
     # --- what a deletion leaves behind ----------------------------------------
     Mutant("an-unread-import", "src/lnnrl/lnn.py",
            "import contextlib\n",

@@ -17,6 +17,7 @@ from test_lnn import counting_constructions, named, same_bits
 import lnnrl.agent as agent_module
 from lnnrl.agent import (
     DqnAgent,
+    EpisodeReport,
     LnnAgent,
     LnnScorer,
     Memo,
@@ -1098,6 +1099,61 @@ def test_untrained_networks_stall_near_the_step_cap(lexicon):
     assert sum(rewards) / len(rewards) <= 0.1
 
 
+class CountingPlayer:
+    """A player whose `choose` counts its calls."""
+
+    def __init__(self, player):
+        self.player, self.calls = player, 0
+
+    def choose(self, props, candidates, epsilon, rng):
+        self.calls += 1
+        return self.player.choose(props, candidates, epsilon, rng)
+
+
+def reference_eval(graph, player, lexicon):
+    """An evaluation that asks `player` on every step, through a fresh
+    reading of each; and the number of states it entered: the first, and
+    each after a step whose records are not the ones it left."""
+    state, obs = reset(graph)
+    agent_map = AgentMap.start(state.room)
+    props = extract_propositions(parse_observation(obs), agent_map)
+    quest_reward, entered, last = 0.0, 0, ()
+    while not state.done:
+        candidates = enumerate_candidates(props, lexicon)
+        entered += not same_records(last, (props, candidates))
+        last = (props, candidates)
+        action, _ = player.choose(props, candidates, 0.0, random.Random(0))
+        outcome = step(state, action)
+        quest_reward += outcome.quest_reward
+        if outcome.action_valid and action.verb == "go":
+            agent_map.record_move(action.noun, outcome.room_id)
+        props = extract_propositions(parse_observation(outcome.observation), agent_map)
+    return EpisodeReport(quest_reward, state.steps), entered
+
+
+@pytest.mark.parametrize("make_player", [
+    lambda: LnnAgent(TrainerConfig(), run_seed=2),
+    lambda: MlpAgent(TrainerConfig(), run_seed=4),
+    lambda: LnnScorer(scripted_rule_networks()),
+], ids=["lnn", "mlp", "oracle"])
+def test_an_evaluation_asks_its_player_once_per_state(lexicon, make_player):
+    """An eval plays as a loop that asks on every step does, and asks once
+    per state it enters: its choice is greedy, with fixed parameters."""
+    player = make_player()
+    asked = steps = 0
+    for difficulty in DIFFICULTIES:
+        for level, seed in ((2, 0), (5, 1), (15, 2)):
+            graph = generate_game(GameSpec(difficulty, level, seed))
+            want, entered = reference_eval(graph, player, lexicon)
+            counting = CountingPlayer(player)
+            assert run_episode(graph, counting, lexicon, mode="eval") == want
+            assert counting.calls == entered
+            asked, steps = asked + entered, steps + want.steps
+    if isinstance(player, MlpAgent):
+        # the untrained MLP sticks: it repeats an action that changes nothing
+        assert asked * 10 < steps
+
+
 def test_an_eval_scores_each_candidate_tuple_once(lexicon):
     # the scripted networks never change, so each state's greedy choice is
     # scored once, and each shared values tuple runs one forward pass
@@ -1251,22 +1307,33 @@ def test_each_observation_is_read_once_and_equals_a_fresh_reading(
         assert sorted(rendered) == sorted(set(graph.readings) - read_before)
         for (g, room), text in logs["render_observation"]:
             assert g is graph and text == render_observation(graph, room)
+        actions = [args[1] for args, _ in logs["step"]]
         outcomes = [outcome for _, outcome in logs["step"]]
-        assert len(outcomes) == len(seen) == report.steps
+        assert len(outcomes) == report.steps
         assert len(stored) == (report.steps if mode == "train" else 0)
         for outcome in outcomes:
             assert outcome.observation == render_observation(graph, outcome.room_id)
 
-        # replay the actions through a fresh reading of every step
+        # replay the actions through a fresh reading of every step, and an
+        # eval's through a fresh greedy choice too
         state, _ = reset(graph)
         agent_map = AgentMap.start(state.room)
         props = extract_propositions(parse_observation(render_observation(graph, graph.start)),
                                      agent_map)
-        moves = 0
-        for k, ((seen_props, seen_candidates, action), outcome) in enumerate(zip(seen, outcomes)):
+        moves, asked, last = 0, 0, ()
+        for k, (action, outcome) in enumerate(zip(actions, outcomes)):
             candidates = enumerate_candidates(props, lexicon)
-            assert seen_props is props
-            assert same_records(seen_candidates, candidates)
+            # training asks on every step; an eval on each state it enters:
+            # the first, and each whose records are not the last step's
+            if mode == "train" or not same_records(last, (props, candidates)):
+                seen_props, seen_candidates, seen_action = seen[asked]
+                assert seen_props is props
+                assert same_records(seen_candidates, candidates)
+                assert seen_action == action
+                asked += 1
+            if mode == "eval":
+                assert reference_choose(agent, props, candidates, 0.0, random.Random(0))[0] == action
+            last = (props, candidates)
             replayed = step(state, action)
             assert (replayed.room_id, replayed.action_valid, replayed.done) == (
                 outcome.room_id, outcome.action_valid, outcome.done)
@@ -1282,6 +1349,7 @@ def test_each_observation_is_read_once_and_equals_a_fresh_reading(
                 assert t.next_props is next_props
                 assert same_records(t.next_candidates, enumerate_candidates(next_props, lexicon))
             props = next_props
+        assert asked == len(seen)
 
         # each rendered text is parsed once, into the memo; one extract and
         # enumeration per move, plus one

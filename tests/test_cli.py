@@ -108,6 +108,21 @@ def test_train_onto_an_existing_file_is_a_typed_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_into_a_run_directory_exits_2_and_leaves_the_run_as_it_was(tmp_path, capsys):
+    """A second run into a run directory, of either agent, would mix its
+    files with the first's; it is refused, naming a file, and writes nothing."""
+    out = tmp_path / "run"
+    assert main(["train", "--out", str(out)] + TINY_ARGS) == 0
+    capsys.readouterr()
+    before = run_files(out, "lnn", traced=False)
+    for agent in ("lnn", "nn"):
+        assert main(["train", "--out", str(out), "--set", f"agent={agent}",
+                     "--set", "base_seed=7"] + TINY_ARGS) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {out}{os.sep}" in captured.err
+        assert run_files(out, "lnn", traced=False) == before
+
+
 def test_train_rejects_unknown_key(tmp_path, capsys):
     assert main(["train", "--out", str(tmp_path / "x"), "--set", "bogus=1"]) == 2
     assert "unknown config key" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from lnnrl.harness import (
     AGENT_KINDS,
+    RUN_FILES,
     ConfigError,
     ExperimentConfig,
     build_game_sets,
@@ -427,6 +428,19 @@ def test_a_finished_seed_frees_its_trainer(agent, tmp_path):
     # nothing keeps a seed's trainer, and the results keep its scorer
     assert not [obj for obj in gc.get_objects() if isinstance(obj, DqnAgent)]
     assert all(seed.scorer is not None for seed in result.seeds)
+
+
+@pytest.mark.parametrize("pattern", sorted({p for patterns in RUN_FILES.values() for p in patterns}))
+def test_a_directory_holding_a_run_file_is_refused_before_anything_is_written(pattern, tmp_path):
+    """A file of either agent's run refuses both agents' runs, by name."""
+    held = tmp_path / "out" / pattern.replace("*", "0")
+    held.parent.mkdir(parents=True)
+    held.write_text("kept", encoding="utf-8")
+    for agent in AGENT_KINDS:
+        with pytest.raises(ConfigError, match=re.escape(str(held))):
+            run_experiment(tiny_config(agent=agent), tmp_path / "out")
+    assert [p for p in (tmp_path / "out").rglob("*") if p.is_file()] == [held]
+    assert held.read_text(encoding="utf-8") == "kept"
 
 
 def test_trace_files_written_on_request(tmp_path):
